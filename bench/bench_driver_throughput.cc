@@ -443,6 +443,20 @@ bool SameDecisions(const DriverReport& a, const DriverReport& b) {
   return true;
 }
 
+// Driver-thread time outside the pool and outside maintenance (the ordered
+// merge and window bookkeeping), in microseconds per request. An absolute
+// cost, so it rises only when the serial path itself gets slower.
+double SerialUsPerRequest(const DriverReport& report, size_t requests) {
+  return requests > 0 ? 1e6 * report.serial_seconds / static_cast<double>(requests) : 0.0;
+}
+
+// --acceptance ceilings on SerialUsPerRequest (8 threads, 4 lanes, hnsw,
+// 3000-request trace). Measured on a 4-vCPU Intel Xeon VM: 6.2 to 6.9 us
+// for the lifecycle section, 77 to 87 us with the stage-0 tier on, whose
+// merge inserts responses into the stage-0 index. Both keep >= 3x headroom.
+constexpr double kSerialUsCeiling = 30.0;
+constexpr double kStage0SerialUsCeiling = 300.0;
+
 // BENCH json record for a driver run (schema "iccache-bench/1"). Simulated
 // metrics (latency percentiles, hit rates, token counts, anomaly count) are
 // seed-deterministic and gate against the committed baseline on any machine;
@@ -465,18 +479,17 @@ BenchRunRecord MakeBenchRecord(const std::string& bench, const DriverConfig& con
   record.AddConfig("simd_kernel", report.simd_kernel);
   record.AddMetric("requests_per_second", report.requests_per_second, 0.15, +1, true);
   record.AddMetric("wall_seconds", report.wall_seconds, 0.15, -1, true);
-  // Throughput of the batched prepare path alone (embed + stage-0 probe +
-  // stage-1 retrieval + stage-2 scoring), i.e. requests divided by wall time
-  // the driver spent blocked on prepare task groups.
-  record.AddMetric("prepare_requests_per_second",
+  // Requests divided by the wall time the driver spent blocked on pool task
+  // groups (DriverReport::prepare_seconds): the next window's prepare
+  // overlapped with this window's commit lanes, plus the publish fan-outs.
+  // It is not prepare-only; the trace ledger splits the bucket by stage.
+  record.AddMetric("pool_wait_requests_per_second",
                    report.prepare_seconds > 0.0
                        ? static_cast<double>(trace_size) / report.prepare_seconds
                        : 0.0,
                    0.15, +1, true);
-  const double request_path = report.prepare_seconds + report.serial_seconds;
-  record.AddMetric("parallel_fraction",
-                   request_path > 0.0 ? report.prepare_seconds / request_path : 0.0, 0.05,
-                   +1, true);
+  record.AddMetric("serial_us_per_request", SerialUsPerRequest(report, trace_size), 0.15, -1,
+                   true);
   if (tail_attribution >= 0.0) {
     record.AddMetric("tail_attribution_fraction", tail_attribution, 0.08, +1, true);
   }
@@ -648,12 +661,11 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   }
 
   const bool identical = SameDecisions(single, eight);
-  // Request-path parallel fraction: of the time spent serving requests
-  // (prepare + serial), how much runs on the pool. Maintenance is its own
-  // bucket — measured, overlappable, and policed by the stall counter below
-  // instead of being allowed to masquerade as serial time.
-  const double request_path = eight.prepare_seconds + eight.serial_seconds;
-  const double fraction = request_path > 0.0 ? eight.prepare_seconds / request_path : 0.0;
+  // Serial request-path cost: driver-thread time per request outside the
+  // pool. Maintenance is its own bucket — measured, overlappable, and
+  // policed by the stall counter below instead of being allowed to
+  // masquerade as serial time.
+  const double serial_us = SerialUsPerRequest(eight, requests.size());
   std::printf("  requests=%zu  hnsw  lanes=%zu  maintenance ticks=%zu replay passes=%zu\n",
               requests.size(), config.commit_lanes, eight.maintenance_runs,
               eight.replay_passes);
@@ -670,13 +682,13 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   std::printf("  embed memo (8t): hits=%zu misses=%zu  (report-only: per-worker memos "
               "make the split scheduling-dependent)\n",
               eight.embed_memo_hits, eight.embed_memo_misses);
-  std::printf("  request-path parallel fraction: %.1f%%  (required >= 94%%): %s\n",
-              100.0 * fraction, fraction >= 0.94 ? "ok" : "FAIL");
+  std::printf("  serial request-path cost: %.1f us/request  (required <= %.0f): %s\n",
+              serial_us, kSerialUsCeiling, serial_us <= kSerialUsCeiling ? "ok" : "FAIL");
   std::printf("  maintenance-stalled windows: %zu  (required 0): %s\n",
               eight.maintenance_stalled_windows,
               eight.maintenance_stalled_windows == 0 ? "ok" : "FAIL");
   const bool pipeline_ok = identical && chunk_identical && pools_identical &&
-                           fraction >= 0.94 &&
+                           serial_us <= kSerialUsCeiling &&
                            eight.maintenance_stalled_windows == 0 &&
                            eight.maintenance_runs > 0;
 
@@ -712,9 +724,7 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   const bool s0_identical =
       SameDecisions(s0_single, s0_eight) && SameDecisions(s0_single, s0_one_lane);
   const bool tokens_reduced = s0_eight.generated_tokens < off.generated_tokens;
-  const double s0_request_path = s0_eight.prepare_seconds + s0_eight.serial_seconds;
-  const double s0_fraction =
-      s0_request_path > 0.0 ? s0_eight.prepare_seconds / s0_request_path : 0.0;
+  const double s0_serial_us = SerialUsPerRequest(s0_eight, dup_trace.size());
   std::printf("  duplicate-heavy trace: %zu requests (50%% of tail repeats earlier text)\n",
               dup_trace.size());
   std::printf("  stage-0 hits: %zu (%.1f%% of trace, floor %.0f%%)  admitted=%zu "
@@ -730,11 +740,12 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   std::printf("  decisions identical (1t vs 8t, 4 lanes vs 1 lane): %s\n",
               s0_identical ? "yes" : "NO (BUG)");
   std::printf("  hit rate >= floor: %s\n", hit_rate >= kHitRateFloor ? "ok" : "FAIL");
-  std::printf("  request-path parallel fraction (stage0 on): %.1f%%  "
-              "(required >= 94%%): %s\n",
-              100.0 * s0_fraction, s0_fraction >= 0.94 ? "ok" : "FAIL");
-  const bool stage0_ok =
-      s0_identical && tokens_reduced && hit_rate >= kHitRateFloor && s0_fraction >= 0.94;
+  std::printf("  serial request-path cost (stage0 on): %.1f us/request  "
+              "(required <= %.0f): %s\n",
+              s0_serial_us, kStage0SerialUsCeiling,
+              s0_serial_us <= kStage0SerialUsCeiling ? "ok" : "FAIL");
+  const bool stage0_ok = s0_identical && tokens_reduced && hit_rate >= kHitRateFloor &&
+                         s0_serial_us <= kStage0SerialUsCeiling;
 
   // --- Observability gate: the flight recorder must be passive -------------
   // Tracing and the SLO watchdog may never change a decision: runs with both

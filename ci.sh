@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build, run the labelled test suite (unit /
 # concurrency / integration, each with its own timeout, plus the persistence
-# label as its own class), smoke-run the four examples/ binaries, smoke one
-# benchmark under a 2-second cap, rerun the SIMD kernel + quantization suites
+# label as its own class), smoke-run the four examples/ binaries, self-test
+# the repository benchmark (bench/perf), smoke one benchmark under a
+# 2-second cap, rerun the SIMD kernel + quantization suites
 # under the forced-scalar dispatch path, exit-enforce the stage-1 retrieval
 # scaling bars at 100k vectors (float hnsw vs flat, int8 vs float), then
 # snapshot a real driver pool and verify the on-disk format with
@@ -55,6 +56,12 @@ for example in quickstart cloud_serving offline_replay edge_assistant; do
   echo "-- ${example}"
   timeout 300 "${BUILD_DIR}/${example}" > /dev/null
 done
+
+echo "== repository benchmark self-test (bench/perf) =="
+# Builds bench_perf from this checkout and checks the benchmark's own ledger
+# arithmetic on synthetic spans (nested self time, cost recovery, and a
+# doctored +10% slowdown flagged at exactly its entry).
+timeout 600 python3 bench/perf/run.py --self-test
 
 echo "== smoke bench (2s cap) =="
 # Smoke only proves the harness binary starts and emits output; hitting the
@@ -115,12 +122,14 @@ echo "== sharded-commit-pipeline + stage-0 + observability acceptance =="
 # Full lifecycle + background maintenance on hnsw at 1 vs 8 threads from the
 # same restored seed snapshot. Exit-enforces: identical decisions (including
 # across prepare_chunk {1,16,32}, with identical tail exemplars and
-# byte-identical pool contents), a request-path parallel fraction >= 0.94,
-# and ZERO windows stalled waiting on the background maintenance planner. The second section replays a
+# byte-identical pool contents), a serial request-path cost (driver-thread
+# time outside the pool and maintenance) under an absolute us/request
+# ceiling, and ZERO windows stalled waiting on the background maintenance
+# planner. The second section replays a
 # duplicate-heavy trace with the stage-0 response tier on and exit-enforces
 # its gate: hit rate >= 25%, fewer generated tokens than the stage0-off run,
 # byte-identical decisions at 1 vs 8 threads and 1 vs 4 commit lanes, and
-# the parallel fraction still >= 0.94. The third section exit-enforces the
+# the serial cost under its own ceiling. The third section exit-enforces the
 # flight-recorder gate: decisions AND tail exemplars byte-identical with
 # tracing + armed watchdog on vs off at {1,8} threads x {1,4} lanes x
 # {1,32} prepare chunk,

@@ -25,15 +25,22 @@ ExampleManager::ExampleManager(ExampleStore* store, GenerationSimulator* generat
     : store_(store), generator_(generator), replay_model_(replay_model), config_(config) {}
 
 PreparedLifecycleAdmission ExampleManager::PrepareAdmission(
-    const Request& request, const std::vector<float>* text_embedding) const {
+    const Request& request, const std::vector<float>* text_embedding,
+    const std::vector<SearchResult>* nearest) const {
   PreparedLifecycleAdmission prepared;
   // Exact-duplicate suppression: a near-identical cached request adds tokens
-  // to the index without adding coverage. The probe reads the pool as of this
-  // call; in a batched driver two duplicates inside one window both pass —
-  // an accepted (and deterministic) race of the lookahead design.
-  const auto nearest = text_embedding != nullptr ? store_->FindSimilar(*text_embedding, 1)
-                                                 : store_->FindSimilar(request, 1);
-  if (!nearest.empty() && nearest[0].score >= config_.dedupe_similarity) {
+  // to the index without adding coverage. The check reads the top-1 of the
+  // caller's stage-1 results, or of its own k=1 search without them, so it
+  // sees the pool as of that search; in a batched driver two duplicates
+  // inside one window both pass — an accepted (and deterministic) race of
+  // the lookahead design.
+  std::vector<SearchResult> probed;
+  if (nearest == nullptr) {
+    probed = text_embedding != nullptr ? store_->FindSimilar(*text_embedding, 1)
+                                       : store_->FindSimilar(request, 1);
+    nearest = &probed;
+  }
+  if (!nearest->empty() && (*nearest)[0].score >= config_.dedupe_similarity) {
     prepared.duplicate = true;
     return prepared;
   }

@@ -15,9 +15,10 @@
 //
 // For concurrent drivers the admission path is split driver-style in two:
 //
-//   PrepareAdmission — dedupe probe + PII scrub + embedding; const and
-//                      side-effect free, safe to fan out across workers
-//                      (reads the store as of the call).
+//   PrepareAdmission — near-duplicate check + PII scrub + embedding; const
+//                      and side-effect free, safe to fan out across workers.
+//                      The check reads the top-1 of the caller's stage-1
+//                      results when given, else runs its own k=1 search.
 //   CommitAdmission  — quality gate + the insert; serial phase only.
 //
 // MaybeAdmit composes the two for synchronous callers.
@@ -123,11 +124,19 @@ class ExampleManager {
 
   // --- Two-phase admission (concurrent drivers) ----------------------------
 
-  // Pure half: dedupe probe against the current pool plus the store's
+  // Pure half: near-duplicate check against the pool plus the store's
   // scrub/embed preparation. Thread-safe; pass `text_embedding` when the
   // caller already embedded request.text (skips a duplicate embedding pass).
+  // The check reads only the top-1 score. Pass `nearest`, the caller's
+  // best-first FindSimilar(text embedding, k) results over the same store
+  // state (the driver's stage-1 row), to skip the check's own k=1 search.
+  // Their top-1 equals the k=1 search's exactly: flat is exact, kmeans
+  // probes nprobe clusters at any k, and hnsw walks a beam of
+  // max(ef_search, k) with a rerank budget of max(rerank_k, k), so this
+  // holds while ef_search >= k and rerank_k >= k. nullptr searches.
   PreparedLifecycleAdmission PrepareAdmission(
-      const Request& request, const std::vector<float>* text_embedding = nullptr) const;
+      const Request& request, const std::vector<float>* text_embedding = nullptr,
+      const std::vector<SearchResult>* nearest = nullptr) const;
 
   // Stateful half: applies the quality gate and inserts. Returns the cached
   // example id or 0 when skipped.

@@ -241,8 +241,11 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
   // Per-request tail: selector filter/snapshot/stage-2 scoring (candidate
   // embeddings prefilled so the commit lanes' diversity guard does no
   // embedding work — the dynamic utility threshold is applied in the lane
-  // stage) and the pure lifecycle half (dedupe probe + scrub/embed of the
-  // admission payload; the quality gate runs at publish time).
+  // stage) and the pure lifecycle half (near-duplicate check + scrub/embed of
+  // the admission payload; the quality gate runs at publish time). The check
+  // reads the top-1 of the request's stage-1 row, which the store, frozen
+  // until publish, still describes; a bypassed selector has no row, so the
+  // check searches for itself.
   for (size_t i = 0; i < count; ++i) {
     const Request& request = chunk_requests[i];
     Prepared& prepared = out[i];
@@ -257,7 +260,9 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
                                                             /*embed_candidates=*/true);
     }
     if (config_.lifecycle_admission) {
-      prepared.lifecycle = manager_.PrepareAdmission(request, &prepared.embedding);
+      prepared.lifecycle = manager_.PrepareAdmission(
+          request, &prepared.embedding,
+          config_.selector_fault_bypass ? nullptr : &s.stage1[i]);
     }
     if (traced) {
       // Per-request prepare phase span, emitted manually so it brackets the

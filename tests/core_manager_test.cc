@@ -1,14 +1,138 @@
 #include "src/core/manager.h"
 
+#include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/core/example_cache.h"
+#include "src/core/selector.h"
+#include "src/core/sharded_cache.h"
 #include "src/workload/query_generator.h"
 
 namespace iccache {
 namespace {
+
+// Unit vector whose cosine with unit vector `v` is `cosine`: v plus a random
+// direction orthogonal to it, scaled so the angle comes out exact.
+std::vector<float> AtCosine(const std::vector<float>& v, double cosine, Rng& rng) {
+  std::vector<double> r(v.size());
+  double along = 0.0;
+  for (size_t d = 0; d < v.size(); ++d) {
+    r[d] = rng.Normal();
+    along += r[d] * v[d];
+  }
+  double norm = 0.0;
+  for (size_t d = 0; d < v.size(); ++d) {
+    r[d] -= along * v[d];
+    norm += r[d] * r[d];
+  }
+  const double sine = std::sqrt(1.0 - cosine * cosine) / std::sqrt(norm);
+  std::vector<float> out(v.size());
+  for (size_t d = 0; d < v.size(); ++d) {
+    out[d] = static_cast<float>(cosine * v[d] + sine * r[d]);
+  }
+  return out;
+}
+
+// The driver answers the admission near-duplicate check from the top-1 of
+// the request's stage-1 row (FindSimilarBatch at k = stage1_candidates)
+// instead of a k=1 search of its own. On every backend, over 8 shards that
+// each hold tombstones, the two top scores must be bit-identical and
+// PrepareAdmission must reach the same verdict either way. Queries are
+// verbatim re-queries of live and removed pool members, near-duplicates on
+// both sides of the 0.995 dedupe line, and fresh traffic.
+TEST(ManagerDedupeTest, Stage1TopScoreAnswersTheK1Probe) {
+  struct Backend {
+    const char* name;
+    RetrievalBackendKind kind;
+    QuantizationKind quantize;
+  };
+  const Backend backends[] = {
+      {"flat", RetrievalBackendKind::kFlat, QuantizationKind::kNone},
+      {"kmeans", RetrievalBackendKind::kKMeans, QuantizationKind::kNone},
+      {"hnsw", RetrievalBackendKind::kHnsw, QuantizationKind::kNone},
+      {"hnsw-int8", RetrievalBackendKind::kHnsw, QuantizationKind::kInt8},
+  };
+  const size_t k = SelectorConfig().stage1_candidates;
+  ModelCatalog catalog;
+  GenerationSimulator sim(82);
+  for (const Backend& backend : backends) {
+    SCOPED_TRACE(backend.name);
+    ShardedCacheConfig config;
+    ASSERT_EQ(config.num_shards, 8u);
+    config.cache.retrieval.kind = backend.kind;
+    config.cache.retrieval.quantize = backend.quantize;
+    ShardedExampleCache cache(std::make_shared<HashingEmbedder>(), config);
+    ExampleManager manager(&cache, &sim, catalog.Get("gemma-2-27b"));
+    const double line = manager.config().dedupe_similarity;
+
+    QueryGenerator gen(GetDatasetProfile(DatasetId::kLmsysChat), 91);
+    std::vector<Request> pooled;
+    // 500 examples per shard: enough that an hnsw beam narrower than k would
+    // miss some top-1s (ef_search = 8 fails this test).
+    for (int i = 0; i < 4000; ++i) {
+      pooled.push_back(gen.Next());
+      ASSERT_NE(cache.Put(pooled.back(), "r", 0.8, 0.9, 40, 0.0), 0u);
+    }
+    // Every fifth example becomes a tombstone: a fifth of each shard's slots,
+    // under the hnsw compaction fraction, so the filter runs inside the
+    // searches.
+    const std::vector<uint64_t> ids = cache.AllIds();
+    for (size_t i = 0; i < ids.size(); i += 5) {
+      ASSERT_TRUE(cache.Remove(ids[i]));
+    }
+
+    Rng rng(93);
+    std::vector<std::vector<float>> queries;
+    for (size_t i = 0; i < pooled.size(); i += 25) {
+      const std::vector<float> verbatim = cache.embedder()->Embed(pooled[i].text);
+      queries.push_back(verbatim);
+      for (const double cosine : {0.9995, 0.997, 0.9955, 0.9945, 0.993, 0.985}) {
+        queries.push_back(AtCosine(verbatim, cosine, rng));
+      }
+    }
+    for (int i = 0; i < 40; ++i) {
+      queries.push_back(cache.embedder()->Embed(gen.Next().text));
+    }
+
+    const size_t dim = cache.embedder()->dim();
+    std::vector<float> arena;
+    for (const std::vector<float>& q : queries) {
+      arena.insert(arena.end(), q.begin(), q.end());
+    }
+    SearchScratch scratch;
+    std::vector<std::vector<SearchResult>> rows;
+    cache.FindSimilarBatch(arena.data(), queries.size(), dim, k, &scratch, &rows);
+    ASSERT_EQ(rows.size(), queries.size());
+
+    size_t below = 0;
+    size_t above = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::vector<SearchResult> probe = cache.FindSimilar(queries[i], 1);
+      ASSERT_FALSE(probe.empty()) << "query " << i;
+      ASSERT_FALSE(rows[i].empty()) << "query " << i;
+      EXPECT_EQ(rows[i][0].score, probe[0].score) << "query " << i;
+
+      const Request& request = pooled[i % pooled.size()];
+      const bool fused = manager.PrepareAdmission(request, &queries[i], &rows[i]).duplicate;
+      EXPECT_EQ(fused, manager.PrepareAdmission(request, &queries[i]).duplicate)
+          << "query " << i;
+      EXPECT_EQ(fused, probe[0].score >= line) << "query " << i;
+      if (probe[0].score >= line && probe[0].score < line + 0.003) {
+        ++above;
+      } else if (probe[0].score < line && probe[0].score >= line - 0.003) {
+        ++below;
+      }
+    }
+    // The edge itself was exercised from both sides.
+    EXPECT_GT(above, 0u);
+    EXPECT_GT(below, 0u);
+  }
+}
 
 class ManagerFixture : public ::testing::Test {
  protected:

@@ -432,6 +432,56 @@ TEST(ServingDriverLifecycleTest, SelectorFaultBypassServesWithoutExamples) {
   }
 }
 
+// A bypassed selector skips the stage-1 sweep, so the admission
+// near-duplicate check falls back to its own k=1 search. One request text
+// repeated every other window (a window is prepared while the one before it
+// commits, so a copy sees admissions published two windows back), every
+// response from the large model (always admitted): the first copy is
+// admitted, every later copy finds it in the pool and is dropped — at 1 and
+// 8 threads alike.
+TEST(ServingDriverLifecycleTest, SelectorFaultBypassStillDedupesAdmissions) {
+  std::vector<Request> requests = SmallWorkload();
+  DriverConfig config;
+  config.batch_window = 32;
+  config.cache.num_shards = 4;
+  config.selector_fault_bypass = true;
+  config.router_fault_bypass = true;
+  const std::string repeated = requests[3].text;
+  size_t copies = 0;
+  for (size_t i = 3; i < requests.size(); i += 2 * config.batch_window) {
+    requests[i].text = repeated;
+    ++copies;
+  }
+  ASSERT_GE(copies, 5u);
+
+  ModelCatalog catalog;
+  std::vector<DriverReport> reports;
+  for (const size_t threads : {size_t{1}, size_t{8}}) {
+    config.num_threads = threads;
+    const auto driver = MakeDriverWithConfig(catalog, config);
+    reports.push_back(driver->Run(requests));
+    size_t pooled = 0;
+    for (uint64_t id : driver->cache().AllIds()) {
+      Example example;
+      ASSERT_TRUE(driver->cache().Snapshot(id, &example));
+      pooled += example.request.text == repeated ? 1 : 0;
+    }
+    EXPECT_EQ(pooled, 1u) << "threads=" << threads;
+  }
+  ExpectSameDecisions(reports[0], reports[1]);
+  EXPECT_EQ(reports[0].admitted_examples, reports[1].admitted_examples);
+}
+
+// The fused dedupe reads the top-1 of the stage-1 row, which equals a k=1
+// search only while the hnsw beam (ef_search) and the int8 rerank budget
+// are at least stage1_candidates wide (ExampleManager::PrepareAdmission).
+// The driver's defaults must keep that precondition.
+TEST(ServingDriverTest, DefaultsKeepTheStage1BeamWideEnoughForDedupe) {
+  const DriverConfig config;
+  EXPECT_GE(config.cache.cache.retrieval.hnsw.ef_search, config.selector.stage1_candidates);
+  EXPECT_GE(config.cache.cache.retrieval.rerank_k, config.selector.stage1_candidates);
+}
+
 TEST(ServingDriverLifecycleTest, RouterFaultBypassRoutesEverythingToLarge) {
   const std::vector<Request> requests = SmallWorkload(200);
   ModelCatalog catalog;
