@@ -450,12 +450,13 @@ double SerialUsPerRequest(const DriverReport& report, size_t requests) {
   return requests > 0 ? 1e6 * report.serial_seconds / static_cast<double>(requests) : 0.0;
 }
 
-// --acceptance ceilings on SerialUsPerRequest (8 threads, 4 lanes, hnsw,
-// 3000-request trace). Measured on a 4-vCPU Intel Xeon VM: 6.2 to 6.9 us
-// for the lifecycle section, 77 to 87 us with the stage-0 tier on, whose
-// merge inserts responses into the stage-0 index. Both keep >= 3x headroom.
+// --acceptance ceiling on SerialUsPerRequest (8 threads, 4 lanes, hnsw,
+// 3000-request trace), shared by the lifecycle and stage-0 sections.
+// Measured on a 4-vCPU Intel Xeon VM: 6.2 to 7.0 us for the lifecycle
+// section and 7.1 to 8.4 us with the stage-0 tier on, whose merge appends
+// responses to the stage-0 cache's exact index. That leaves >= 3x headroom,
+// and a graph insert (~190 us) returning to the merge fails the gate.
 constexpr double kSerialUsCeiling = 30.0;
-constexpr double kStage0SerialUsCeiling = 300.0;
 
 // BENCH json record for a driver run (schema "iccache-bench/1"). Simulated
 // metrics (latency percentiles, hit rates, token counts, anomaly count) are
@@ -742,10 +743,9 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   std::printf("  hit rate >= floor: %s\n", hit_rate >= kHitRateFloor ? "ok" : "FAIL");
   std::printf("  serial request-path cost (stage0 on): %.1f us/request  "
               "(required <= %.0f): %s\n",
-              s0_serial_us, kStage0SerialUsCeiling,
-              s0_serial_us <= kStage0SerialUsCeiling ? "ok" : "FAIL");
+              s0_serial_us, kSerialUsCeiling, s0_serial_us <= kSerialUsCeiling ? "ok" : "FAIL");
   const bool stage0_ok = s0_identical && tokens_reduced && hit_rate >= kHitRateFloor &&
-                         s0_serial_us <= kStage0SerialUsCeiling;
+                         s0_serial_us <= kSerialUsCeiling;
 
   // --- Observability gate: the flight recorder must be passive -------------
   // Tracing and the SLO watchdog may never change a decision: runs with both

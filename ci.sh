@@ -2,7 +2,8 @@
 # CI entry point: configure, build, run the labelled test suite (unit /
 # concurrency / integration, each with its own timeout, plus the persistence
 # label as its own class), smoke-run the four examples/ binaries, self-test
-# the repository benchmark (bench/perf), smoke one benchmark under a
+# the repository benchmark (bench/perf) and serve one of its workloads
+# (churn256k, 1 s) end to end, smoke one benchmark under a
 # 2-second cap, rerun the SIMD kernel + quantization suites
 # under the forced-scalar dispatch path, exit-enforce the stage-1 retrieval
 # scaling bars at 100k vectors (float hnsw vs flat, int8 vs float), then
@@ -62,6 +63,20 @@ echo "== repository benchmark self-test (bench/perf) =="
 # arithmetic on synthetic spans (nested self time, cost recovery, and a
 # doctored +10% slowdown flagged at exactly its entry).
 timeout 600 python3 bench/perf/run.py --self-test
+
+echo "== repository benchmark: churn256k workload (1 s) =="
+# One real workload end to end: every serve restores the seed-pool snapshot,
+# then runs byte-budget evictions, replay, and periodic checkpoints, and the
+# serves must agree on their decisions. bench_perf exit-enforces its own
+# checks; its result line (the last line of stdout) must also report
+# "correct": true and zero failed operations.
+CHURN_RESULT="$(timeout 600 python3 bench/perf/run.py --workload churn256k --seconds 1 | tail -n 1)"
+if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' "${CHURN_RESULT}"; then
+  echo "churn256k benchmark run failed: ${CHURN_RESULT}" >&2
+  exit 1
+fi
 
 echo "== smoke bench (2s cap) =="
 # Smoke only proves the harness binary starts and emits output; hitting the
@@ -129,7 +144,9 @@ echo "== sharded-commit-pipeline + stage-0 + observability acceptance =="
 # duplicate-heavy trace with the stage-0 response tier on and exit-enforces
 # its gate: hit rate >= 25%, fewer generated tokens than the stage0-off run,
 # byte-identical decisions at 1 vs 8 threads and 1 vs 4 commit lanes, and
-# the serial cost under its own ceiling. The third section exit-enforces the
+# the serial cost under the same ceiling (its merge appends to the stage-0
+# cache's exact index, so no graph insert runs there). The third section
+# exit-enforces the
 # flight-recorder gate: decisions AND tail exemplars byte-identical with
 # tracing + armed watchdog on vs off at {1,8} threads x {1,4} lanes x
 # {1,32} prepare chunk,

@@ -14,7 +14,6 @@ Stage0Config BaselineConfig(double similarity_threshold, size_t max_entries) {
   config.min_admit_quality = -1e300;  // the baseline caches every response
   config.max_entries = max_entries;
   config.capacity_bytes = -1;
-  config.retrieval.kind = RetrievalBackendKind::kFlat;  // exact reference
   return config;
 }
 

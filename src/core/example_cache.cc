@@ -96,12 +96,18 @@ Example* ExampleCache::GetMutable(uint64_t id) {
   return it == examples_.end() ? nullptr : &it->second;
 }
 
-bool ExampleCache::Snapshot(uint64_t id, Example* out) const {
+bool ExampleCache::Snapshot(uint64_t id, Example* out, std::vector<float>* embedding) const {
   const Example* example = Get(id);
   if (example == nullptr) {
     return false;
   }
   *out = *example;
+  if (embedding != nullptr) {
+    embedding->clear();
+    if (StoresExactVectors(config_.retrieval)) {
+      index_->GetVector(id, embedding);
+    }
+  }
   return true;
 }
 

@@ -78,8 +78,10 @@ class ExampleCache : public ExampleStore {
   Example* GetMutable(uint64_t id);
   bool Remove(uint64_t id) override;
 
-  // Copies the example out (ExampleStore); false when absent.
-  bool Snapshot(uint64_t id, Example* out) const override;
+  // Copies the example out, plus its stored index vector when asked for
+  // and the backend keeps it exactly (ExampleStore); false when absent.
+  bool Snapshot(uint64_t id, Example* out,
+                std::vector<float>* embedding = nullptr) const override;
 
   // Marks an access (stage-2 consumed this example) for Figure 10 statistics
   // and recency bookkeeping.

@@ -58,6 +58,10 @@ std::unique_ptr<VectorIndex> MakeRetrievalIndex(const RetrievalBackendConfig& co
   }
 }
 
+bool StoresExactVectors(const RetrievalBackendConfig& config) {
+  return config.kind != RetrievalBackendKind::kHnsw || config.quantize == QuantizationKind::kNone;
+}
+
 const char* RetrievalBackendKindName(RetrievalBackendKind kind) {
   switch (kind) {
     case RetrievalBackendKind::kFlat:

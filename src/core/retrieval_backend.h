@@ -69,6 +69,11 @@ struct RetrievalBackendConfig {
 std::unique_ptr<VectorIndex> MakeRetrievalIndex(const RetrievalBackendConfig& config, size_t dim,
                                                 uint64_t seed);
 
+// True when the configured index keeps every added vector bit for bit (flat,
+// kmeans, float hnsw), so GetVector returns exactly what was added; false
+// for int8 hnsw, whose arena holds only quantized codes.
+bool StoresExactVectors(const RetrievalBackendConfig& config);
+
 // "flat" | "kmeans" | "hnsw".
 const char* RetrievalBackendKindName(RetrievalBackendKind kind);
 
@@ -162,7 +167,12 @@ class ExampleStore {
                                 std::vector<std::vector<SearchResult>>* out) const;
 
   // Copies the example for id into *out; false when absent (e.g. evicted).
-  virtual bool Snapshot(uint64_t id, Example* out) const = 0;
+  // When `embedding` is non-null it receives, under the same lock, the
+  // example's stored index vector, which is the embedder's output for
+  // example.request.text, or is left empty when the backend does not keep
+  // that output exactly (int8 hnsw; see StoresExactVectors).
+  virtual bool Snapshot(uint64_t id, Example* out,
+                        std::vector<float>* embedding = nullptr) const = 0;
 
   // Marks a stage-2 access for recency/statistics bookkeeping.
   virtual void RecordAccess(uint64_t id, double now) = 0;
@@ -188,7 +198,9 @@ class ExampleStore {
   // Applies `mutate` to the stored example under the store's write lock (gain
   // EMAs, replay state). Byte accounting is refreshed afterwards, so mutators
   // may change token counts. The example's `id` field is store-internal and
-  // must not be read or written by the mutator. Returns false when absent.
+  // must not be read or written by the mutator; `request.text` must not
+  // change either, because the index vector is its embedding. Returns false
+  // when absent.
   virtual bool UpdateExample(uint64_t id, const std::function<void(Example&)>& mutate) = 0;
 
   // Credits the example for a successful offload (knapsack eviction value).
@@ -243,7 +255,10 @@ class ExampleStore {
   // id and replays the delta through its global watermark counter, so
   // used_bytes() is exact after a restore). When `add_to_index` is false the
   // caller has already restored the retrieval index natively
-  // (LoadIndexBlob). Returns false on id 0 or an id collision.
+  // (LoadIndexBlob). The embedding is indexed as given and is what Snapshot
+  // hands back, so it must be the embedder's output for the example's text:
+  // an int8 store exports dequantized vectors, fit only for an int8 store.
+  // Returns false on id 0 or an id collision.
   virtual bool ImportExample(const Example& example, std::vector<float> embedding,
                              bool add_to_index) = 0;
 

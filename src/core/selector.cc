@@ -18,38 +18,33 @@ ExampleSelector::ExampleSelector(ExampleStore* store, ProxyUtilityModel* proxy,
       grid_count_(config.threshold_grid.size(), 0) {}
 
 std::vector<SelectorCandidate> ExampleSelector::Stage1FromResults(
-    const std::vector<SearchResult>& results, bool embed_candidates) const {
-  const auto embedder = store_->embedder();
+    const std::vector<SearchResult>& results) const {
   std::vector<SelectorCandidate> candidates;
   for (const SearchResult& result : results) {
     if (result.score < config_.stage1_min_similarity) {
       continue;  // results are sorted best-first, but keep the scan simple
     }
     SelectorCandidate candidate;
-    if (!store_->Snapshot(result.id, &candidate.example)) {
+    if (!store_->Snapshot(result.id, &candidate.example, &candidate.embedding)) {
       continue;  // evicted between search and snapshot
     }
     candidate.id = result.id;
     candidate.similarity = result.score;
-    if (embed_candidates) {
-      candidate.embedding = embedder->Embed(candidate.example.request.text);
-    }
     candidates.push_back(std::move(candidate));
   }
   return candidates;
 }
 
 std::vector<SelectorCandidate> ExampleSelector::Stage1(
-    const Request& request, const std::vector<float>* query_embedding,
-    bool embed_candidates) const {
+    const Request& request, const std::vector<float>* query_embedding) const {
   TraceSpan span(TraceCategory::kStage1Retrieval, request.id);
   std::vector<float> local_embedding;
   if (query_embedding == nullptr) {
     local_embedding = store_->embedder()->Embed(request.text);
     query_embedding = &local_embedding;
   }
-  std::vector<SelectorCandidate> candidates = Stage1FromResults(
-      store_->FindSimilar(*query_embedding, config_.stage1_candidates), embed_candidates);
+  std::vector<SelectorCandidate> candidates =
+      Stage1FromResults(store_->FindSimilar(*query_embedding, config_.stage1_candidates));
   span.SetArgs(candidates.size());
   return candidates;
 }
@@ -69,22 +64,21 @@ void ExampleSelector::ScoreStage2(const Request& request, const ModelProfile& ta
 
 std::vector<SelectorCandidate> ExampleSelector::PrepareCandidates(
     const Request& request, const ModelProfile& target_model,
-    const std::vector<float>* query_embedding, bool embed_candidates) const {
-  std::vector<SelectorCandidate> candidates =
-      Stage1(request, query_embedding, embed_candidates);
+    const std::vector<float>* query_embedding) const {
+  std::vector<SelectorCandidate> candidates = Stage1(request, query_embedding);
   ScoreStage2(request, target_model, &candidates);
   return candidates;
 }
 
 std::vector<SelectorCandidate> ExampleSelector::PrepareCandidatesFrom(
     const Request& request, const ModelProfile& target_model,
-    const std::vector<SearchResult>& stage1, bool embed_candidates) const {
+    const std::vector<SearchResult>& stage1, bool /*ignored*/) const {
   std::vector<SelectorCandidate> candidates;
   {
     // Same per-request span the unbatched Stage1 emits; the ANN sweep itself
     // ran earlier under the chunk's stage1_batch span.
     TraceSpan span(TraceCategory::kStage1Retrieval, request.id);
-    candidates = Stage1FromResults(stage1, embed_candidates);
+    candidates = Stage1FromResults(stage1);
     span.SetArgs(candidates.size());
   }
   ScoreStage2(request, target_model, &candidates);
@@ -125,7 +119,7 @@ std::vector<SelectorCandidate> ExampleSelector::CombineCore(
       continue;
     }
     // Diversity: reject near-duplicates of already selected examples.
-    // Embed lazily when the preparation phase did not: only candidates that
+    // Embed lazily when the store returned no vector: only candidates that
     // survive the threshold/budget filters pay for an embedding.
     std::vector<float> embedding =
         candidate->embedding.empty() ? embedder->Embed(candidate->example.request.text)
@@ -227,8 +221,7 @@ std::vector<SelectedExample> ExampleSelector::SelectStage1Only(const Request& re
                                                                const ModelProfile& target_model,
                                                                double now) {
   // Rank purely by similarity; stage-2 scoring and utility filtering skipped.
-  std::vector<SelectorCandidate> candidates =
-      Stage1(request, /*query_embedding=*/nullptr, /*embed_candidates=*/false);
+  std::vector<SelectorCandidate> candidates = Stage1(request, /*query_embedding=*/nullptr);
   for (SelectorCandidate& candidate : candidates) {
     candidate.utility = candidate.similarity;
   }

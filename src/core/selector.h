@@ -52,10 +52,10 @@ struct SelectorCandidate {
   double similarity = 0.0;  // stage-1 cosine
   double utility = 0.0;     // stage-2 proxy score
   Example example;          // snapshot copy (safe across shard locks)
-  // Example-text embedding for the diversity guard. Empty until needed:
-  // Combine embeds lazily, so serial callers only pay for candidates that
-  // clear the threshold/budget filters; a concurrent driver prefills it in
-  // the parallel phase via PrepareCandidates(embed_candidates=true).
+  // Example-text embedding for the diversity guard: the store's stored index
+  // vector, copied out with the snapshot. Empty when the store keeps no
+  // exact vector (int8 hnsw); Combine then embeds lazily, so only candidates
+  // that clear the threshold/budget filters pay for an embedding.
   std::vector<float> embedding;
 };
 
@@ -112,23 +112,22 @@ class ExampleSelector {
   // Pure preparation half: stage-1 retrieval + stage-2 proxy scoring.
   // Thread-safe (reads the store and the proxy, mutates nothing). Pass
   // `query_embedding` when the caller already embedded request.text to skip
-  // the duplicate embedding pass; pass embed_candidates=true to also embed
-  // every candidate's text here (moves the diversity-guard embedding work
-  // into the parallel phase of a concurrent driver).
+  // the duplicate embedding pass. Candidate embeddings come from the store.
   std::vector<SelectorCandidate> PrepareCandidates(
       const Request& request, const ModelProfile& target_model,
-      const std::vector<float>* query_embedding = nullptr,
-      bool embed_candidates = false) const;
+      const std::vector<float>* query_embedding = nullptr) const;
 
   // PrepareCandidates with the stage-1 ANN sweep hoisted out: consumes
   // `stage1` — the raw FindSimilar(query_embedding, stage1_candidates)
   // results the batched prepare path fetched via FindSimilarBatch — and runs
   // the identical filter / snapshot / stage-2 scoring pipeline. Byte-identical
   // output to PrepareCandidates for the same stage-1 results; emits the same
-  // per-request stage1_retrieval / stage2_scoring trace spans.
+  // per-request stage1_retrieval / stage2_scoring trace spans. The trailing
+  // bool is ignored (candidate vectors always come from the store); it
+  // remains only because bench/perf/bench_perf.cc still passes one.
   std::vector<SelectorCandidate> PrepareCandidatesFrom(
       const Request& request, const ModelProfile& target_model,
-      const std::vector<SearchResult>& stage1, bool embed_candidates = false) const;
+      const std::vector<SearchResult>& stage1, bool /*ignored*/ = false) const;
 
   // Stateful combination half: advances the adaptation cadence, applies the
   // current dynamic threshold, diversity guard, token budget, worst-to-best
@@ -177,13 +176,12 @@ class ExampleSelector {
 
  private:
   std::vector<SelectorCandidate> Stage1(const Request& request,
-                                        const std::vector<float>* query_embedding,
-                                        bool embed_candidates) const;
-  // Shared stage-1 tail: filters raw ANN results by stage1_min_similarity,
-  // snapshots survivors, optionally embeds candidate texts. Both Stage1 and
+                                        const std::vector<float>* query_embedding) const;
+  // Shared stage-1 tail: filters raw ANN results by stage1_min_similarity and
+  // snapshots survivors with their stored vectors. Both Stage1 and
   // PrepareCandidatesFrom funnel through this loop.
-  std::vector<SelectorCandidate> Stage1FromResults(const std::vector<SearchResult>& results,
-                                                   bool embed_candidates) const;
+  std::vector<SelectorCandidate> Stage1FromResults(
+      const std::vector<SearchResult>& results) const;
   // Stage-2 proxy scoring applied in place (the PrepareCandidates tail).
   void ScoreStage2(const Request& request, const ModelProfile& target_model,
                    std::vector<SelectorCandidate>* candidates) const;

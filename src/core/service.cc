@@ -27,11 +27,6 @@ std::vector<RouterArmSpec> MakeArms(const ModelProfile& small, const ModelProfil
   return {small_arm, large_arm};
 }
 
-Stage0Config SeededStage0Config(Stage0Config config, uint64_t seed) {
-  config.seed = Mix64(seed ^ 0x57a9e0ull);
-  return config;
-}
-
 WatchdogConfig ServiceWatchdogConfig(WatchdogConfig config) {
   // The service's legacy metric names carry no `_total` suffix.
   config.requests_counter = "requests_total";
@@ -52,7 +47,7 @@ IcCacheService::IcCacheService(ServiceConfig config, const ModelCatalog* catalog
       small_model_(catalog->Get(config.small_model)),
       large_model_(catalog->Get(config.large_model)),
       cache_(std::move(embedder), config.cache),
-      stage0_(cache_.embedder(), SeededStage0Config(config.stage0, config.seed)),
+      stage0_(cache_.embedder(), config.stage0),
       proxy_(),
       selector_(&cache_, &proxy_, config.selector),
       router_(MakeArms(small_model_, large_model_), config.router),

@@ -159,14 +159,13 @@ void ShardedExampleCache::FindSimilarBatch(const float* queries, size_t num_quer
   }
 }
 
-bool ShardedExampleCache::Snapshot(uint64_t id, Example* out) const {
+bool ShardedExampleCache::Snapshot(uint64_t id, Example* out,
+                                   std::vector<float>* embedding) const {
   const size_t shard = ShardOfId(id);
   std::shared_lock<std::shared_mutex> lock(shards_[shard].mu);
-  const Example* example = shards_[shard].cache->Get(InnerId(id));
-  if (example == nullptr) {
+  if (!shards_[shard].cache->Snapshot(InnerId(id), out, embedding)) {
     return false;
   }
-  *out = *example;
   out->id = id;  // expose the global id, not the shard-internal one
   return true;
 }

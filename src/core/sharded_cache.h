@@ -89,9 +89,11 @@ class ShardedExampleCache : public ExampleStore {
                         SearchScratch* scratch,
                         std::vector<std::vector<SearchResult>>* out) const override;
 
-  // Copies the example out under the shard lock (a pointer would dangle once
-  // the lock drops). Returns false when absent.
-  bool Snapshot(uint64_t id, Example* out) const override;
+  // Copies the example (and, when asked for, its exact stored index vector)
+  // out under the shard lock (a pointer would dangle once the lock drops).
+  // Returns false when absent.
+  bool Snapshot(uint64_t id, Example* out,
+                std::vector<float>* embedding = nullptr) const override;
   bool Contains(uint64_t id) const;
 
   // --- Bookkeeping ---------------------------------------------------------

@@ -3,29 +3,22 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/index/hnsw.h"
 #include "src/obs/trace.h"
 
 namespace iccache {
-
-RetrievalBackendConfig DefaultStage0Retrieval() {
-  RetrievalBackendConfig config;
-  config.kind = RetrievalBackendKind::kHnsw;
-  return config;
-}
 
 Stage0ResponseCache::Stage0ResponseCache(std::shared_ptr<const Embedder> embedder,
                                          Stage0Config config)
     : embedder_(std::move(embedder)),
       config_(std::move(config)),
-      index_(MakeRetrievalIndex(config_.retrieval, embedder_->dim(), config_.seed)),
+      index_(embedder_->dim()),
       hit_threshold_(config_.initial_hit_threshold),
       grid_benefit_(config_.threshold_grid.size(), 0.0),
       grid_count_(config_.threshold_grid.size(), 0) {}
 
 const Stage0Entry* Stage0ResponseCache::Nearest(const std::vector<float>& embedding,
                                                 double* similarity) const {
-  const std::vector<SearchResult> results = index_->Search(embedding, 1);
+  const std::vector<SearchResult> results = index_.Search(embedding, 1);
   if (results.empty()) {
     return nullptr;
   }
@@ -66,7 +59,7 @@ void Stage0ResponseCache::ProbeBatch(const float* embeddings, size_t num_queries
   if (num_queries == 0) {
     return;
   }
-  index_->SearchBatch(embeddings, num_queries, query_dim, /*k=*/1, scratch);
+  index_.SearchBatch(embeddings, num_queries, query_dim, /*k=*/1, scratch);
   for (size_t i = 0; i < num_queries; ++i) {
     // Same span shape as Probe: arg0 = found, arg1 = fresh.
     TraceSpan span(TraceCategory::kStage0Probe);
@@ -91,7 +84,7 @@ void Stage0ResponseCache::ProbeBatch(const float* embeddings, size_t num_queries
 std::vector<Stage0Probe> Stage0ResponseCache::ProbeK(const std::vector<float>& embedding,
                                                      size_t k, double now) const {
   std::vector<Stage0Probe> probes;
-  for (const SearchResult& result : index_->Search(embedding, k)) {
+  for (const SearchResult& result : index_.Search(embedding, k)) {
     const auto it = entries_.find(result.id);
     if (it == entries_.end()) {
       continue;
@@ -110,7 +103,7 @@ std::vector<Stage0Probe> Stage0ResponseCache::ProbeK(const std::vector<float>& e
 
 std::optional<double> Stage0ResponseCache::NearestSimilarity(
     const std::vector<float>& embedding) const {
-  const std::vector<SearchResult> results = index_->Search(embedding, 1);
+  const std::vector<SearchResult> results = index_.Search(embedding, 1);
   if (results.empty()) {
     return std::nullopt;
   }
@@ -176,7 +169,7 @@ uint64_t Stage0ResponseCache::Put(const Request& request, std::vector<float> emb
   used_bytes_ += entry.SizeBytes();
   id_by_text_[entry.request.text] = id;
   entries_[id] = std::move(entry);
-  index_->Add(id, std::move(embedding));
+  index_.Add(id, std::move(embedding));
   EnforceBounds();
   return entries_.count(id) > 0 ? id : 0;
 }
@@ -206,7 +199,7 @@ bool Stage0ResponseCache::RemoveEntry(uint64_t id) {
   if (text_it != id_by_text_.end() && text_it->second == id) {
     id_by_text_.erase(text_it);
   }
-  index_->Remove(id);
+  index_.Remove(id);
   entries_.erase(it);
   return true;
 }
@@ -358,23 +351,15 @@ bool Stage0ResponseCache::RestoreAdaptiveState(const Stage0AdaptiveState& state)
 
 void Stage0ResponseCache::ExportEntries(
     const std::function<void(const Stage0Entry&, const std::vector<float>&)>& fn) const {
-  std::vector<uint64_t> ids;
-  ids.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
   std::vector<float> embedding;
-  for (uint64_t id : ids) {
-    if (!index_->GetVector(id, &embedding)) {
-      embedding.assign(embedder_->dim(), 0.0f);
-    }
+  for (uint64_t id : index_.slot_ids()) {
+    const float* vec = index_.Find(id);
+    embedding.assign(vec, vec + index_.dim());
     fn(entries_.at(id), embedding);
   }
 }
 
-bool Stage0ResponseCache::ImportEntry(const Stage0Entry& entry, std::vector<float> embedding,
-                                      bool add_to_index) {
+bool Stage0ResponseCache::ImportEntry(const Stage0Entry& entry, std::vector<float> embedding) {
   if (entry.id == 0 || entries_.count(entry.id) > 0) {
     return false;
   }
@@ -382,28 +367,12 @@ bool Stage0ResponseCache::ImportEntry(const Stage0Entry& entry, std::vector<floa
   id_by_text_[entry.request.text] = entry.id;
   entries_[entry.id] = entry;
   next_id_ = std::max(next_id_, entry.id + 1);
-  if (add_to_index) {
-    index_->Add(entry.id, std::move(embedding));
-  }
+  index_.Add(entry.id, std::move(embedding));
   return true;
 }
 
 void Stage0ResponseCache::restore_next_id(uint64_t next_id) {
   next_id_ = std::max(next_id_, next_id);
-}
-
-bool Stage0ResponseCache::SaveIndexBlob(std::string* out) const {
-  const auto* hnsw = dynamic_cast<const HnswIndex*>(index_.get());
-  if (hnsw == nullptr) {
-    return false;
-  }
-  hnsw->SaveGraph(out);
-  return true;
-}
-
-bool Stage0ResponseCache::LoadIndexBlob(const std::string& blob) {
-  auto* hnsw = dynamic_cast<HnswIndex*>(index_.get());
-  return hnsw != nullptr && hnsw->LoadGraph(blob);
 }
 
 }  // namespace iccache

@@ -13,10 +13,9 @@
 //   * bounded: exact/near-exact duplicate inserts merge into one entry
 //     (keeping the better-quality response) and an entry + byte watermark is
 //     enforced on every insert with a deterministic eviction ranking;
-//   * pluggable stage-1 index: the retrieval backend (flat | kmeans | hnsw)
-//     is chosen through RetrievalBackendConfig instead of a hard-coded
-//     FlatIndex — serving defaults to HNSW, the standalone baseline keeps
-//     the exact flat reference;
+//   * exact index: the cache is capped at `max_entries` (4096 by default),
+//     where a flat SIMD scan beats a graph beam per probe and an insert is
+//     an append, so the serial merge never wires a graph node;
 //   * no redundant embedding: every probe has an overload taking the
 //     caller's already-computed request embedding;
 //   * NearestSimilarity returns std::optional<double> — the old -1.0
@@ -48,7 +47,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/retrieval_backend.h"
 #include "src/embedding/embedder.h"
 #include "src/index/vector_index.h"
 #include "src/workload/request.h"
@@ -106,10 +104,6 @@ struct Stage0AdaptiveState {
   std::vector<uint64_t> grid_count;
 };
 
-// Serving-path default: the incremental HNSW backend (the baseline adapter
-// overrides to flat, the exact reference).
-RetrievalBackendConfig DefaultStage0Retrieval();
-
 struct Stage0Config {
   // Master switch (DriverConfig/ServiceConfig embed this config). Off by
   // default: stage-0 changes the decision stream, so existing traces only
@@ -152,10 +146,6 @@ struct Stage0Config {
   int64_t capacity_bytes = -1;  // <= 0: no byte bound
   double high_watermark = 1.0;
   double low_watermark = 0.9;
-
-  // Stage-1 index over the entry embeddings (flat | kmeans | hnsw).
-  RetrievalBackendConfig retrieval = DefaultStage0Retrieval();
-  uint64_t seed = 0x57a9e0;
 };
 
 class Stage0ResponseCache {
@@ -255,24 +245,17 @@ class Stage0ResponseCache {
   // False (cache untouched) on a grid-size mismatch, as with the selector.
   bool RestoreAdaptiveState(const Stage0AdaptiveState& state);
 
-  // Iterates every entry in ascending id order with its index embedding.
+  // Iterates every entry with its embedding in index scan order. Importing
+  // the entries back in this order rebuilds an identical scan, so restored
+  // probes match the writer's, equal-score tie-breaks included.
   void ExportEntries(
       const std::function<void(const Stage0Entry&, const std::vector<float>&)>& fn) const;
   // Re-inserts an exported entry preserving id, statistics, and byte
-  // accounting. `add_to_index` is false when the index was restored
-  // natively. False on id 0 or a duplicate id.
-  bool ImportEntry(const Stage0Entry& entry, std::vector<float> embedding, bool add_to_index);
+  // accounting. False on id 0 or a duplicate id.
+  bool ImportEntry(const Stage0Entry& entry, std::vector<float> embedding);
 
   uint64_t next_id() const { return next_id_; }
   void restore_next_id(uint64_t next_id);
-
-  // Native index image (HNSW graph); false when the backend has no native
-  // format — callers rebuild from the exported embeddings instead. Restoring
-  // the graph image (not a rebuild) is what keeps post-restore probe results
-  // byte-identical to the writer's: an HNSW graph rebuilt in id order can
-  // differ from one grown insert-by-insert through merges and evictions.
-  bool SaveIndexBlob(std::string* out) const;
-  bool LoadIndexBlob(const std::string& blob);
 
  private:
   const Stage0Entry* Nearest(const std::vector<float>& embedding, double* similarity) const;
@@ -282,10 +265,11 @@ class Stage0ResponseCache {
 
   std::shared_ptr<const Embedder> embedder_;
   Stage0Config config_;
-  std::unique_ptr<VectorIndex> index_;
+  FlatIndex index_;
   std::unordered_map<uint64_t, Stage0Entry> entries_;
-  // Exact-text dedupe acceleration: an approximate index (hnsw/kmeans) is
-  // not guaranteed to surface a byte-identical duplicate as the top-1.
+  // Exact-text dedupe: the driver's dedupe hint comes from a window-start
+  // probe, which cannot see an identical text admitted earlier in the same
+  // window.
   std::unordered_map<std::string, uint64_t> id_by_text_;
   uint64_t next_id_ = 1;
   int64_t used_bytes_ = 0;

@@ -205,6 +205,11 @@ class FlatIndex : public VectorIndex {
   // nullptr when absent. Invalidated by the next Add/Remove.
   const float* Find(uint64_t id) const;
 
+  // Stored ids in arena slot order, the order Search scans (and breaks
+  // equal-score ties) in. Adding vectors to an empty index in this order
+  // reproduces the slot layout exactly.
+  const std::vector<uint64_t>& slot_ids() const { return ids_; }
+
   size_t dim() const { return dim_; }
 
  private:

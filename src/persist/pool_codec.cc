@@ -147,10 +147,11 @@ bool DecodeRouterSection(const std::string& bytes, RequestRouter* router) {
 
 // kStage0 layout: a summary-friendly header (threshold, cadence counter,
 // entry count, byte accounting, native-index flag) the dump tool can read
-// without an embedder, then the adaptation grid, the id counter, the entry
-// records with their index embeddings, and finally the native index image
-// (HNSW graph) when the backend has one — restoring the image rather than
-// rebuilding keeps post-restore probes byte-identical to the writer's.
+// without an embedder, then the adaptation grid, the id counter, and the
+// entry records with their index embeddings in index scan order. The cache's
+// exact index is rebuilt from those embeddings, which reproduces the writer's
+// probes. The native-index flag is always written as 0: older writers set it
+// to 1 and appended an HNSW graph image, which decoding skips.
 std::string EncodeStage0Section(const Stage0ResponseCache& cache) {
   const Stage0AdaptiveState state = cache.SaveAdaptiveState();
   ByteWriter w;
@@ -158,9 +159,7 @@ std::string EncodeStage0Section(const Stage0ResponseCache& cache) {
   w.PutU64(state.requests_seen);
   w.PutU64(cache.size());
   w.PutI64(cache.used_bytes());
-  std::string index_blob;
-  const bool native = cache.SaveIndexBlob(&index_blob);
-  w.PutU8(native ? 1 : 0);
+  w.PutU8(0);  // no native index image
 
   w.PutU64(state.grid_benefit.size());
   for (double benefit : state.grid_benefit) {
@@ -193,10 +192,6 @@ std::string EncodeStage0Section(const Stage0ResponseCache& cache) {
     w.PutU64(entry.hit_count);
     w.PutFloats(embedding);
   });
-
-  if (native) {
-    w.PutString(index_blob);
-  }
   return w.TakeBytes();
 }
 
@@ -253,14 +248,15 @@ bool DecodeStage0Section(const std::string& bytes, Stage0ResponseCache* cache) {
       return false;
     }
   }
-  const bool native_loaded = native && cache->LoadIndexBlob(r.GetString());
+  if (native) {
+    r.GetString();  // an older writer's HNSW graph image; the index is rebuilt below
+  }
   if (!r.ok() || !r.AtEnd()) {
     return false;
   }
 
   for (uint64_t i = 0; i < entry_count; ++i) {
-    if (!cache->ImportEntry(entries[i], std::move(embeddings[i]),
-                            /*add_to_index=*/!native_loaded)) {
+    if (!cache->ImportEntry(entries[i], std::move(embeddings[i]))) {
       return false;
     }
   }

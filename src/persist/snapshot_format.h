@@ -46,7 +46,7 @@ enum class SnapshotSection : uint32_t {
   kDriver = 8,    // ServingDriver cursors: replay/checkpoint time, generator RNG
   kService = 9,   // IcCacheService: feedback RNG, baseline-quality EMA
   // Added within v2 — readers that predate it skip unknown section ids.
-  kStage0 = 10,   // stage-0 response cache: entries, learned threshold, index
+  kStage0 = 10,   // stage-0 response cache: entries + embeddings, learned threshold
 };
 
 const char* SnapshotSectionName(SnapshotSection section);

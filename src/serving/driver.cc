@@ -44,11 +44,6 @@ ShardedCacheConfig SeededCacheConfig(ShardedCacheConfig config, uint64_t seed) {
   return config;
 }
 
-Stage0Config SeededStage0Config(Stage0Config config, uint64_t seed) {
-  config.seed = Mix64(seed ^ 0x57a9e0ull);
-  return config;
-}
-
 MaintenanceSchedulerConfig SchedulerConfig(const DriverConfig& config) {
   MaintenanceSchedulerConfig scheduler;
   scheduler.background = config.background_maintenance;
@@ -73,7 +68,7 @@ ServingDriver::ServingDriver(DriverConfig config, const ModelCatalog* catalog)
       router_(MakeArms(small_, large_), SeededRouterConfig(config.router, config.seed)),
       generator_(Mix64(config.seed ^ 0x6e4ull)),
       manager_(&cache_, &generator_, large_, config.manager),
-      stage0_(embedder_, SeededStage0Config(config.stage0, config.seed)),
+      stage0_(embedder_, config.stage0),
       maintenance_(&manager_, SchedulerConfig(config)),
       checkpointer_(CheckpointerConfig{config.snapshot_path, config.checkpoint_interval_s,
                                        config.replay_load_threshold,
@@ -238,14 +233,15 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
                             &s.index_scratch, &s.stage1);
   }
 
-  // Per-request tail: selector filter/snapshot/stage-2 scoring (candidate
-  // embeddings prefilled so the commit lanes' diversity guard does no
-  // embedding work — the dynamic utility threshold is applied in the lane
-  // stage) and the pure lifecycle half (near-duplicate check + scrub/embed of
-  // the admission payload; the quality gate runs at publish time). The check
-  // reads the top-1 of the request's stage-1 row, which the store, frozen
-  // until publish, still describes; a bypassed selector has no row, so the
-  // check searches for itself.
+  // Per-request tail: selector filter/snapshot/stage-2 scoring (each
+  // snapshot carries the example's stored vector, so the commit lanes'
+  // diversity guard re-embeds only on an int8 store — the dynamic utility
+  // threshold is applied in the lane stage) and the pure lifecycle half
+  // (near-duplicate check + scrub/embed of the admission payload; the
+  // quality gate runs at publish time). The check reads the top-1 of the
+  // request's stage-1 row, which the store, frozen until publish, still
+  // describes; a bypassed selector has no row, so the check searches for
+  // itself.
   for (size_t i = 0; i < count; ++i) {
     const Request& request = chunk_requests[i];
     Prepared& prepared = out[i];
@@ -256,8 +252,7 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
       prepared.stage0 = s.probes[i];
     }
     if (!config_.selector_fault_bypass) {
-      prepared.candidates = selector_.PrepareCandidatesFrom(request, small_, s.stage1[i],
-                                                            /*embed_candidates=*/true);
+      prepared.candidates = selector_.PrepareCandidatesFrom(request, small_, s.stage1[i]);
     }
     if (config_.lifecycle_admission) {
       prepared.lifecycle = manager_.PrepareAdmission(

@@ -1,8 +1,9 @@
 // Persistence subsystem unit tests: binio primitives, snapshot container
 // integrity (magic / version / CRC / truncation / crash staging), and
 // whole-pool round trips over both stores and all three retrieval backends —
-// including PII-scrubbed pools, tombstone-heavy HNSW graphs, and the
-// component (selector / manager / proxy / router) adaptive state.
+// including PII-scrubbed pools, tombstone-heavy HNSW graphs, the component
+// (selector / manager / proxy / router) adaptive state, and stage-0 sections
+// from older writers that appended an HNSW graph image.
 #include <unistd.h>
 
 #include <cstdio>
@@ -622,6 +623,144 @@ TEST_F(PersistTest, DumpHelpersReadMetaAndExamples) {
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(seen, store.size());
   EXPECT_EQ(bytes, store.used_bytes());
+}
+
+// Restore re-adds stage-0 entries in the writer's scan order, so even an
+// equal-score tie between two entries resolves as it did before the snapshot
+// (an ascending-id rebuild would flip this one).
+TEST_F(PersistTest, Stage0RoundTripKeepsEqualScoreTieBreaks) {
+  auto embedder = std::make_shared<HashingEmbedder>();
+  Stage0Config config;
+  config.enabled = true;
+  config.min_admit_quality = 0.0;
+  Stage0ResponseCache original(embedder, config);
+  // A prepare-phase probe that saw an empty cache: no near-duplicate merge,
+  // so two texts with one vector become two entries.
+  const Stage0DedupeHint saw_nothing;
+  const auto put = [&](uint64_t id, const std::string& text, std::vector<float> embedding) {
+    return original.Put(MakeRequest(id, text), std::move(embedding), "[cached-response]", 0.8,
+                        30, 0.0, &saw_nothing);
+  };
+  const std::vector<float> shared = embedder->Embed("how do i reset my password");
+  ASSERT_EQ(put(1, "first filler request", embedder->Embed("first filler request")), 1u);
+  ASSERT_EQ(put(2, "second filler request", embedder->Embed("second filler request")), 2u);
+  ASSERT_EQ(put(3, "how do i reset my password", shared), 3u);
+  ASSERT_EQ(put(4, "How do I reset my password?", shared), 4u);
+  ASSERT_TRUE(original.Invalidate(1));  // the last entry (4) now scans before 3
+  ASSERT_EQ(original.Probe(shared, 0.0)->entry.id, 4u);  // the first scanned wins the tie
+  const auto before = original.ProbeK(shared, 3, 0.0);
+  ASSERT_EQ(before.size(), 3u);
+  ASSERT_EQ(before[0].similarity, before[1].similarity);
+
+  PoolComponents components;
+  components.stage0 = &original;
+  SnapshotWriter writer;
+  EncodePoolSections(ExampleCache(embedder), components, 0.0, &writer);
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.Parse(writer.Encode()).ok());
+  ExampleCache pool(embedder);
+  Stage0ResponseCache restored(embedder, config);
+  components.stage0 = &restored;
+  ASSERT_TRUE(DecodePoolSections(reader, &pool, components, nullptr).ok());
+
+  const auto after = restored.ProbeK(shared, 3, 0.0);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].entry.id, before[i].entry.id) << "rank " << i;
+    EXPECT_EQ(after[i].similarity, before[i].similarity) << "rank " << i;
+  }
+  EXPECT_EQ(restored.Probe(shared, 0.0)->entry.id, 4u);
+}
+
+// Writers from before stage-0 used an exact index set the section's
+// native-index flag and appended an HNSW graph image after the entries.
+// Decoding skips the image and rebuilds the exact index from the entry
+// embeddings, so such a snapshot restores the cache a fresh exact build
+// holds; a truncated image is a malformed section, not a crash.
+TEST_F(PersistTest, OlderStage0SectionWithGraphImageDecodes) {
+  auto embedder = std::make_shared<HashingEmbedder>();
+  Stage0Config config;
+  config.enabled = true;
+  config.min_admit_quality = 0.0;
+  Stage0ResponseCache original(embedder, config);
+  for (uint64_t i = 0; i < 60; ++i) {
+    ASSERT_NE(original.Put(MakeRequest(i + 1, "what does error code " + std::to_string(i % 23) +
+                                                  " mean in module " + std::to_string(i)),
+                           0.5 + 0.005 * static_cast<double>(i), 40 + static_cast<int>(i),
+                           static_cast<double>(i)),
+              0u);
+  }
+  ASSERT_TRUE(original.Invalidate(7));
+  original.set_hit_threshold(0.93);
+  const ExampleCache empty_pool(embedder);
+
+  // Today's encoding of this cache: native flag 0 and no image.
+  PoolComponents components;
+  components.stage0 = &original;
+  SnapshotWriter current_writer;
+  EncodePoolSections(empty_pool, components, 0.0, &current_writer);
+  SnapshotReader current;
+  ASSERT_TRUE(current.Parse(current_writer.Encode()).ok());
+  const std::string* section = current.Section(SnapshotSection::kStage0);
+  ASSERT_NE(section, nullptr);
+  // Header: threshold, requests seen, entry count, used bytes, then the flag.
+  const size_t native_flag_offset = 4 * sizeof(uint64_t);
+  ASSERT_EQ((*section)[native_flag_offset], 0);
+
+  // The older layout over the same entries: flag 1 and a real graph image.
+  HnswIndexConfig hnsw;
+  hnsw.dim = embedder->dim();
+  HnswIndex graph(hnsw);
+  original.ExportEntries([&graph](const Stage0Entry& entry, const std::vector<float>& embedding) {
+    ASSERT_TRUE(graph.Add(entry.id, embedding).ok());
+  });
+  std::string image;
+  graph.SaveGraph(&image);
+  ByteWriter image_field;
+  image_field.PutString(image);
+  std::string older = *section;
+  older[native_flag_offset] = 1;
+  older += image_field.TakeBytes();
+
+  const auto decode = [&](const std::string& stage0_section, Stage0ResponseCache* cache) {
+    SnapshotWriter writer;
+    EncodePoolSections(empty_pool, {}, 0.0, &writer);
+    writer.AddSection(SnapshotSection::kStage0, stage0_section);
+    SnapshotReader reader;
+    EXPECT_TRUE(reader.Parse(writer.Encode()).ok());
+    ExampleCache pool(embedder);
+    PoolComponents restore_components;
+    restore_components.stage0 = cache;
+    return DecodePoolSections(reader, &pool, restore_components, nullptr);
+  };
+
+  Stage0ResponseCache restored(embedder, config);
+  const Status status = decode(older, &restored);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(restored.size(), original.size());
+  EXPECT_EQ(restored.used_bytes(), original.used_bytes());
+  EXPECT_EQ(restored.hit_threshold(), 0.93);
+  EXPECT_EQ(restored.next_id(), original.next_id());
+  for (uint64_t q = 0; q < 30; ++q) {
+    const std::vector<float> query = embedder->Embed(
+        "what does error code " + std::to_string(q % 29) + " mean in module " +
+        std::to_string(2 * q));
+    const auto expected = original.Probe(query, 100.0);
+    const auto actual = restored.Probe(query, 100.0);
+    ASSERT_EQ(expected.has_value(), actual.has_value());
+    ASSERT_TRUE(expected.has_value());
+    EXPECT_EQ(expected->entry.id, actual->entry.id);
+    EXPECT_EQ(expected->similarity, actual->similarity);
+    EXPECT_EQ(expected->entry.request.text, actual->entry.request.text);
+    EXPECT_EQ(expected->entry.response_quality, actual->entry.response_quality);
+  }
+
+  // Cut into the image, into its length prefix, and right after the entries.
+  for (size_t cut : {size_t{1}, image.size() / 2, image.size() + 4, image.size() + 8}) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    Stage0ResponseCache truncated(embedder, config);
+    EXPECT_FALSE(decode(older.substr(0, older.size() - cut), &truncated).ok());
+  }
 }
 
 }  // namespace

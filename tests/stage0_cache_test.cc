@@ -45,7 +45,6 @@ Stage0Config FlatConfig() {
   config.enabled = true;
   config.learn_threshold = false;
   config.min_admit_quality = 0.0;
-  config.retrieval.kind = RetrievalBackendKind::kFlat;
   return config;
 }
 

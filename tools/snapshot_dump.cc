@@ -107,8 +107,9 @@ int main(int argc, char** argv) {
                 "(%" PRIu64 " requests seen), %s\n",
                 stage0.entry_count, static_cast<double>(stage0.used_bytes) / 1024.0,
                 stage0.hit_threshold, stage0.requests_seen,
-                stage0.has_native_index != 0 ? "native hnsw index image"
-                                             : "no native index (rebuild on restore)");
+                stage0.has_native_index != 0
+                    ? "older writer's hnsw graph image (skipped: exact index rebuilt on restore)"
+                    : "exact index rebuilt on restore");
   }
   std::printf("integrity: OK (all section CRCs verified, %" PRIu64 " records walked)\n", walked);
   return 0;
