@@ -42,8 +42,10 @@
 //                         lifecycle + background maintenance on hnsw at 1
 //                         and 8 threads from the same restored seed
 //                         snapshot; exits non-zero unless decisions match,
-//                         the parallel-phase fraction is >= 0.94, and no
-//                         window stalled waiting on the maintenance planner.
+//                         the serial request-path and driver-thread
+//                         maintenance costs stay under their us/request
+//                         ceilings, and no window stalled waiting on the
+//                         maintenance planner.
 //                         A second section replays a duplicate-heavy trace
 //                         with the stage-0 tier on and enforces its gate:
 //                         hit rate above a floor, fewer generated tokens
@@ -422,9 +424,9 @@ int RunSnapshotBench(size_t n) {
 // maintenance on hnsw, 1 vs 8 threads from the same restored seed snapshot.
 // Exit-enforces the refactor's acceptance criteria: identical decisions
 // (across thread counts AND across prepare_chunk {1,16,32}, with identical
-// tail exemplars and byte-identical pool contents), a parallel-phase
-// fraction >= 0.94, and ZERO windows stalled waiting on the background
-// maintenance planner.
+// tail exemplars and byte-identical pool contents), serial request-path and
+// driver-thread maintenance costs under their absolute ceilings, and ZERO
+// windows stalled waiting on the background maintenance planner.
 int RunAcceptance(const Options& options, const DatasetProfile& profile,
                   const ModelCatalog& catalog, const std::vector<Request>& requests);
 
@@ -457,6 +459,19 @@ double SerialUsPerRequest(const DriverReport& report, size_t requests) {
 // responses to the stage-0 cache's exact index. That leaves >= 3x headroom,
 // and a graph insert (~190 us) returning to the merge fails the gate.
 constexpr double kSerialUsCeiling = 30.0;
+
+// Driver-thread maintenance time (cut exports, plan collection, and the
+// apply step: decay, planned removals, replay, and the per-shard knapsack
+// re-enforcement of the byte budget) in microseconds per request.
+double MaintenanceUsPerRequest(const DriverReport& report, size_t requests) {
+  return requests > 0 ? 1e6 * report.maintenance_seconds / static_cast<double>(requests) : 0.0;
+}
+
+// --acceptance ceiling on MaintenanceUsPerRequest in the lifecycle section
+// (256 KB budget). Measured on a 4-vCPU Intel Xeon VM over 5 runs: 11.9 to
+// 15.9 us with the sparse exact knapsack; 92 to 101 us over 4 runs with the
+// dense O(n * capacity) table it replaced, which this ceiling rejects.
+constexpr double kMaintenanceUsCeiling = 35.0;
 
 // BENCH json record for a driver run (schema "iccache-bench/1"). Simulated
 // metrics (latency percentiles, hit rates, token counts, anomaly count) are
@@ -663,10 +678,13 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
 
   const bool identical = SameDecisions(single, eight);
   // Serial request-path cost: driver-thread time per request outside the
-  // pool. Maintenance is its own bucket — measured, overlappable, and
-  // policed by the stall counter below instead of being allowed to
-  // masquerade as serial time.
+  // pool and outside maintenance. Maintenance is its own bucket: planning
+  // overlaps serving on the planner thread (the stall counter below polices
+  // that), but the cut export and the apply step, including the per-shard
+  // eviction knapsacks, run on the driver thread, so that bucket has its own
+  // ceiling.
   const double serial_us = SerialUsPerRequest(eight, requests.size());
+  const double maintenance_us = MaintenanceUsPerRequest(eight, requests.size());
   std::printf("  requests=%zu  hnsw  lanes=%zu  maintenance ticks=%zu replay passes=%zu\n",
               requests.size(), config.commit_lanes, eight.maintenance_runs,
               eight.replay_passes);
@@ -685,11 +703,15 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
               eight.embed_memo_hits, eight.embed_memo_misses);
   std::printf("  serial request-path cost: %.1f us/request  (required <= %.0f): %s\n",
               serial_us, kSerialUsCeiling, serial_us <= kSerialUsCeiling ? "ok" : "FAIL");
+  std::printf("  driver-thread maintenance cost: %.1f us/request  (required <= %.0f): %s\n",
+              maintenance_us, kMaintenanceUsCeiling,
+              maintenance_us <= kMaintenanceUsCeiling ? "ok" : "FAIL");
   std::printf("  maintenance-stalled windows: %zu  (required 0): %s\n",
               eight.maintenance_stalled_windows,
               eight.maintenance_stalled_windows == 0 ? "ok" : "FAIL");
   const bool pipeline_ok = identical && chunk_identical && pools_identical &&
                            serial_us <= kSerialUsCeiling &&
+                           maintenance_us <= kMaintenanceUsCeiling &&
                            eight.maintenance_stalled_windows == 0 &&
                            eight.maintenance_runs > 0;
 

@@ -139,8 +139,10 @@ echo "== sharded-commit-pipeline + stage-0 + observability acceptance =="
 # across prepare_chunk {1,16,32}, with identical tail exemplars and
 # byte-identical pool contents), a serial request-path cost (driver-thread
 # time outside the pool and maintenance) under an absolute us/request
-# ceiling, and ZERO windows stalled waiting on the background maintenance
-# planner. The second section replays a
+# ceiling, the driver-thread maintenance cost (cut export plus the apply
+# step, whose per-shard eviction knapsacks run on the driver thread) under
+# its own us/request ceiling, and ZERO windows stalled waiting on the
+# background maintenance planner. The second section replays a
 # duplicate-heavy trace with the stage-0 response tier on and exit-enforces
 # its gate: hit rate >= 25%, fewer generated tokens than the stage0-off run,
 # byte-identical decisions at 1 vs 8 threads and 1 vs 4 commit lanes, and

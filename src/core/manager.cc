@@ -289,9 +289,12 @@ MaintenanceApplyOutcome ExampleManager::ApplyMaintenance(const MaintenancePlan& 
     outcome.replay_ran = true;
   }
   // One deterministic budget re-enforcement covers replay token growth AND
-  // any admissions that landed between cut and apply (no-op under the
-  // watermark); its evictions ride the store's own counter, so only the
-  // planned removals are tallied here.
+  // any admissions that landed between cut and apply. It is rarely a no-op:
+  // the planned removals are greedy (the global knapsack is over the exact
+  // solver's work bound) and the pool keeps filling until apply, so on a
+  // sharded store this per-shard exact pass does most of the evicting (74%
+  // on churn256k), on the caller's thread. Its evictions ride the store's
+  // own counter, so only the planned removals are tallied here.
   if (plan.spec.evict || outcome.improved > 0) {
     store_->EnforceCapacity();
   }

@@ -167,9 +167,8 @@ class ExampleManager {
   // PURE planning half: ranks and simulates the tick against the frozen cut.
   // Touches no mutable state (generation uses `rng`, the tick's private
   // stream), so it is safe on a background thread while the store serves.
-  // Eviction is planned as ONE GLOBAL knapsack over the decayed cut (the
-  // background planner sees the whole pool at once, so it does not need the
-  // per-shard apportioning the inline EnforceCapacity path uses); replay
+  // Eviction is planned as ONE GLOBAL knapsack over the decayed cut; at pool
+  // scale it is over SolveKnapsack's exact-work bound and so greedy. Replay
   // follows the same ranking, cost cutoff, and per-example lifetime cap as
   // RunReplayPass. Examples planned for eviction are never replayed.
   MaintenancePlan PlanMaintenance(const MaintenanceCut& cut, const MaintenanceTickSpec& spec,
@@ -180,6 +179,9 @@ class ExampleManager {
   // re-enforces the byte budget once so admissions that landed between cut
   // and apply (and replay token growth) cannot leave the pool above its
   // watermark. Ids evicted since the cut are skipped; outcomes are exact.
+  // The re-enforcement (exact per-shard knapsacks on a sharded store) does
+  // most of the evicting and runs on the caller's thread: the serving
+  // driver's, between windows.
   MaintenanceApplyOutcome ApplyMaintenance(const MaintenancePlan& plan);
 
   const ManagerConfig& config() const { return config_; }
