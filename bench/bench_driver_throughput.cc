@@ -33,8 +33,10 @@
 //   --snapshot-bench=N    standalone persistence acceptance: build an
 //                         N-example sharded HNSW pool, snapshot it, restore
 //                         it natively (no graph rebuild), report write/read
-//                         ms; exits non-zero when the restore needs a
-//                         rebuild or a 100k-scale pool takes >= 2 s
+//                         ms and how far each raises peak resident memory;
+//                         exits non-zero when the restore needs a rebuild,
+//                         a 100k-scale pool takes >= 2 s, or the save adds
+//                         0.5x the file size or more to peak memory
 //   --stage0=on|off       enable the stage-0 response tier in the thread
 //                         sweep (default off); adds hit-rate and
 //                         tokens-saved columns to the table
@@ -90,6 +92,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -338,9 +341,61 @@ Options ParseOptions(int argc, char** argv) {
   return options;
 }
 
+// Peak resident memory of this process, for measuring one phase at a time.
+// Reset() drops the peak (VmHWM) to the current resident size through
+// /proc/self/clear_refs and returns false where that file is missing or not
+// writable; RaisedMib() is how far the peak has risen since.
+class PeakRssProbe {
+ public:
+  bool Reset() {
+    std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+    if (f == nullptr) {
+      return false;
+    }
+    const bool written = std::fputs("5", f) >= 0;
+    if (std::fclose(f) != 0 || !written) {
+      return false;
+    }
+    start_kb_ = StatusKb("VmHWM:");
+    return start_kb_ >= 0;
+  }
+
+  double RaisedMib() const {
+    return static_cast<double>(StatusKb("VmHWM:") - start_kb_) / 1024.0;
+  }
+
+ private:
+  // A "<field> <n> kB" line of /proc/self/status; -1 when absent.
+  static long StatusKb(const char* field) {
+    std::FILE* f = std::fopen("/proc/self/status", "r");
+    if (f == nullptr) {
+      return -1;
+    }
+    long kb = -1;
+    char line[256];
+    const size_t field_len = std::strlen(field);
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::strncmp(line, field, field_len) == 0) {
+        kb = std::strtol(line + field_len, nullptr, 10);
+        break;
+      }
+    }
+    std::fclose(f);
+    return kb;
+  }
+
+  long start_kb_ = 0;
+};
+
+// The save must add less than this multiple of the file size to peak
+// resident memory: a streamed save holds one flush buffer and one record
+// beyond the pool, where staging the image held several copies of it.
+constexpr double kSaveRssCeilingFileMultiple = 0.5;
+
 // Standalone persistence acceptance: an N-example sharded HNSW pool must
-// snapshot and restore through the native graph image (no rebuild), and at
-// 100k-example scale the restore must come in under 2 seconds.
+// snapshot and restore through the native graph image (no rebuild), at
+// 100k-example scale the restore must come in under 2 seconds, and the save
+// must stream rather than stage the image in memory.
 int RunSnapshotBench(size_t n) {
   benchutil::PrintTitle("Persistence: snapshot/restore of the example pool (8 shards, hnsw)");
   const std::string path =
@@ -362,11 +417,14 @@ int RunSnapshotBench(size_t n) {
               pool.size(), static_cast<double>(pool.used_bytes()) / (1024.0 * 1024.0),
               std::chrono::duration<double>(build_end - build_start).count());
 
+  PeakRssProbe rss;
+  const bool rss_measured = rss.Reset();
   SnapshotWriter writer;
   const auto write_start = std::chrono::steady_clock::now();
   EncodePoolSections(pool, {}, /*sim_time=*/0.0, &writer);
   const Status write_status = writer.WriteToFile(path);
   const auto write_end = std::chrono::steady_clock::now();
+  const double save_rss_mib = rss_measured ? rss.RaisedMib() : 0.0;
   if (!write_status.ok()) {
     std::fprintf(stderr, "snapshot write failed: %s\n", write_status.ToString().c_str());
     return 1;
@@ -376,12 +434,14 @@ int RunSnapshotBench(size_t n) {
   ShardedExampleCache restored(embedder, config);
   SnapshotReader reader;
   PoolRestoreReport report;
+  const bool restore_rss_measured = rss_measured && rss.Reset();
   const auto restore_start = std::chrono::steady_clock::now();
   Status restore_status = reader.Open(path);
   if (restore_status.ok()) {
     restore_status = DecodePoolSections(reader, &restored, {}, &report);
   }
   const auto restore_end = std::chrono::steady_clock::now();
+  const double restore_rss_mib = restore_rss_measured ? rss.RaisedMib() : 0.0;
   std::remove(path.c_str());
   if (!restore_status.ok()) {
     std::fprintf(stderr, "restore failed: %s\n", restore_status.ToString().c_str());
@@ -409,12 +469,28 @@ int RunSnapshotBench(size_t n) {
   std::printf("  restored searches identical to original: %s\n",
               searches_match ? "yes" : "NO (BUG)");
 
+  // How far each phase lifts peak resident memory. The restore's figure
+  // includes the restored pool itself.
+  bool save_memory_ok = true;
+  const double file_mib = static_cast<double>(reader.file_size()) / (1024.0 * 1024.0);
+  if (rss_measured && restore_rss_measured && file_mib > 0.0) {
+    save_memory_ok = save_rss_mib < kSaveRssCeilingFileMultiple * file_mib;
+    std::printf("  peak rss: save +%.1f MiB (%.2fx file), restore +%.1f MiB (%.2fx file, "
+                "restored pool included)\n",
+                save_rss_mib, save_rss_mib / file_mib, restore_rss_mib,
+                restore_rss_mib / file_mib);
+    std::printf("  acceptance: save adds < %.1fx file size to peak rss: %s\n",
+                kSaveRssCeilingFileMultiple, save_memory_ok ? "yes" : "NO (BUG)");
+  } else {
+    std::printf("  peak rss: not measured (/proc/self/clear_refs unavailable)\n");
+  }
+
   const bool fast_enough = n < 100000 || restore_s < 2.0;
   if (n >= 100000) {
     std::printf("  acceptance (>=100k pool): restore < 2 s: %s\n",
                 fast_enough ? "yes" : "NO (BUG)");
   }
-  return report.native_index_load && searches_match && fast_enough &&
+  return report.native_index_load && searches_match && fast_enough && save_memory_ok &&
                  restored.size() == pool.size() && restored.used_bytes() == pool.used_bytes()
              ? 0
              : 1;

@@ -8,7 +8,8 @@
 # under the forced-scalar dispatch path, exit-enforce the stage-1 retrieval
 # scaling bars at 100k vectors (float hnsw vs flat, int8 vs float), then
 # snapshot a real driver pool and verify the on-disk format with
-# tools/snapshot_dump. The observability acceptance additionally exit-enforces
+# tools/snapshot_dump, and save + restore a 30k-example pool under the
+# streamed-save memory gate. The observability acceptance additionally exit-enforces
 # the perf-trajectory gate: the run's BENCH json must stay inside the
 # committed baseline's tolerance bands (tools/bench_compare), and a doctored
 # -20% throughput copy must make the strict gate fail (red-path self-test).
@@ -216,5 +217,11 @@ trap 'rm -f "${SNAP}" "${SNAP}.tmp"' EXIT
 timeout 300 "${BUILD_DIR}/bench_driver_throughput" \
   --requests=600 --sweep=off --stage0=on --snapshot="${SNAP}" > /dev/null
 timeout 60 "${BUILD_DIR}/snapshot_dump" "${SNAP}" | grep "^stage0:" > /dev/null
+
+echo "== snapshot save memory gate (30k-example pool) =="
+# Exit-enforces a native (no-rebuild) restore and that the streamed save
+# adds under half the file size to peak resident memory (measured through
+# /proc/self/clear_refs; skipped where that file is missing).
+timeout 300 "${BUILD_DIR}/bench_driver_throughput" --snapshot-bench=30000
 
 echo "== ci.sh OK =="

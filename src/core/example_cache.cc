@@ -216,16 +216,6 @@ std::vector<uint64_t> ExampleCache::AllIds() const {
   return ids;
 }
 
-void ExampleCache::ExportExamples(
-    const std::function<void(const Example&, const std::vector<float>&)>& fn) const {
-  std::vector<float> embedding;
-  for (uint64_t id : AllIds()) {
-    embedding.clear();
-    index_->GetVector(id, &embedding);
-    fn(examples_.at(id), embedding);
-  }
-}
-
 MaintenanceCut ExampleCache::ExportMaintenanceCut() const {
   MaintenanceCut cut;
   cut.examples.reserve(examples_.size());
@@ -240,23 +230,23 @@ MaintenanceCut ExampleCache::ExportMaintenanceCut() const {
   return cut;
 }
 
-StoreSnapshotCut ExampleCache::ExportSnapshotCut() const {
+Status ExampleCache::StreamSnapshotCut(StoreSnapshotSink* sink) const {
   // Single-threaded by contract, so the piecewise reads already form a cut.
-  StoreSnapshotCut cut;
-  cut.examples.reserve(examples_.size());
+  StoreCutSummary summary;
+  summary.example_count = examples_.size();
+  summary.used_bytes = used_bytes_;
+  summary.next_ids = ExportNextIds();
+  sink->Begin(summary);
+  std::vector<float> embedding;
   for (uint64_t id : AllIds()) {
-    ExportedExample entry;
-    entry.example = examples_.at(id);
-    index_->GetVector(id, &entry.embedding);
-    cut.examples.push_back(std::move(entry));
+    embedding.clear();
+    index_->GetVector(id, &embedding);
+    sink->AddExample(id, examples_.at(id), embedding);
   }
-  cut.next_ids = ExportNextIds();
-  cut.native_index = SaveIndexBlob(&cut.index_blob);
-  if (!cut.native_index) {
-    cut.index_blob.clear();
+  if (const HnswIndex* graph = native_index()) {
+    graph->SaveGraph(sink->IndexImage());
   }
-  cut.used_bytes = used_bytes_;
-  return cut;
+  return Status::Ok();
 }
 
 bool ExampleCache::ImportExample(const Example& example, std::vector<float> embedding,
@@ -283,16 +273,11 @@ bool ExampleCache::ImportNextIds(const std::vector<uint64_t>& next_ids) {
   return true;
 }
 
-bool ExampleCache::SaveIndexBlob(std::string* out) const {
-  const auto* hnsw = dynamic_cast<const HnswIndex*>(index_.get());
-  if (hnsw == nullptr) {
-    return false;
-  }
-  hnsw->SaveGraph(out);
-  return true;
+const HnswIndex* ExampleCache::native_index() const {
+  return dynamic_cast<const HnswIndex*>(index_.get());
 }
 
-bool ExampleCache::LoadIndexBlob(const std::string& blob) {
+bool ExampleCache::LoadIndexBlob(std::string_view blob) {
   auto* hnsw = dynamic_cast<HnswIndex*>(index_.get());
   return hnsw != nullptr && hnsw->LoadGraph(blob);
 }

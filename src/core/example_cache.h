@@ -116,16 +116,17 @@ class ExampleCache : public ExampleStore {
   std::vector<uint64_t> AllIds() const override;
 
   // --- Persistence surface (ExampleStore) ----------------------------------
-  void ExportExamples(
-      const std::function<void(const Example&, const std::vector<float>&)>& fn) const override;
   MaintenanceCut ExportMaintenanceCut() const override;
-  StoreSnapshotCut ExportSnapshotCut() const override;
+  Status StreamSnapshotCut(StoreSnapshotSink* sink) const override;
   bool ImportExample(const Example& example, std::vector<float> embedding,
                      bool add_to_index) override;
   std::vector<uint64_t> ExportNextIds() const override;
   bool ImportNextIds(const std::vector<uint64_t>& next_ids) override;
-  bool SaveIndexBlob(std::string* out) const override;
-  bool LoadIndexBlob(const std::string& blob) override;
+  bool HasNativeIndex() const override { return native_index() != nullptr; }
+  bool LoadIndexBlob(std::string_view blob) override;
+
+  // The HNSW graph behind the native index image; null on flat | kmeans.
+  const HnswIndex* native_index() const;
 
  private:
   std::shared_ptr<const Embedder> embedder_;

@@ -22,8 +22,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/binio.h"
+#include "src/common/status.h"
 #include "src/core/example.h"
 #include "src/core/privacy.h"
 #include "src/embedding/embedder.h"
@@ -105,25 +108,32 @@ PreparedAdmission PrepareAdmissionPayload(const PiiScrubber& scrubber, CacheAdmi
                                           const Embedder& embedder, const Request& request,
                                           const std::vector<float>* text_embedding);
 
-// One exported pool entry: the full lifecycle record plus its index vector.
-struct ExportedExample {
-  Example example;
-  std::vector<float> embedding;
+// Totals of one consistent cut (ExampleStore::StreamSnapshotCut), handed to
+// StoreSnapshotSink::Begin before any record.
+struct StoreCutSummary {
+  uint64_t example_count = 0;
+  int64_t used_bytes = 0;
+  std::vector<uint64_t> next_ids;  // per-shard insertion counters
 };
 
-// Result of ExampleStore::ExportSnapshotCut — see that method's contract.
-struct StoreSnapshotCut {
-  std::vector<ExportedExample> examples;  // ascending (global) id order
-  std::vector<uint64_t> next_ids;         // per-shard insertion counters
-  std::string index_blob;                 // empty when no native image
-  bool native_index = false;
-  int64_t used_bytes = 0;
+// Receives ExampleStore::StreamSnapshotCut: Begin, then every example in
+// ascending public-id order, then, when the store HasNativeIndex, the index
+// image written into IndexImage(). Records and vectors are borrowed from the
+// store and valid only for the duration of the call.
+class StoreSnapshotSink {
+ public:
+  virtual ~StoreSnapshotSink() = default;
+  virtual void Begin(const StoreCutSummary& summary) = 0;
+  // `id` is the public id; `example.id` is store-internal on sharded stores.
+  virtual void AddExample(uint64_t id, const Example& example,
+                          const std::vector<float>& embedding) = 0;
+  virtual ByteWriter* IndexImage() = 0;
 };
 
 // Epoch-consistent view of the pool for background maintenance planning
 // (ExampleStore::ExportMaintenanceCut): every lifecycle record plus the byte
 // accounting and the capacity/decay policy knobs the planner needs, all
-// describing one instant. Much cheaper than ExportSnapshotCut — no
+// describing one instant. Much cheaper than a snapshot cut — no
 // embeddings, no native index image — because decay, knapsack eviction, and
 // replay ranking only read the records.
 struct MaintenanceCut {
@@ -225,13 +235,6 @@ class ExampleStore {
 
   // --- Persistence surface (src/persist: snapshot/restore) -----------------
 
-  // Iterates every live example in ascending id order together with its
-  // stage-1 index embedding. Thread-safe on the sharded store (each example
-  // is copied out under its shard lock) but NOT a consistent cut across
-  // examples — concurrent snapshots must use ExportSnapshotCut.
-  virtual void ExportExamples(
-      const std::function<void(const Example&, const std::vector<float>&)>& fn) const = 0;
-
   // One atomically consistent export of everything background maintenance
   // needs: every example record, the byte accounting, and the capacity/decay
   // policy, all describing one instant (the sharded store holds every shard
@@ -240,15 +243,17 @@ class ExampleStore {
   // the resulting mutation batch at a later window boundary.
   virtual MaintenanceCut ExportMaintenanceCut() const = 0;
 
-  // One atomically consistent export of everything a snapshot needs: the
-  // example records (ascending id), the native index image, the insertion
-  // counters, and the byte accounting all describe the SAME instant. The
-  // sharded store holds every shard lock (shared, ascending order) for the
-  // duration, so a checkpoint taken while other threads serve can never
-  // capture an example the saved index image lacks (which would make it
-  // silently unretrievable after a native-graph restore) or a byte count
-  // that disagrees with the records.
-  virtual StoreSnapshotCut ExportSnapshotCut() const = 0;
+  // Streams one atomically consistent cut of everything a snapshot needs
+  // into `sink`: the totals and insertion counters, every example record
+  // (ascending public id) with its index vector, and the native index image
+  // all describe the SAME instant. The sharded store holds every shard lock
+  // (shared, ascending order) until it returns, so a checkpoint taken while
+  // other threads serve can never capture an example the saved index image
+  // lacks (which would make it silently unretrievable after a native-graph
+  // restore) or a byte count that disagrees with the records. Nothing is
+  // copied out but one record's vector at a time. Fails (Internal) only
+  // when a graph image's length disagrees with the length promised for it.
+  virtual Status StreamSnapshotCut(StoreSnapshotSink* sink) const = 0;
 
   // Re-inserts a previously exported example, preserving its id, every
   // lifecycle statistic, and byte accounting (the sharded store re-shards by
@@ -257,7 +262,7 @@ class ExampleStore {
   // caller has already restored the retrieval index natively
   // (LoadIndexBlob). The embedding is indexed as given and is what Snapshot
   // hands back, so it must be the embedder's output for the example's text:
-  // an int8 store exports dequantized vectors, fit only for an int8 store.
+  // an int8 store streams dequantized vectors, fit only for an int8 store.
   // Returns false on id 0 or an id collision.
   virtual bool ImportExample(const Example& example, std::vector<float> embedding,
                              bool add_to_index) = 0;
@@ -270,15 +275,16 @@ class ExampleStore {
   virtual std::vector<uint64_t> ExportNextIds() const = 0;
   virtual bool ImportNextIds(const std::vector<uint64_t>& next_ids) = 0;
 
-  // Native retrieval-index image (HNSW graph save/load; one sub-blob per
-  // shard). Returns false when the configured backend has no native format
-  // (flat | kmeans) or the image does not match this store's geometry —
-  // callers fall back to rebuilding the index from the exported embeddings,
-  // which always works. A partially applied LoadIndexBlob is safe to follow
-  // with the rebuild fallback: Add() has overwrite semantics in every
-  // backend.
-  virtual bool SaveIndexBlob(std::string* out) const = 0;
-  virtual bool LoadIndexBlob(const std::string& blob) = 0;
+  // Native retrieval-index image (HNSW graph save/load; one length-prefixed
+  // graph per shard on the sharded store). HasNativeIndex is false when the
+  // configured backend has no native format (flat | kmeans). LoadIndexBlob
+  // returns false then, or when the image does not match this store's
+  // geometry — callers fall back to rebuilding the index from the exported
+  // embeddings, which always works. A partially applied LoadIndexBlob is
+  // safe to follow with the rebuild fallback: Add() has overwrite semantics
+  // in every backend.
+  virtual bool HasNativeIndex() const = 0;
+  virtual bool LoadIndexBlob(std::string_view blob) = 0;
 };
 
 }  // namespace iccache

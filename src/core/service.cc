@@ -102,19 +102,22 @@ Status IcCacheService::RestoreSnapshot(const std::string& path) {
   if (!status.ok()) {
     return status;
   }
-  const std::string* service = reader.Section(SnapshotSection::kService);
-  if (service != nullptr) {
-    ByteReader r(*service);
+  status = DecodeOptionalSection(reader, SnapshotSection::kService, [this](std::string_view bytes) {
+    ByteReader r(bytes);
     const RngState service_rng = DecodeRngState(&r);
     const double baseline = r.GetDouble();
     const bool baseline_initialized = r.GetU8() != 0;
     const RngState generator_rng = DecodeRngState(&r);
     if (!r.ok() || !r.AtEnd()) {
-      return Status::InvalidArgument("malformed service section");
+      return false;
     }
     rng_.RestoreState(service_rng);
     baseline_quality_.RestoreState(baseline, baseline_initialized);
     generator_->restore_rng_state(generator_rng);
+    return true;
+  });
+  if (!status.ok()) {
+    return status;
   }
   last_now_ = report.sim_time;
   restored_from_snapshot_ = true;

@@ -267,31 +267,9 @@ std::vector<uint64_t> ShardedExampleCache::AllIds() const {
   return ids;
 }
 
-void ShardedExampleCache::ExportExamples(
-    const std::function<void(const Example&, const std::vector<float>&)>& fn) const {
-  // Global-id order with one shard lock held at a time: a concurrent writer
-  // may mutate between iterations (examples admitted or evicted mid-export
-  // are included on a best-effort basis), but every record handed to `fn` is
-  // a consistent copy taken under its shard lock.
-  std::vector<float> embedding;
-  for (uint64_t id : AllIds()) {
-    const size_t shard = ShardOfId(id);
-    std::shared_lock<std::shared_mutex> lock(shards_[shard].mu);
-    const Example* example = shards_[shard].cache->Get(InnerId(id));
-    if (example == nullptr) {
-      continue;  // evicted since the id snapshot
-    }
-    embedding.clear();
-    shards_[shard].cache->index().GetVector(InnerId(id), &embedding);
-    Example copy = *example;
-    copy.id = id;  // expose the global id, matching Snapshot()
-    fn(copy, embedding);
-  }
-}
-
 MaintenanceCut ShardedExampleCache::ExportMaintenanceCut() const {
   // Every shard lock, shared, ascending (same discipline as
-  // ExportSnapshotCut): the records and byte counts form one epoch-consistent
+  // StreamSnapshotCut): the records and byte counts form one epoch-consistent
   // view even while other threads serve.
   std::vector<std::shared_lock<std::shared_mutex>> locks;
   locks.reserve(shards_.size());
@@ -318,49 +296,57 @@ MaintenanceCut ShardedExampleCache::ExportMaintenanceCut() const {
   return cut;
 }
 
-StoreSnapshotCut ShardedExampleCache::ExportSnapshotCut() const {
+Status ShardedExampleCache::StreamSnapshotCut(StoreSnapshotSink* sink) const {
   // Every shard lock, shared, in ascending order (writers take one unique
-  // shard lock at a time, so this cannot deadlock): for the duration of the
-  // export no admission, mutation, or eviction can slip between the example
-  // records, the saved graphs, the insertion counters, and the byte counts.
+  // shard lock at a time, so this cannot deadlock): until the stream ends no
+  // admission, mutation, or eviction can slip between the example records,
+  // the graph images, the insertion counters, and the byte counts.
   std::vector<std::shared_lock<std::shared_mutex>> locks;
   locks.reserve(shards_.size());
   for (const Shard& shard : shards_) {
     locks.emplace_back(shard.mu);
   }
 
-  StoreSnapshotCut cut;
-  ByteWriter index_writer;
-  index_writer.PutU64(shards_.size());
-  bool native = true;
+  StoreCutSummary summary;
+  std::vector<uint64_t> ids;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     const ExampleCache& cache = *shards_[shard].cache;
     for (uint64_t inner : cache.AllIds()) {
-      ExportedExample entry;
-      entry.example = *cache.Get(inner);
-      entry.example.id = GlobalId(inner, shard);
-      cache.index().GetVector(inner, &entry.embedding);
-      cut.examples.push_back(std::move(entry));
+      ids.push_back(GlobalId(inner, shard));
     }
-    cut.next_ids.push_back(cache.ExportNextIds()[0]);
-    if (native) {
-      std::string blob;
-      native = cache.SaveIndexBlob(&blob);
-      if (native) {
-        index_writer.PutString(blob);
-      }
+    summary.next_ids.push_back(cache.ExportNextIds()[0]);
+    summary.used_bytes += cache.used_bytes();
+  }
+  std::sort(ids.begin(), ids.end());
+  summary.example_count = ids.size();
+  sink->Begin(summary);
+
+  std::vector<float> embedding;
+  for (uint64_t id : ids) {
+    const ExampleCache& cache = *shards_[ShardOfId(id)].cache;
+    embedding.clear();
+    cache.index().GetVector(InnerId(id), &embedding);
+    sink->AddExample(id, *cache.Get(InnerId(id)), embedding);
+  }
+
+  if (!HasNativeIndex()) {
+    return Status::Ok();
+  }
+  ByteWriter* out = sink->IndexImage();
+  out->PutU64(shards_.size());
+  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+    const HnswIndex& graph = *shards_[shard].cache->native_index();
+    const uint64_t length = graph.GraphImageSize();
+    out->PutU64(length);
+    const size_t start = out->size();
+    graph.SaveGraph(out);
+    if (out->size() - start != length) {
+      return Status::Internal("shard " + std::to_string(shard) + " graph image wrote " +
+                              std::to_string(out->size() - start) + " bytes, promised " +
+                              std::to_string(length));
     }
-    cut.used_bytes += cache.used_bytes();
   }
-  std::sort(cut.examples.begin(), cut.examples.end(),
-            [](const ExportedExample& a, const ExportedExample& b) {
-              return a.example.id < b.example.id;
-            });
-  cut.native_index = native;
-  if (native) {
-    cut.index_blob = index_writer.TakeBytes();
-  }
-  return cut;
+  return Status::Ok();
 }
 
 bool ShardedExampleCache::ImportExample(const Example& example, std::vector<float> embedding,
@@ -402,22 +388,7 @@ bool ShardedExampleCache::ImportNextIds(const std::vector<uint64_t>& next_ids) {
   return true;
 }
 
-bool ShardedExampleCache::SaveIndexBlob(std::string* out) const {
-  ByteWriter writer;
-  writer.PutU64(shards_.size());
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    std::string blob;
-    if (!shard.cache->SaveIndexBlob(&blob)) {
-      return false;  // backend has no native image (flat | kmeans)
-    }
-    writer.PutString(blob);
-  }
-  *out = writer.TakeBytes();
-  return true;
-}
-
-bool ShardedExampleCache::LoadIndexBlob(const std::string& blob) {
+bool ShardedExampleCache::LoadIndexBlob(std::string_view blob) {
   ByteReader reader(blob);
   const uint64_t shard_count = reader.GetU64();
   if (!reader.ok() || shard_count != shards_.size()) {
@@ -426,10 +397,10 @@ bool ShardedExampleCache::LoadIndexBlob(const std::string& blob) {
   // Split first so a malformed trailing sub-blob is detected before any
   // shard is touched; a per-shard graph mismatch after that point still
   // reports false and the rebuild fallback overwrites cleanly.
-  std::vector<std::string> per_shard;
+  std::vector<std::string_view> per_shard;
   per_shard.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    per_shard.push_back(reader.GetString());
+    per_shard.push_back(reader.GetStringView());
   }
   if (!reader.ok() || !reader.AtEnd()) {
     return false;

@@ -118,33 +118,33 @@ class ShardedExampleCache : public ExampleStore {
 
   // --- Persistence surface (ExampleStore) ----------------------------------
   //
-  // ExportExamples copies each example (global id) out under its shard lock,
-  // so a checkpoint can run concurrently with serving. ImportExample
-  // re-shards by id — the shard index lives in the id's low bits, so placing
-  // each example at `id & shard_mask` reproduces the id round-trip under the
-  // CURRENT shard count — and applies the byte delta to the global watermark
-  // counter under the shard lock, keeping used_bytes() exact. Re-sharding
-  // into the same or a smaller shard count always works; a LARGER count
-  // cannot represent ids below the new shard stride (they would collapse to
-  // the reserved inner id 0), so such imports return false and the restore
-  // fails cleanly. The native index image is one HNSW graph per shard;
-  // LoadIndexBlob rejects it when the shard count, backend, or graph
-  // geometry changed (restore then falls back to rebuild-from-embeddings).
-  void ExportExamples(
-      const std::function<void(const Example&, const std::vector<float>&)>& fn) const override;
+  // ImportExample re-shards by id — the shard index lives in the id's low
+  // bits, so placing each example at `id & shard_mask` reproduces the id
+  // round-trip under the CURRENT shard count — and applies the byte delta to
+  // the global watermark counter under the shard lock, keeping used_bytes()
+  // exact. Re-sharding into the same or a smaller shard count always works;
+  // a LARGER count cannot represent ids below the new shard stride (they
+  // would collapse to the reserved inner id 0), so such imports return false
+  // and the restore fails cleanly. The native index image is one
+  // length-prefixed HNSW graph per shard; LoadIndexBlob rejects it when the
+  // shard count, backend, or graph geometry changed (restore then falls back
+  // to rebuild-from-embeddings).
+  //
   // Holds ALL shard locks (shared, ascending) so the records and byte counts
   // describe one instant — the epoch view background maintenance plans
   // against. No embeddings or graph image: much cheaper than a snapshot cut.
   MaintenanceCut ExportMaintenanceCut() const override;
-  // Holds ALL shard locks (shared, ascending) so the records, index image,
-  // counters, and watermark bytes describe one instant even mid-serving.
-  StoreSnapshotCut ExportSnapshotCut() const override;
+  // Holds ALL shard locks (shared, ascending) while it streams, so the
+  // records, index images, counters, and watermark bytes describe one
+  // instant even mid-serving; each graph image is length-prefixed with its
+  // GraphImageSize before it streams.
+  Status StreamSnapshotCut(StoreSnapshotSink* sink) const override;
   bool ImportExample(const Example& example, std::vector<float> embedding,
                      bool add_to_index) override;
   std::vector<uint64_t> ExportNextIds() const override;
   bool ImportNextIds(const std::vector<uint64_t>& next_ids) override;
-  bool SaveIndexBlob(std::string* out) const override;
-  bool LoadIndexBlob(const std::string& blob) override;
+  bool HasNativeIndex() const override { return shards_[0].cache->HasNativeIndex(); }
+  bool LoadIndexBlob(std::string_view blob) override;
 
   // Lifetime count of knapsack-evicted examples (maintenance observability).
   uint64_t evicted_total() const { return evicted_total_.load(std::memory_order_relaxed); }

@@ -864,9 +864,9 @@ size_t HnswIndex::arena_bytes() const {
          scales_.size() * sizeof(float);
 }
 
-void HnswIndex::SaveGraph(std::string* out) const {
+void HnswIndex::SaveGraph(ByteWriter* out) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  ByteWriter w;
+  ByteWriter& w = *out;
   w.PutU32(kGraphFormatVersion);
   w.PutU8(config_.quantize_int8 ? 1 : 0);
   w.PutU64(config_.dim);
@@ -904,10 +904,36 @@ void HnswIndex::SaveGraph(std::string* out) const {
     w.PutU64(arena_.size());
     w.PutBytes(arena_.data(), arena_.size() * sizeof(float));
   }
+}
+
+void HnswIndex::SaveGraph(std::string* out) const {
+  ByteWriter w;
+  SaveGraph(&w);
   *out = w.TakeBytes();
 }
 
-bool HnswIndex::LoadGraph(const std::string& blob) {
+size_t HnswIndex::GraphImageSize() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  // Header through the level-sampler RNG: version, quantize flag, dim,
+  // degree, node count, live count, entry, entry level, 4 RNG words, the
+  // cached normal, and its flag.
+  size_t bytes = 4 + 1 + 8 * 4 + 4 + 4 + 8 * 4 + 8 + 1;
+  for (const Node& node : nodes_) {
+    bytes += 8 + 4 + 1;  // id, level, tombstone flag
+    for (const std::vector<uint32_t>& layer : node.links) {
+      bytes += 4 + 4 * layer.size();
+    }
+  }
+  bytes += 8;  // arena length
+  if (config_.quantize_int8) {
+    bytes += qarena_.size() + scales_.size() * sizeof(float);
+  } else {
+    bytes += arena_.size() * sizeof(float);
+  }
+  return bytes;
+}
+
+bool HnswIndex::LoadGraph(std::string_view blob) {
   // Parse and validate into locals first: a mismatched or corrupted image
   // must leave the index exactly as it was (the caller rebuilds instead).
   ByteReader r(blob);

@@ -26,9 +26,12 @@
 
 #include <cstdint>
 #include <shared_mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/binio.h"
 #include "src/common/rng.h"
 #include "src/index/vector_index.h"
 
@@ -122,14 +125,22 @@ class HnswIndex : public VectorIndex {
   // and identical graphs after any sequence of future inserts. Loading is
   // O(bytes) (no re-insertion), which is what makes restoring a 100k-vector
   // pool cheap compared to an O(N * ef_construction) rebuild.
+  // The image streams through `out` (the arena block bypasses a streaming
+  // writer's buffer); the string overload returns it whole.
+  void SaveGraph(ByteWriter* out) const;
   void SaveGraph(std::string* out) const;
+
+  // Exact byte length of SaveGraph's image, so a stream can length-prefix
+  // the image before writing it. Equal to what SaveGraph writes as long as
+  // no Add or Remove runs in between.
+  size_t GraphImageSize() const;
 
   // Validates the blob's embedded format version, dimension, and degree
   // bound against this index's config before touching any state; on
   // mismatch or corruption the index is left untouched and false is
   // returned (the caller falls back to rebuilding from raw embeddings).
   // On success the previous contents are replaced wholesale.
-  bool LoadGraph(const std::string& blob);
+  bool LoadGraph(std::string_view blob);
 
   // Diagnostics.
   size_t tombstones() const;

@@ -24,7 +24,7 @@ std::string EncodeSelectorSection(const ExampleSelector& selector) {
   return w.TakeBytes();
 }
 
-bool DecodeSelectorSection(const std::string& bytes, ExampleSelector* selector) {
+bool DecodeSelectorSection(std::string_view bytes, ExampleSelector* selector) {
   ByteReader r(bytes);
   SelectorAdaptiveState state;
   state.utility_threshold = r.GetDouble();
@@ -60,7 +60,7 @@ std::string EncodeProxySection(const ProxyUtilityModel& proxy) {
   return w.TakeBytes();
 }
 
-bool DecodeProxySection(const std::string& bytes, ProxyUtilityModel* proxy) {
+bool DecodeProxySection(std::string_view bytes, ProxyUtilityModel* proxy) {
   ByteReader r(bytes);
   if (r.GetU64() != ProxyFeatures::kDim) {
     return false;
@@ -99,7 +99,7 @@ std::string EncodeRouterSection(const RequestRouter& router) {
   return w.TakeBytes();
 }
 
-bool DecodeRouterSection(const std::string& bytes, RequestRouter* router) {
+bool DecodeRouterSection(std::string_view bytes, RequestRouter* router) {
   ByteReader r(bytes);
   const double load_ema = r.GetDouble();
   const bool load_initialized = r.GetU8() != 0;
@@ -152,9 +152,9 @@ bool DecodeRouterSection(const std::string& bytes, RequestRouter* router) {
 // exact index is rebuilt from those embeddings, which reproduces the writer's
 // probes. The native-index flag is always written as 0: older writers set it
 // to 1 and appended an HNSW graph image, which decoding skips.
-std::string EncodeStage0Section(const Stage0ResponseCache& cache) {
+void EncodeStage0Section(const Stage0ResponseCache& cache, ByteWriter* out) {
   const Stage0AdaptiveState state = cache.SaveAdaptiveState();
-  ByteWriter w;
+  ByteWriter& w = *out;
   w.PutDouble(state.hit_threshold);
   w.PutU64(state.requests_seen);
   w.PutU64(cache.size());
@@ -192,10 +192,9 @@ std::string EncodeStage0Section(const Stage0ResponseCache& cache) {
     w.PutU64(entry.hit_count);
     w.PutFloats(embedding);
   });
-  return w.TakeBytes();
 }
 
-bool DecodeStage0Section(const std::string& bytes, Stage0ResponseCache* cache) {
+bool DecodeStage0Section(std::string_view bytes, Stage0ResponseCache* cache) {
   if (cache->size() != 0) {
     return false;  // restore requires an empty stage-0 cache
   }
@@ -290,9 +289,9 @@ RngState DecodeRngState(ByteReader* reader) {
   return state;
 }
 
-void EncodeExample(const Example& example, const std::vector<float>& embedding,
+void EncodeExample(uint64_t id, const Example& example, const std::vector<float>& embedding,
                    ByteWriter* writer) {
-  writer->PutU64(example.id);
+  writer->PutU64(id);
   const Request& request = example.request;
   writer->PutU64(request.id);
   writer->PutU8(static_cast<uint8_t>(request.dataset));
@@ -346,38 +345,73 @@ bool DecodeExample(ByteReader* reader, Example* example, std::vector<float>* emb
   return reader->ok();
 }
 
+namespace {
+
+// Encodes the store's kMeta, kExamples and (with a native index) kIndex
+// sections as ExampleStore::StreamSnapshotCut hands over one cut: the
+// summary fills kMeta and the examples header, each record goes straight
+// into kExamples, and the store writes its graph images into kIndex.
+class StoreSectionEncoder final : public StoreSnapshotSink {
+ public:
+  StoreSectionEncoder(SnapshotSectionStream* stream, uint32_t embed_dim, bool native_index,
+                      double sim_time)
+      : stream_(stream), embed_dim_(embed_dim), native_index_(native_index), sim_time_(sim_time) {}
+
+  void Begin(const StoreCutSummary& summary) override {
+    ByteWriter* meta = stream_->Begin(SnapshotSection::kMeta);
+    meta->PutU64(summary.example_count);
+    meta->PutI64(summary.used_bytes);
+    meta->PutU64(summary.next_ids.size());
+    meta->PutU32(embed_dim_);
+    meta->PutU8(native_index_ ? 1 : 0);
+    meta->PutDouble(sim_time_);
+
+    examples_ = stream_->Begin(SnapshotSection::kExamples);
+    examples_->PutU64(summary.next_ids.size());
+    for (uint64_t next_id : summary.next_ids) {
+      examples_->PutU64(next_id);
+    }
+    examples_->PutU64(summary.example_count);
+  }
+
+  void AddExample(uint64_t id, const Example& example,
+                  const std::vector<float>& embedding) override {
+    EncodeExample(id, example, embedding, examples_);
+  }
+
+  ByteWriter* IndexImage() override { return stream_->Begin(SnapshotSection::kIndex); }
+
+ private:
+  SnapshotSectionStream* stream_;
+  uint32_t embed_dim_;
+  bool native_index_;
+  double sim_time_;
+  ByteWriter* examples_ = nullptr;
+};
+
+}  // namespace
+
 void EncodePoolSections(const ExampleStore& store, const PoolComponents& components,
                         double sim_time, SnapshotWriter* writer) {
   // One consistent cut for everything the store contributes (records, native
   // index image, insertion counters, byte accounting): a checkpoint taken
   // while other threads serve must never save an example its graph image
-  // lacks, or a meta byte count its records don't sum to. The component
-  // sections below are NOT covered by the cut — drivers snapshot them from
-  // the serial phase, where they are quiescent.
-  StoreSnapshotCut cut = store.ExportSnapshotCut();
-  if (cut.native_index) {
-    writer->AddSection(SnapshotSection::kIndex, std::move(cut.index_blob));
+  // lacks, or a meta byte count its records don't sum to. The cut streams
+  // into the file when the writer runs; the component sections below are
+  // NOT covered by it — drivers snapshot them from the serial phase, where
+  // they are quiescent.
+  const bool native = store.HasNativeIndex();
+  std::vector<SnapshotSection> store_sections = {SnapshotSection::kMeta,
+                                                 SnapshotSection::kExamples};
+  if (native) {
+    store_sections.push_back(SnapshotSection::kIndex);
   }
-
-  ByteWriter examples;
-  examples.PutU64(cut.next_ids.size());
-  for (uint64_t next_id : cut.next_ids) {
-    examples.PutU64(next_id);
-  }
-  examples.PutU64(cut.examples.size());
-  for (const ExportedExample& entry : cut.examples) {
-    EncodeExample(entry.example, entry.embedding, &examples);
-  }
-  writer->AddSection(SnapshotSection::kExamples, examples.TakeBytes());
-
-  ByteWriter meta;
-  meta.PutU64(cut.examples.size());
-  meta.PutI64(cut.used_bytes);
-  meta.PutU64(cut.next_ids.size());
-  meta.PutU32(static_cast<uint32_t>(store.embedder()->dim()));
-  meta.PutU8(cut.native_index ? 1 : 0);
-  meta.PutDouble(sim_time);
-  writer->AddSection(SnapshotSection::kMeta, meta.TakeBytes());
+  const uint32_t dim = static_cast<uint32_t>(store.embedder()->dim());
+  writer->AddStreamedSections(
+      std::move(store_sections), [&store, dim, native, sim_time](SnapshotSectionStream* stream) {
+        StoreSectionEncoder encoder(stream, dim, native, sim_time);
+        return store.StreamSnapshotCut(&encoder);
+      });
 
   if (components.selector != nullptr) {
     writer->AddSection(SnapshotSection::kSelector, EncodeSelectorSection(*components.selector));
@@ -394,16 +428,40 @@ void EncodePoolSections(const ExampleStore& store, const PoolComponents& compone
     writer->AddSection(SnapshotSection::kRouter, EncodeRouterSection(*components.router));
   }
   if (components.stage0 != nullptr) {
-    writer->AddSection(SnapshotSection::kStage0, EncodeStage0Section(*components.stage0));
+    const Stage0ResponseCache* stage0 = components.stage0;
+    writer->AddStreamedSections({SnapshotSection::kStage0},
+                                [stage0](SnapshotSectionStream* stream) {
+                                  EncodeStage0Section(*stage0,
+                                                      stream->Begin(SnapshotSection::kStage0));
+                                  return Status::Ok();
+                                });
   }
 }
 
-Status DecodePoolMeta(const SnapshotReader& reader, PoolMeta* meta) {
-  const std::string* bytes = reader.Section(SnapshotSection::kMeta);
-  if (bytes == nullptr) {
-    return Status::InvalidArgument("snapshot has no meta section");
+Status DecodeOptionalSection(const SnapshotReader& reader, SnapshotSection id,
+                             const std::function<bool(std::string_view)>& decode) {
+  if (!reader.HasSection(id)) {
+    return Status::Ok();
   }
-  ByteReader r(*bytes);
+  SectionBuffer bytes;
+  const Status status = reader.Section(id, &bytes);
+  if (!status.ok()) {
+    return status;
+  }
+  if (!decode(bytes.bytes())) {
+    return Status::InvalidArgument(std::string("malformed ") + SnapshotSectionName(id) +
+                                   " section");
+  }
+  return Status::Ok();
+}
+
+Status DecodePoolMeta(const SnapshotReader& reader, PoolMeta* meta) {
+  SectionBuffer bytes;
+  const Status status = reader.Section(SnapshotSection::kMeta, &bytes);
+  if (!status.ok()) {
+    return status;
+  }
+  ByteReader r(bytes.bytes());
   meta->example_count = r.GetU64();
   meta->used_bytes = r.GetI64();
   meta->shard_count = r.GetU64();
@@ -417,11 +475,12 @@ Status DecodePoolMeta(const SnapshotReader& reader, PoolMeta* meta) {
 }
 
 Status DecodeStage0Summary(const SnapshotReader& reader, Stage0Summary* summary) {
-  const std::string* bytes = reader.Section(SnapshotSection::kStage0);
-  if (bytes == nullptr) {
-    return Status::InvalidArgument("snapshot has no stage0 section");
+  SectionBuffer bytes;
+  const Status status = reader.Section(SnapshotSection::kStage0, &bytes);
+  if (!status.ok()) {
+    return status;
   }
-  ByteReader r(*bytes);
+  ByteReader r(bytes.bytes());
   summary->hit_threshold = r.GetDouble();
   summary->requests_seen = r.GetU64();
   summary->entry_count = r.GetU64();
@@ -433,34 +492,59 @@ Status DecodeStage0Summary(const SnapshotReader& reader, Stage0Summary* summary)
   return Status::Ok();
 }
 
-Status ForEachSnapshotExample(
-    const SnapshotReader& reader,
-    const std::function<void(const Example&, const std::vector<float>&)>& fn) {
-  const std::string* bytes = reader.Section(SnapshotSection::kExamples);
-  if (bytes == nullptr) {
-    return Status::InvalidArgument("snapshot has no examples section");
-  }
-  ByteReader r(*bytes);
+namespace {
+
+// Walks the kExamples payload: the per-shard insertion counters into
+// *next_ids, then each record through `fn`, stopping at its first error.
+Status WalkExamplesSection(
+    std::string_view bytes, std::vector<uint64_t>* next_ids,
+    const std::function<Status(const Example&, std::vector<float>)>& fn) {
+  ByteReader r(bytes);
   const uint64_t shard_count = r.GetU64();
-  if (!r.ok() || shard_count > bytes->size()) {
+  if (!r.ok() || shard_count > bytes.size()) {
     return Status::InvalidArgument("malformed examples section (shard counters)");
   }
-  for (uint64_t i = 0; i < shard_count; ++i) {
-    r.GetU64();
+  next_ids->resize(static_cast<size_t>(shard_count));
+  for (auto& next_id : *next_ids) {
+    next_id = r.GetU64();
   }
   const uint64_t count = r.GetU64();
+  if (!r.ok()) {
+    return Status::InvalidArgument("malformed examples section (count)");
+  }
   Example example;
   std::vector<float> embedding;
   for (uint64_t i = 0; i < count; ++i) {
     if (!DecodeExample(&r, &example, &embedding)) {
       return Status::InvalidArgument("malformed example record " + std::to_string(i));
     }
-    fn(example, embedding);
+    const Status status = fn(example, std::move(embedding));
+    if (!status.ok()) {
+      return status;
+    }
   }
-  if (!r.ok() || !r.AtEnd()) {
+  if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in examples section");
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+Status ForEachSnapshotExample(
+    const SnapshotReader& reader,
+    const std::function<void(const Example&, const std::vector<float>&)>& fn) {
+  SectionBuffer bytes;
+  const Status status = reader.Section(SnapshotSection::kExamples, &bytes);
+  if (!status.ok()) {
+    return status;
+  }
+  std::vector<uint64_t> next_ids;
+  return WalkExamplesSection(bytes.bytes(), &next_ids,
+                             [&fn](const Example& example, std::vector<float> embedding) {
+                               fn(example, embedding);
+                               return Status::Ok();
+                             });
 }
 
 Status DecodePoolSections(const SnapshotReader& reader, ExampleStore* store,
@@ -482,77 +566,86 @@ Status DecodePoolSections(const SnapshotReader& reader, ExampleStore* store,
   }
 
   // Native index image first (HNSW graph load, no rebuild); on any mismatch
-  // fall back to per-example Add during import below.
-  const std::string* index_blob = reader.Section(SnapshotSection::kIndex);
-  local.native_index_load = index_blob != nullptr && store->LoadIndexBlob(*index_blob);
+  // fall back to per-example Add during import below. Each large section is
+  // loaded alone and freed once decoded, so a restore holds the pool plus
+  // one section.
+  if (reader.HasSection(SnapshotSection::kIndex)) {
+    SectionBuffer index;
+    status = reader.Section(SnapshotSection::kIndex, &index);
+    if (!status.ok()) {
+      return status;
+    }
+    local.native_index_load = store->LoadIndexBlob(index.bytes());
+  }
 
-  const std::string* examples = reader.Section(SnapshotSection::kExamples);
-  if (examples == nullptr) {
-    return Status::InvalidArgument("snapshot has no examples section");
-  }
-  ByteReader r(*examples);
-  const uint64_t shard_count = r.GetU64();
-  if (!r.ok() || shard_count > examples->size()) {
-    return Status::InvalidArgument("malformed examples section (shard counters)");
-  }
-  std::vector<uint64_t> next_ids(static_cast<size_t>(shard_count));
-  for (auto& next_id : next_ids) {
-    next_id = r.GetU64();
-  }
-  const uint64_t count = r.GetU64();
-  if (!r.ok()) {
-    return Status::InvalidArgument("malformed examples section (count)");
-  }
-  Example example;
-  std::vector<float> embedding;
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!DecodeExample(&r, &example, &embedding)) {
-      return Status::InvalidArgument("malformed example record " + std::to_string(i));
+  std::vector<uint64_t> next_ids;
+  {
+    SectionBuffer examples;
+    status = reader.Section(SnapshotSection::kExamples, &examples);
+    if (!status.ok()) {
+      return status;
     }
-    if (!store->ImportExample(example, std::move(embedding),
-                              /*add_to_index=*/!local.native_index_load)) {
-      return Status::FailedPrecondition(
-          "import rejected for example id " + std::to_string(example.id) +
-          " (duplicate id, or restoring into MORE shards than the snapshot was "
-          "taken with — the smallest ids cannot be re-sharded; equal or fewer "
-          "shards always work)");
+    const auto import = [store, &local](const Example& example, std::vector<float> embedding) {
+      if (!store->ImportExample(example, std::move(embedding),
+                                /*add_to_index=*/!local.native_index_load)) {
+        return Status::FailedPrecondition(
+            "import rejected for example id " + std::to_string(example.id) +
+            " (duplicate id, or restoring into MORE shards than the snapshot was "
+            "taken with — the smallest ids cannot be re-sharded; equal or fewer "
+            "shards always work)");
+      }
+      ++local.examples;
+      return Status::Ok();
+    };
+    status = WalkExamplesSection(examples.bytes(), &next_ids, import);
+    if (!status.ok()) {
+      return status;
     }
-    ++local.examples;
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in examples section");
   }
   local.next_ids_restored = store->ImportNextIds(next_ids);
   local.used_bytes = store->used_bytes();
 
-  const std::string* selector = reader.Section(SnapshotSection::kSelector);
-  if (selector != nullptr && components.selector != nullptr &&
-      !DecodeSelectorSection(*selector, components.selector)) {
-    return Status::InvalidArgument("malformed selector section");
-  }
-  const std::string* manager = reader.Section(SnapshotSection::kManager);
-  if (manager != nullptr && components.manager != nullptr) {
-    ByteReader mr(*manager);
-    const double last_decay = mr.GetDouble();
-    if (!mr.ok() || !mr.AtEnd()) {
-      return Status::InvalidArgument("malformed manager section");
+  // Component sections: each applied only when present and wanted.
+  struct ComponentSection {
+    SnapshotSection id;
+    bool wanted;
+    std::function<bool(std::string_view)> decode;
+  };
+  const ComponentSection sections[] = {
+      {SnapshotSection::kSelector, components.selector != nullptr,
+       [&components](std::string_view bytes) {
+         return DecodeSelectorSection(bytes, components.selector);
+       }},
+      {SnapshotSection::kManager, components.manager != nullptr,
+       [&components](std::string_view bytes) {
+         ByteReader r(bytes);
+         const double last_decay = r.GetDouble();
+         if (!r.ok() || !r.AtEnd()) {
+           return false;
+         }
+         components.manager->set_last_decay_time(last_decay);
+         return true;
+       }},
+      {SnapshotSection::kProxy, components.proxy != nullptr,
+       [&components](std::string_view bytes) {
+         return DecodeProxySection(bytes, components.proxy);
+       }},
+      {SnapshotSection::kRouter, components.router != nullptr,
+       [&components](std::string_view bytes) {
+         return DecodeRouterSection(bytes, components.router);
+       }},
+      {SnapshotSection::kStage0, components.stage0 != nullptr,
+       [&components](std::string_view bytes) {
+         return DecodeStage0Section(bytes, components.stage0);
+       }},
+  };
+  for (const ComponentSection& section : sections) {
+    if (section.wanted) {
+      status = DecodeOptionalSection(reader, section.id, section.decode);
+      if (!status.ok()) {
+        return status;
+      }
     }
-    components.manager->set_last_decay_time(last_decay);
-  }
-  const std::string* proxy = reader.Section(SnapshotSection::kProxy);
-  if (proxy != nullptr && components.proxy != nullptr &&
-      !DecodeProxySection(*proxy, components.proxy)) {
-    return Status::InvalidArgument("malformed proxy section");
-  }
-  const std::string* router = reader.Section(SnapshotSection::kRouter);
-  if (router != nullptr && components.router != nullptr &&
-      !DecodeRouterSection(*router, components.router)) {
-    return Status::InvalidArgument("malformed router section");
-  }
-  const std::string* stage0 = reader.Section(SnapshotSection::kStage0);
-  if (stage0 != nullptr && components.stage0 != nullptr &&
-      !DecodeStage0Section(*stage0, components.stage0)) {
-    return Status::InvalidArgument("malformed stage0 section");
   }
 
   if (report != nullptr) {

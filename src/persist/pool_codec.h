@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/binio.h"
@@ -77,7 +78,9 @@ void EncodeRngState(const RngState& state, ByteWriter* writer);
 RngState DecodeRngState(ByteReader* reader);
 
 // --- Single-example record (shared with tools/snapshot_dump) ---------------
-void EncodeExample(const Example& example, const std::vector<float>& embedding,
+// `id` is written in place of example.id, which is shard-local on a sharded
+// store.
+void EncodeExample(uint64_t id, const Example& example, const std::vector<float>& embedding,
                    ByteWriter* writer);
 bool DecodeExample(ByteReader* reader, Example* example, std::vector<float>* embedding);
 
@@ -85,7 +88,10 @@ bool DecodeExample(ByteReader* reader, Example* example, std::vector<float>* emb
 
 // Adds kMeta + kExamples (+ kIndex when the backend has a native image) and
 // one section per non-null component to `writer`. `sim_time` stamps the
-// snapshot with the trace clock it was taken at.
+// snapshot with the trace clock it was taken at. The store sections (and
+// stage-0's) are encoded while the writer writes, straight from one cut of
+// the store, so `store` and `components.stage0` must outlive the writer's
+// WriteToFile / Encode.
 void EncodePoolSections(const ExampleStore& store, const PoolComponents& components,
                         double sim_time, SnapshotWriter* writer);
 
@@ -93,9 +99,17 @@ void EncodePoolSections(const ExampleStore& store, const PoolComponents& compone
 // load first when possible, examples re-imported (re-sharded by id) with the
 // byte accounting replayed, insertion counters restored, then each present
 // component section applied. Absent sections leave their component at its
-// configured defaults.
+// configured defaults. Sections load one at a time and the index and
+// examples payloads are freed once decoded.
 Status DecodePoolSections(const SnapshotReader& reader, ExampleStore* store,
                           const PoolComponents& components, PoolRestoreReport* report);
+
+// Loads section `id` and applies `decode` when the snapshot carries it (OK
+// and untouched when it does not); a payload `decode` rejects is
+// InvalidArgument("malformed <section> section"). Owners decode their own
+// kDriver / kService sections through this.
+Status DecodeOptionalSection(const SnapshotReader& reader, SnapshotSection id,
+                             const std::function<bool(std::string_view)>& decode);
 
 // kMeta alone (dump tool, prechecks).
 Status DecodePoolMeta(const SnapshotReader& reader, PoolMeta* meta);

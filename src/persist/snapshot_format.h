@@ -15,10 +15,11 @@
 // skipped, which is how older readers tolerate newer writers within a
 // version's lifetime.
 //
-// Crash safety is the writer's job: SnapshotWriter::WriteToFile stages the
-// whole image at `path + ".tmp"`, fsyncs it, and renames it over `path`
-// (then fsyncs the directory), so `path` always holds either the previous
-// complete snapshot or the new one — never a torn write.
+// Crash safety is the writer's job: SnapshotWriter::WriteToFile streams the
+// image into `path + ".tmp"` (header and TOC reserved first, patched once
+// every section's size and CRC is known), fsyncs it, and renames it over
+// `path` (then fsyncs the directory), so `path` always holds either the
+// previous complete snapshot or the new one — never a torn write.
 #ifndef SRC_PERSIST_SNAPSHOT_FORMAT_H_
 #define SRC_PERSIST_SNAPSHOT_FORMAT_H_
 

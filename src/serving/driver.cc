@@ -141,18 +141,21 @@ Status ServingDriver::RestoreSnapshot(const std::string& path) {
   if (!status.ok()) {
     return status;
   }
-  const std::string* driver = reader.Section(SnapshotSection::kDriver);
-  if (driver != nullptr) {
-    ByteReader r(*driver);
+  status = DecodeOptionalSection(reader, SnapshotSection::kDriver, [this](std::string_view bytes) {
+    ByteReader r(bytes);
     const double last_replay_time = r.GetDouble();
     const RngState generator_rng = DecodeRngState(&r);
     const uint64_t maintenance_epoch = r.GetU64();
     if (!r.ok() || !r.AtEnd()) {
-      return Status::InvalidArgument("malformed driver section");
+      return false;
     }
     last_replay_time_ = last_replay_time;
     generator_.restore_rng_state(generator_rng);
     maintenance_.set_next_epoch(maintenance_epoch);
+    return true;
+  });
+  if (!status.ok()) {
+    return status;
   }
   // Fast-forward the (idle) cluster to the snapshot's trace time so load
   // observations and maintenance cadence resume where the writer stopped.

@@ -7,11 +7,18 @@
 //  * checkpoint-while-serving — snapshot encoding runs concurrently with
 //    store churn (the TSan-verified surface);
 //  * kill-between-checkpoints crash recovery through the driver's periodic
-//    checkpointer.
+//    checkpointer;
+//  * the exact bytes of two fixed states' snapshots, pinned;
+//  * writes that fail mid-section (RLIMIT_FSIZE): the previous snapshot
+//    survives, the store's locks are released, and a failed driver
+//    checkpoint changes no decision.
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <ios>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,7 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/binio.h"
+#include "src/common/simd.h"
 #include "src/common/thread_pool.h"
+#include "src/core/service.h"
 #include "src/core/sharded_cache.h"
 #include "src/persist/pool_codec.h"
 #include "src/persist/snapshot.h"
@@ -339,6 +349,202 @@ TEST_F(PersistDriverTest, PeriodicCheckpointsSurviveTornNextWrite) {
   EXPECT_EQ(recovered.cache().size(), meta.example_count);
   EXPECT_EQ(recovered.cache().used_bytes(), meta.used_bytes);
   EXPECT_GT(recovered.restore_report().sim_time, 0.0);
+}
+
+// Size and CRC-32 of a whole file.
+struct FileDigest {
+  uint64_t size = 0;
+  uint32_t crc = 0;
+};
+
+FileDigest DigestFile(const std::string& path) {
+  FileDigest digest;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return digest;
+  }
+  char buf[1 << 16];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    digest.crc = Crc32(buf, n, digest.crc);
+    digest.size += n;
+  }
+  std::fclose(f);
+  return digest;
+}
+
+// Pinned whole-file digests of two fixed states, one per kernel level (the
+// AVX2 and scalar similarity kernels round differently, so the pools they
+// learn differ). The constants were measured with a writer that built the
+// whole image in memory before writing it, so a streaming writer that moves
+// any byte of format v2 fails here.
+struct PinnedDigest {
+  FileDigest avx2;
+  FileDigest scalar;
+  const FileDigest& active() const {
+    return simd::ActiveKernelLevel() == simd::KernelLevel::kAvx2 ? avx2 : scalar;
+  }
+};
+
+void ExpectPinned(const std::string& path, const PinnedDigest& pinned) {
+  const FileDigest digest = DigestFile(path);
+  EXPECT_EQ(digest.size, pinned.active().size);
+  EXPECT_EQ(digest.crc, pinned.active().crc) << std::hex << "crc 0x" << digest.crc;
+}
+
+// An 8-shard hnsw driver with the stage-0 tier on, after a short run: every
+// section the driver writes (meta, examples, per-shard graph images, the
+// component and stage-0 sections, the driver cursors).
+TEST_F(PersistDriverTest, DriverSnapshotBytesMatchPinnedDigest) {
+  const std::string path = TempPath("pinned_driver");
+  ModelCatalog catalog;
+  DriverConfig config;
+  config.num_threads = 2;
+  config.batch_window = 32;
+  config.cache.num_shards = 8;
+  config.cache.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
+  config.stage0.enabled = true;
+  config.seed = kSeed;
+  auto driver = MakeDriver(catalog, config);
+  driver->Run(Workload(240));
+  ASSERT_GT(driver->stage0().size(), 0u);
+  ASSERT_TRUE(driver->SaveSnapshot(path).ok());
+  ExpectPinned(path, PinnedDigest{{663765, 0xc2af1c52u}, {663765, 0xb5a03f52u}});
+}
+
+// IcCacheService on the flat backend: one shard, no native index section,
+// and the service's own section.
+TEST_F(PersistDriverTest, ServiceSnapshotBytesMatchPinnedDigest) {
+  const std::string path = TempPath("pinned_service");
+  ModelCatalog catalog;
+  GenerationSimulator generator(kSeed);
+  ServiceConfig config;
+  config.cache.retrieval.kind = RetrievalBackendKind::kFlat;
+  IcCacheService service(config, &catalog, &generator, std::make_shared<HashingEmbedder>());
+  QueryGenerator history(SmallProfile(), kSeed ^ 0x5e7);
+  for (int i = 0; i < 120; ++i) {
+    service.SeedExample(history.Next(), 0.0);
+  }
+  for (int i = 0; i < 80; ++i) {
+    service.ServeRequest(history.Next(), static_cast<double>(i));
+  }
+  ASSERT_TRUE(service.SaveSnapshot(path).ok());
+  ExpectPinned(path, PinnedDigest{{148482, 0x9723030eu}, {148482, 0x08be33bdu}});
+}
+
+// Caps the size of every file this process writes (RLIMIT_FSIZE) with
+// SIGXFSZ ignored, so a write past the cap fails with EFBIG instead of
+// killing the process — a disk-full stand-in that needs no injection seam.
+// Restores both on destruction.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    getrlimit(RLIMIT_FSIZE, &previous_);
+    rlimit capped = previous_;
+    capped.rlim_cur = bytes;
+    ok_ = setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~FileSizeCap() {
+    setrlimit(RLIMIT_FSIZE, &previous_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit previous_{};
+  void (*previous_handler_)(int) = SIG_DFL;
+  bool ok_ = false;
+};
+
+bool FileExists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
+
+// A write that fails mid-section reports a Status, removes its temp file,
+// leaves the previous snapshot restorable, and releases every shard lock.
+TEST_F(PersistDriverTest, FailedWriteKeepsPreviousSnapshotAndReleasesLocks) {
+  const std::string path = TempPath("failed_write");
+  auto embedder = std::make_shared<HashingEmbedder>();
+  ShardedCacheConfig config;
+  config.num_shards = 8;
+  config.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
+  ShardedExampleCache cache(embedder, config);
+  const auto put = [&cache](uint64_t i) {
+    Request request;
+    request.id = i;
+    request.text = "capped write example " + std::to_string(i);
+    request.input_tokens = 24;
+    return cache.Put(request, "resp", 0.7, 0.9, 40, 0.0);
+  };
+  for (uint64_t i = 0; i < 400; ++i) {
+    put(i);
+  }
+  SnapshotWriter first;
+  EncodePoolSections(cache, {}, /*sim_time=*/1.0, &first);
+  ASSERT_TRUE(first.WriteToFile(path).ok());
+  const FileDigest published = DigestFile(path);
+  for (uint64_t i = 400; i < 500; ++i) {
+    put(i);
+  }
+
+  Status status;
+  {
+    // Half the published size: the next image fails inside its sections.
+    FileSizeCap cap(published.size / 2);
+    ASSERT_TRUE(cap.ok());
+    SnapshotWriter second;
+    EncodePoolSections(cache, {}, /*sim_time=*/2.0, &second);
+    status = second.WriteToFile(path);
+  }
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(".tmp"), std::string::npos) << status.ToString();
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  const FileDigest after = DigestFile(path);
+  EXPECT_EQ(after.size, published.size);
+  EXPECT_EQ(after.crc, published.crc);
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  ShardedExampleCache restored(embedder, config);
+  PoolRestoreReport report;
+  ASSERT_TRUE(DecodePoolSections(reader, &restored, {}, &report).ok());
+  EXPECT_EQ(report.examples, 400u);
+  EXPECT_DOUBLE_EQ(report.sim_time, 1.0);
+
+  // A shard lock left held by the failed cut would block this writer.
+  std::thread writer([&put] { EXPECT_NE(put(10000), 0u); });
+  writer.join();
+  EXPECT_EQ(cache.size(), 501u);
+}
+
+// A driver checkpoint that cannot be written counts as failed and changes
+// nothing the run decides: the decisions match a run whose checkpoints (at
+// the same points, which flush pending maintenance first) all succeed.
+TEST_F(PersistDriverTest, FailedCheckpointsLeaveDecisionsUnchanged) {
+  ModelCatalog catalog;
+  DriverConfig config = LifecycleConfig(2);
+  config.checkpoint_interval_s = 15.0;  // trace seconds; trace spans ~120 s
+  config.snapshot_path = TempPath("written_checkpoint");
+  auto written = MakeDriver(catalog, config);
+  const DriverReport reference = written->Run(Workload(480));
+  ASSERT_GT(reference.checkpoints_taken, 1u);
+  ASSERT_EQ(written->checkpointer().failed(), 0u);
+
+  const std::string path = TempPath("failed_checkpoint");
+  config.snapshot_path = path;
+  auto driver = MakeDriver(catalog, config);
+  DriverReport report;
+  {
+    FileSizeCap cap(4096);  // far below any checkpoint of this pool
+    ASSERT_TRUE(cap.ok());
+    report = driver->Run(Workload(480));
+  }
+  EXPECT_EQ(driver->checkpointer().failed(), written->checkpointer().taken());
+  EXPECT_EQ(driver->checkpointer().taken(), 0u);
+  EXPECT_EQ(report.checkpoints_taken, 0u);
+  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  ExpectSameDecisions(reference.decisions, report.decisions);
 }
 
 // restore_on_start with no file is a cold start, not an error; with a

@@ -1,15 +1,24 @@
-// Persistence subsystem unit tests: binio primitives, snapshot container
-// integrity (magic / version / CRC / truncation / crash staging), and
-// whole-pool round trips over both stores and all three retrieval backends —
+// Persistence subsystem unit tests: binio primitives (the sliced CRC-32
+// against a bytewise reference, whole float blocks, the streaming writer's
+// buffer bound), snapshot container integrity (magic / version / CRC /
+// truncation / crash staging / hostile files / files changed after Open /
+// streamed-section ordering), a save's buffering bound, and whole-pool
+// round trips over both stores and all three retrieval backends —
 // including PII-scrubbed pools, tombstone-heavy HNSW graphs, the component
 // (selector / manager / proxy / router) adaptive state, and stage-0 sections
 // from older writers that appended an HNSW graph image.
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -151,6 +160,36 @@ void ExpectSameSearchResults(const ExampleStore& a, const ExampleStore& b,
   }
 }
 
+std::string ReadFile(const std::string& path) {
+  std::string data;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return data;
+  }
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    data.append(buf, n);
+  }
+  std::fclose(f);
+  return data;
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// A section the snapshot must carry, loaded whole.
+std::string SectionBytes(const SnapshotReader& reader, SnapshotSection id) {
+  SectionBuffer section;
+  const Status status = reader.Section(id, &section);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return std::string(section.bytes());
+}
+
 TEST(BinioTest, PrimitivesRoundTrip) {
   ByteWriter w;
   w.PutU8(0xAB);
@@ -192,56 +231,386 @@ TEST(BinioTest, Crc32KnownVector) {
   EXPECT_NE(Crc32("123456788", 9), 0xCBF43926u);
 }
 
+// The bytewise table-driven CRC-32 the sliced Crc32 must reproduce.
+uint32_t BytewiseCrc32(const uint8_t* bytes, size_t size, uint32_t seed) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> entries{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+      }
+      entries[i] = crc;
+    }
+    return entries;
+  }();
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  }
+  return ~crc;
+}
+
+TEST(BinioTest, Crc32MatchesBytewiseReference) {
+  Rng rng(kSeed ^ 0xc3c);
+  std::vector<uint8_t> buffer(4096 + 8);
+  for (auto& byte : buffer) {
+    byte = static_cast<uint8_t>(rng.NextU64());
+  }
+  // Every length 0-4 KiB at every start alignment of the 8-byte step.
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t size = 0; size <= 4096; ++size) {
+      ASSERT_EQ(Crc32(buffer.data() + align, size), BytewiseCrc32(buffer.data() + align, size, 0))
+          << "size " << size << " align " << align;
+    }
+  }
+  // Incremental: a split computation seeded with the prefix's CRC.
+  for (size_t split : {size_t{0}, size_t{3}, size_t{8}, size_t{1001}, size_t{4096}}) {
+    const uint32_t prefix = Crc32(buffer.data(), split);
+    EXPECT_EQ(Crc32(buffer.data() + split, 4096 - split, prefix), Crc32(buffer.data(), 4096));
+    EXPECT_EQ(Crc32(buffer.data() + split, 4096 - split, prefix),
+              BytewiseCrc32(buffer.data() + split, 4096 - split, prefix));
+  }
+}
+
+TEST(BinioTest, FloatBlocksMatchElementEncoding) {
+  std::vector<float> values = {0.0f, -0.0f, 1.0f, -2.5f, 1e-45f, 3.4e38f,
+                               std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(kSeed ^ 0xf10a7);
+  for (int i = 0; i < 100; ++i) {
+    values.push_back(static_cast<float>(rng.Normal()));
+  }
+  ByteWriter block;
+  block.PutFloats(values);
+  ByteWriter elements;
+  elements.PutU64(values.size());
+  for (float v : values) {
+    elements.PutFloat(v);
+  }
+  EXPECT_EQ(block.bytes(), elements.bytes());
+
+  ByteReader r(block.bytes());
+  const std::vector<float> decoded = r.GetFloats();
+  EXPECT_TRUE(r.ok() && r.AtEnd());
+  ASSERT_EQ(decoded.size(), values.size());
+  EXPECT_EQ(std::memcmp(decoded.data(), values.data(), values.size() * sizeof(float)), 0);
+
+  // A block cut short is rejected, not read past its end.
+  ByteReader cut(block.bytes().data(), block.size() - 1);
+  EXPECT_TRUE(cut.GetFloats().empty());
+  EXPECT_FALSE(cut.ok());
+}
+
+// Collects what a streaming ByteWriter hands over, noting each write.
+class RecordingSink : public ByteSink {
+ public:
+  void Write(const void* data, size_t size) override {
+    bytes.append(static_cast<const char*>(data), size);
+    writes.push_back(size);
+  }
+  std::string bytes;
+  std::vector<size_t> writes;
+};
+
+TEST(BinioTest, StreamingWriterIsBoundedAndByteIdentical) {
+  constexpr size_t kFlush = 64;
+  RecordingSink sink;
+  ByteWriter stream(&sink, kFlush);
+  ByteWriter memory;
+  const std::string big(1000, 'b');
+  for (ByteWriter* w : {&stream, &memory}) {
+    for (uint32_t i = 0; i < 50; ++i) {
+      w->PutU32(i);
+      w->PutString("record " + std::to_string(i));
+      w->PutDouble(0.5 * i);
+    }
+    w->PutBytes(big.data(), big.size());  // a block past the threshold
+    w->PutU8(7);
+  }
+  EXPECT_EQ(stream.size(), memory.size());
+  stream.Flush();
+  EXPECT_EQ(sink.bytes, memory.bytes());
+  EXPECT_TRUE(stream.bytes().empty());
+  // The threshold plus one fixed-width field at most.
+  EXPECT_LE(stream.max_buffered(), kFlush + 8);
+  EXPECT_GT(sink.writes.size(), 10u);
+  EXPECT_NE(std::find(sink.writes.begin(), sink.writes.end(), big.size()), sink.writes.end())
+      << "the large block should pass straight through";
+}
+
 TEST_F(PersistTest, ContainerRejectsCorruption) {
   const std::string path = TempPath("corrupt");
   SnapshotWriter writer;
   writer.AddSection(SnapshotSection::kMeta, "meta-bytes");
   writer.AddSection(SnapshotSection::kExamples, std::string(1000, 'x'));
   ASSERT_TRUE(writer.WriteToFile(path).ok());
-
-  const std::string image = [&] {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    std::string data;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      data.append(buf, n);
-    }
-    std::fclose(f);
-    return data;
-  }();
-
-  {  // pristine image parses
+  const std::string image = ReadFile(path);
+  const std::string bad_path = TempPath("corrupt_copy");
+  // Open() of `bytes` written to a file of their own.
+  const auto open = [&bad_path](const std::string& bytes) {
+    WriteFile(bad_path, bytes);
     SnapshotReader reader;
-    EXPECT_TRUE(reader.Parse(image).ok());
-    EXPECT_NE(reader.Section(SnapshotSection::kExamples), nullptr);
+    return reader.Open(bad_path);
+  };
+
+  {  // pristine image opens
+    SnapshotReader reader;
+    EXPECT_TRUE(reader.Open(path).ok());
+    EXPECT_EQ(SectionBytes(reader, SnapshotSection::kExamples), std::string(1000, 'x'));
   }
   {  // bad magic
     std::string bad = image;
     bad[0] ^= 0xFF;
-    SnapshotReader reader;
-    EXPECT_FALSE(reader.Parse(bad).ok());
+    EXPECT_FALSE(open(bad).ok());
   }
   {  // unsupported future format version
     std::string bad = image;
     bad[8] = 99;
-    SnapshotReader reader;
-    const Status status = reader.Parse(bad);
+    const Status status = open(bad);
     EXPECT_FALSE(status.ok());
     EXPECT_NE(status.message().find("version"), std::string::npos);
   }
   {  // flipped payload bit -> section CRC mismatch
     std::string bad = image;
     bad[bad.size() - 10] ^= 0x01;
-    SnapshotReader reader;
-    EXPECT_FALSE(reader.Parse(bad).ok());
+    EXPECT_FALSE(open(bad).ok());
   }
   {  // truncation at every interesting boundary
     for (size_t cut : {size_t{3}, size_t{20}, image.size() / 2, image.size() - 1}) {
-      SnapshotReader reader;
-      EXPECT_FALSE(reader.Parse(image.substr(0, cut)).ok()) << "cut=" << cut;
+      EXPECT_FALSE(open(image.substr(0, cut)).ok()) << "cut=" << cut;
     }
   }
+}
+
+// Hostile or damaged files: each is a non-OK Status from a restore, never a
+// crash.
+TEST_F(PersistTest, HostileFilesFailRestore) {
+  const std::string path = TempPath("hostile_source");
+  ModelCatalog catalog;
+  auto embedder = std::make_shared<HashingEmbedder>();
+  ServiceConfig config;
+  config.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
+  {
+    GenerationSimulator generator(kSeed);
+    IcCacheService service(config, &catalog, &generator, embedder);
+    QueryGenerator history(GetDatasetProfile(DatasetId::kLmsysChat), kSeed ^ 0x405);
+    for (int i = 0; i < 60; ++i) {
+      service.SeedExample(history.Next(), 0.0);
+    }
+    ASSERT_TRUE(service.SaveSnapshot(path).ok());
+  }
+  const std::string image = ReadFile(path);
+  const std::string bad_path = TempPath("hostile");
+  const auto restore = [&](const std::string& bytes) {
+    WriteFile(bad_path, bytes);
+    GenerationSimulator generator(kSeed);
+    IcCacheService target(config, &catalog, &generator, embedder);
+    return target.RestoreSnapshot(bad_path);
+  };
+  ASSERT_TRUE(restore(image).ok());
+
+  std::vector<std::pair<std::string, std::string>> cases;
+  {
+    std::string bad = image;
+    bad[0] ^= 0xFF;
+    cases.emplace_back("bad magic", bad);
+  }
+  {
+    std::string bad = image;
+    bad[8] = 99;
+    cases.emplace_back("future format version", bad);
+  }
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  for (const SnapshotSectionInfo& info : reader.sections()) {
+    ASSERT_GT(info.size, 0u);
+    std::string bad = image;
+    bad[info.offset + info.size / 2] ^= 0x01;
+    cases.emplace_back(std::string("flipped bit in ") + SnapshotSectionName(info.id), bad);
+  }
+  for (size_t cut : {size_t{3}, size_t{20}, image.size() / 2, image.size() - 1}) {
+    cases.emplace_back("truncated at " + std::to_string(cut), image.substr(0, cut));
+  }
+  {
+    // The last TOC entry's size pushed past the end of the file, with the
+    // TOC checksum recomputed so only the bounds check can catch it.
+    constexpr size_t kHeader = 24;
+    constexpr size_t kEntry = 24;
+    std::string bad = image;
+    const size_t toc_size = kEntry * reader.sections().size();
+    ByteWriter size_field;
+    size_field.PutU64(image.size());
+    bad.replace(kHeader + toc_size - kEntry + 12, 8, size_field.bytes());
+    ByteWriter crc_field;
+    crc_field.PutU32(Crc32(bad.data() + kHeader, toc_size));
+    bad.replace(20, 4, crc_field.bytes());
+    cases.emplace_back("section size past the end of the file", bad);
+  }
+  for (const auto& [name, bytes] : cases) {
+    EXPECT_FALSE(restore(bytes).ok()) << name;
+  }
+}
+
+// A file that shrinks or changes after Open fails the section loads with a
+// Status; no unverified byte reaches a decoder.
+TEST_F(PersistTest, FileChangedAfterOpenFailsSectionLoads) {
+  const std::string path = TempPath("changed");
+  auto embedder = std::make_shared<HashingEmbedder>();
+  ExampleCacheConfig config;
+  config.retrieval.kind = RetrievalBackendKind::kHnsw;
+  ExampleCache original(embedder, config);
+  Rng rng(kSeed ^ 0xc4a);
+  FillStore(&original, 80, &rng);
+  SnapshotWriter writer;
+  EncodePoolSections(original, {}, 0.0, &writer);
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+  const std::string image = ReadFile(path);
+
+  {  // truncated after Open, before the sections load
+    SnapshotReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(image.size() / 2)), 0);
+    ExampleCache target(embedder, config);
+    EXPECT_FALSE(DecodePoolSections(reader, &target, {}, nullptr).ok());
+    SectionBuffer section;
+    EXPECT_FALSE(reader.Section(SnapshotSection::kIndex, &section).ok());
+    EXPECT_TRUE(section.bytes().empty());
+  }
+  {  // a payload byte flipped in place after Open
+    WriteFile(path, image);
+    SnapshotReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    std::string bad = image;
+    for (const SnapshotSectionInfo& info : reader.sections()) {
+      if (info.id == SnapshotSection::kExamples) {
+        bad[info.offset + info.size / 2] ^= 0x01;
+      }
+    }
+    WriteFile(path, bad);
+    SectionBuffer section;
+    const Status status = reader.Section(SnapshotSection::kExamples, &section);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("checksum"), std::string::npos) << status.ToString();
+    EXPECT_TRUE(section.bytes().empty());
+    ExampleCache target(embedder, config);
+    EXPECT_FALSE(DecodePoolSections(reader, &target, {}, nullptr).ok());
+  }
+}
+
+// However large the pool, a save buffers at most one flush threshold of
+// payload plus one record: the sections stream to the file.
+TEST_F(PersistTest, SaveBuffersAtMostOneFlushPlusOneRecord) {
+  const std::string path = TempPath("buffer_bound");
+  auto embedder = std::make_shared<HashingEmbedder>();
+  ShardedCacheConfig config;
+  config.num_shards = 8;
+  config.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
+  ShardedExampleCache pool(embedder, config);
+  Rng rng(kSeed ^ 0xb0f);
+  FillStore(&pool, 3200, &rng);
+  ASSERT_GE(pool.size(), 3000u);
+
+  size_t largest_record = 0;
+  for (uint64_t id : pool.AllIds()) {
+    Example example;
+    std::vector<float> embedding;
+    ASSERT_TRUE(pool.Snapshot(id, &example, &embedding));
+    ByteWriter record;
+    EncodeExample(id, example, embedding, &record);
+    largest_record = std::max(largest_record, record.size());
+  }
+
+  SnapshotWriter writer;
+  EncodePoolSections(pool, {}, 0.0, &writer);
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  EXPECT_GT(writer.max_buffered_bytes(), 0u);
+  EXPECT_LE(writer.max_buffered_bytes(), kSnapshotFlushBytes + largest_record);
+  EXPECT_GT(reader.file_size(), 10 * kSnapshotFlushBytes);
+
+  // Encode runs the same encoders into a string: the file's bytes exactly.
+  SnapshotWriter in_memory;
+  EncodePoolSections(pool, {}, 0.0, &in_memory);
+  const StatusOr<std::string> image = in_memory.Encode();
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_TRUE(*image == ReadFile(path));
+  EXPECT_LE(in_memory.max_buffered_bytes(), kSnapshotFlushBytes + largest_record);
+}
+
+// Streamed sections are written in image order; a misordered, missing or
+// duplicate section, or an encoder's own error, fails the write and leaves
+// no temp file behind.
+TEST_F(PersistTest, StreamedSectionsMisuseFailsTheWrite) {
+  const std::string path = TempPath("streamed");
+  const auto payload = [](SnapshotSection id, const std::string& bytes) {
+    return [id, bytes](SnapshotSectionStream* stream) {
+      stream->Begin(id)->PutString(bytes);
+      return Status::Ok();
+    };
+  };
+  {  // a well-formed mix of streamed and encoded sections round-trips
+    SnapshotWriter writer;
+    writer.AddSection(SnapshotSection::kProxy, "proxy");
+    writer.AddStreamedSections({SnapshotSection::kMeta, SnapshotSection::kExamples},
+                               [](SnapshotSectionStream* stream) {
+                                 stream->Begin(SnapshotSection::kMeta)->PutU32(7);
+                                 stream->Begin(SnapshotSection::kExamples)->PutString("records");
+                                 return Status::Ok();
+                               });
+    ASSERT_TRUE(writer.WriteToFile(path).ok());
+    SnapshotReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    ASSERT_EQ(reader.sections().size(), 3u);
+    EXPECT_EQ(reader.sections()[0].id, SnapshotSection::kMeta);
+    EXPECT_EQ(reader.sections()[2].id, SnapshotSection::kProxy);
+    EXPECT_EQ(SectionBytes(reader, SnapshotSection::kProxy), "proxy");
+    const std::string examples = SectionBytes(reader, SnapshotSection::kExamples);
+    ByteReader records(examples);
+    EXPECT_EQ(records.GetString(), "records");
+  }
+  const auto expect_fails = [&](SnapshotWriter* writer, const std::string& what) {
+    const Status status = writer->WriteToFile(path);
+    EXPECT_FALSE(status.ok()) << what;
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << what;
+  };
+  {
+    SnapshotWriter writer;  // another section sits between the group's ids
+    writer.AddStreamedSections({SnapshotSection::kMeta, SnapshotSection::kIndex},
+                               [](SnapshotSectionStream* stream) {
+                                 stream->Begin(SnapshotSection::kMeta);
+                                 stream->Begin(SnapshotSection::kIndex);
+                                 return Status::Ok();
+                               });
+    writer.AddSection(SnapshotSection::kExamples, "x");
+    expect_fails(&writer, "interleaved group");
+  }
+  {
+    SnapshotWriter writer;
+    writer.AddStreamedSections({SnapshotSection::kMeta, SnapshotSection::kExamples},
+                               payload(SnapshotSection::kMeta, "only one"));
+    expect_fails(&writer, "group writes fewer sections than it declared");
+  }
+  {
+    SnapshotWriter writer;
+    writer.AddSection(SnapshotSection::kMeta, "a");
+    writer.AddStreamedSections({SnapshotSection::kMeta}, payload(SnapshotSection::kMeta, "b"));
+    expect_fails(&writer, "duplicate section");
+  }
+  {
+    SnapshotWriter writer;
+    writer.AddStreamedSections({SnapshotSection::kMeta}, [](SnapshotSectionStream* stream) {
+      stream->Begin(SnapshotSection::kMeta)->PutU32(1);
+      return Status::Internal("encoder failed");
+    });
+    expect_fails(&writer, "encoder error");
+    EXPECT_FALSE(writer.Encode().ok());
+  }
+  // The earlier good snapshot is still the published one.
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  EXPECT_EQ(SectionBytes(reader, SnapshotSection::kProxy), "proxy");
 }
 
 TEST_F(PersistTest, CrashMidWritePreservesPreviousCheckpoint) {
@@ -262,8 +631,7 @@ TEST_F(PersistTest, CrashMidWritePreservesPreviousCheckpoint) {
 
   SnapshotReader reader;
   ASSERT_TRUE(reader.Open(path).ok());
-  ASSERT_NE(reader.Section(SnapshotSection::kMeta), nullptr);
-  EXPECT_EQ(*reader.Section(SnapshotSection::kMeta), "checkpoint-1");
+  EXPECT_EQ(SectionBytes(reader, SnapshotSection::kMeta), "checkpoint-1");
 
   // The interrupted writer retries and completes: the new image replaces the
   // old atomically.
@@ -272,7 +640,7 @@ TEST_F(PersistTest, CrashMidWritePreservesPreviousCheckpoint) {
   ASSERT_TRUE(v2.WriteToFile(path).ok());
   SnapshotReader reader2;
   ASSERT_TRUE(reader2.Open(path).ok());
-  EXPECT_EQ(*reader2.Section(SnapshotSection::kMeta), "checkpoint-2");
+  EXPECT_EQ(SectionBytes(reader2, SnapshotSection::kMeta), "checkpoint-2");
 }
 
 TEST_F(PersistTest, ExampleCacheRoundTripAllBackends) {
@@ -652,12 +1020,15 @@ TEST_F(PersistTest, Stage0RoundTripKeepsEqualScoreTieBreaks) {
   ASSERT_EQ(before.size(), 3u);
   ASSERT_EQ(before[0].similarity, before[1].similarity);
 
+  const std::string path = TempPath("stage0_ties");
   PoolComponents components;
   components.stage0 = &original;
+  const ExampleCache empty_pool(embedder);
   SnapshotWriter writer;
-  EncodePoolSections(ExampleCache(embedder), components, 0.0, &writer);
+  EncodePoolSections(empty_pool, components, 0.0, &writer);
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
   SnapshotReader reader;
-  ASSERT_TRUE(reader.Parse(writer.Encode()).ok());
+  ASSERT_TRUE(reader.Open(path).ok());
   ExampleCache pool(embedder);
   Stage0ResponseCache restored(embedder, config);
   components.stage0 = &restored;
@@ -697,15 +1068,16 @@ TEST_F(PersistTest, OlderStage0SectionWithGraphImageDecodes) {
   // Today's encoding of this cache: native flag 0 and no image.
   PoolComponents components;
   components.stage0 = &original;
+  const std::string path = TempPath("stage0_older");
   SnapshotWriter current_writer;
   EncodePoolSections(empty_pool, components, 0.0, &current_writer);
+  ASSERT_TRUE(current_writer.WriteToFile(path).ok());
   SnapshotReader current;
-  ASSERT_TRUE(current.Parse(current_writer.Encode()).ok());
-  const std::string* section = current.Section(SnapshotSection::kStage0);
-  ASSERT_NE(section, nullptr);
+  ASSERT_TRUE(current.Open(path).ok());
+  const std::string section = SectionBytes(current, SnapshotSection::kStage0);
   // Header: threshold, requests seen, entry count, used bytes, then the flag.
   const size_t native_flag_offset = 4 * sizeof(uint64_t);
-  ASSERT_EQ((*section)[native_flag_offset], 0);
+  ASSERT_EQ(section[native_flag_offset], 0);
 
   // The older layout over the same entries: flag 1 and a real graph image.
   HnswIndexConfig hnsw;
@@ -718,7 +1090,7 @@ TEST_F(PersistTest, OlderStage0SectionWithGraphImageDecodes) {
   graph.SaveGraph(&image);
   ByteWriter image_field;
   image_field.PutString(image);
-  std::string older = *section;
+  std::string older = section;
   older[native_flag_offset] = 1;
   older += image_field.TakeBytes();
 
@@ -726,8 +1098,9 @@ TEST_F(PersistTest, OlderStage0SectionWithGraphImageDecodes) {
     SnapshotWriter writer;
     EncodePoolSections(empty_pool, {}, 0.0, &writer);
     writer.AddSection(SnapshotSection::kStage0, stage0_section);
+    EXPECT_TRUE(writer.WriteToFile(path).ok());
     SnapshotReader reader;
-    EXPECT_TRUE(reader.Parse(writer.Encode()).ok());
+    EXPECT_TRUE(reader.Open(path).ok());
     ExampleCache pool(embedder);
     PoolComponents restore_components;
     restore_components.stage0 = cache;

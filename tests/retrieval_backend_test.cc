@@ -154,6 +154,22 @@ INSTANTIATE_TEST_SUITE_P(Kinds, BackendSweep,
 
 // --- Stored index vectors -----------------------------------------------------
 
+// Keeps what ExampleStore::StreamSnapshotCut hands over: the summary, every
+// record encoded with the snapshot record codec, and the index image.
+class RecordingSnapshotSink : public StoreSnapshotSink {
+ public:
+  void Begin(const StoreCutSummary& cut) override { summary = cut; }
+  void AddExample(uint64_t id, const Example& example,
+                  const std::vector<float>& embedding) override {
+    EncodeExample(id, example, embedding, &records);
+  }
+  ByteWriter* IndexImage() override { return &index_image; }
+
+  StoreCutSummary summary;
+  ByteWriter records;
+  ByteWriter index_image;
+};
+
 struct StoredVectorBackend {
   const char* name;
   RetrievalBackendKind kind;
@@ -238,28 +254,30 @@ TEST_P(StoredVectorSweep, SnapshotVectorIsTheEmbedderOutput) {
   }
   EXPECT_GT(ExpectStoredVectorsAreEmbedderOutput(store, *embedder, backend.exact), 0u);
 
-  const StoreSnapshotCut cut = store.ExportSnapshotCut();
-  EXPECT_EQ(cut.native_index, backend.kind == RetrievalBackendKind::kHnsw);
+  // Through the streamed snapshot export and the record codec, as a save
+  // and a restore see the pool.
+  RecordingSnapshotSink cut;
+  ASSERT_TRUE(store.StreamSnapshotCut(&cut).ok());
+  EXPECT_EQ(store.HasNativeIndex(), backend.kind == RetrievalBackendKind::kHnsw);
+  EXPECT_EQ(cut.index_image.size() > 0, store.HasNativeIndex());
+  EXPECT_EQ(cut.summary.example_count, store.size());
   for (bool native : {false, true}) {
-    if (native && !cut.native_index) {
+    if (native && !store.HasNativeIndex()) {
       continue;
     }
     SCOPED_TRACE(native ? "native graph load" : "rebuild");
     ShardedExampleCache restored(embedder, config);
     if (native) {
-      ASSERT_TRUE(restored.LoadIndexBlob(cut.index_blob));
+      ASSERT_TRUE(restored.LoadIndexBlob(cut.index_image.bytes()));
     }
-    for (const ExportedExample& exported : cut.examples) {
-      // Through the snapshot record codec, as a restore reads it.
-      ByteWriter writer;
-      EncodeExample(exported.example, exported.embedding, &writer);
-      const std::string bytes = writer.TakeBytes();
-      ByteReader reader(bytes);
+    ByteReader reader(cut.records.bytes());
+    for (uint64_t i = 0; i < cut.summary.example_count; ++i) {
       Example example;
       std::vector<float> embedding;
       ASSERT_TRUE(DecodeExample(&reader, &example, &embedding));
       ASSERT_TRUE(restored.ImportExample(example, std::move(embedding), !native));
     }
+    EXPECT_TRUE(reader.AtEnd());
     ASSERT_EQ(restored.size(), store.size());
     ExpectStoredVectorsAreEmbedderOutput(restored, *embedder, backend.exact);
   }

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
 
   // Stage-0 response-cache section (present only when the writer served with
   // the stage-0 tier enabled).
-  if (reader.Section(SnapshotSection::kStage0) != nullptr) {
+  if (reader.HasSection(SnapshotSection::kStage0)) {
     Stage0Summary stage0;
     const Status stage0_status = DecodeStage0Summary(reader, &stage0);
     if (!stage0_status.ok()) {
