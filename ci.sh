@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build, run the labelled test suite (unit /
 # concurrency / integration, each with its own timeout, plus the persistence
-# label as its own class), smoke-run the four examples/ binaries, self-test
+# label as its own class), smoke-run the four examples/ binaries, run the 23
+# paper benches (each must exit 0), self-test
 # the repository benchmark (bench/perf) and serve one of its workloads
 # (churn256k, 1 s) end to end, smoke one benchmark under a
 # 2-second cap, rerun the SIMD kernel + quantization suites
@@ -57,6 +58,17 @@ echo "== examples smoke =="
 for example in quickstart cloud_serving offline_replay edge_assistant; do
   echo "-- ${example}"
   timeout 300 "${BUILD_DIR}/${example}" > /dev/null
+done
+
+echo "== paper benches (each must exit 0) =="
+# The 23 paper figure/table harnesses (bench_fig*, bench_tab*,
+# bench_ablation_design_choices; ~31 s in all on a 4-vCPU VM). Their output
+# is deterministic: tools/paper_bench_diff.sh compares two builds' output
+# byte for byte.
+for source in bench/bench_fig*.cc bench/bench_tab*.cc bench/bench_ablation_design_choices.cc; do
+  bench="$(basename "${source}" .cc)"
+  echo "-- ${bench}"
+  timeout 300 "${BUILD_DIR}/${bench}" > /dev/null
 done
 
 echo "== repository benchmark self-test (bench/perf) =="

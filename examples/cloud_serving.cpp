@@ -7,6 +7,8 @@
 //   $ ./examples/cloud_serving
 #include <cstdio>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/common/stats.h"
 #include "src/core/service.h"
@@ -89,13 +91,14 @@ int main() {
   }
   cluster.RunUntilIdle();
 
-  PercentileTracker latency;
+  std::vector<double> latencies;
   for (const auto& record : cluster.completions()) {
-    latency.Add(record.E2eLatency());
+    latencies.push_back(record.E2eLatency());
   }
+  const EmpiricalCdf latency(std::move(latencies));
   std::printf("\nIC-Cache served %zu requests: offload %.0f%%, latency P50 %.2fs P99 %.2fs\n",
-              arrivals.size(), 100.0 * offloaded / arrivals.size(), latency.Percentile(50),
-              latency.Percentile(99));
+              arrivals.size(), 100.0 * offloaded / arrivals.size(), latency.Quantile(0.50),
+              latency.Quantile(0.99));
 
   // Always-large baseline on the same arrivals and hardware.
   ClusterSim baseline;
@@ -114,13 +117,14 @@ int main() {
     baseline.Submit(large.name, serving);
   }
   baseline.RunUntilIdle();
-  PercentileTracker baseline_latency;
+  std::vector<double> baseline_latencies;
   for (const auto& record : baseline.completions()) {
-    baseline_latency.Add(record.E2eLatency());
+    baseline_latencies.push_back(record.E2eLatency());
   }
+  const EmpiricalCdf baseline_latency(std::move(baseline_latencies));
   std::printf("always-%s baseline:            latency P50 %.2fs P99 %.2fs\n", large.name.c_str(),
-              baseline_latency.Percentile(50), baseline_latency.Percentile(99));
+              baseline_latency.Quantile(0.50), baseline_latency.Quantile(0.99));
   std::printf("=> P50 latency reduction: %.0f%%\n",
-              100.0 * (1.0 - latency.Percentile(50) / baseline_latency.Percentile(50)));
+              100.0 * (1.0 - latency.Quantile(0.50) / baseline_latency.Quantile(0.50)));
   return 0;
 }

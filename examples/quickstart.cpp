@@ -68,11 +68,12 @@ int main() {
   }
 
   client.Stop();
-  const MetricsRegistry& metrics = service.metrics();
-  std::printf("\nserved %.0f requests, offloaded %.0f (%.0f%%)\n",
-              metrics.Get("requests_total"), metrics.Get("requests_offloaded"),
-              100.0 * metrics.Ratio("requests_offloaded", "requests_total"));
+  const MetricsHub& metrics = service.metrics_hub();
+  const double requests = metrics.Value("requests_total");
+  const double offloaded = metrics.Value("requests_offloaded_total");
+  std::printf("\nserved %.0f requests, offloaded %.0f (%.0f%%)\n", requests, offloaded,
+              requests > 0.0 ? 100.0 * offloaded / requests : 0.0);
   std::printf("stage-0: %.0f hits, %.0f generated tokens saved\n",
-              metrics.Get("stage0_hits"), metrics.Get("stage0_tokens_saved"));
+              metrics.Value("stage0_hits_total"), metrics.Value("stage0_tokens_saved_total"));
   return 0;
 }

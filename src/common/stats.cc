@@ -55,46 +55,6 @@ void Ema::Reset() {
 
 void Ema::Decay(double factor) { value_ *= factor; }
 
-void PercentileTracker::Add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
-
-double PercentileTracker::mean() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (double x : samples_) {
-    sum += x;
-  }
-  return sum / static_cast<double>(samples_.size());
-}
-
-double PercentileTracker::Percentile(double p) const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double clamped = std::min(100.0, std::max(0.0, p));
-  const double rank = clamped / 100.0 * static_cast<double>(samples_.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(rank));
-  const size_t hi = static_cast<size_t>(std::ceil(rank));
-  if (lo == hi) {
-    return samples_[lo];
-  }
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-void PercentileTracker::Reset() {
-  samples_.clear();
-  sorted_ = false;
-}
-
 LatencyHistogram::LatencyHistogram(double lo, double growth, size_t num_buckets)
     : lo_(std::max(1e-300, lo)),
       growth_(std::max(1.0 + 1e-9, growth)),

@@ -1,7 +1,7 @@
 // Online statistics used throughout the serving simulator and the IC-Cache
 // runtime: Welford running moments, exponential moving averages (the router's
-// load signal, the manager's utility decay), percentile tracking for latency
-// reporting, and simple histogram / CDF builders for the figure harnesses.
+// load signal, the manager's utility decay), bounded latency histograms, and
+// simple histogram / CDF builders for the figure harnesses.
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
@@ -64,25 +64,8 @@ class Ema {
   bool initialized_ = false;
 };
 
-// Retains all samples and answers percentile queries; intended for offline
-// experiment reporting, not hot paths.
-class PercentileTracker {
- public:
-  void Add(double x);
-  size_t count() const { return samples_.size(); }
-  double mean() const;
-  // p in [0, 100]; linear interpolation between order statistics.
-  double Percentile(double p) const;
-  const std::vector<double>& samples() const { return samples_; }
-  void Reset();
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-};
-
 // Bounded log-bucketed latency histogram: constant memory regardless of run
-// length, unlike PercentileTracker which retains every sample. Bucket i spans
+// length, unlike EmpiricalCdf which retains every sample. Bucket i spans
 // [lo * growth^i, lo * growth^(i+1)); values below `lo` land in a dedicated
 // underflow bucket and values at or past the top edge in an overflow bucket,
 // while the exact count, sum, min, and max are tracked alongside.
@@ -174,14 +157,16 @@ class Histogram {
   uint64_t total_ = 0;
 };
 
-// Empirical CDF evaluation over a sample set.
+// Empirical CDF evaluation over a retained sample set; intended for offline
+// experiment reporting, not hot paths.
 class EmpiricalCdf {
  public:
   explicit EmpiricalCdf(std::vector<double> samples);
 
   // P(X <= x).
   double At(double x) const;
-  // Inverse CDF (quantile), q in [0, 1].
+  // Inverse CDF (quantile), q in [0, 1]: linear interpolation between the
+  // order statistics at rank q * (n - 1); 0 when empty.
   double Quantile(double q) const;
   size_t count() const { return samples_.size(); }
 

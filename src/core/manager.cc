@@ -11,6 +11,13 @@ namespace iccache {
 
 namespace {
 
+// Small-model responses are admitted only at or above this quality (avoid
+// polluting the pool); large-model responses are always admitted.
+constexpr double kSmallModelAdmitQuality = 0.75;
+constexpr int kDrawsPerReplay = 3;      // best-of-n per replay pass
+constexpr double kReplayCost = 0.35;    // one-time cost in normalized gain units
+constexpr double kGainEmaAlpha = 0.25;  // per-use gain EMA (replay ranking signal)
+
 // Shared replay economics (RunReplayPass and PlanMaintenance): expected
 // savings scale with how often the example is reused; once they fall below
 // the one-time replay cost, every lower-ranked candidate is below it too.
@@ -56,7 +63,7 @@ uint64_t ExampleManager::CommitAdmission(const Request& request,
   if (prepared.duplicate || !prepared.admission.admit) {
     return 0;
   }
-  if (!from_large_model && generation.latent_quality < config_.small_model_admit_quality) {
+  if (!from_large_model && generation.latent_quality < kSmallModelAdmitQuality) {
     return 0;
   }
   return store_->PutPrepared(request, std::move(prepared.admission), "[cached-response]",
@@ -66,7 +73,7 @@ uint64_t ExampleManager::CommitAdmission(const Request& request,
 
 uint64_t ExampleManager::MaybeAdmit(const Request& request, const GenerationResult& generation,
                                     double source_capability, bool from_large_model, double now) {
-  if (!from_large_model && generation.latent_quality < config_.small_model_admit_quality) {
+  if (!from_large_model && generation.latent_quality < kSmallModelAdmitQuality) {
     return 0;  // gate first: skip the dedupe probe and scrub/embed entirely
   }
   return CommitAdmission(request, PrepareAdmission(request), generation, source_capability,
@@ -77,10 +84,10 @@ void ExampleManager::RecordUsage(const std::vector<uint64_t>& example_ids,
                                  double response_quality, double normalized_model_cost) {
   const double gain = (1.0 - Clamp(response_quality, 0.0, 1.0)) *
                       Clamp(normalized_model_cost, 0.0, 1.0);
-  const double alpha = config_.gain_ema_alpha;
   for (uint64_t id : example_ids) {
-    store_->UpdateExample(id, [gain, alpha](Example& example) {
-      example.replay_gain_ema = alpha * gain + (1.0 - alpha) * example.replay_gain_ema;
+    store_->UpdateExample(id, [gain](Example& example) {
+      example.replay_gain_ema =
+          kGainEmaAlpha * gain + (1.0 - kGainEmaAlpha) * example.replay_gain_ema;
     });
   }
 }
@@ -120,14 +127,14 @@ ReplayReport ExampleManager::RunReplayPass() {
     }
     // Cost-aware cutoff: see ReuseWeight above — stop the pass.
     const double reuse_weight = ReuseWeight(example);
-    if (candidate.gain * reuse_weight <= config_.replay_cost) {
+    if (candidate.gain * reuse_weight <= kReplayCost) {
       break;
     }
 
     // Best-of-n regeneration on the replay model.
     double best_quality = example.response_quality;
     int best_tokens = example.response_tokens;
-    for (int draw = 0; draw < config_.draws_per_replay; ++draw) {
+    for (int draw = 0; draw < kDrawsPerReplay; ++draw) {
       const GenerationResult fresh = generator_->Generate(replay_model_, example.request, {});
       if (fresh.latent_quality > best_quality) {
         best_quality = fresh.latent_quality;
@@ -228,14 +235,14 @@ MaintenancePlan ExampleManager::PlanMaintenance(const MaintenanceCut& cut,
     if (plan.replays.size() >= config_.max_replays_per_pass) {
       break;
     }
-    if (candidate.gain * ReuseWeight(*candidate.example) <= config_.replay_cost) {
+    if (candidate.gain * ReuseWeight(*candidate.example) <= kReplayCost) {
       break;
     }
     MaintenancePlan::PlannedReplay replay;
     replay.id = candidate.example->id;
     replay.best_quality = candidate.example->response_quality;
     replay.best_tokens = candidate.example->response_tokens;
-    for (int draw = 0; draw < config_.draws_per_replay; ++draw) {
+    for (int draw = 0; draw < kDrawsPerReplay; ++draw) {
       const GenerationResult fresh =
           generator_->Generate(replay_model_, candidate.example->request, {}, rng);
       if (fresh.latent_quality > replay.best_quality) {

@@ -36,16 +36,12 @@ namespace iccache {
 
 struct ManagerConfig {
   // Admission: always cache responses from the large model; cache small-model
-  // responses only above this quality bar (avoid polluting the pool).
-  double small_model_admit_quality = 0.75;
-  // Skip admission when a near-duplicate is already cached.
-  double dedupe_similarity = 0.995;
+  // responses only above a quality bar (manager.cc). Skip admission when a
+  // near-duplicate at or above this similarity is already cached.
+  static constexpr double dedupe_similarity = 0.995;
 
-  // Replay.
-  int max_replays_per_example = 5;  // lifetime cap (section 5)
-  int draws_per_replay = 3;         // best-of-n per replay pass
-  double replay_cost = 0.35;        // one-time cost in normalized gain units
-  double gain_ema_alpha = 0.25;
+  // Replay (best-of-n draws, replay cost and gain EMA live in manager.cc).
+  static constexpr int max_replays_per_example = 5;  // lifetime cap (section 5)
   size_t max_replays_per_pass = 64;
 
   // Maintenance cadence (simulated seconds).

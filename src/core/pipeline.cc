@@ -1,6 +1,21 @@
 #include "src/core/pipeline.h"
 
+#include <algorithm>
+
 namespace iccache {
+
+std::vector<RouterArmSpec> MakeArms(const ModelProfile& small, const ModelProfile& large) {
+  const double max_cost = std::max(small.cost_per_1k_tokens, large.cost_per_1k_tokens);
+  RouterArmSpec small_arm;
+  small_arm.model_name = small.name;
+  small_arm.normalized_cost = small.cost_per_1k_tokens / max_cost;
+  small_arm.uses_examples = true;
+  RouterArmSpec large_arm;
+  large_arm.model_name = large.name;
+  large_arm.normalized_cost = large.cost_per_1k_tokens / max_cost;
+  large_arm.uses_examples = false;
+  return {small_arm, large_arm};
+}
 
 RouteDecision RouteOrBypass(RequestRouter* router, const Request& request,
                             const std::vector<SelectedExample>& selected, bool router_failed,

@@ -5,8 +5,8 @@
 // duplicated between them. Selection lives in ExampleSelector (prepare/commit
 // split), the example lifecycle (admission, gain accounting, replay, decay +
 // eviction) lives in ExampleManager over the ExampleStore interface, and the
-// routing + fault-tolerance step (section 5) and example-view construction
-// live here.
+// router's arm table, the routing + fault-tolerance step (section 5), the
+// selector's probe rate and example-view construction live here.
 #ifndef SRC_CORE_PIPELINE_H_
 #define SRC_CORE_PIPELINE_H_
 
@@ -20,6 +20,15 @@
 #include "src/workload/request.h"
 
 namespace iccache {
+
+// Probe sampling (section 4.1): the fraction of offloaded requests that also
+// shadow-generate the plain small-model response, so the selector learns
+// from a genuine counterfactual quality gain.
+inline constexpr double kSelectorProbeRate = 0.08;
+
+// The router's two arms: the small model served with examples and the large
+// model served plain, each costed relative to the costlier of the two.
+std::vector<RouterArmSpec> MakeArms(const ModelProfile& small, const ModelProfile& large);
 
 // Step 2 with section-5 fault tolerance: a healthy router Thompson-samples an
 // arm; a failed router is bypassed with a direct route to the fallback

@@ -6,6 +6,14 @@
 
 namespace iccache {
 
+namespace {
+
+// Online SGD step size and L2 weight decay.
+constexpr double kLearningRate = 0.03;
+constexpr double kL2 = 1e-4;
+
+}  // namespace
+
 ProxyFeatures MakeProxyFeatures(double similarity, double example_quality,
                                 double source_capability, double target_capability,
                                 bool same_task, int example_tokens) {
@@ -25,7 +33,7 @@ ProxyFeatures MakeProxyFeatures(double similarity, double example_quality,
   return f;
 }
 
-ProxyUtilityModel::ProxyUtilityModel(ProxyModelConfig config) : config_(config) {
+ProxyUtilityModel::ProxyUtilityModel() {
   // Mild informed prior: relevance and quality help, length costs. The online
   // updates dominate quickly; the prior only avoids a cold-start where the
   // selector filters everything out.
@@ -49,7 +57,7 @@ void ProxyUtilityModel::Update(const ProxyFeatures& features, double label) {
   const double prediction = Predict(features);
   const double gradient = prediction - target;  // d(logloss)/dz
   for (size_t i = 0; i < ProxyFeatures::kDim; ++i) {
-    weights_[i] -= config_.learning_rate * (gradient * features.x[i] + config_.l2 * weights_[i]);
+    weights_[i] -= kLearningRate * (gradient * features.x[i] + kL2 * weights_[i]);
   }
   ++updates_;
 }

@@ -28,14 +28,9 @@ ProxyFeatures MakeProxyFeatures(double similarity, double example_quality,
                                 double source_capability, double target_capability,
                                 bool same_task, int example_tokens);
 
-struct ProxyModelConfig {
-  double learning_rate = 0.03;
-  double l2 = 1e-4;
-};
-
 class ProxyUtilityModel {
  public:
-  explicit ProxyUtilityModel(ProxyModelConfig config = {});
+  ProxyUtilityModel();
 
   // Predicted helpfulness in [0, 1].
   double Predict(const ProxyFeatures& features) const;
@@ -53,7 +48,6 @@ class ProxyUtilityModel {
   }
 
  private:
-  ProxyModelConfig config_;
   std::array<double, ProxyFeatures::kDim> weights_{};
   size_t updates_ = 0;
 };

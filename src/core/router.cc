@@ -8,6 +8,14 @@
 
 namespace iccache {
 
+namespace {
+
+constexpr double kBiasGamma = 2.0;        // gamma: tanh steepness on load deviation
+constexpr double kCostPreference = 0.12;  // standing tie-break toward cheap arms
+constexpr double kUncertaintyGate = 0.10; // solicit feedback when confidence std < gate
+
+}  // namespace
+
 RequestRouter::RequestRouter(std::vector<RouterArmSpec> arms, RouterConfig config)
     : arms_(std::move(arms)),
       config_(config),
@@ -45,10 +53,10 @@ void RequestRouter::ObserveLoad(double load) { load_ema_.Add(load); }
 std::vector<double> RequestRouter::OverloadBiases(double load, double* overload) const {
   // Theorem-4 overload bias on the positive load deviation only.
   const double deviation = std::max(0.0, load - config_.load_threshold);
-  *overload = config_.bias_lambda * std::tanh(config_.bias_gamma * deviation);
+  *overload = config_.bias_lambda * std::tanh(kBiasGamma * deviation);
   std::vector<double> biases(arms_.size(), 0.0);
   for (size_t i = 0; i < arms_.size(); ++i) {
-    biases[i] = -(config_.cost_preference + *overload) * arms_[i].normalized_cost;
+    biases[i] = -(kCostPreference + *overload) * arms_[i].normalized_cost;
   }
   return biases;
 }
@@ -72,7 +80,7 @@ RouteDecision RequestRouter::FinishDecision(BanditSelection selection,
   decision.overload_bias_magnitude = overload;
   decision.context = std::move(context);
   decision.arm_means = std::move(selection.mean_scores);
-  decision.solicit_feedback = selection.confidence_std < config_.uncertainty_gate;
+  decision.solicit_feedback = selection.confidence_std < kUncertaintyGate;
   return decision;
 }
 

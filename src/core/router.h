@@ -39,9 +39,6 @@ struct RouterConfig {
   double load_ema_alpha = 0.05;
   double load_threshold = 0.75;   // operational utilization threshold
   double bias_lambda = 1.5;       // lambda_0 in Theorem 4
-  double bias_gamma = 2.0;        // gamma: tanh steepness on load deviation
-  double cost_preference = 0.12;  // standing tie-break toward cheap arms
-  double uncertainty_gate = 0.10; // solicit feedback when confidence std < gate
   // Forced exploration: fraction of requests routed to a uniformly random
   // arm. The per-arm linear posteriors under-explore context regions an arm
   // rarely serves (selection bias); a small epsilon keeps every region

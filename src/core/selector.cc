@@ -8,6 +8,17 @@
 
 namespace iccache {
 
+namespace {
+
+// Diversity: drop a candidate whose embedding similarity to an already
+// selected example exceeds this (near-duplicates add tokens, not signal).
+constexpr double kDiversityMaxSimilarity = 0.985;
+// Net-benefit model for adaptation: quality gain per unit utility vs token
+// cost per example token (both in arbitrary consistent units).
+constexpr double kTokenCostWeight = 0.00002;
+
+}  // namespace
+
 ExampleSelector::ExampleSelector(ExampleStore* store, ProxyUtilityModel* proxy,
                                  SelectorConfig config)
     : store_(store),
@@ -128,7 +139,7 @@ std::vector<SelectorCandidate> ExampleSelector::CombineCore(
     for (const SelectorCandidate& prior : selected) {
       if (simd::Cosine(embedding.data(), prior.embedding.data(),
                        std::min(embedding.size(), prior.embedding.size())) >
-          config_.diversity_max_similarity) {
+          kDiversityMaxSimilarity) {
         duplicate = true;
         break;
       }
@@ -272,7 +283,7 @@ void ExampleSelector::OnFeedback(const Request& request, const std::vector<Selec
       }
     }
     const double benefit = observed_quality_gain * (kept_utility / total_utility) -
-                           config_.token_cost_weight * kept_tokens;
+                           kTokenCostWeight * kept_tokens;
     grid_benefit_[g] += benefit;
     ++grid_count_[g];
   }

@@ -70,29 +70,24 @@ struct SelectorAdaptiveState {
 };
 
 struct SelectorConfig {
-  size_t stage1_candidates = 24;  // pre-selection pool size
+  static constexpr size_t stage1_candidates = 24;  // pre-selection pool size
   // Candidates below this cosine never reach stage 2: with anisotropic
   // embeddings, scores near the ~0.5 random-pair baseline carry no relevance
   // signal and such examples can only distract the model.
-  double stage1_min_similarity = 0.70;
-  size_t max_examples = 5;
-  double initial_utility_threshold = 0.45;
+  static constexpr double stage1_min_similarity = 0.70;
+  static constexpr size_t max_examples = 5;
+  static constexpr double initial_utility_threshold = 0.45;
   // Feedback labels are amplified around 0.5: per-request quality gains are
   // small (a few hundredths), and un-amplified labels would collapse the
   // proxy toward predicting the mean.
-  double feedback_gain_scale = 3.0;
-  // Diversity: drop a candidate whose embedding similarity to an already
-  // selected example exceeds this (near-duplicates add tokens, not signal).
-  double diversity_max_similarity = 0.985;
+  static constexpr double feedback_gain_scale = 3.0;
   // Prompt budget: examples may use at most this fraction of the target
   // model's context window.
-  double context_budget_fraction = 0.5;
-  // Threshold adaptation grid and cadence.
+  static constexpr double context_budget_fraction = 0.5;
+  // Threshold adaptation grid and cadence. The diversity guard and the
+  // adaptation's token-cost weight are constants in selector.cc.
   std::vector<double> threshold_grid = {0.20, 0.30, 0.40, 0.50, 0.60};
   size_t adapt_every_n_requests = 512;
-  // Net-benefit model for adaptation: quality gain per unit utility vs token
-  // cost per example token (both in arbitrary consistent units).
-  double token_cost_weight = 0.00002;
 };
 
 class ExampleSelector {

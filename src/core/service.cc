@@ -13,28 +13,13 @@ namespace iccache {
 
 namespace {
 
-std::vector<RouterArmSpec> MakeArms(const ModelProfile& small, const ModelProfile& large) {
-  // Costs normalized so the most expensive arm is 1.0.
-  const double max_cost = std::max(small.cost_per_1k_tokens, large.cost_per_1k_tokens);
-  RouterArmSpec small_arm;
-  small_arm.model_name = small.name;
-  small_arm.normalized_cost = small.cost_per_1k_tokens / max_cost;
-  small_arm.uses_examples = true;
-  RouterArmSpec large_arm;
-  large_arm.model_name = large.name;
-  large_arm.normalized_cost = large.cost_per_1k_tokens / max_cost;
-  large_arm.uses_examples = false;
-  return {small_arm, large_arm};
-}
-
-WatchdogConfig ServiceWatchdogConfig(WatchdogConfig config) {
-  // The service's legacy metric names carry no `_total` suffix.
-  config.requests_counter = "requests_total";
-  config.stage0_hits_counter = "stage0_hits";
-  config.evictions_counter = "examples_evicted";
-  config.stalled_counter = "maintenance_stalled_windows";
-  return config;
-}
+// Observed-feedback model: user quality signals are noisy reads of the
+// latent quality. Every response is fed back (production systems sample
+// ~1%; the experiments keep every signal to learn fast at small request
+// counts).
+constexpr double kFeedbackNoise = 0.08;
+// Stage-0 probe overhead charged per request: embed + ANN probe.
+constexpr double kStage0ProbeLatencyS = 0.004;
 
 }  // namespace
 
@@ -52,7 +37,6 @@ IcCacheService::IcCacheService(ServiceConfig config, const ModelCatalog* catalog
       selector_(&cache_, &proxy_, config.selector),
       router_(MakeArms(small_model_, large_model_), config.router),
       manager_(&cache_, generator, large_model_, config.manager),
-      watchdog_(ServiceWatchdogConfig(config.watchdog)),
       baseline_quality_(0.02),
       rng_(config.seed) {
   if (config_.restore_on_start && !config_.snapshot_path.empty()) {
@@ -173,7 +157,7 @@ void IcCacheService::PretrainProxy(size_t num_samples) {
                                     candidate->PromptTokens()),
                   label);
   }
-  metrics_.Increment("proxy_pretrain_samples", static_cast<double>(num_samples));
+  m_proxy_pretrain_->Add(static_cast<double>(num_samples));
 }
 
 std::vector<ExampleView> IcCacheService::BuildExampleViews(
@@ -194,7 +178,7 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
   TraceSpan span(TraceCategory::kServiceRequest, request.id);
   ServeOutcome outcome;
   last_now_ = std::max(last_now_, now);
-  metrics_.Increment("requests_total");
+  m_requests_->Increment();
 
   // 0. Stage-0 response-cache probe: one embed, shared with stage-1
   // retrieval below on a miss. A confident hit serves the cached response
@@ -203,7 +187,7 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
   Stage0DedupeHint dedupe_hint;
   if (config_.stage0.enabled) {
     embedding = cache_.embedder()->Embed(request.text);
-    outcome.overhead_latency_s += config_.stage0_probe_latency_s;
+    outcome.overhead_latency_s += kStage0ProbeLatencyS;
     const std::optional<Stage0Probe> probe = stage0_.Probe(embedding, now);
     if (probe.has_value()) {
       dedupe_hint = {probe->entry.id, probe->similarity};
@@ -222,8 +206,7 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
       outcome.generation.e2e_latency_s = outcome.overhead_latency_s;
       outcome.generation.ttft_s = outcome.overhead_latency_s;
       outcome.observed_quality =
-          Clamp(outcome.generation.latent_quality + rng_.Normal(0.0, config_.feedback_noise),
-                0.0, 1.0);
+          Clamp(outcome.generation.latent_quality + rng_.Normal(0.0, kFeedbackNoise), 0.0, 1.0);
 
       stage0_.RecordHit(hit.id, now);
       int tokens_saved = hit.response_tokens;
@@ -234,17 +217,16 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
         tokens_saved = fresh.output_tokens;
         stage0_.OnHitFeedback(probe->similarity, outcome.generation.latent_quality,
                               fresh.latent_quality, tokens_saved);
-        metrics_.Increment("stage0_probes");
+        m_stage0_probes_->Increment();
       }
       if (stage0_.OnQualityFeedback(hit.id, outcome.generation.latent_quality)) {
-        metrics_.Increment("stage0_invalidations");
+        m_stage0_invalidations_->Increment();
       }
       stage0_.AdvanceWindow(1);
-      metrics_.Increment("stage0_hits");
-      metrics_.Increment("stage0_tokens_saved", static_cast<double>(tokens_saved));
-      metrics_.Increment("latency_sum_s", outcome.generation.e2e_latency_s);
-      metrics_.Increment("quality_sum", outcome.generation.latent_quality);
-      FinishRequest(outcome);
+      m_stage0_hits_->Increment();
+      m_stage0_tokens_saved_->Add(static_cast<double>(tokens_saved));
+      m_latency_sum_->Add(outcome.generation.e2e_latency_s);
+      m_quality_sum_->Add(outcome.generation.latent_quality);
       return outcome;
     }
   }
@@ -262,7 +244,7 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
     outcome.overhead_latency_s +=
         config_.selector_stage1_latency_s + config_.selector_stage2_latency_s;
   } else {
-    metrics_.Increment("selector_bypassed");
+    m_selector_bypassed_->Increment();
   }
 
   // 2. RouteRequest (shared step; a failed router falls back to the default
@@ -271,7 +253,7 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
   if (!router_failed_) {
     outcome.overhead_latency_s += config_.router_latency_s;
   } else {
-    metrics_.Increment("router_bypassed");
+    m_router_bypassed_->Increment();
   }
   outcome.offloaded = outcome.route.uses_examples;
 
@@ -282,8 +264,8 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
     outcome.examples_used = selected;
     const std::vector<ExampleView> views = BuildExampleViews(request, selected);
     outcome.generation = generator_->Generate(serving_model, request, views);
-    metrics_.Increment("requests_offloaded");
-    metrics_.Increment("examples_prepended", static_cast<double>(views.size()));
+    m_offloaded_->Increment();
+    m_examples_prepended_->Add(static_cast<double>(views.size()));
   } else {
     outcome.generation = generator_->Generate(serving_model, request, {});
   }
@@ -292,13 +274,12 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
 
   // 4. ManageExamples: feedback, usage accounting, admission.
   outcome.observed_quality = Clamp(
-      outcome.generation.latent_quality + rng_.Normal(0.0, config_.feedback_noise), 0.0, 1.0);
+      outcome.generation.latent_quality + rng_.Normal(0.0, kFeedbackNoise), 0.0, 1.0);
 
-  const bool sampled = rng_.Bernoulli(config_.feedback_sample_rate);
-  if (sampled && !router_failed_) {
+  if (!router_failed_) {
     router_.UpdateReward(outcome.route, outcome.observed_quality);
 
-    if (config_.enable_preference_feedback && outcome.route.solicit_feedback) {
+    if (outcome.route.solicit_feedback) {
       // Shadow-generate on the runner-up arm and feed the preference back.
       const RouterArmSpec& second = router_.arm_spec(outcome.route.second_choice);
       const ModelProfile& second_model = catalog_->Get(second.model_name);
@@ -309,27 +290,26 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
       } else {
         shadow = generator_->Generate(second_model, request, {});
       }
-      const bool top_won = outcome.generation.latent_quality +
-                               rng_.Normal(0.0, config_.feedback_noise) >=
-                           shadow.latent_quality + rng_.Normal(0.0, config_.feedback_noise);
+      const bool top_won = outcome.generation.latent_quality + rng_.Normal(0.0, kFeedbackNoise) >=
+                           shadow.latent_quality + rng_.Normal(0.0, kFeedbackNoise);
       router_.UpdatePreference(outcome.route, top_won);
-      metrics_.Increment("preference_solicitations");
+      m_preference_->Increment();
     }
   }
 
   baseline_quality_.Add(outcome.observed_quality);
-  if (sampled && !selector_failed_ && !outcome.examples_used.empty() &&
-      rng_.Bernoulli(config_.selector_probe_rate)) {
+  if (!selector_failed_ && !outcome.examples_used.empty() &&
+      rng_.Bernoulli(kSelectorProbeRate)) {
     // Probe sampling (section 4.1): on a small fraction of offloaded
     // requests, shadow-generate the plain small-model response so the
     // example gain is a genuine counterfactual contrast — the signal that
     // trains the proxy online and drives threshold adaptation.
     const GenerationResult shadow_plain = generator_->Generate(small_model_, request, {});
     const double plain_observed =
-        Clamp(shadow_plain.latent_quality + rng_.Normal(0.0, config_.feedback_noise), 0.0, 1.0);
+        Clamp(shadow_plain.latent_quality + rng_.Normal(0.0, kFeedbackNoise), 0.0, 1.0);
     const double gain = outcome.observed_quality - plain_observed;
     selector_.OnFeedback(request, outcome.examples_used, small_model_, gain);
-    metrics_.Increment("selector_probes");
+    m_selector_probes_->Increment();
   }
 
   if (!outcome.examples_used.empty()) {
@@ -362,43 +342,9 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
     stage0_.AdvanceWindow(1);
   }
 
-  metrics_.Increment("latency_sum_s", outcome.generation.e2e_latency_s);
-  metrics_.Increment("quality_sum", outcome.generation.latent_quality);
-  FinishRequest(outcome);
+  m_latency_sum_->Add(outcome.generation.e2e_latency_s);
+  m_quality_sum_->Add(outcome.generation.latent_quality);
   return outcome;
-}
-
-void IcCacheService::FinishRequest(const ServeOutcome& outcome) {
-  hub_.Histogram("e2e_latency_seconds")
-      ->Observe(outcome.generation.e2e_latency_s, outcome.generation.request_id);
-  ++requests_in_window_;
-  if (config_.metrics_window == 0 || requests_in_window_ < config_.metrics_window) {
-    return;
-  }
-  requests_in_window_ = 0;
-  const MetricsWindowSample sample = hub_.SnapshotWindow(
-      window_index_++, last_now_, TraceRecorder::Global().NowNs());
-  if (!watchdog_.armed()) {
-    return;
-  }
-  const std::vector<WatchdogEvent> fired =
-      watchdog_.OnWindow(sample, hub_.HistogramSnapshot("e2e_latency_seconds"));
-  if (fired.empty()) {
-    return;
-  }
-  metrics_.Increment("watchdog_anomalies", static_cast<double>(fired.size()));
-  if (TraceRecorder::tracing_enabled()) {
-    TraceRecorder& recorder = TraceRecorder::Global();
-    for (const WatchdogEvent& event : fired) {
-      TraceEvent trace_event;
-      trace_event.category = TraceCategory::kAnomaly;
-      trace_event.begin_ns = recorder.NowNs();
-      trace_event.end_ns = trace_event.begin_ns;
-      trace_event.arg0 = static_cast<uint64_t>(event.rule);
-      trace_event.arg1 = event.window;
-      recorder.Emit(trace_event);
-    }
-  }
 }
 
 void IcCacheService::ObserveLoad(double load) { router_.ObserveLoad(load); }
@@ -406,15 +352,15 @@ void IcCacheService::ObserveLoad(double load) { router_.ObserveLoad(load); }
 void IcCacheService::RunMaintenance(double now) {
   last_now_ = std::max(last_now_, now);
   if (config_.stage0.enabled) {
-    metrics_.Increment("stage0_expired", static_cast<double>(stage0_.ExpireStale(now)));
+    m_stage0_expired_->Add(static_cast<double>(stage0_.ExpireStale(now)));
   }
   manager_.MaybeRunMaintenance(now);
   // Asynchronous proxy refresh from freshly sampled feedback (section 4.1).
   PretrainProxy(64);
   const ReplayReport report = manager_.RunReplayPass();
-  metrics_.Increment("replay_examined", static_cast<double>(report.candidates));
-  metrics_.Increment("replay_performed", static_cast<double>(report.replayed));
-  metrics_.Increment("replay_improved", static_cast<double>(report.improved));
+  m_replay_examined_->Add(static_cast<double>(report.candidates));
+  m_replayed_->Add(static_cast<double>(report.replayed));
+  m_replay_improved_->Add(static_cast<double>(report.improved));
 }
 
 }  // namespace iccache

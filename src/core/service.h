@@ -29,14 +29,13 @@
 #include "src/common/status.h"
 #include "src/core/example_cache.h"
 #include "src/core/manager.h"
-#include "src/core/metrics.h"
 #include "src/core/proxy_model.h"
 #include "src/core/router.h"
 #include "src/core/selector.h"
 #include "src/core/stage0_cache.h"
 #include "src/llm/generation.h"
 #include "src/llm/model_profile.h"
-#include "src/obs/watchdog.h"
+#include "src/obs/metrics.h"
 
 namespace iccache {
 
@@ -55,22 +54,11 @@ struct ServiceConfig {
   ManagerConfig manager;
   ExampleCacheConfig cache;
 
-  // Observed-feedback model: user quality signals are noisy reads of the
-  // latent quality, sampled at this rate (production systems sample ~1%; the
-  // experiments use 1.0 to keep learning fast at small request counts).
-  double feedback_noise = 0.08;
-  double feedback_sample_rate = 1.0;
-  // Preference comparisons on uncertainty-gated requests (Appendix A.2).
-  bool enable_preference_feedback = true;
-  // Fraction of offloaded requests probed with a shadow plain generation to
-  // measure the examples' true gain (threshold adaptation, section 4.1).
-  double selector_probe_rate = 0.08;
-
-  // Component overheads charged per request (section 6.3, Figure 18).
-  double selector_stage1_latency_s = 0.020;
-  double selector_stage2_latency_s = 0.030;
-  double router_latency_s = 0.010;
-  double stage0_probe_latency_s = 0.004;  // embed + ANN probe (stage-0 only)
+  // Component overheads charged per request (section 6.3, Figure 18); the
+  // stage-0 probe's overhead is a constant in service.cc.
+  static constexpr double selector_stage1_latency_s = 0.020;
+  static constexpr double selector_stage2_latency_s = 0.030;
+  static constexpr double router_latency_s = 0.010;
 
   // Persistence (src/persist): with `snapshot_path` set, `restore_on_start`
   // warm-starts the service from that file at construction (missing file =
@@ -79,14 +67,6 @@ struct ServiceConfig {
   // snapshots interchange between the two stacks.
   std::string snapshot_path;
   bool restore_on_start = false;
-
-  // Observability: the service snapshots its MetricsHub every
-  // `metrics_window` requests (0 disables) and evaluates the SLO watchdog on
-  // each snapshot. All watchdog rules default to disabled; note the service
-  // exposes stage-0 counters without the `_total` suffix, which the
-  // constructor rewires automatically.
-  size_t metrics_window = 64;
-  WatchdogConfig watchdog;
 
   uint64_t seed = 0x5e41;
 };
@@ -159,12 +139,10 @@ class IcCacheService {
   ExampleManager& manager() { return manager_; }
   Stage0ResponseCache& stage0() { return stage0_; }
   ProxyUtilityModel& proxy() { return proxy_; }
-  MetricsRegistry& metrics() { return metrics_; }
-  // The hub behind metrics(): histograms, window series, Prometheus export.
+  // Service counters, named as the driver names the same quantities
+  // (requests_total, requests_offloaded_total, stage0_hits_total, ...).
   MetricsHub& metrics_hub() { return hub_; }
   const MetricsHub& metrics_hub() const { return hub_; }
-  // Anomalies the SLO watchdog has fired so far (empty unless configured).
-  const std::vector<WatchdogEvent>& anomalies() const { return watchdog_.events(); }
   const ServiceConfig& config() const { return config_; }
   const ModelProfile& small_model() const { return small_model_; }
   const ModelProfile& large_model() const { return large_model_; }
@@ -172,11 +150,6 @@ class IcCacheService {
  private:
   std::vector<ExampleView> BuildExampleViews(const Request& request,
                                              const std::vector<SelectedExample>& selected);
-
-  // Per-request epilogue: e2e histogram observation (with the request id as
-  // the bucket exemplar), window-cadence hub snapshots, and watchdog
-  // evaluation. Strictly passive — no RNG, no effect on serving decisions.
-  void FinishRequest(const ServeOutcome& outcome);
 
   ServiceConfig config_;
   const ModelCatalog* catalog_;
@@ -191,13 +164,28 @@ class IcCacheService {
   RequestRouter router_;
   ExampleManager manager_;
   MetricsHub hub_;
-  MetricsRegistry metrics_{&hub_};  // legacy-name facade over hub_
-  SloWatchdog watchdog_;
+  // Counter handles, registered once at construction (stable for the hub's
+  // lifetime).
+  MetricCounter* m_requests_ = hub_.Counter("requests_total");
+  MetricCounter* m_offloaded_ = hub_.Counter("requests_offloaded_total");
+  MetricCounter* m_examples_prepended_ = hub_.Counter("examples_prepended");
+  MetricCounter* m_latency_sum_ = hub_.Counter("latency_sum_s");
+  MetricCounter* m_quality_sum_ = hub_.Counter("quality_sum");
+  MetricCounter* m_selector_bypassed_ = hub_.Counter("selector_bypassed");
+  MetricCounter* m_router_bypassed_ = hub_.Counter("router_bypassed");
+  MetricCounter* m_selector_probes_ = hub_.Counter("selector_probes");
+  MetricCounter* m_preference_ = hub_.Counter("preference_solicitations");
+  MetricCounter* m_stage0_hits_ = hub_.Counter("stage0_hits_total");
+  MetricCounter* m_stage0_probes_ = hub_.Counter("stage0_probes_total");
+  MetricCounter* m_stage0_invalidations_ = hub_.Counter("stage0_invalidations_total");
+  MetricCounter* m_stage0_expired_ = hub_.Counter("stage0_expired_total");
+  MetricCounter* m_stage0_tokens_saved_ = hub_.Counter("stage0_tokens_saved_total");
+  MetricCounter* m_replay_examined_ = hub_.Counter("replay_examined");
+  MetricCounter* m_replayed_ = hub_.Counter("replayed_examples_total");
+  MetricCounter* m_replay_improved_ = hub_.Counter("replay_improved");
+  MetricCounter* m_proxy_pretrain_ = hub_.Counter("proxy_pretrain_samples");
   Ema baseline_quality_;
   Rng rng_;
-
-  size_t requests_in_window_ = 0;
-  uint64_t window_index_ = 0;
 
   bool selector_failed_ = false;
   bool router_failed_ = false;

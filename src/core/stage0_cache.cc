@@ -7,6 +7,15 @@
 
 namespace iccache {
 
+namespace {
+
+// A served hit whose reuse quality lands below this is invalidated.
+constexpr double kInvalidateBelowQuality = 0.30;
+// Inserts at least this similar to an entry merge into it.
+constexpr double kDedupeMinSimilarity = 0.995;
+
+}  // namespace
+
 Stage0ResponseCache::Stage0ResponseCache(std::shared_ptr<const Embedder> embedder,
                                          Stage0Config config)
     : embedder_(std::move(embedder)),
@@ -134,14 +143,14 @@ uint64_t Stage0ResponseCache::Put(const Request& request, std::vector<float> emb
   } else if (dedupe_hint != nullptr) {
     // Prepare-phase hint: no index search on the serial path. Revalidate —
     // the hinted entry may have been evicted since the probe.
-    if (dedupe_hint->id != 0 && dedupe_hint->similarity >= config_.dedupe_min_similarity &&
+    if (dedupe_hint->id != 0 && dedupe_hint->similarity >= kDedupeMinSimilarity &&
         entries_.count(dedupe_hint->id) > 0) {
       existing_id = dedupe_hint->id;
     }
   } else {
     double similarity = 0.0;
     const Stage0Entry* nearest = Nearest(embedding, &similarity);
-    if (nearest != nullptr && similarity >= config_.dedupe_min_similarity) {
+    if (nearest != nullptr && similarity >= kDedupeMinSimilarity) {
       existing_id = nearest->id;
     }
   }
@@ -207,7 +216,7 @@ bool Stage0ResponseCache::RemoveEntry(uint64_t id) {
 bool Stage0ResponseCache::Invalidate(uint64_t id) { return RemoveEntry(id); }
 
 bool Stage0ResponseCache::OnQualityFeedback(uint64_t id, double observed_reuse_quality) {
-  if (observed_reuse_quality >= config_.invalidate_below_quality) {
+  if (observed_reuse_quality >= kInvalidateBelowQuality) {
     return false;
   }
   return RemoveEntry(id);

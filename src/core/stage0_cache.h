@@ -27,8 +27,9 @@
 //     (grid of candidate thresholds, per-cell net-benefit accounting fed by
 //     probe-sampled counterfactuals, cadence-driven re-evaluation);
 //   * staleness — entries older than `ttl_s` never hit and are expired at
-//     maintenance boundaries; quality feedback below
-//     `invalidate_below_quality` invalidates the entry outright.
+//     maintenance boundaries; quality feedback below a fixed floor
+//     (kInvalidateBelowQuality, stage0_cache.cc) invalidates the entry
+//     outright.
 //
 // Concurrency contract (mirrors ExampleSelector): every const method is a
 // pure read and safe to fan out across a driver's parallel prepare phase;
@@ -122,26 +123,24 @@ struct Stage0Config {
   std::vector<double> threshold_grid = {0.85, 0.90, 0.94, 0.97, 0.99};
   size_t adapt_every_n_requests = 256;
   double token_saving_weight = 0.0004;
-  double probe_rate = 0.10;
+  static constexpr double probe_rate = 0.10;
 
   // Invalidation. `ttl_s` <= 0 disables staleness; otherwise entries older
   // than ttl_s never hit (Probe reports fresh=false) and ExpireStale removes
-  // them. A served hit whose reuse quality lands below
-  // `invalidate_below_quality` is removed immediately — the cached answer
+  // them. A served hit whose reuse quality lands below a fixed floor
+  // (stage0_cache.cc) is removed immediately — the cached answer
   // demonstrably no longer fits the traffic matching it.
   double ttl_s = 0.0;
-  double invalidate_below_quality = 0.30;
 
   // Admission / eviction. Only responses at or above `min_admit_quality`
   // are cached (a bad answer served twice is twice as bad). Near-exact
-  // duplicates (similarity >= dedupe_min_similarity, or byte-identical
-  // text) merge into the existing entry, keeping the better response.
+  // duplicates (similarity >= 0.995, or byte-identical text) merge into the
+  // existing entry, keeping the better response.
   // Bounds are enforced on every insert: when `max_entries` or
   // capacity_bytes * high_watermark is crossed, entries are evicted down to
   // the low watermark in a deterministic worst-first order (least recently
   // useful, then lowest quality, then oldest id).
   double min_admit_quality = 0.45;
-  double dedupe_min_similarity = 0.995;
   size_t max_entries = 4096;
   int64_t capacity_bytes = -1;  // <= 0: no byte bound
   double high_watermark = 1.0;
@@ -210,7 +209,7 @@ class Stage0ResponseCache {
   bool Invalidate(uint64_t id);
 
   // Quality-feedback invalidation: removes the entry when the observed
-  // reuse quality fell below config.invalidate_below_quality. Returns true
+  // reuse quality fell below the invalidation floor. Returns true
   // when the entry was invalidated.
   bool OnQualityFeedback(uint64_t id, double observed_reuse_quality);
 

@@ -124,21 +124,17 @@ void HashingEmbedder::EmbedInto(const std::string& text, float* out) const {
   for (std::string_view word : spans) {
     AddFeature(HashTokenSpan(word, config_.seed), 1.0, content.data());
   }
-  if (config_.use_word_bigrams) {
-    for (size_t i = 0; i + 1 < spans.size(); ++i) {
-      AddFeature(HashBigramSpan(spans[i], spans[i + 1], config_.seed ^ 0xb16b00b5ull), 0.3,
-                 content.data());
-    }
+  for (size_t i = 0; i + 1 < spans.size(); ++i) {
+    AddFeature(HashBigramSpan(spans[i], spans[i + 1], config_.seed ^ 0xb16b00b5ull), 0.3,
+               content.data());
   }
-  if (config_.use_char_trigrams) {
-    for (std::string_view word : spans) {
-      if (word.size() < 3) {
-        continue;
-      }
-      for (size_t i = 0; i + 3 <= word.size(); ++i) {
-        AddFeature(HashTokenSpan(word.substr(i, 3), config_.seed ^ 0x751f0011ull), 0.25,
-                   content.data());
-      }
+  for (std::string_view word : spans) {
+    if (word.size() < 3) {
+      continue;
+    }
+    for (size_t i = 0; i + 3 <= word.size(); ++i) {
+      AddFeature(HashTokenSpan(word.substr(i, 3), config_.seed ^ 0x751f0011ull), 0.25,
+                 content.data());
     }
   }
 

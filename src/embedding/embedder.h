@@ -56,8 +56,6 @@ struct HashingEmbedderConfig {
   // content features. gamma = 1.0 puts unrelated pairs near cosine 0.5.
   double anisotropy = 1.0;
   uint64_t seed = 0x1c0ffee;
-  bool use_word_bigrams = true;
-  bool use_char_trigrams = true;
 };
 
 class HashingEmbedder : public Embedder {

@@ -49,7 +49,7 @@ struct HnswIndexConfig {
   size_t ef_search = 192;
   // Compact (rebuild from live nodes) when tombstones exceed this fraction of
   // total slots and there are at least `min_tombstones_to_compact` of them.
-  double max_tombstone_fraction = 0.25;
+  static constexpr double max_tombstone_fraction = 0.25;
   size_t min_tombstones_to_compact = 64;
   // Int8 scalar quantization of the vector arena: each vector is stored as
   // dim int8 codes plus one float scale (symmetric, scale = max|x| / 127),

@@ -16,6 +16,9 @@ namespace {
 // resident in L2 while every query of the batch streams through it.
 constexpr size_t kScanBlockSlots = 256;
 
+// KMeansIndex re-clusters once it has grown by this factor since the last build.
+constexpr double kRebuildGrowthFactor = 2.0;
+
 }  // namespace
 
 void VectorIndex::SearchBatch(const float* queries, size_t num_queries, size_t query_dim,
@@ -195,7 +198,7 @@ void KMeansIndex::MaybeRebuild() {
   }
   if (clustered() &&
       static_cast<double>(ids_.size()) <
-          config_.rebuild_growth_factor * static_cast<double>(size_at_last_build_)) {
+          kRebuildGrowthFactor * static_cast<double>(size_at_last_build_)) {
     return;
   }
   Rebuild();

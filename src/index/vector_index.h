@@ -228,8 +228,6 @@ struct KMeansIndexConfig {
   // Number of clusters probed per query. The paper probes the nearest
   // centroid; probing a couple more trades a little compute for recall.
   size_t nprobe = 3;
-  // Rebuild clustering when the index grows by this factor since last build.
-  double rebuild_growth_factor = 2.0;
   // Below this size, brute force beats clustering; stay flat.
   size_t min_points_to_cluster = 64;
   uint64_t seed = 0x5eed;

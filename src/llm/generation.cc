@@ -7,13 +7,35 @@
 
 namespace iccache {
 
-GenerationSimulator::GenerationSimulator(uint64_t seed, GenerationConfig config)
-    : config_(config), rng_(seed) {}
+namespace {
+
+// Quality model constants (see the file comment in generation.h).
+constexpr double kQualitySlope = 5.0;       // sigmoid steepness vs (capability - difficulty)
+constexpr double kCapabilityNoise = 0.05;   // per-call capability jitter (sampling variance)
+constexpr double kQualityNoise = 0.04;      // additive output-quality jitter
+constexpr double kRelevanceFloor = 0.35;    // examples below this relevance contribute no utility
+constexpr double kCoverageScale = 0.9;      // utility saturation constant
+constexpr double kExceedMargin = 0.10;      // how far IC can push past the source capability
+constexpr double kDistractionRate = 0.15;   // capability lost per fully irrelevant example
+// A *relevant* example whose stored response is poor actively misleads: the
+// model imitates a bad trajectory. Responses below the pivot contribute
+// negative utility scaled by kMisleadingRate.
+constexpr double kBadExamplePivot = 0.45;
+constexpr double kMisleadingRate = 0.06;
+constexpr double kDecodeShrinkWithIc = 0.92;  // examples guide shorter decodes (Figure 18)
+// Task-specific strictness offsets applied to the accuracy verdict.
+constexpr double kAccuracyOffsetCode = 0.55;
+constexpr double kAccuracyOffsetMath = 0.65;
+constexpr double kAccuracyOffsetOther = 0.10;
+
+}  // namespace
+
+GenerationSimulator::GenerationSimulator(uint64_t seed) : rng_(seed) {}
 
 double GenerationSimulator::EffectiveCapability(const ModelProfile& model,
                                                 const std::vector<ExampleView>& examples,
                                                 Rng& rng) const {
-  double capability = model.capability + rng.Normal(0.0, config_.capability_noise);
+  double capability = model.capability + rng.Normal(0.0, kCapabilityNoise);
   if (examples.empty()) {
     return capability;
   }
@@ -27,35 +49,35 @@ double GenerationSimulator::EffectiveCapability(const ModelProfile& model,
   double misleading_mass = 0.0;
   for (const ExampleView& ex : examples) {
     const double rel = Clamp(ex.relevance, 0.0, 1.0);
-    if (rel > config_.relevance_floor) {
+    if (rel > kRelevanceFloor) {
       const double rel_scaled =
-          (rel - config_.relevance_floor) / (1.0 - config_.relevance_floor);
+          (rel - kRelevanceFloor) / (1.0 - kRelevanceFloor);
       const double quality_signal =
-          Clamp(ex.quality, 0.0, 1.0) - config_.bad_example_pivot;
+          Clamp(ex.quality, 0.0, 1.0) - kBadExamplePivot;
       if (quality_signal >= 0.0) {
-        const double u = rel_scaled * quality_signal / (1.0 - config_.bad_example_pivot);
+        const double u = rel_scaled * quality_signal / (1.0 - kBadExamplePivot);
         utility_sum += u;
         source_cap_weighted += u * ex.source_capability;
         source_weight += u;
       } else {
         // Relevant but wrong: the model imitates the bad trajectory.
-        misleading_mass += rel_scaled * (-quality_signal) / config_.bad_example_pivot;
+        misleading_mass += rel_scaled * (-quality_signal) / kBadExamplePivot;
       }
     } else {
-      irrelevant_mass += 1.0 - rel / std::max(config_.relevance_floor, 1e-9);
+      irrelevant_mass += 1.0 - rel / std::max(kRelevanceFloor, 1e-9);
     }
   }
 
   if (source_weight > 0.0) {
     const double source_capability = source_cap_weighted / source_weight;
-    const double coverage = 1.0 - std::exp(-utility_sum / config_.coverage_scale);
-    const double target = source_capability + config_.exceed_margin;
+    const double coverage = 1.0 - std::exp(-utility_sum / kCoverageScale);
+    const double target = source_capability + kExceedMargin;
     const double headroom = std::max(0.0, target - model.capability);
     capability += model.icl_aptitude * headroom * coverage;
   }
 
-  capability -= config_.distraction_rate * irrelevant_mass * (1.0 - model.robustness);
-  capability -= config_.misleading_rate * misleading_mass * (1.0 - 0.5 * model.robustness);
+  capability -= kDistractionRate * irrelevant_mass * (1.0 - model.robustness);
+  capability -= kMisleadingRate * misleading_mass * (1.0 - 0.5 * model.robustness);
   return capability;
 }
 
@@ -75,18 +97,18 @@ GenerationResult GenerationSimulator::Generate(const ModelProfile& model, const 
   const double capability = EffectiveCapability(model, examples, rng) + extra_capability;
   const double margin = capability - request.difficulty;
   result.latent_quality = Clamp(
-      Sigmoid(config_.quality_slope * margin) + rng.Normal(0.0, config_.quality_noise), 0.0, 1.0);
+      Sigmoid(kQualitySlope * margin) + rng.Normal(0.0, kQualityNoise), 0.0, 1.0);
 
   // Accuracy verdict: tasks with an objective notion of correctness (code,
   // math) apply a strictness offset, so raw pass rates sit well below the
   // latent-quality scale (Figure 4a's 25-55% accuracy band).
-  double offset = config_.accuracy_offset_other;
+  double offset = kAccuracyOffsetOther;
   if (request.task == TaskType::kCodeGeneration) {
-    offset = config_.accuracy_offset_code;
+    offset = kAccuracyOffsetCode;
   } else if (request.task == TaskType::kMathReasoning) {
-    offset = config_.accuracy_offset_math;
+    offset = kAccuracyOffsetMath;
   }
-  const double p_correct = Sigmoid(config_.quality_slope * margin - offset);
+  const double p_correct = Sigmoid(kQualitySlope * margin - offset);
   result.correct = rng.Bernoulli(p_correct);
 
   // Token accounting and zero-load latency.
@@ -100,7 +122,7 @@ GenerationResult GenerationSimulator::Generate(const ModelProfile& model, const 
   if (!examples.empty()) {
     // Examples from the large model anchor the answer format, trimming
     // meandering decodes (the paper's 3% zero-load speedup, Figure 18).
-    decode_len *= config_.decode_shrink_with_ic;
+    decode_len *= kDecodeShrinkWithIc;
   }
   decode_len *= std::exp(rng.Normal(0.0, 0.10));
   result.output_tokens = std::max(4, static_cast<int>(decode_len));

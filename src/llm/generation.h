@@ -52,29 +52,9 @@ struct GenerationResult {
   double e2e_latency_s = 0.0;   // zero-load end-to-end latency
 };
 
-struct GenerationConfig {
-  double quality_slope = 5.0;        // sigmoid steepness vs (capability - difficulty)
-  double capability_noise = 0.05;    // per-call capability jitter (sampling variance)
-  double quality_noise = 0.04;       // additive output-quality jitter
-  double relevance_floor = 0.35;     // examples below this relevance contribute no utility
-  double coverage_scale = 0.9;       // utility saturation constant
-  double exceed_margin = 0.10;       // how far IC can push past the source capability
-  double distraction_rate = 0.15;    // capability lost per fully irrelevant example
-  // A *relevant* example whose stored response is poor actively misleads: the
-  // model imitates a bad trajectory. Responses below the pivot contribute
-  // negative utility scaled by misleading_rate.
-  double bad_example_pivot = 0.45;
-  double misleading_rate = 0.06;
-  double decode_shrink_with_ic = 0.92;  // examples guide shorter decodes (Figure 18)
-  // Task-specific strictness offsets applied to the accuracy verdict.
-  double accuracy_offset_code = 0.55;
-  double accuracy_offset_math = 0.65;
-  double accuracy_offset_other = 0.10;
-};
-
 class GenerationSimulator {
  public:
-  explicit GenerationSimulator(uint64_t seed, GenerationConfig config = {});
+  explicit GenerationSimulator(uint64_t seed);
 
   // Generates a response for the request on the given model with the given
   // in-context examples ([] == plain generation). `extra_capability` is an
@@ -102,8 +82,6 @@ class GenerationSimulator {
   // inside the driver's commit lanes), mutating nothing.
   double ReusedResponseQuality(double cached_quality, double relevance, Rng& rng) const;
 
-  const GenerationConfig& config() const { return config_; }
-
   // Snapshot persistence: the sampling stream must resume exactly for a
   // restored driver to reproduce the uninterrupted run's generations.
   RngState rng_state() const { return rng_.SaveState(); }
@@ -113,7 +91,6 @@ class GenerationSimulator {
   double EffectiveCapability(const ModelProfile& model, const std::vector<ExampleView>& examples,
                              Rng& rng) const;
 
-  GenerationConfig config_;
   Rng rng_;
 };
 

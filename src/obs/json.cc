@@ -46,9 +46,15 @@ bool JsonParser::ParseValue(JsonValue* out) {
   }
   switch (text_[pos_]) {
     case '{':
-      return ParseObject(out);
-    case '[':
-      return ParseArray(out);
+    case '[': {
+      if (depth_ >= kMaxDepth) {
+        return Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      ++depth_;
+      const bool ok = text_[pos_] == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return ok;
+    }
     case '"':
       out->kind = JsonValue::Kind::kString;
       return ParseString(&out->str);

@@ -36,6 +36,11 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  // Arrays and objects nest at most this deep. The parser recurses once per
+  // level, so a deeper (hostile) document is a parse error, not a stack
+  // overflow.
+  static constexpr size_t kMaxDepth = 128;
+
   explicit JsonParser(const std::string& text) : text_(text) {}
 
   // Parses the whole document; trailing non-whitespace is an error.
@@ -57,6 +62,7 @@ class JsonParser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // arrays/objects currently open
   std::string error_;
 };
 

@@ -7,11 +7,25 @@ namespace iccache {
 
 namespace {
 
-double SampleValue(const MetricsWindowSample& sample, const std::string& name) {
+// Trailing-EMA floors below which the drop/growth rules stay disarmed.
+constexpr double kStage0MinEma = 0.05;
+constexpr double kQueueMinEmaS = 0.001;
+// EMA smoothing for the trailing baselines.
+constexpr double kEmaAlpha = 0.2;
+// A latched rule re-arms after this many consecutive clean windows.
+constexpr size_t kClearWindows = 3;
+
+// Counter names the rules read from the driver's window samples.
+constexpr char kRequestsCounter[] = "requests_total";
+constexpr char kStage0HitsCounter[] = "stage0_hits_total";
+constexpr char kEvictionsCounter[] = "examples_evicted_total";
+constexpr char kStalledCounter[] = "maintenance_stalled_windows_total";
+
+double SampleValue(const MetricsWindowSample& sample, const char* name) {
   // values are name-sorted; binary search keeps OnWindow O(rules * log n).
   auto it = std::lower_bound(
       sample.values.begin(), sample.values.end(), name,
-      [](const std::pair<std::string, double>& entry, const std::string& key) {
+      [](const std::pair<std::string, double>& entry, const char* key) {
         return entry.first < key;
       });
   if (it != sample.values.end() && it->first == name) {
@@ -48,14 +62,13 @@ const char* WatchdogRuleName(WatchdogRule rule) {
 
 SloWatchdog::SloWatchdog(WatchdogConfig config)
     : config_(std::move(config)),
-      hit_rate_ema_(config_.ema_alpha),
-      queue_ema_(config_.ema_alpha) {
+      hit_rate_ema_(kEmaAlpha),
+      queue_ema_(kEmaAlpha) {
   armed_ = config_.slo_e2e_p99_s > 0.0 || config_.stage0_drop_fraction > 0.0 ||
            config_.queue_growth_factor > 0.0 ||
            config_.eviction_storm_threshold > 0.0 ||
            config_.maintenance_stall_rule;
   config_.trigger_windows = std::max<size_t>(1, config_.trigger_windows);
-  config_.clear_windows = std::max<size_t>(1, config_.clear_windows);
 }
 
 void SloWatchdog::Step(WatchdogRule rule, bool breached, double value,
@@ -65,7 +78,7 @@ void SloWatchdog::Step(WatchdogRule rule, bool breached, double value,
   if (state.latched) {
     if (breached) {
       state.clean = 0;
-    } else if (++state.clean >= config_.clear_windows) {
+    } else if (++state.clean >= kClearWindows) {
       state.latched = false;
       state.clean = 0;
       state.breaches = 0;
@@ -113,8 +126,8 @@ std::vector<WatchdogEvent> SloWatchdog::OnWindow(const MetricsWindowSample& samp
   const LatencyHistogram e2e_delta = LatencyHistogram::Delta(e2e, prev_e2e_);
   const LatencyHistogram queue_delta = LatencyHistogram::Delta(queue, prev_queue_);
   const double requests_delta =
-      SampleValue(sample, config_.requests_counter) -
-      SampleValue(prev_, config_.requests_counter);
+      SampleValue(sample, kRequestsCounter) -
+      SampleValue(prev_, kRequestsCounter);
 
   if (config_.slo_e2e_p99_s > 0.0 && e2e_delta.count() > 0) {
     const double p99 = e2e_delta.Percentile(99.0);
@@ -126,13 +139,13 @@ std::vector<WatchdogEvent> SloWatchdog::OnWindow(const MetricsWindowSample& samp
 
   if (config_.stage0_drop_fraction > 0.0 && requests_delta > 0.0) {
     const double hits_delta =
-        SampleValue(sample, config_.stage0_hits_counter) -
-        SampleValue(prev_, config_.stage0_hits_counter);
+        SampleValue(sample, kStage0HitsCounter) -
+        SampleValue(prev_, kStage0HitsCounter);
     const double rate = std::max(0.0, hits_delta) / requests_delta;
     const double floor =
         hit_rate_ema_.value() * config_.stage0_drop_fraction;
     const bool ema_armed =
-        hit_rate_ema_.initialized() && hit_rate_ema_.value() >= config_.stage0_min_ema;
+        hit_rate_ema_.initialized() && hit_rate_ema_.value() >= kStage0MinEma;
     Step(WatchdogRule::kStage0HitRateDrop, ema_armed && rate < floor, rate, floor,
          Describe("stage-0 hit rate %.3f below %.3f (drop vs trailing EMA)", rate,
                   floor),
@@ -144,7 +157,7 @@ std::vector<WatchdogEvent> SloWatchdog::OnWindow(const MetricsWindowSample& samp
     const double mean = queue_delta.mean();
     const double bound = queue_ema_.value() * config_.queue_growth_factor;
     const bool ema_armed =
-        queue_ema_.initialized() && queue_ema_.value() >= config_.queue_min_ema_s;
+        queue_ema_.initialized() && queue_ema_.value() >= kQueueMinEmaS;
     Step(WatchdogRule::kQueueDelayGrowth, ema_armed && mean > bound, mean, bound,
          Describe("mean queue delay %.4fs above %.4fs (growth vs trailing EMA)",
                   mean, bound),
@@ -154,8 +167,8 @@ std::vector<WatchdogEvent> SloWatchdog::OnWindow(const MetricsWindowSample& samp
 
   if (config_.eviction_storm_threshold > 0.0) {
     const double evictions_delta =
-        SampleValue(sample, config_.evictions_counter) -
-        SampleValue(prev_, config_.evictions_counter);
+        SampleValue(sample, kEvictionsCounter) -
+        SampleValue(prev_, kEvictionsCounter);
     Step(WatchdogRule::kEvictionStorm,
          evictions_delta > config_.eviction_storm_threshold, evictions_delta,
          config_.eviction_storm_threshold,
@@ -166,8 +179,8 @@ std::vector<WatchdogEvent> SloWatchdog::OnWindow(const MetricsWindowSample& samp
 
   if (config_.maintenance_stall_rule) {
     const double stalled_delta =
-        SampleValue(sample, config_.stalled_counter) -
-        SampleValue(prev_, config_.stalled_counter);
+        SampleValue(sample, kStalledCounter) -
+        SampleValue(prev_, kStalledCounter);
     Step(WatchdogRule::kMaintenanceStall, stalled_delta > 0.0, stalled_delta, 0.0,
          Describe("maintenance stalled %.0f window(s) (bound %.0f)", stalled_delta,
                   0.0),

@@ -1,7 +1,7 @@
 // Online SLO watchdog over the per-window MetricsHub snapshot series.
-// Evaluated once per window boundary (driver) or per N requests (service)
-// against declarative rules: e2e p99 over SLO, stage-0 hit-rate collapse vs
-// a trailing EMA, queue-delay growth, eviction storms, maintenance stalls.
+// Evaluated once per driver window boundary against declarative rules: e2e
+// p99 over SLO, stage-0 hit-rate collapse vs a trailing EMA, queue-delay
+// growth, eviction storms, maintenance stalls.
 // Rules fire with hysteresis (consecutive breaches to trigger, consecutive
 // clean windows to re-arm) and emit structured WatchdogEvents the caller
 // records into the trace and the run report.
@@ -40,31 +40,19 @@ struct WatchdogConfig {
   double slo_e2e_p99_s = 0.0;
   // Fire when the window's stage-0 hit rate falls below
   // `stage0_drop_fraction` x trailing EMA. Armed only once the EMA has
-  // reached `stage0_min_ema` (suppresses cold-start noise).
+  // reached a floor (suppresses cold-start noise).
   double stage0_drop_fraction = 0.0;
-  double stage0_min_ema = 0.05;
   // Fire when the window's mean queue delay exceeds `queue_growth_factor` x
-  // trailing EMA, once the EMA has reached `queue_min_ema_s` seconds.
+  // trailing EMA, once the EMA has reached a floor.
   double queue_growth_factor = 0.0;
-  double queue_min_ema_s = 0.001;
   // Fire when a single window evicts more than this many examples.
   double eviction_storm_threshold = 0.0;
   // Fire whenever the maintenance stalled-window counter advances.
   bool maintenance_stall_rule = false;
 
-  // EMA smoothing for the trailing baselines.
-  double ema_alpha = 0.2;
-  // Hysteresis: breach this many consecutive windows to fire ...
+  // Hysteresis: breach this many consecutive windows to fire, then stay
+  // latched until a run of consecutive clean windows (watchdog.cc).
   size_t trigger_windows = 3;
-  // ... then stay latched until this many consecutive clean windows.
-  size_t clear_windows = 3;
-
-  // Counter names in the window samples (the service exposes its stage-0
-  // counters without the `_total` suffix; the driver uses these defaults).
-  std::string requests_counter = "requests_total";
-  std::string stage0_hits_counter = "stage0_hits_total";
-  std::string evictions_counter = "examples_evicted_total";
-  std::string stalled_counter = "maintenance_stalled_windows_total";
 };
 
 struct WatchdogEvent {

@@ -4,9 +4,9 @@
 // checkpoint cost shows up in benchmark percentile columns instead of
 // hiding.
 //
-// The load gate is soft: a checkpoint overdue by `force_factor` intervals is
+// The load gate is soft: a checkpoint overdue by kForceFactor intervals is
 // taken regardless of load, bounding crash-recovery staleness on a saturated
-// cluster at force_factor * interval_s of trace time.
+// cluster at kForceFactor * interval_s of trace time.
 #ifndef SRC_PERSIST_CHECKPOINTER_H_
 #define SRC_PERSIST_CHECKPOINTER_H_
 
@@ -25,8 +25,6 @@ struct CheckpointerConfig {
   double interval_s = 0.0;
   // Off-peak gate: take due checkpoints only while utilization is below this.
   double load_threshold = 1e9;
-  // Take an overdue checkpoint regardless of load after this many intervals.
-  double force_factor = 2.0;
 };
 
 class Checkpointer {
@@ -44,7 +42,7 @@ class Checkpointer {
     if (elapsed < config_.interval_s) {
       return false;
     }
-    return load < config_.load_threshold || elapsed >= config_.force_factor * config_.interval_s;
+    return load < config_.load_threshold || elapsed >= kForceFactor * config_.interval_s;
   }
 
   // Runs `write` (which persists to path()) and records its wall-clock cost.
@@ -66,6 +64,9 @@ class Checkpointer {
   double last_write_ms() const { return last_write_ms_; }
 
  private:
+  // Take an overdue checkpoint regardless of load after this many intervals.
+  static constexpr double kForceFactor = 2.0;
+
   CheckpointerConfig config_;
   double last_time_ = 0.0;
   size_t taken_ = 0;

@@ -20,19 +20,13 @@ namespace iccache {
 
 namespace {
 
-std::vector<RouterArmSpec> MakeArms(const ModelProfile& small, const ModelProfile& large) {
-  RouterArmSpec small_arm;
-  small_arm.model_name = small.name;
-  small_arm.uses_examples = true;
-  small_arm.normalized_cost =
-      large.cost_per_1k_tokens > 0.0 ? small.cost_per_1k_tokens / large.cost_per_1k_tokens : 0.1;
-
-  RouterArmSpec large_arm;
-  large_arm.model_name = large.name;
-  large_arm.uses_examples = false;
-  large_arm.normalized_cost = 1.0;
-  return {small_arm, large_arm};
-}
+// Each model pool runs this many replicas of the default ServerConfig.
+constexpr int kReplicasPerPool = 2;
+// Window boundaries a requested maintenance tick ages before its mutation
+// batch is applied: the background planner's deterministic compute budget.
+// Checkpoints and end-of-run flush pending ticks early (at equally
+// deterministic points).
+constexpr size_t kMaintenancePublishLag = 2;
 
 RouterConfig SeededRouterConfig(RouterConfig config, uint64_t seed) {
   config.seed = Mix64(seed ^ 0x4073ull);
@@ -42,13 +36,6 @@ RouterConfig SeededRouterConfig(RouterConfig config, uint64_t seed) {
 ShardedCacheConfig SeededCacheConfig(ShardedCacheConfig config, uint64_t seed) {
   config.cache.seed = Mix64(seed ^ 0xcac4eull);
   return config;
-}
-
-MaintenanceSchedulerConfig SchedulerConfig(const DriverConfig& config) {
-  MaintenanceSchedulerConfig scheduler;
-  scheduler.background = config.background_maintenance;
-  scheduler.seed = Mix64(config.seed ^ 0x3a171ull);
-  return scheduler;
 }
 
 double Since(const std::chrono::steady_clock::time_point& start) {
@@ -69,12 +56,11 @@ ServingDriver::ServingDriver(DriverConfig config, const ModelCatalog* catalog)
       generator_(Mix64(config.seed ^ 0x6e4ull)),
       manager_(&cache_, &generator_, large_, config.manager),
       stage0_(embedder_, config.stage0),
-      maintenance_(&manager_, SchedulerConfig(config)),
+      maintenance_(&manager_, Mix64(config.seed ^ 0x3a171ull)),
       checkpointer_(CheckpointerConfig{config.snapshot_path, config.checkpoint_interval_s,
-                                       config.replay_load_threshold,
-                                       /*force_factor=*/2.0}) {
-  cluster_.AddPool(small_, config_.small_replicas, config_.server);
-  cluster_.AddPool(large_, config_.large_replicas, config_.server);
+                                       config.replay_load_threshold}) {
+  cluster_.AddPool(small_, kReplicasPerPool);
+  cluster_.AddPool(large_, kReplicasPerPool);
   if (config_.restore_on_start && !config_.snapshot_path.empty()) {
     const Status status = RestoreSnapshot(config_.snapshot_path);
     // A missing snapshot is a normal cold start; anything else (corruption,
@@ -257,11 +243,8 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
     if (!config_.selector_fault_bypass) {
       prepared.candidates = selector_.PrepareCandidatesFrom(request, small_, s.stage1[i]);
     }
-    if (config_.lifecycle_admission) {
-      prepared.lifecycle = manager_.PrepareAdmission(
-          request, &prepared.embedding,
-          config_.selector_fault_bypass ? nullptr : &s.stage1[i]);
-    }
+    prepared.lifecycle = manager_.PrepareAdmission(
+        request, &prepared.embedding, config_.selector_fault_bypass ? nullptr : &s.stage1[i]);
     if (traced) {
       // Per-request prepare phase span, emitted manually so it brackets the
       // request's embed through its tail even though chunk phases interleave
@@ -370,7 +353,7 @@ void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
   // quality gain, as in IcCacheService.
   if (slot.offloaded && !slot.selected.empty()) {
     Rng probe_rng(Mix64(request.id ^ config_.seed ^ 0x9a0beull));
-    if (probe_rng.Uniform() < config_.selector_probe_rate) {
+    if (probe_rng.Uniform() < kSelectorProbeRate) {
       TraceSpan generate_span(TraceCategory::kGenerate, request.id);
       const GenerationResult plain = generator_.Generate(small_, request, {}, commit_rng);
       slot.probed = true;
@@ -380,9 +363,7 @@ void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
 
   // Stage the admission for the per-shard publish step (quality gate and
   // insert both run there, in per-shard arrival order).
-  if (config_.lifecycle_admission) {
-    slot.lifecycle = std::move(prep.lifecycle);
-  }
+  slot.lifecycle = std::move(prep.lifecycle);
 }
 
 DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
@@ -448,11 +429,9 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   uint64_t rerank_queries_seen = rerank_queries_before;
   uint64_t rerank_candidates_seen = rerank_candidates_before;
 
-  // ClusterSim::AddPool clamps replica counts to >= 1; mirror that here so
-  // the utilization denominator matches the pools that actually exist.
-  const double pool_capacity = static_cast<double>(
-      (std::max(1, config_.small_replicas) + std::max(1, config_.large_replicas)) *
-      std::max(1, config_.server.max_batch_size));
+  // Utilization denominator: both pools' replicas at full batch occupancy.
+  const double pool_capacity =
+      static_cast<double>(2 * kReplicasPerPool * ServerConfig{}.max_batch_size);
   // One utilization definition for everything that gates on load (router
   // ObserveLoad, the off-peak replay threshold, the checkpoint gate).
   const auto current_load = [this, pool_capacity] {
@@ -464,7 +443,6 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   ThreadPool pool(config_.num_threads);
   const size_t window = std::max<size_t>(1, config_.batch_window);
   const size_t lanes = std::max<size_t>(1, config_.commit_lanes);
-  const size_t publish_lag = std::max<size_t>(1, config_.maintenance_publish_lag);
   std::vector<Prepared> prepared(window);
   std::vector<Prepared> prepared_next(window);
   std::vector<CommitSlot> slots(window);
@@ -756,7 +734,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
     // order (deterministic id assignment), watermark eviction deferred to
     // ONE enforcement after the join so no lane can trigger a knapsack under
     // a racing pool view.
-    if (config_.lifecycle_admission) {
+    {
       std::vector<std::vector<size_t>> shard_slots(cache_.num_shards());
       for (size_t slot = 0; slot < count; ++slot) {
         shard_slots[cache_.shard_for_request(requests[begin + slot])].push_back(slot);
@@ -812,7 +790,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
     //    the run) — BEFORE any checkpoint, so snapshots never race a tick.
     if (!maintenance_.idle()) {
       maintenance_.NoteBoundary();
-      if (maintenance_.boundaries_pending() >= publish_lag) {
+      if (maintenance_.boundaries_pending() >= kMaintenancePublishLag) {
         publish_tick(/*forced=*/false);
       } else if (final_window) {
         publish_tick(/*forced=*/true);

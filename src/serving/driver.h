@@ -88,9 +88,6 @@ namespace iccache {
 struct DriverConfig {
   std::string small_model = "gemma-2-2b";
   std::string large_model = "gemma-2-27b";
-  int small_replicas = 2;
-  int large_replicas = 2;
-  ServerConfig server;
 
   // Parallelism. `batch_window` is the lookahead batch fanned out per window;
   // it is part of the pipeline semantics (all lookups in a window see the
@@ -126,13 +123,11 @@ struct DriverConfig {
   Stage0Config stage0;
 
   // Full two-stage selection pipeline (stage-1 pool size, dynamic threshold
-  // grid, diversity, context budget, ...).
+  // grid, diversity, context budget, ...). A kSelectorProbeRate slice of
+  // offloaded requests (src/core/pipeline.h) shadow-generates the plain
+  // small-model response for the selector's counterfactual gain label,
+  // sampled per request id, deterministically.
   SelectorConfig selector;
-
-  // Fraction of offloaded requests that shadow-generate the plain small-model
-  // response so the selector gets a genuine counterfactual quality-gain label
-  // (probe sampling, section 4.1). Sampled per request id, deterministically.
-  double selector_probe_rate = 0.08;
 
   RouterConfig router;
   // Sharded cache: `cache.num_shards` picks the shard count and
@@ -141,11 +136,10 @@ struct DriverConfig {
 
   // Example lifecycle (section 4.3), shared with IcCacheService: admission
   // quality gate + dedupe, gain EMAs, replay rationing, decay cadence.
+  // Responses are always admitted as future examples through ExampleManager
+  // (large-model responses always, offloaded small-model responses above the
+  // manager's quality gate).
   ManagerConfig manager;
-  // Master switch for lifecycle admission: responses are admitted as future
-  // examples through ExampleManager (large-model responses always, offloaded
-  // small-model responses above the manager's quality gate).
-  bool lifecycle_admission = true;
   // Maintenance (decay + knapsack eviction) ticks off trace time, planned by
   // the background scheduler and published at window boundaries.
   bool lifecycle_maintenance = true;
@@ -156,16 +150,6 @@ struct DriverConfig {
   bool offpeak_replay = true;
   double replay_load_threshold = 0.35;
   double replay_min_interval_s = 900.0;
-
-  // Background maintenance threading. `background_maintenance = false` plans
-  // ticks inline on the driver thread instead of the dedicated one —
-  // byte-identical results (the publish boundary is the same), useful for
-  // debugging. `maintenance_publish_lag` is how many window boundaries a
-  // requested tick ages before its mutation batch is applied: the planner's
-  // deterministic compute budget. Checkpoints and end-of-run flush pending
-  // ticks early (at equally deterministic points).
-  bool background_maintenance = true;
-  size_t maintenance_publish_lag = 2;
 
   // Fault injection (section 5): bypass the selector (serve without
   // examples) or the router (direct route to the large backend).

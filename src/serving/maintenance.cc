@@ -5,37 +5,21 @@
 
 namespace iccache {
 
-MaintenanceScheduler::MaintenanceScheduler(const ExampleManager* manager,
-                                           MaintenanceSchedulerConfig config)
-    : manager_(manager), config_(config) {
-  if (config_.background) {
-    worker_ = std::thread([this] { WorkerLoop(); });
-  }
-}
+MaintenanceScheduler::MaintenanceScheduler(const ExampleManager* manager, uint64_t seed)
+    : manager_(manager), seed_(seed), worker_([this] { WorkerLoop(); }) {}
 
 MaintenanceScheduler::~MaintenanceScheduler() {
-  if (worker_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    worker_.join();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
   }
+  work_cv_.notify_all();
+  worker_.join();
 }
 
 void MaintenanceScheduler::Request(MaintenanceCut cut, const MaintenanceTickSpec& spec) {
   pending_ = true;
   boundaries_pending_ = 0;
-  if (!config_.background) {
-    // Inline mode: plan right here on the driver thread. Same inputs, same
-    // rng derivation, same publish boundary — byte-identical to background.
-    TraceSpan span(TraceCategory::kMaintenancePlan);
-    span.SetArgs(spec.epoch);
-    Rng rng(Mix64(config_.seed ^ Mix64(spec.epoch)));
-    inline_plan_ = manager_->PlanMaintenance(cut, spec, rng);
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_cut_ = std::move(cut);
@@ -49,12 +33,6 @@ void MaintenanceScheduler::Request(MaintenanceCut cut, const MaintenanceTickSpec
 MaintenancePlan MaintenanceScheduler::Collect(bool* stalled) {
   pending_ = false;
   boundaries_pending_ = 0;
-  if (!config_.background) {
-    if (stalled != nullptr) {
-      *stalled = false;
-    }
-    return std::move(inline_plan_);
-  }
   std::unique_lock<std::mutex> lock(mu_);
   if (stalled != nullptr) {
     *stalled = !plan_ready_;
@@ -82,7 +60,7 @@ void MaintenanceScheduler::WorkerLoop() {
     // it independent of every other RNG in the process.
     TraceSpan span(TraceCategory::kMaintenancePlan);
     span.SetArgs(spec.epoch);
-    Rng rng(Mix64(config_.seed ^ Mix64(spec.epoch)));
+    Rng rng(Mix64(seed_ ^ Mix64(spec.epoch)));
     MaintenancePlan plan = manager_->PlanMaintenance(cut, spec, rng);
     {
       std::lock_guard<std::mutex> lock(mu_);

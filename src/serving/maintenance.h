@@ -21,10 +21,7 @@
 // Because the cut is taken at a deterministic boundary, the plan is pure, and
 // the publish boundary is fixed by the window schedule (plus the driver's
 // deterministic early-flush points: checkpoints and end-of-run), the entire
-// scheme produces identical mutations at any thread count, any lane count,
-// and in both threading modes (`background = false` plans inline at request
-// time but still publishes at the same boundary, byte-for-byte identically —
-// the toggle changes WHO computes, never WHAT).
+// scheme produces identical mutations at any thread count and any lane count.
 //
 // At most one tick is ever in flight; the driver's due-checks are suppressed
 // while one is pending.
@@ -41,16 +38,9 @@
 
 namespace iccache {
 
-struct MaintenanceSchedulerConfig {
-  // true: plan on the dedicated thread; false: plan inline at request time
-  // (identical results — see file comment — useful for debugging and tests).
-  bool background = true;
-  uint64_t seed = 0;
-};
-
 class MaintenanceScheduler {
  public:
-  MaintenanceScheduler(const ExampleManager* manager, MaintenanceSchedulerConfig config);
+  MaintenanceScheduler(const ExampleManager* manager, uint64_t seed);
   ~MaintenanceScheduler();
 
   MaintenanceScheduler(const MaintenanceScheduler&) = delete;
@@ -91,15 +81,14 @@ class MaintenanceScheduler {
   void WorkerLoop();
 
   const ExampleManager* manager_;
-  MaintenanceSchedulerConfig config_;
+  uint64_t seed_;
 
   // Driver-thread-only bookkeeping.
   bool pending_ = false;
   size_t boundaries_pending_ = 0;
   uint64_t next_epoch_ = 0;
-  MaintenancePlan inline_plan_;  // background == false
 
-  // Handoff to the worker (background == true).
+  // Handoff to the worker.
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

@@ -1,6 +1,7 @@
 #include "src/common/stats.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,42 +96,6 @@ TEST(EmaTest, ResetClearsState) {
   EXPECT_EQ(ema.value(), 0.0);
 }
 
-TEST(PercentileTrackerTest, ExactOrderStatistics) {
-  PercentileTracker tracker;
-  for (int i = 1; i <= 100; ++i) {
-    tracker.Add(static_cast<double>(i));
-  }
-  EXPECT_EQ(tracker.count(), 100u);
-  EXPECT_NEAR(tracker.Percentile(0), 1.0, 1e-12);
-  EXPECT_NEAR(tracker.Percentile(100), 100.0, 1e-12);
-  EXPECT_NEAR(tracker.Percentile(50), 50.5, 1e-12);
-  EXPECT_NEAR(tracker.Percentile(99), 99.01, 0.05);
-  EXPECT_NEAR(tracker.mean(), 50.5, 1e-12);
-}
-
-TEST(PercentileTrackerTest, UnsortedInsertOrder) {
-  PercentileTracker tracker;
-  for (double x : {5.0, 1.0, 3.0, 2.0, 4.0}) {
-    tracker.Add(x);
-  }
-  EXPECT_NEAR(tracker.Percentile(50), 3.0, 1e-12);
-}
-
-TEST(PercentileTrackerTest, EmptyReturnsZero) {
-  PercentileTracker tracker;
-  EXPECT_EQ(tracker.Percentile(50), 0.0);
-  EXPECT_EQ(tracker.mean(), 0.0);
-}
-
-TEST(PercentileTrackerTest, AddAfterQueryStillCorrect) {
-  PercentileTracker tracker;
-  tracker.Add(1.0);
-  tracker.Add(2.0);
-  EXPECT_NEAR(tracker.Percentile(100), 2.0, 1e-12);
-  tracker.Add(10.0);
-  EXPECT_NEAR(tracker.Percentile(100), 10.0, 1e-12);
-}
-
 TEST(HistogramTest, BinsAndDensity) {
   Histogram hist(0.0, 10.0, 10);
   for (int i = 0; i < 10; ++i) {
@@ -179,27 +144,23 @@ TEST(EmpiricalCdfTest, EmptyInput) {
   EXPECT_EQ(cdf.Quantile(0.5), 0.0);
 }
 
-// Property: PercentileTracker::Percentile agrees with EmpiricalCdf::Quantile
-// on random data.
-class PercentileAgreementSweep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PercentileAgreementSweep, TrackerMatchesCdf) {
-  Rng rng(GetParam());
-  PercentileTracker tracker;
+TEST(EmpiricalCdfTest, ExactOrderStatistics) {
   std::vector<double> samples;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.Normal(0.0, 3.0);
-    tracker.Add(x);
-    samples.push_back(x);
+  for (int i = 1; i <= 100; ++i) {
+    samples.push_back(static_cast<double>(i));
   }
-  EmpiricalCdf cdf(samples);
-  for (double q : {0.01, 0.25, 0.5, 0.9, 0.99}) {
-    EXPECT_NEAR(tracker.Percentile(q * 100.0), cdf.Quantile(q), 1e-9);
-  }
+  EmpiricalCdf cdf(std::move(samples));
+  EXPECT_EQ(cdf.count(), 100u);
+  EXPECT_NEAR(cdf.Quantile(0.0), 1.0, 1e-12);
+  EXPECT_NEAR(cdf.Quantile(1.0), 100.0, 1e-12);
+  EXPECT_NEAR(cdf.Quantile(0.5), 50.5, 1e-12);
+  EXPECT_NEAR(cdf.Quantile(0.99), 99.01, 0.05);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PercentileAgreementSweep,
-                         ::testing::Values(3ull, 7ull, 11ull, 13ull));
+TEST(EmpiricalCdfTest, UnsortedInput) {
+  EmpiricalCdf cdf({5.0, 1.0, 3.0, 2.0, 4.0});
+  EXPECT_NEAR(cdf.Quantile(0.5), 3.0, 1e-12);
+}
 
 TEST(LatencyHistogramTest, EmptyReturnsZero) {
   LatencyHistogram h;
@@ -248,16 +209,17 @@ TEST(LatencyHistogramTest, PercentileErrorBoundHolds) {
   // The documented contract: in-range relative error <= sqrt(growth) - 1.
   LatencyHistogram h;  // defaults: lo=1e-6, growth=1.10
   Rng rng(0x9157);
-  PercentileTracker exact;
+  std::vector<double> samples;
   for (int i = 0; i < 4000; ++i) {
     const double x = std::exp(rng.Normal(-3.0, 1.5));  // log-normal latencies
     h.Add(x);
-    exact.Add(x);
+    samples.push_back(x);
   }
+  const EmpiricalCdf exact(std::move(samples));
   const double bound = std::sqrt(1.10) - 1.0;
   for (double p : {10.0, 50.0, 90.0, 99.0}) {
     const double estimate = h.Percentile(p);
-    const double truth = exact.Percentile(p);
+    const double truth = exact.Quantile(p / 100.0);
     EXPECT_LE(std::abs(estimate - truth) / truth, bound + 0.01)
         << "p=" << p << " estimate=" << estimate << " truth=" << truth;
   }

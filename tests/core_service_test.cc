@@ -82,10 +82,10 @@ TEST_F(ServiceFixture, MetricsTrackRequestFlow) {
   for (int i = 0; i < 30; ++i) {
     service_.ServeRequest(gen_.Next(), static_cast<double>(i));
   }
-  EXPECT_EQ(service_.metrics().Get("requests_total"), 30.0);
-  EXPECT_GE(service_.metrics().Get("requests_offloaded"), 0.0);
-  EXPECT_LE(service_.metrics().Get("requests_offloaded"), 30.0);
-  EXPECT_GT(service_.metrics().Get("latency_sum_s"), 0.0);
+  EXPECT_EQ(service_.metrics_hub().Value("requests_total"), 30.0);
+  EXPECT_GE(service_.metrics_hub().Value("requests_offloaded_total"), 0.0);
+  EXPECT_LE(service_.metrics_hub().Value("requests_offloaded_total"), 30.0);
+  EXPECT_GT(service_.metrics_hub().Value("latency_sum_s"), 0.0);
 }
 
 TEST_F(ServiceFixture, SelectorFailureBypassesExamples) {
@@ -95,7 +95,7 @@ TEST_F(ServiceFixture, SelectorFailureBypassesExamples) {
     const ServeOutcome outcome = service_.ServeRequest(gen_.Next(), static_cast<double>(i));
     EXPECT_TRUE(outcome.examples_used.empty());
   }
-  EXPECT_GT(service_.metrics().Get("selector_bypassed"), 0.0);
+  EXPECT_GT(service_.metrics_hub().Value("selector_bypassed"), 0.0);
 }
 
 TEST_F(ServiceFixture, RouterFailureFallsBackToLargeBackend) {
@@ -106,7 +106,7 @@ TEST_F(ServiceFixture, RouterFailureFallsBackToLargeBackend) {
     EXPECT_FALSE(outcome.offloaded);
     EXPECT_EQ(outcome.generation.model_name, service_.large_model().name);
   }
-  EXPECT_GT(service_.metrics().Get("router_bypassed"), 0.0);
+  EXPECT_GT(service_.metrics_hub().Value("router_bypassed"), 0.0);
 }
 
 TEST_F(ServiceFixture, FailureRecoveryRestoresOffloading) {
@@ -136,7 +136,7 @@ TEST_F(ServiceFixture, MaintenanceRunsReplayAndDecay) {
     service_.ServeRequest(gen_.Next(), static_cast<double>(i));
   }
   service_.RunMaintenance(3700.0);
-  EXPECT_GE(service_.metrics().Get("replay_examined"), 0.0);
+  EXPECT_GE(service_.metrics_hub().Value("replay_examined"), 0.0);
 }
 
 TEST_F(ServiceFixture, OverheadChargedOnlyWhenComponentsRun) {

@@ -166,11 +166,11 @@ TEST_F(EndToEndFixture, ServiceDrivesClusterWithLowerLatencyThanAlwaysLarge) {
   }
   large_cluster.RunUntilIdle();
 
-  PercentileTracker ic_latency;
+  RunningStat ic_latency;
   for (const auto& record : ic_cluster.completions()) {
     ic_latency.Add(record.E2eLatency());
   }
-  PercentileTracker large_latency;
+  RunningStat large_latency;
   for (const auto& record : large_cluster.completions()) {
     large_latency.Add(record.E2eLatency());
   }

@@ -1,7 +1,8 @@
 // Unit coverage for the flight-recorder observability layer: ring-buffer
 // wrap/drop accounting, span emission through the global recorder, the
-// MetricsHub (handles, window series, Prometheus text), and the Chrome
-// trace-event JSON writer/parser round trip.
+// MetricsHub (handles, window series, Prometheus text), the Chrome
+// trace-event JSON writer/parser round trip, and the JSON readers' nesting
+// bound.
 #include <unistd.h>
 
 #include <cmath>
@@ -12,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/bench_json.h"
 #include "src/obs/export.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/obs/timeline.h"
 #include "src/obs/trace.h"
 
 namespace iccache {
@@ -296,6 +300,51 @@ TEST(ChromeTraceExportTest, ParserRejectsMalformedJson) {
   EXPECT_FALSE(ParseChromeTrace("[]", &summary, &error));  // root must be an object
   EXPECT_FALSE(ParseChromeTrace("{\"traceEvents\": 3}", &summary, &error));
   EXPECT_FALSE(ParseChromeTrace("{\"traceEvents\": [{\"name\": 1}]}", &summary, &error));
+}
+
+// `depth` nested arrays: "[[...]]".
+std::string NestedArrays(size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+// Hostile nesting far past JsonParser::kMaxDepth must come back as a parse
+// error from every reader built on the parser — never a stack overflow.
+TEST(JsonReadersTest, RejectHostileNestingWithoutCrashing) {
+  constexpr size_t kHostileDepth = 1000000;
+  std::string nested_objects;
+  for (size_t i = 0; i < kHostileDepth; ++i) {
+    nested_objects += "{\"a\":";
+  }
+  for (const std::string& hostile : {std::string(kHostileDepth, '['), nested_objects}) {
+    EXPECT_FALSE(ParseBenchRun(hostile).ok());
+    ChromeTraceSummary summary;
+    std::string error;
+    EXPECT_FALSE(ParseChromeTrace(hostile, &summary, &error));
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+    std::vector<TimelineSpan> spans;
+    error.clear();
+    EXPECT_FALSE(ParseChromeTraceSpans(hostile, &spans, &error));
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+  }
+}
+
+// Legitimate documents 64 levels deep (root included) still parse.
+TEST(JsonReadersTest, AcceptNestingWellBelowTheBound) {
+  static_assert(JsonParser::kMaxDepth >= 64, "bound must admit 64-deep documents");
+  const StatusOr<BenchRunRecord> bench = ParseBenchRun(
+      "{\"schema\": \"iccache-bench/1\", \"metrics\": {}, \"pad\": " + NestedArrays(63) + "}");
+  EXPECT_TRUE(bench.ok()) << bench.status().ToString();
+  ChromeTraceSummary summary;
+  std::string error;
+  EXPECT_TRUE(ParseChromeTrace(
+      "{\"traceEvents\": [], \"otherData\": {\"pad\": " + NestedArrays(62) + "}}", &summary,
+      &error))
+      << error;
+  std::vector<TimelineSpan> spans;
+  EXPECT_TRUE(
+      ParseChromeTraceSpans("{\"traceEvents\": [], \"pad\": " + NestedArrays(63) + "}", &spans,
+                            &error))
+      << error;
 }
 
 TEST(ChromeTraceExportTest, JsonEscapesControlCharactersInNames) {

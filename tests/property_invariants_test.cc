@@ -213,7 +213,7 @@ TEST_P(ServiceContractSweep, OutcomeContractHolds) {
     EXPECT_GT(outcome.generation.e2e_latency_s, 0.0);
     EXPECT_GE(outcome.generation.prompt_tokens, 0);
   }
-  EXPECT_EQ(service.metrics().Get("requests_total"), 120.0);
+  EXPECT_EQ(service.metrics_hub().Value("requests_total"), 120.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Pairs, ServiceContractSweep,

@@ -155,33 +155,6 @@ TEST(ServingLanesTest, ThreadAndLaneMatrixIsByteIdentical) {
   EXPECT_GT(reports[0].evicted_examples, 0u);
 }
 
-// The background thread is pure mechanism: planning a tick on the dedicated
-// thread and planning it inline on the driver thread publish byte-identical
-// mutation batches at the same boundary.
-TEST(ServingLanesTest, BackgroundAndInlineMaintenancePlanningAreIdentical) {
-  const std::vector<Request> requests = SmallWorkload();
-  ModelCatalog catalog;
-  DriverConfig config = LifecycleConfig(kSeed);
-  config.cache.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
-  config.num_threads = 4;
-
-  config.background_maintenance = true;
-  const auto background = MakeDriver(catalog, config, kSeed);
-  const DriverReport background_report = background->Run(requests);
-
-  config.background_maintenance = false;
-  const auto inline_mode = MakeDriver(catalog, config, kSeed);
-  const DriverReport inline_report = inline_mode->Run(requests);
-
-  ExpectSameDecisions(background_report, inline_report);
-  ExpectSameLifecycleCounts(background_report, inline_report);
-  EXPECT_EQ(background->cache().AllIds(), inline_mode->cache().AllIds());
-  EXPECT_EQ(background->cache().used_bytes(), inline_mode->cache().used_bytes());
-  EXPECT_GT(background_report.maintenance_runs, 0u);
-  // Inline planning never waits on a worker.
-  EXPECT_EQ(inline_report.maintenance_stalled_windows, 0u);
-}
-
 // The maintenance bucket is measured separately (satellite: maintenance time
 // must no longer be silently booked as serial time) and the three buckets
 // partition the wall clock.

@@ -180,7 +180,7 @@ TEST(ClusterSimTest, LatencyGrowsUnderOverload) {
       cluster.Submit("test-model", MakeRequest(i, i / rps, 50, 50));
     }
     cluster.RunUntilIdle();
-    PercentileTracker latency;
+    RunningStat latency;
     for (const auto& record : cluster.completions()) {
       latency.Add(record.E2eLatency());
     }
