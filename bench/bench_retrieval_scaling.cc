@@ -544,13 +544,13 @@ int main(int argc, char** argv) {
       if (int8 && n == largest) {
         auto* hnsw = dynamic_cast<HnswIndex*>(index.get());
         if (hnsw != nullptr) {
-          std::string blob;
+          ByteWriter blob;
           const auto save_start = std::chrono::steady_clock::now();
           hnsw->SaveGraph(&blob);
           const double save_s = SecondsSince(save_start);
           HnswIndex restored(hnsw->config());
           const auto load_start = std::chrono::steady_clock::now();
-          const bool loaded = restored.LoadGraph(blob);
+          const bool loaded = restored.LoadGraph(blob.bytes());
           const double load_s = SecondsSince(load_start);
           bool identical = loaded;
           if (loaded) {

@@ -13,13 +13,6 @@ ExampleCache::ExampleCache(std::shared_ptr<const Embedder> embedder, ExampleCach
       config_(config),
       index_(MakeRetrievalIndex(config.retrieval, embedder_->dim(), config.seed)) {}
 
-uint64_t ExampleCache::Put(const Request& request, std::string response_text,
-                           double response_quality, double source_capability, int response_tokens,
-                           double now) {
-  return PutPrepared(request, PrepareAdmission(request), std::move(response_text),
-                     response_quality, source_capability, response_tokens, now);
-}
-
 PreparedAdmission ExampleCache::PrepareAdmission(const Request& request,
                                                  const std::vector<float>* text_embedding) const {
   return PrepareAdmissionPayload(scrubber_, config_.admission_mode, *embedder_, request,
@@ -32,19 +25,10 @@ uint64_t ExampleCache::PutPrepared(const Request& request, PreparedAdmission pre
   if (!prepared.admit) {
     return 0;
   }
-  return PutPrepared(request, std::move(prepared.sanitized_text), std::move(prepared.embedding),
-                     std::move(response_text), response_quality, source_capability,
-                     response_tokens, now);
-}
-
-uint64_t ExampleCache::PutPrepared(const Request& request, std::string sanitized_text,
-                                   std::vector<float> embedding, std::string response_text,
-                                   double response_quality, double source_capability,
-                                   int response_tokens, double now) {
   Example example;
   example.id = next_id_++;
   example.request = request;
-  example.request.text = std::move(sanitized_text);
+  example.request.text = std::move(prepared.sanitized_text);
   example.response_text = std::move(response_text);
   example.response_quality = response_quality;
   example.source_capability = source_capability;
@@ -55,7 +39,7 @@ uint64_t ExampleCache::PutPrepared(const Request& request, std::string sanitized
   example.replay_gain_ema = (1.0 - response_quality);
 
   used_bytes_ += example.SizeBytes();
-  index_->Add(example.id, std::move(embedding));
+  index_->Add(example.id, std::move(prepared.embedding));
   examples_[example.id] = std::move(example);
 
   if (config_.capacity_bytes > 0 &&
@@ -64,15 +48,6 @@ uint64_t ExampleCache::PutPrepared(const Request& request, std::string sanitized
     EnforceCapacity();
   }
   return next_id_ - 1;
-}
-
-std::vector<SearchResult> ExampleCache::FindSimilar(const Request& request, size_t k) const {
-  return FindSimilar(embedder_->Embed(request.text), k);
-}
-
-std::vector<SearchResult> ExampleCache::FindSimilar(const std::vector<float>& embedding,
-                                                    size_t k) const {
-  return index_->Search(embedding, k);
 }
 
 void ExampleCache::FindSimilarBatch(const float* queries, size_t num_queries, size_t query_dim,

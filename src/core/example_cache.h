@@ -40,36 +40,20 @@ class ExampleCache : public ExampleStore {
  public:
   ExampleCache(std::shared_ptr<const Embedder> embedder, ExampleCacheConfig config = {});
 
-  // Admits a request-response pair (subject to the privacy admission mode)
-  // and returns the new example id, or 0 when rejected.
-  uint64_t Put(const Request& request, std::string response_text, double response_quality,
-               double source_capability, int response_tokens, double now);
-
   // Pure half of an admission (ExampleStore): privacy decision + embedding of
   // the sanitized text. Const and side-effect free.
   PreparedAdmission PrepareAdmission(
       const Request& request, const std::vector<float>* text_embedding = nullptr) const override;
 
-  // Stateful half (ExampleStore): inserts a prepared admission.
+  // Stateful half (ExampleStore): inserts a prepared admission (auto-evicts
+  // past the high watermark). `prepared.embedding` must be the embedder's
+  // output for `prepared.sanitized_text`.
   uint64_t PutPrepared(const Request& request, PreparedAdmission prepared,
                        std::string response_text, double response_quality,
                        double source_capability, int response_tokens, double now) override;
 
-  // Insertion path for callers that already ran the admission decision and
-  // embedded the sanitized text (e.g. a concurrent driver moving embedding
-  // work off its serial path). `embedding` must be the embedder's output for
-  // `sanitized_text`.
-  uint64_t PutPrepared(const Request& request, std::string sanitized_text,
-                       std::vector<float> embedding, std::string response_text,
-                       double response_quality, double source_capability, int response_tokens,
-                       double now);
-
-  // Stage-1 relevance lookup: top-k most similar cached examples.
-  std::vector<SearchResult> FindSimilar(const Request& request, size_t k) const override;
-  std::vector<SearchResult> FindSimilar(const std::vector<float>& embedding,
-                                        size_t k) const override;
-  // Routes the whole batch through the index's batched kernel (one interleaved
-  // traversal over the caller's scratch); (*out)[i] == FindSimilar(q_i, k).
+  // Stage-1 lookup: routes the whole batch through the index's batched kernel
+  // (one interleaved traversal over the caller's scratch).
   void FindSimilarBatch(const float* queries, size_t num_queries, size_t query_dim, size_t k,
                         SearchScratch* scratch,
                         std::vector<std::vector<SearchResult>>* out) const override;

@@ -18,9 +18,9 @@ constexpr int kDrawsPerReplay = 3;      // best-of-n per replay pass
 constexpr double kReplayCost = 0.35;    // one-time cost in normalized gain units
 constexpr double kGainEmaAlpha = 0.25;  // per-use gain EMA (replay ranking signal)
 
-// Shared replay economics (RunReplayPass and PlanMaintenance): expected
-// savings scale with how often the example is reused; once they fall below
-// the one-time replay cost, every lower-ranked candidate is below it too.
+// Replay economics (PlanMaintenance): expected savings scale with how often
+// the example is reused; once they fall below the one-time replay cost,
+// every lower-ranked candidate is below it too.
 double ReuseWeight(const Example& example) {
   return 1.0 + std::min<double>(static_cast<double>(example.access_count), 50.0);
 }
@@ -93,79 +93,21 @@ void ExampleManager::RecordUsage(const std::vector<uint64_t>& example_ids,
 }
 
 ReplayReport ExampleManager::RunReplayPass() {
+  // A replay-only tick planned over a fresh cut and applied at once. The
+  // draws come from the generator's own stream: its state seeds the plan's
+  // Rng, and the advanced state goes back before the apply.
+  Rng rng;
+  rng.RestoreState(generator_->rng_state());
+  MaintenanceTickSpec spec;
+  spec.replay = true;
+  const MaintenancePlan plan = PlanMaintenance(store_->ExportMaintenanceCut(), spec, rng);
+  generator_->restore_rng_state(rng.SaveState());
+  const MaintenanceApplyOutcome outcome = ApplyMaintenance(plan);
   ReplayReport report;
-
-  // Rank replayable examples by gain EMA, descending.
-  struct Ranked {
-    uint64_t id;
-    double gain;
-  };
-  std::vector<Ranked> ranked;
-  for (uint64_t id : store_->AllIds()) {
-    Example example;
-    if (!store_->Snapshot(id, &example) ||
-        example.replay_count >= config_.max_replays_per_example) {
-      continue;
-    }
-    ranked.push_back(Ranked{id, example.replay_gain_ema});
-  }
-  report.candidates = ranked.size();
-  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-    if (a.gain != b.gain) {
-      return a.gain > b.gain;
-    }
-    return a.id < b.id;  // deterministic tie-break across shards
-  });
-
-  for (const Ranked& candidate : ranked) {
-    if (report.replayed >= config_.max_replays_per_pass) {
-      break;
-    }
-    Example example;
-    if (!store_->Snapshot(candidate.id, &example)) {
-      continue;  // evicted since the ranking snapshot
-    }
-    // Cost-aware cutoff: see ReuseWeight above — stop the pass.
-    const double reuse_weight = ReuseWeight(example);
-    if (candidate.gain * reuse_weight <= kReplayCost) {
-      break;
-    }
-
-    // Best-of-n regeneration on the replay model.
-    double best_quality = example.response_quality;
-    int best_tokens = example.response_tokens;
-    for (int draw = 0; draw < kDrawsPerReplay; ++draw) {
-      const GenerationResult fresh = generator_->Generate(replay_model_, example.request, {});
-      if (fresh.latent_quality > best_quality) {
-        best_quality = fresh.latent_quality;
-        best_tokens = fresh.output_tokens;
-      }
-    }
-
-    const bool improved = best_quality > example.response_quality;
-    const double improvement = best_quality - example.response_quality;
-    const double replay_capability = replay_model_.capability;
-    store_->UpdateExample(candidate.id, [&](Example& stored) {
-      ++stored.replay_count;
-      if (improved) {
-        stored.response_quality = best_quality;
-        stored.response_tokens = best_tokens;
-        stored.source_capability = std::max(stored.source_capability, replay_capability);
-      }
-      // Refinement reduces the remaining headroom; shrink the gain estimate.
-      stored.replay_gain_ema *= (1.0 - stored.response_quality);
-    });
-    ++report.replayed;
-    if (improved) {
-      report.total_quality_gain += improvement;
-      ++report.improved;
-    }
-  }
-  // Replay grows stored responses; re-enforce the byte budget so a pass can
-  // never leave the pool above its watermark.
-  if (report.improved > 0) {
-    store_->EnforceCapacity();
-  }
+  report.candidates = plan.replay_candidates;
+  report.replayed = outcome.replayed;
+  report.improved = outcome.improved;
+  report.total_quality_gain = outcome.total_quality_gain;
   return report;
 }
 
@@ -210,7 +152,7 @@ MaintenancePlan ExampleManager::PlanMaintenance(const MaintenanceCut& cut,
     return plan;
   }
 
-  // Replay: identical ranking and economics to RunReplayPass, over the cut.
+  // Replay: rank by gain EMA, descending, then cut off at the replay cost.
   struct Ranked {
     const Example* example;
     double gain;
@@ -276,7 +218,7 @@ MaintenanceApplyOutcome ExampleManager::ApplyMaintenance(const MaintenancePlan& 
         ++stored.replay_count;
         // Re-check against the LIVE quality: only this tick mutates response
         // quality, so the comparison is deterministic, and a no-op draw still
-        // consumes the lifetime replay slot (as in RunReplayPass).
+        // consumes the lifetime replay slot.
         if (replay.best_quality > stored.response_quality) {
           outcome.total_quality_gain += replay.best_quality - stored.response_quality;
           stored.response_quality = replay.best_quality;

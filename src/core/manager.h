@@ -153,6 +153,8 @@ class ExampleManager {
                    double normalized_model_cost);
 
   // One cost-aware replay pass (run off-peak); refines top-ranked examples.
+  // PlanMaintenance + ApplyMaintenance of a replay-only tick over a fresh
+  // cut, drawing from the generator's own RNG stream.
   ReplayReport RunReplayPass();
 
   // Hourly decay + capacity enforcement; call with the current sim time.
@@ -165,8 +167,8 @@ class ExampleManager {
   // stream), so it is safe on a background thread while the store serves.
   // Eviction is planned as ONE GLOBAL knapsack over the decayed cut; at pool
   // scale it is over SolveKnapsack's exact-work bound and so greedy. Replay
-  // follows the same ranking, cost cutoff, and per-example lifetime cap as
-  // RunReplayPass. Examples planned for eviction are never replayed.
+  // ranks by gain EMA, stops at the cost cutoff, and skips examples at their
+  // lifetime replay cap. Examples planned for eviction are never replayed.
   MaintenancePlan PlanMaintenance(const MaintenanceCut& cut, const MaintenanceTickSpec& spec,
                                   Rng& rng) const;
 

@@ -22,16 +22,23 @@ PreparedAdmission PrepareAdmissionPayload(const PiiScrubber& scrubber, CacheAdmi
   return prepared;
 }
 
-void ExampleStore::FindSimilarBatch(const float* queries, size_t num_queries, size_t query_dim,
-                                    size_t k, SearchScratch* scratch,
-                                    std::vector<std::vector<SearchResult>>* out) const {
-  (void)scratch;
-  out->resize(num_queries);
-  static thread_local std::vector<float> query;
-  for (size_t i = 0; i < num_queries; ++i) {
-    query.assign(queries + i * query_dim, queries + (i + 1) * query_dim);
-    (*out)[i] = FindSimilar(query, k);
-  }
+std::vector<SearchResult> ExampleStore::FindSimilar(const Request& request, size_t k) const {
+  return FindSimilar(embedder()->Embed(request.text), k);
+}
+
+std::vector<SearchResult> ExampleStore::FindSimilar(const std::vector<float>& embedding,
+                                                    size_t k) const {
+  static thread_local SearchScratch scratch;
+  static thread_local std::vector<std::vector<SearchResult>> out;
+  FindSimilarBatch(embedding.data(), 1, embedding.size(), k, &scratch, &out);
+  return std::move(out[0]);
+}
+
+uint64_t ExampleStore::Put(const Request& request, std::string response_text,
+                           double response_quality, double source_capability, int response_tokens,
+                           double now) {
+  return PutPrepared(request, PrepareAdmission(request), std::move(response_text),
+                     response_quality, source_capability, response_tokens, now);
 }
 
 std::unique_ptr<VectorIndex> MakeRetrievalIndex(const RetrievalBackendConfig& config, size_t dim,

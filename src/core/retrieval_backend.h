@@ -157,24 +157,24 @@ class ExampleStore {
 
   // --- Selection surface ---------------------------------------------------
 
-  // Stage-1 relevance lookup: top-k most similar cached examples.
-  virtual std::vector<SearchResult> FindSimilar(const Request& request, size_t k) const = 0;
-  virtual std::vector<SearchResult> FindSimilar(const std::vector<float>& embedding,
-                                                size_t k) const = 0;
+  // Stage-1 relevance lookup: top-k most similar cached examples, best
+  // first. FindSimilarBatch at batch size 1 over a thread-local scratch; the
+  // Request overload embeds request.text first.
+  std::vector<SearchResult> FindSimilar(const Request& request, size_t k) const;
+  std::vector<SearchResult> FindSimilar(const std::vector<float>& embedding, size_t k) const;
 
   // Batched stage-1 lookup over `num_queries` contiguous embeddings (query i
-  // at queries[i*query_dim, (i+1)*query_dim)); (*out)[i] receives exactly
-  // what FindSimilar(embedding_i, k) returns — batching is a locking and
-  // cache-locality optimization, never a semantic one. `scratch` carries the
-  // reusable per-thread search buffers (one scratch per thread); `out`'s
-  // inner vectors retain capacity across calls, so steady-state batches do
-  // not allocate. The base implementation loops over FindSimilar; stores
-  // with batched indexes override (ExampleCache routes to
-  // VectorIndex::SearchBatch, ShardedExampleCache takes each shard's shared
-  // lock ONCE per batch instead of once per query).
+  // at queries[i*query_dim, (i+1)*query_dim)); (*out)[i] is the same at
+  // every batch size — batching is a locking and cache-locality
+  // optimization, never a semantic one. `scratch` carries the reusable
+  // per-thread search buffers (one scratch per thread); `out`'s inner vectors
+  // retain capacity across calls, so steady-state batches do not allocate.
+  // ExampleCache routes to VectorIndex::SearchBatch; ShardedExampleCache
+  // takes each shard's shared lock ONCE per batch and merges the shards'
+  // rows.
   virtual void FindSimilarBatch(const float* queries, size_t num_queries, size_t query_dim,
                                 size_t k, SearchScratch* scratch,
-                                std::vector<std::vector<SearchResult>>* out) const;
+                                std::vector<std::vector<SearchResult>>* out) const = 0;
 
   // Copies the example for id into *out; false when absent (e.g. evicted).
   // When `embedding` is non-null it receives, under the same lock, the
@@ -204,6 +204,11 @@ class ExampleStore {
   virtual uint64_t PutPrepared(const Request& request, PreparedAdmission prepared,
                                std::string response_text, double response_quality,
                                double source_capability, int response_tokens, double now) = 0;
+
+  // One-shot admission (PrepareAdmission, then PutPrepared): returns the new
+  // example id, or 0 when rejected.
+  uint64_t Put(const Request& request, std::string response_text, double response_quality,
+               double source_capability, int response_tokens, double now);
 
   // Applies `mutate` to the stored example under the store's write lock (gain
   // EMAs, replay state). Byte accounting is refreshed afterwards, so mutators

@@ -177,8 +177,7 @@ std::vector<SelectorCandidate> ExampleSelector::Combine(
 std::vector<SelectorCandidate> ExampleSelector::CommitSelection(
     const std::vector<SelectorCandidate>& candidates, const ModelProfile& target_model,
     double now) {
-  ++requests_seen_;
-  MaybeAdaptThreshold();
+  AdvanceWindow(1);
   return Combine(candidates, target_model, /*apply_threshold=*/true, now);
 }
 
@@ -199,8 +198,9 @@ void ExampleSelector::AdvanceWindow(size_t requests) {
   }
   // Adapt once per window that crosses a cadence multiple: the whole window
   // was served under the window-start threshold, so the grid re-evaluation
-  // lands at the boundary — the batched equivalent of CommitSelection's
-  // per-request check, and independent of lane count by construction.
+  // lands at the boundary, independent of lane count by construction.
+  // CommitSelection's window is its one request: it adapts on every
+  // adapt_every_n_requests-th request.
   const uint64_t n = config_.adapt_every_n_requests;
   if (before / n != requests_seen_ / n) {
     AdaptThresholdFromGrid();
@@ -308,14 +308,6 @@ bool ExampleSelector::RestoreAdaptiveState(const SelectorAdaptiveState& state) {
   grid_benefit_ = state.grid_benefit;
   grid_count_ = state.grid_count;
   return true;
-}
-
-void ExampleSelector::MaybeAdaptThreshold() {
-  if (config_.adapt_every_n_requests == 0 ||
-      requests_seen_ % config_.adapt_every_n_requests != 0) {
-    return;
-  }
-  AdaptThresholdFromGrid();
 }
 
 void ExampleSelector::AdaptThresholdFromGrid() {

@@ -61,7 +61,7 @@ struct SelectorCandidate {
 
 // The selector's online-learned state (snapshot persistence): the dynamic
 // utility threshold plus the adaptation cadence counter and per-grid-cell
-// net-benefit accounting that drive MaybeAdaptThreshold.
+// net-benefit accounting that drive AdvanceWindow's adaptation.
 struct SelectorAdaptiveState {
   double utility_threshold = 0.0;
   uint64_t requests_seen = 0;
@@ -189,7 +189,6 @@ class ExampleSelector {
   std::vector<SelectorCandidate> Combine(const std::vector<SelectorCandidate>& candidates,
                                          const ModelProfile& target_model, bool apply_threshold,
                                          double now);
-  void MaybeAdaptThreshold();
   void AdaptThresholdFromGrid();
 
   ExampleStore* store_;

@@ -53,14 +53,6 @@ size_t ShardedExampleCache::ShardOfRequest(const Request& request) const {
   return static_cast<size_t>(Mix64(request.id ^ 0x9e3779b97f4a7c15ull) & shard_mask_);
 }
 
-uint64_t ShardedExampleCache::Put(const Request& request, std::string response_text,
-                                  double response_quality, double source_capability,
-                                  int response_tokens, double now) {
-  PreparedAdmission prepared = PrepareAdmission(request);
-  return PutPrepared(request, std::move(prepared), std::move(response_text), response_quality,
-                     source_capability, response_tokens, now);
-}
-
 PreparedAdmission ShardedExampleCache::PrepareAdmission(
     const Request& request, const std::vector<float>* text_embedding) const {
   return PrepareAdmissionPayload(scrubber_, config_.cache.admission_mode, *embedder_, request,
@@ -79,9 +71,9 @@ uint64_t ShardedExampleCache::PutPrepared(const Request& request, PreparedAdmiss
   {
     std::unique_lock<std::shared_mutex> lock(shards_[shard].mu);
     const int64_t before = shards_[shard].cache->used_bytes();
-    inner = shards_[shard].cache->PutPrepared(
-        request, std::move(prepared.sanitized_text), std::move(prepared.embedding),
-        std::move(response_text), response_quality, source_capability, response_tokens, now);
+    inner = shards_[shard].cache->PutPrepared(request, std::move(prepared),
+                                              std::move(response_text), response_quality,
+                                              source_capability, response_tokens, now);
     used_bytes_total_.fetch_add(shards_[shard].cache->used_bytes() - before,
                                 std::memory_order_relaxed);
   }
@@ -97,34 +89,6 @@ uint64_t ShardedExampleCache::PutPrepared(const Request& request, PreparedAdmiss
     EnforceCapacity();
   }
   return GlobalId(inner, shard);
-}
-
-std::vector<SearchResult> ShardedExampleCache::FindSimilar(const Request& request,
-                                                           size_t k) const {
-  return FindSimilar(embedder_->Embed(request.text), k);
-}
-
-std::vector<SearchResult> ShardedExampleCache::FindSimilar(const std::vector<float>& embedding,
-                                                           size_t k) const {
-  std::vector<SearchResult> merged;
-  merged.reserve(k * shards_.size());
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    std::shared_lock<std::shared_mutex> lock(shards_[shard].mu);
-    for (SearchResult result : shards_[shard].cache->FindSimilar(embedding, k)) {
-      result.id = GlobalId(result.id, shard);
-      merged.push_back(result);
-    }
-  }
-  std::sort(merged.begin(), merged.end(), [](const SearchResult& a, const SearchResult& b) {
-    if (a.score != b.score) {
-      return a.score > b.score;
-    }
-    return a.id < b.id;  // deterministic tie-break
-  });
-  if (merged.size() > k) {
-    merged.resize(k);
-  }
-  return merged;
 }
 
 void ShardedExampleCache::FindSimilarBatch(const float* queries, size_t num_queries,

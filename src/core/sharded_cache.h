@@ -53,10 +53,6 @@ class ShardedExampleCache : public ExampleStore {
 
   // --- Admission -----------------------------------------------------------
 
-  // One-shot admission (scrub + embed + insert). Thread-safe.
-  uint64_t Put(const Request& request, std::string response_text, double response_quality,
-               double source_capability, int response_tokens, double now);
-
   // Parallel-phase half: admission decision plus embedding of the sanitized
   // text. Const and lock-free; safe to call from many workers at once. When
   // the caller already embedded request.text (e.g. for retrieval), pass it as
@@ -74,17 +70,11 @@ class ShardedExampleCache : public ExampleStore {
 
   // --- Lookup --------------------------------------------------------------
 
-  // Global top-k: per-shard search under shared locks, merged best-first
-  // (ties broken by id so results are deterministic).
-  std::vector<SearchResult> FindSimilar(const Request& request, size_t k) const override;
-  std::vector<SearchResult> FindSimilar(const std::vector<float>& embedding,
-                                        size_t k) const override;
-
   // Batched global top-k: each shard's shared lock is taken ONCE for the
-  // whole batch (FindSimilar pays one lock round-trip per query per shard)
-  // and the shard's index runs its batched kernel over all queries before the
-  // lock drops. Per query the merge is the same best-first (score desc, id
-  // asc) sort-and-truncate as FindSimilar, so results are byte-identical.
+  // whole batch and the shard's index runs its batched kernel over all
+  // queries before the lock drops; per query the shards' rows are then merged
+  // best-first (score desc, ties broken by id asc, so results are
+  // deterministic) and truncated to k. FindSimilar is this at batch size 1.
   void FindSimilarBatch(const float* queries, size_t num_queries, size_t query_dim, size_t k,
                         SearchScratch* scratch,
                         std::vector<std::vector<SearchResult>>* out) const override;

@@ -41,19 +41,10 @@ const Stage0Entry* Stage0ResponseCache::Nearest(const std::vector<float>& embedd
 
 std::optional<Stage0Probe> Stage0ResponseCache::Probe(const std::vector<float>& embedding,
                                                       double now) const {
-  // arg0: 1 when a nearest entry was found, arg1: 1 when it was also fresh.
-  TraceSpan span(TraceCategory::kStage0Probe);
-  double similarity = 0.0;
-  const Stage0Entry* nearest = Nearest(embedding, &similarity);
-  if (nearest == nullptr) {
-    return std::nullopt;
-  }
-  Stage0Probe probe;
-  probe.entry = *nearest;
-  probe.similarity = similarity;
-  probe.fresh = config_.ttl_s <= 0.0 || now - nearest->admitted_time <= config_.ttl_s;
-  span.SetArgs(1, probe.fresh ? 1 : 0);
-  return probe;
+  static thread_local SearchScratch scratch;
+  std::vector<std::optional<Stage0Probe>> out;
+  ProbeBatch(embedding.data(), 1, embedding.size(), &now, &scratch, &out);
+  return std::move(out[0]);
 }
 
 std::optional<Stage0Probe> Stage0ResponseCache::Probe(const Request& request, double now) const {
@@ -70,7 +61,7 @@ void Stage0ResponseCache::ProbeBatch(const float* embeddings, size_t num_queries
   }
   index_.SearchBatch(embeddings, num_queries, query_dim, /*k=*/1, scratch);
   for (size_t i = 0; i < num_queries; ++i) {
-    // Same span shape as Probe: arg0 = found, arg1 = fresh.
+    // arg0: 1 when a nearest entry was found, arg1: 1 when it was also fresh.
     TraceSpan span(TraceCategory::kStage0Probe);
     if (scratch->ResultCountOf(i) == 0) {
       continue;

@@ -156,15 +156,16 @@ class Stage0ResponseCache {
 
   // Nearest cached entry with its similarity and TTL freshness at `now`.
   // Thresholds are NOT applied — see Confident. nullopt when empty.
+  // ProbeBatch at batch size 1 over a thread-local scratch.
   std::optional<Stage0Probe> Probe(const std::vector<float>& embedding, double now) const;
   std::optional<Stage0Probe> Probe(const Request& request, double now) const;
 
   // Batched Probe over `num_queries` contiguous embeddings (query i at
   // embeddings[i * query_dim]): runs the index's multi-query SearchBatch
-  // through `scratch`, then resolves each top-1 hit exactly as Probe does,
-  // judging freshness against nows[i]. (*out)[i] compares equal to
-  // Probe(embedding_i, nows[i]); out is resized to num_queries. The per-query
-  // trace spans match the single-probe path.
+  // through `scratch`, then resolves each top-1 hit to its entry, judging
+  // freshness against nows[i]; out is resized to num_queries. Each query
+  // resolves inside its own kStage0Probe trace span; the search runs before
+  // the spans open.
   void ProbeBatch(const float* embeddings, size_t num_queries, size_t query_dim,
                   const double* nows, SearchScratch* scratch,
                   std::vector<std::optional<Stage0Probe>>* out) const;

@@ -388,26 +388,6 @@ void HnswIndex::Compact() {
   CompactLocked();
 }
 
-std::vector<SearchResult> HnswIndex::SearchLocked(const std::vector<float>& query, size_t k,
-                                                  size_t ef) const {
-  // The single-query path IS the batch core at batch size 1 over a
-  // thread-local scratch: one traversal implementation (batch-vs-single
-  // identity holds structurally), and the retained scratch makes repeated
-  // Search calls allocation-free apart from the returned vector. The scratch
-  // is thread_local so concurrent readers under the shared lock never share
-  // state; it is shared across index instances on a thread, which is safe
-  // because the epoch counter is monotonic (marks from any earlier search
-  // can never equal a later query's epoch).
-  std::vector<SearchResult> results;
-  if (k == 0 || entry_level_ < 0 || query.size() != config_.dim) {
-    return results;
-  }
-  static thread_local SearchScratch scratch;
-  SearchBatchLocked(query.data(), 1, config_.dim, k, ef, scratch);
-  results.assign(scratch.results.begin(), scratch.results.end());
-  return results;
-}
-
 void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size_t query_dim,
                                   size_t k, size_t ef, SearchScratch& s) const {
   s.BeginOutput(num_queries);
@@ -468,9 +448,9 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
   for (size_t base = 0; base < num_queries; base += kInterleave) {
     const size_t group = std::min(kInterleave, num_queries - base);
     // One span per interleave group; args sum the group's layer-0 visited and
-    // frontier-expansion counts (for a single-query call this is exactly the
-    // old per-search span). Counters only tick while tracing is enabled so
-    // the beam loop stays counter-free otherwise.
+    // frontier-expansion counts (for a batch of one, that one search's).
+    // Counters only tick while tracing is enabled so the beam loop stays
+    // counter-free otherwise.
     TraceSpan span(TraceCategory::kHnswSearch);
     uint64_t visited = 0;
     uint64_t hops = 0;
@@ -738,8 +718,8 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
     }
     span.SetArgs(visited, hops);
     // Phase 3 (per query): drain the beam best-first, re-rank / filter
-    // tombstones through the TopK-mirroring scratch heap, append to the flat
-    // result arena.
+    // tombstones through the bounded scratch heap, append to the flat result
+    // arena.
     for (size_t g = 0; g < group; ++g) {
       const size_t qi = base + g;
       SearchScratch::Beam& beam = s.beams[g];
@@ -817,15 +797,14 @@ void HnswIndex::SearchBatchEf(const float* queries, size_t num_queries, size_t q
   SearchBatchLocked(queries, num_queries, query_dim, k, ef, *scratch);
 }
 
-std::vector<SearchResult> HnswIndex::Search(const std::vector<float>& query, size_t k) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return SearchLocked(query, k, config_.ef_search);
-}
-
 std::vector<SearchResult> HnswIndex::SearchEf(const std::vector<float>& query, size_t k,
                                               size_t ef) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return SearchLocked(query, k, ef);
+  // Search's discipline (VectorIndex::Search): the batch kernel at batch
+  // size 1 over a thread-local scratch.
+  static thread_local SearchScratch scratch;
+  SearchBatchEf(query.data(), 1, query.size(), k, ef, &scratch);
+  return std::vector<SearchResult>(scratch.ResultsOf(0),
+                                   scratch.ResultsOf(0) + scratch.ResultCountOf(0));
 }
 
 bool HnswIndex::GetVector(uint64_t id, std::vector<float>* out) const {
@@ -904,12 +883,6 @@ void HnswIndex::SaveGraph(ByteWriter* out) const {
     w.PutU64(arena_.size());
     w.PutBytes(arena_.data(), arena_.size() * sizeof(float));
   }
-}
-
-void HnswIndex::SaveGraph(std::string* out) const {
-  ByteWriter w;
-  SaveGraph(&w);
-  *out = w.TakeBytes();
 }
 
 size_t HnswIndex::GraphImageSize() const {

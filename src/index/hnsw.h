@@ -14,8 +14,9 @@
 //    filters tombstones from results; when tombstones exceed
 //    `max_tombstone_fraction` of all slots the graph is compacted by
 //    re-inserting the live nodes.
-//  * Concurrent readers: Search takes a shared lock and uses thread-local
-//    scratch, so any number of threads may search while at most one mutates
+//  * Concurrent readers: SearchBatch takes a shared lock and keeps all query
+//    state in the caller's scratch (Search's is thread-local), so any number
+//    of threads may search while at most one mutates
 //    (Add/Remove/Compact take the exclusive lock). This matches the sharded
 //    cache's locking discipline but also makes the index safe standalone.
 //
@@ -26,7 +27,6 @@
 
 #include <cstdint>
 #include <shared_mutex>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -89,21 +89,18 @@ class HnswIndex : public VectorIndex {
   // Tombstones id; returns false when absent. May trigger compaction.
   bool Remove(uint64_t id) override;
 
-  // Top-k by cosine similarity with beam width ef_search. Shared lock;
-  // safe to call from many threads concurrently with one writer.
-  std::vector<SearchResult> Search(const std::vector<float>& query, size_t k) const override;
-
   // Search with an explicit beam width (recall/latency sweeps).
   std::vector<SearchResult> SearchEf(const std::vector<float>& query, size_t k, size_t ef) const;
 
-  // Batched top-k: ONE shared lock for the whole batch, queries traversed in
-  // interleaved groups so one query's compute hides another's arena-line
-  // misses (each 2a pass prefetches the next hop's neighbor vectors/codes;
-  // the matching 2b pass scores them after the other queries' passes have
-  // covered the latency). Per query the traversal is the exact single-query
-  // algorithm over per-query beam state, so results are bit-identical to
-  // Search(query_i, k) — and every buffer lives in the caller's SearchScratch,
-  // so steady-state batches allocate nothing.
+  // Batched top-k by cosine similarity with beam width ef_search: ONE shared
+  // lock for the whole batch (safe from many threads concurrently with one
+  // writer), queries traversed in interleaved groups so one query's compute
+  // hides another's arena-line misses (each 2a pass prefetches the next hop's
+  // neighbor vectors/codes; the matching 2b pass scores them after the other
+  // queries' passes have covered the latency). Per query the traversal runs
+  // over per-query beam state, so results do not depend on the batch size —
+  // and every buffer lives in the caller's SearchScratch, so steady-state
+  // batches allocate nothing.
   void SearchBatch(const float* queries, size_t num_queries, size_t query_dim, size_t k,
                    SearchScratch* scratch) const override;
 
@@ -126,9 +123,8 @@ class HnswIndex : public VectorIndex {
   // O(bytes) (no re-insertion), which is what makes restoring a 100k-vector
   // pool cheap compared to an O(N * ef_construction) rebuild.
   // The image streams through `out` (the arena block bypasses a streaming
-  // writer's buffer); the string overload returns it whole.
+  // writer's buffer).
   void SaveGraph(ByteWriter* out) const;
-  void SaveGraph(std::string* out) const;
 
   // Exact byte length of SaveGraph's image, so a stream can length-prefix
   // the image before writing it. Equal to what SaveGraph writes as long as
@@ -229,11 +225,9 @@ class HnswIndex : public VectorIndex {
   bool RemoveLocked(uint64_t id);
   void CompactLocked();
   void MaybeCompactLocked();
-  std::vector<SearchResult> SearchLocked(const std::vector<float>& query, size_t k,
-                                         size_t ef) const;
-  // The shared batch core (Search/SearchEf run it at batch size 1 over a
-  // thread-local scratch — one traversal implementation, so batch-vs-single
-  // identity is structural rather than re-proved per change).
+  // The one traversal core behind SearchBatch and SearchBatchEf (Search and
+  // SearchEf run them at batch size 1), so batch-vs-single identity is
+  // structural rather than re-proved per change.
   void SearchBatchLocked(const float* queries, size_t num_queries, size_t query_dim, size_t k,
                          size_t ef, SearchScratch& scratch) const;
 
@@ -255,8 +249,8 @@ class HnswIndex : public VectorIndex {
   size_t live_ = 0;
 
   // Writer-side visited scratch (Add/Compact hold the exclusive lock, so a
-  // shared buffer is safe there; Search uses a thread_local one so concurrent
-  // readers never share state).
+  // shared buffer is safe there; readers keep theirs in a SearchScratch, so
+  // concurrent readers never share state).
   std::vector<uint32_t> insert_epochs_;
   uint32_t insert_epoch_ = 0;
 };

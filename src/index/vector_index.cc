@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/simd.h"
-#include "src/common/topk.h"
 #include "src/index/kmeans.h"
 
 namespace iccache {
@@ -21,19 +20,14 @@ constexpr double kRebuildGrowthFactor = 2.0;
 
 }  // namespace
 
-void VectorIndex::SearchBatch(const float* queries, size_t num_queries, size_t query_dim,
-                              size_t k, SearchScratch* scratch) const {
-  // Fallback for backends without a native batch kernel: loop the single-query
-  // path. Correct (and trivially bit-identical) but not allocation-free.
-  scratch->BeginOutput(num_queries);
-  static thread_local std::vector<float> query;
-  for (size_t i = 0; i < num_queries; ++i) {
-    query.assign(queries + i * query_dim, queries + (i + 1) * query_dim);
-    for (const SearchResult& r : Search(query, k)) {
-      scratch->GrowPush(scratch->results, r);
-    }
-    scratch->EndQuery(i);
-  }
+std::vector<SearchResult> VectorIndex::Search(const std::vector<float>& query, size_t k) const {
+  // One scratch per thread, shared by every index on it: each kernel resets
+  // the buffers it reads, and hnsw's visited epochs only ever advance, so no
+  // earlier search's marks can alias a later query's.
+  static thread_local SearchScratch scratch;
+  SearchBatch(query.data(), 1, query.size(), k, &scratch);
+  return std::vector<SearchResult>(scratch.ResultsOf(0),
+                                   scratch.ResultsOf(0) + scratch.ResultCountOf(0));
 }
 
 FlatIndex::FlatIndex(size_t dim) : dim_(dim) {}
@@ -72,26 +66,12 @@ bool FlatIndex::Remove(uint64_t id) {
   return true;
 }
 
-std::vector<SearchResult> FlatIndex::Search(const std::vector<float>& query, size_t k) const {
-  TopK<uint64_t> top(k);
-  const float* q = query.data();
-  const size_t n = std::min(query.size(), dim_);
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    top.Push(simd::Dot(q, VecOf(i), n), ids_[i]);
-  }
-  std::vector<SearchResult> results;
-  for (auto& [score, id] : top.TakeSortedDescending()) {
-    results.push_back(SearchResult{id, score});
-  }
-  return results;
-}
-
 void FlatIndex::SearchBatch(const float* queries, size_t num_queries, size_t query_dim,
                             size_t k, SearchScratch* scratch) const {
   SearchScratch& s = *scratch;
   s.BeginOutput(num_queries);
-  if (num_queries == 0) {
-    return;
+  if (num_queries == 0 || query_dim != dim_) {
+    return;  // offsets are all zero: every query reports an empty result range
   }
   if (s.heaps.size() < num_queries) {
     ++s.grows;
@@ -100,17 +80,16 @@ void FlatIndex::SearchBatch(const float* queries, size_t num_queries, size_t que
   for (size_t q = 0; q < num_queries; ++q) {
     s.heaps[q].clear();
   }
-  const size_t n = std::min(query_dim, dim_);
   // Blocked sweep: each arena block is scored against every query while it is
   // hot. Per query the push order is still ascending slot order, so the heap
-  // state — equal-score tie-breaks included — matches the single-query scan.
+  // state — equal-score tie-breaks included — does not depend on the batch.
   for (size_t base = 0; base < ids_.size(); base += kScanBlockSlots) {
     const size_t end = std::min(base + kScanBlockSlots, ids_.size());
     for (size_t q = 0; q < num_queries; ++q) {
-      const float* qv = queries + q * query_dim;
+      const float* qv = queries + q * dim_;
       auto& heap = s.heaps[q];
       for (size_t i = base; i < end; ++i) {
-        ScratchTopK::Push(heap, k, simd::Dot(qv, VecOf(i), n), ids_[i], s);
+        ScratchTopK::Push(heap, k, simd::Dot(qv, VecOf(i), dim_), ids_[i], s);
       }
     }
   }
@@ -245,31 +224,18 @@ size_t KMeansIndex::NearestCluster(const float* vec) const {
   return best;
 }
 
-std::vector<size_t> KMeansIndex::NearestClusters(const std::vector<float>& vec, size_t n) const {
-  TopK<size_t> top(n);
-  for (size_t c = 0; c < centroids_.size(); ++c) {
-    top.Push(-simd::L2Sq(vec.data(), centroids_[c].data(), config_.dim), c);
-  }
-  std::vector<size_t> clusters;
-  for (auto& [neg_dist, c] : top.TakeSortedDescending()) {
-    (void)neg_dist;
-    clusters.push_back(c);
-  }
-  return clusters;
-}
-
 void KMeansIndex::SearchBatch(const float* queries, size_t num_queries, size_t query_dim,
                               size_t k, SearchScratch* scratch) const {
   SearchScratch& s = *scratch;
   s.BeginOutput(num_queries);
-  if (num_queries == 0) {
-    return;
+  if (num_queries == 0 || query_dim != config_.dim) {
+    return;  // offsets are all zero: every query reports an empty result range
   }
   if (s.heaps.empty()) {
     ++s.grows;
     s.heaps.resize(1);
   }
-  const size_t n = std::min(query_dim, config_.dim);
+  const size_t dim = config_.dim;
   if (!clustered()) {
     // Blocked flat sweep below the clustering threshold (same discipline as
     // FlatIndex): per query the push order stays ascending slot order.
@@ -283,10 +249,10 @@ void KMeansIndex::SearchBatch(const float* queries, size_t num_queries, size_t q
     for (size_t base = 0; base < ids_.size(); base += kScanBlockSlots) {
       const size_t end = std::min(base + kScanBlockSlots, ids_.size());
       for (size_t q = 0; q < num_queries; ++q) {
-        const float* qv = queries + q * query_dim;
+        const float* qv = queries + q * dim;
         auto& h = s.heaps[q];
         for (size_t slot = base; slot < end; ++slot) {
-          ScratchTopK::Push(h, k, simd::Dot(qv, VecOf(slot), n), ids_[slot], s);
+          ScratchTopK::Push(h, k, simd::Dot(qv, VecOf(slot), dim), ids_[slot], s);
         }
       }
     }
@@ -298,53 +264,28 @@ void KMeansIndex::SearchBatch(const float* queries, size_t num_queries, size_t q
   }
   auto& heap = s.heaps[0];
   for (size_t q = 0; q < num_queries; ++q) {
-    const float* qv = queries + q * query_dim;
-    // Probe selection: the exact NearestClusters sequence (ascending centroid
+    const float* qv = queries + q * dim;
+    // Probe selection: the nprobe nearest centroids (ascending centroid
     // pushes on the negated distance, drained best-first) over reused scratch.
     heap.clear();
     s.cluster_heap.clear();
     s.cluster_order.clear();
     for (size_t c = 0; c < centroids_.size(); ++c) {
       ScratchTopK::Push(s.cluster_heap, config_.nprobe,
-                        -simd::L2Sq(qv, centroids_[c].data(), config_.dim), c, s);
+                        -simd::L2Sq(qv, centroids_[c].data(), dim), c, s);
     }
     ScratchTopK::DrainDescending(s.cluster_heap, &s.cluster_order, s);
     for (const SearchResult& probe : s.cluster_order) {
       for (uint64_t id : cluster_members_[probe.id]) {
         const auto it = slot_of_.find(id);
         if (it != slot_of_.end()) {
-          ScratchTopK::Push(heap, k, simd::Dot(qv, VecOf(it->second), n), id, s);
+          ScratchTopK::Push(heap, k, simd::Dot(qv, VecOf(it->second), dim), id, s);
         }
       }
     }
     ScratchTopK::DrainDescending(heap, &s.results, s);
     s.EndQuery(q);
   }
-}
-
-std::vector<SearchResult> KMeansIndex::Search(const std::vector<float>& query, size_t k) const {
-  TopK<uint64_t> top(k);
-  const size_t n = std::min(query.size(), config_.dim);
-  if (!clustered()) {
-    // Flat fallback below the clustering threshold: one sequential arena scan.
-    for (size_t slot = 0; slot < ids_.size(); ++slot) {
-      top.Push(simd::Dot(query.data(), VecOf(slot), n), ids_[slot]);
-    }
-  } else {
-    for (size_t cluster : NearestClusters(query, config_.nprobe)) {
-      for (uint64_t id : cluster_members_[cluster]) {
-        const auto it = slot_of_.find(id);
-        if (it != slot_of_.end()) {
-          top.Push(simd::Dot(query.data(), VecOf(it->second), n), id);
-        }
-      }
-    }
-  }
-  std::vector<SearchResult> results;
-  for (auto& [score, id] : top.TakeSortedDescending()) {
-    results.push_back(SearchResult{id, score});
-  }
-  return results;
 }
 
 }  // namespace iccache

@@ -109,11 +109,11 @@ struct SearchScratch {
   size_t ResultCountOf(size_t i) const { return offsets[i + 1] - offsets[i]; }
 };
 
-// Heap operations mirroring common/topk.h's TopK<uint64_t> EXACTLY — the same
-// MinFirst comparator and the same emplace_back+push_heap / pop_heap+pop_back
-// sequences std::priority_queue performs — but over a caller-retained buffer,
-// so the batched paths reuse capacity across queries while reproducing the
-// single-query path's equal-score tie-breaks bit-for-bit.
+// Bounded top-k selection over a caller-retained buffer: a min-first binary
+// heap (the std::priority_queue push/pop sequences) holding the k best
+// (score, payload) pairs, so every scan reuses its heap's capacity across
+// queries. Equal-score tie-breaks depend only on the push order, which each
+// kernel fixes (ascending slot or centroid order), never on the batch size.
 struct ScratchTopK {
   using Entry = std::pair<double, uint64_t>;
   struct MinFirst {
@@ -138,8 +138,8 @@ struct ScratchTopK {
     }
   }
 
-  // Drains the heap, appending (id, score) best-first to *out — the exact
-  // mirror of TopK::TakeSortedDescending (pop worst-first, then reverse).
+  // Drains the heap, appending (id, score) best-first to *out (pop
+  // worst-first, then reverse).
   static void DrainDescending(std::vector<Entry>& heap, std::vector<SearchResult>* out,
                               SearchScratch& scratch) {
     const size_t first = out->size();
@@ -162,18 +162,19 @@ class VectorIndex {
   // Removes id; returns false when absent.
   virtual bool Remove(uint64_t id) = 0;
 
-  // Returns up to k nearest neighbours sorted best-first.
-  virtual std::vector<SearchResult> Search(const std::vector<float>& query, size_t k) const = 0;
+  // Returns up to k nearest neighbours sorted best-first: SearchBatch at
+  // batch size 1 over a thread-local scratch.
+  std::vector<SearchResult> Search(const std::vector<float>& query, size_t k) const;
 
   // Batched search over `num_queries` contiguous queries (query i at
   // queries[i*query_dim .. (i+1)*query_dim)). Results land in the scratch's
-  // flat arena: scratch->ResultsOf(i) / ResultCountOf(i). Guaranteed
-  // bit-identical to calling Search(query_i, k) per query — batching changes
-  // WHEN work happens, never WHAT is computed. The base implementation loops
-  // over Search; backends override with blocked/interleaved multi-query
-  // kernels that do zero steady-state allocations.
+  // flat arena: scratch->ResultsOf(i) / ResultCountOf(i). Query i's range is
+  // bit-identical at every batch size — batching changes WHEN work happens,
+  // never WHAT is computed — and every backend's kernel does zero
+  // steady-state allocations. A query_dim other than the index's dimension
+  // is malformed: every range comes back empty.
   virtual void SearchBatch(const float* queries, size_t num_queries, size_t query_dim, size_t k,
-                           SearchScratch* scratch) const;
+                           SearchScratch* scratch) const = 0;
 
   // Copies the stored vector for id into *out; false when absent. Used by
   // the persistence subsystem to export each example's embedding alongside
@@ -193,7 +194,6 @@ class FlatIndex : public VectorIndex {
 
   Status Add(uint64_t id, std::vector<float> vec) override;
   bool Remove(uint64_t id) override;
-  std::vector<SearchResult> Search(const std::vector<float>& query, size_t k) const override;
   // Blocked multi-query scan: queries sweep the arena one block at a time so
   // a hot block is scored against the whole batch while it sits in cache.
   void SearchBatch(const float* queries, size_t num_queries, size_t query_dim, size_t k,
@@ -243,7 +243,6 @@ class KMeansIndex : public VectorIndex {
 
   Status Add(uint64_t id, std::vector<float> vec) override;
   bool Remove(uint64_t id) override;
-  std::vector<SearchResult> Search(const std::vector<float>& query, size_t k) const override;
   // Blocked multi-query scan below the clustering threshold; per-query probes
   // over reused scratch (no allocations) once clustered.
   void SearchBatch(const float* queries, size_t num_queries, size_t query_dim, size_t k,
@@ -261,7 +260,6 @@ class KMeansIndex : public VectorIndex {
   const float* VecOf(size_t slot) const { return arena_.data() + slot * config_.dim; }
   void MaybeRebuild();
   size_t NearestCluster(const float* vec) const;
-  std::vector<size_t> NearestClusters(const std::vector<float>& vec, size_t n) const;
 
   KMeansIndexConfig config_;
   Rng rng_;

@@ -280,6 +280,38 @@ TEST_F(ManagerFixture, MaintenanceDecaysOnlyAfterInterval) {
   EXPECT_NEAR(cache_.Get(id)->offload_value, 9.0, 1e-9);
 }
 
+bool SameRngState(const RngState& a, const RngState& b) {
+  return a.s == b.s && a.cached_normal == b.cached_normal &&
+         a.has_cached_normal == b.has_cached_normal;
+}
+
+// RunReplayPass draws its best-of-n regenerations from the generator's own
+// stream and hands the advanced state back: a pass that replays nothing
+// leaves the stream where it was, and a pass that replays one example
+// leaves it exactly where that example's three draws through
+// Generate(model, request, {}) would.
+TEST_F(ManagerFixture, ReplayPassHandsTheGeneratorStreamBack) {
+  const uint64_t cold = cache_.Put(gen_.Next(), "r", 0.9, 0.785, 100, 0.0);
+  cache_.GetMutable(cold)->replay_gain_ema = 0.01;
+  const RngState idle = sim_.rng_state();
+  ASSERT_EQ(manager_.RunReplayPass().replayed, 0u);
+  EXPECT_TRUE(SameRngState(sim_.rng_state(), idle));
+
+  const uint64_t hot = cache_.Put(gen_.Next(), "r", 0.2, 0.785, 100, 0.0);
+  Example* example = cache_.GetMutable(hot);
+  example->replay_gain_ema = 0.9;
+  example->access_count = 40;
+  const Request replayed = example->request;
+  GenerationSimulator twin(0);
+  twin.restore_rng_state(sim_.rng_state());
+  ASSERT_EQ(manager_.RunReplayPass().replayed, 1u);
+  EXPECT_FALSE(SameRngState(sim_.rng_state(), idle));
+  for (int draw = 0; draw < 3; ++draw) {
+    twin.Generate(catalog_.Get("gemma-2-27b"), replayed, {});
+  }
+  EXPECT_TRUE(SameRngState(sim_.rng_state(), twin.rng_state()));
+}
+
 TEST_F(ManagerFixture, ReplayUpgradesSourceCapability) {
   const uint64_t id = cache_.Put(gen_.Next(), "r", 0.1, 0.3, 100, 0.0);
   Example* example = cache_.GetMutable(id);

@@ -183,11 +183,11 @@ TEST(HnswQuantizedTest, GraphImageRoundTripsExactly) {
   for (uint64_t i = 0; i < 400; i += 7) {
     ASSERT_TRUE(index.Remove(i));
   }
-  std::string blob;
+  ByteWriter blob;
   index.SaveGraph(&blob);
 
   HnswIndex restored(config);
-  ASSERT_TRUE(restored.LoadGraph(blob));
+  ASSERT_TRUE(restored.LoadGraph(blob.bytes()));
   EXPECT_EQ(restored.size(), index.size());
   EXPECT_EQ(restored.tombstones(), index.tombstones());
   EXPECT_EQ(restored.max_level(), index.max_level());
@@ -239,7 +239,7 @@ TEST(HnswQuantizedTest, QuantizationModeMismatchRejectsImage) {
     ASSERT_TRUE(quant.Add(i, v).ok());
     ASSERT_TRUE(flt.Add(i, v).ok());
   }
-  std::string quant_blob, float_blob;
+  ByteWriter quant_blob, float_blob;
   quant.SaveGraph(&quant_blob);
   flt.SaveGraph(&float_blob);
 
@@ -247,15 +247,15 @@ TEST(HnswQuantizedTest, QuantizationModeMismatchRejectsImage) {
   // falls back to rebuilding from embeddings, requantizing along the way).
   HnswIndex quant_target(qconfig);
   ASSERT_TRUE(quant_target.Add(7, RandomUnitVector(rng, dim)).ok());
-  EXPECT_FALSE(quant_target.LoadGraph(float_blob));
+  EXPECT_FALSE(quant_target.LoadGraph(float_blob.bytes()));
   EXPECT_EQ(quant_target.size(), 1u);
 
   HnswIndex float_target(fconfig);
-  EXPECT_FALSE(float_target.LoadGraph(quant_blob));
+  EXPECT_FALSE(float_target.LoadGraph(quant_blob.bytes()));
   EXPECT_EQ(float_target.size(), 0u);
 
   // Same mode still round-trips.
-  EXPECT_TRUE(quant_target.LoadGraph(quant_blob));
+  EXPECT_TRUE(quant_target.LoadGraph(quant_blob.bytes()));
   EXPECT_EQ(quant_target.size(), 100u);
 }
 

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/mathutil.h"
 #include "src/common/rng.h"
+#include "src/common/simd.h"
 #include "src/index/kmeans.h"
 
 namespace iccache {
@@ -144,6 +146,75 @@ TEST(FlatIndexTest, KLargerThanSize) {
   FlatIndex index(2);
   index.Add(1, {1.0f, 0.0f});
   EXPECT_EQ(index.Search({1.0f, 0.0f}, 10).size(), 1u);
+}
+
+// Checks the one flat scan behind `index` (FlatIndex, or KMeansIndex below
+// its clustering threshold) against an independent oracle: score every
+// stored vector, sort all (score, id) pairs by score, and take the first k.
+// Oracle scores use the scan's own simd::Dot, so ids AND scores must match
+// exactly; each score is also checked against a double-precision dot.
+void ExpectTopKEqualsFullSort(const VectorIndex& index,
+                              const std::vector<std::pair<uint64_t, std::vector<float>>>& stored,
+                              size_t dim, Rng& rng) {
+  ASSERT_EQ(index.size(), stored.size());
+  for (int q = 0; q < 20; ++q) {
+    const std::vector<float> query = RandomUnitVector(rng, dim);
+    std::vector<SearchResult> oracle;
+    for (const auto& [id, vec] : stored) {
+      const double score = simd::Dot(query.data(), vec.data(), dim);
+      double exact = 0.0;
+      for (size_t d = 0; d < dim; ++d) {
+        exact += static_cast<double>(query[d]) * static_cast<double>(vec[d]);
+      }
+      ASSERT_NEAR(score, exact, 1e-5);
+      oracle.push_back(SearchResult{id, score});
+    }
+    std::sort(oracle.begin(), oracle.end(),
+              [](const SearchResult& a, const SearchResult& b) { return a.score > b.score; });
+    for (size_t k : {size_t{1}, size_t{10}, stored.size() + 5}) {
+      const std::vector<SearchResult> got = index.Search(query, k);
+      ASSERT_EQ(got.size(), std::min(k, stored.size())) << "k=" << k;
+      for (size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(got[r].id, oracle[r].id) << "query=" << q << " k=" << k << " rank=" << r;
+        EXPECT_EQ(got[r].score, oracle[r].score)
+            << "query=" << q << " k=" << k << " rank=" << r;
+      }
+    }
+  }
+}
+
+TEST(FlatScanOracleTest, FlatTopKEqualsFullSort) {
+  // 700 slots span three scan blocks; the removals swap tail slots into holes.
+  const size_t dim = 32;
+  FlatIndex index(dim);
+  Rng rng(0xf1a7);
+  std::vector<std::pair<uint64_t, std::vector<float>>> stored;
+  for (uint64_t id = 1; id <= 700; ++id) {
+    stored.emplace_back(id, RandomUnitVector(rng, dim));
+    ASSERT_TRUE(index.Add(id, stored.back().second).ok());
+  }
+  for (uint64_t id = 5; id <= 700; id += 9) {
+    ASSERT_TRUE(index.Remove(id));
+  }
+  stored.erase(std::remove_if(stored.begin(), stored.end(),
+                              [](const auto& entry) { return entry.first % 9 == 5; }),
+               stored.end());
+  ExpectTopKEqualsFullSort(index, stored, dim, rng);
+}
+
+TEST(FlatScanOracleTest, UnclusteredKMeansTopKEqualsFullSort) {
+  const size_t dim = 32;
+  KMeansIndexConfig config;
+  config.dim = dim;
+  KMeansIndex index(config);
+  Rng rng(0x6ea5);
+  std::vector<std::pair<uint64_t, std::vector<float>>> stored;
+  for (uint64_t id = 1; id < config.min_points_to_cluster; ++id) {
+    stored.emplace_back(id, RandomUnitVector(rng, dim));
+    ASSERT_TRUE(index.Add(id, stored.back().second).ok());
+  }
+  ASSERT_FALSE(index.clustered());
+  ExpectTopKEqualsFullSort(index, stored, dim, rng);
 }
 
 TEST(KMeansIndexTest, StaysFlatBelowClusterThreshold) {

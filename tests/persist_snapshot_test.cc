@@ -1086,10 +1086,10 @@ TEST_F(PersistTest, OlderStage0SectionWithGraphImageDecodes) {
   original.ExportEntries([&graph](const Stage0Entry& entry, const std::vector<float>& embedding) {
     ASSERT_TRUE(graph.Add(entry.id, embedding).ok());
   });
-  std::string image;
+  ByteWriter image;
   graph.SaveGraph(&image);
   ByteWriter image_field;
-  image_field.PutString(image);
+  image_field.PutString(image.bytes());
   std::string older = section;
   older[native_flag_offset] = 1;
   older += image_field.TakeBytes();

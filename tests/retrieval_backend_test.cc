@@ -59,6 +59,65 @@ TEST(RetrievalBackendTest, FactoryBuildsEachKind) {
   EXPECT_EQ(as_hnsw->config().max_neighbors, 12u);
 }
 
+// A query whose length is not the index's dimension is malformed, and every
+// backend answers it with nothing through every entry point: Search,
+// SearchBatch (every range of the batch) and the store's FindSimilar. Flat
+// and unclustered k-means used to score the query's prefix, and clustered
+// k-means read past the end of a short one.
+TEST(RetrievalBackendTest, WrongLengthQueryReturnsNothingOnEveryBackend) {
+  struct Case {
+    const char* name;
+    RetrievalBackendKind kind;
+    QuantizationKind quantize;
+    size_t examples;
+  };
+  const size_t cluster_at = KMeansIndexConfig().min_points_to_cluster;
+  const Case cases[] = {
+      {"flat", RetrievalBackendKind::kFlat, QuantizationKind::kNone, 40},
+      {"kmeans-unclustered", RetrievalBackendKind::kKMeans, QuantizationKind::kNone,
+       cluster_at - 1},
+      {"kmeans-clustered", RetrievalBackendKind::kKMeans, QuantizationKind::kNone,
+       3 * cluster_at},
+      {"hnsw", RetrievalBackendKind::kHnsw, QuantizationKind::kNone, 40},
+      {"hnsw-int8", RetrievalBackendKind::kHnsw, QuantizationKind::kInt8, 40},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExampleCacheConfig config;
+    config.retrieval.kind = c.kind;
+    config.retrieval.quantize = c.quantize;
+    ExampleCache cache(std::make_shared<HashingEmbedder>(), config);
+    for (size_t i = 0; i < c.examples; ++i) {
+      ASSERT_NE(cache.Put(MakeRequest(i + 1, "how do i sort a list of " + std::to_string(i) +
+                                                 " items in python"),
+                          "resp", 0.8, 0.9, 16, 0.0),
+                0u);
+    }
+    if (c.kind == RetrievalBackendKind::kKMeans) {
+      const auto* kmeans = dynamic_cast<const KMeansIndex*>(&cache.index());
+      ASSERT_NE(kmeans, nullptr);
+      EXPECT_EQ(kmeans->clustered(), c.examples >= cluster_at);
+    }
+    const std::vector<float> query =
+        cache.embedder()->Embed("how do i sort a list of 7 items in python");
+    ASSERT_FALSE(cache.FindSimilar(query, 5).empty());  // well-formed: answered
+    std::vector<float> short_query(query.begin(), query.end() - 1);
+    std::vector<float> long_query = query;
+    long_query.push_back(0.0f);
+    for (const std::vector<float>* bad : {&short_query, &long_query}) {
+      SCOPED_TRACE(bad->size());
+      EXPECT_TRUE(cache.index().Search(*bad, 5).empty());
+      EXPECT_TRUE(cache.FindSimilar(*bad, 5).empty());
+      std::vector<float> batch = *bad;
+      batch.insert(batch.end(), bad->begin(), bad->end());
+      SearchScratch scratch;
+      cache.index().SearchBatch(batch.data(), 2, bad->size(), 5, &scratch);
+      EXPECT_EQ(scratch.ResultCountOf(0), 0u);
+      EXPECT_EQ(scratch.ResultCountOf(1), 0u);
+    }
+  }
+}
+
 class BackendSweep : public ::testing::TestWithParam<RetrievalBackendKind> {};
 
 // The cache behaves identically (same store/lookup contract) under every

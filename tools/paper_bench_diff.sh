@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Byte-for-byte comparison of the paper benches between two builds.
+# Byte-for-byte comparison of the paper benches and examples between two
+# builds.
 #
 # Usage: tools/paper_bench_diff.sh BUILD_A BUILD_B
 #
 # Runs every paper bench (bench_fig*, bench_tab*,
-# bench_ablation_design_choices — the list comes from bench/*.cc) from both
-# build directories and compares their stdout. Exits 1 at the first bench
-# whose output differs (or that fails to run), printing the bench's name and
-# its first differing line from each build; exits 0 when every bench prints
-# identical bytes. The benches are deterministic, so a pure refactor must
-# pass; one pass per build takes about 31 s on a 4-vCPU VM.
+# bench_ablation_design_choices — the list comes from bench/*.cc) and every
+# examples/ binary (the list comes from examples/*.cpp) from both build
+# directories and compares their stdout. Exits 1 at the first binary whose
+# output differs (or that fails to run), printing its name and its first
+# differing line from each build; exits 0 when every binary prints identical
+# bytes. The benches and examples are deterministic, so a pure refactor must
+# pass; one pass per build takes about 25 s on a 4-vCPU VM.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -31,8 +33,9 @@ run_bench() {  # build_dir name output_file
 }
 
 for source in "${REPO}"/bench/bench_fig*.cc "${REPO}"/bench/bench_tab*.cc \
-              "${REPO}/bench/bench_ablation_design_choices.cc"; do
-  name="$(basename "${source}" .cc)"
+              "${REPO}/bench/bench_ablation_design_choices.cc" "${REPO}"/examples/*.cpp; do
+  name="$(basename "${source}")"
+  name="${name%.*}"
   run_bench "${BUILD_A}" "${name}" "${OUT_DIR}/a.txt"
   run_bench "${BUILD_B}" "${name}" "${OUT_DIR}/b.txt"
   if cmp -s "${OUT_DIR}/a.txt" "${OUT_DIR}/b.txt"; then
@@ -52,4 +55,4 @@ for source in "${REPO}"/bench/bench_fig*.cc "${REPO}"/bench/bench_tab*.cc \
   echo "  ${BUILD_B}: $(sed -n "${line}p" "${OUT_DIR}/b.txt")"
   exit 1
 done
-echo "all paper benches print identical output"
+echo "all paper benches and examples print identical output"
