@@ -43,7 +43,9 @@
 //   --acceptance          sharded-commit-pipeline smoke (ci.sh): full
 //                         lifecycle + background maintenance on hnsw at 1
 //                         and 8 threads from the same restored seed
-//                         snapshot; exits non-zero unless decisions match,
+//                         snapshot; exits non-zero unless the seed
+//                         snapshot written at 1 and at 8 threads is byte
+//                         for byte the same file, decisions match,
 //                         the serial request-path and driver-thread
 //                         maintenance costs stay under their us/request
 //                         ceilings, and no window stalled waiting on the
@@ -100,6 +102,7 @@
 
 #include "bench/bench_common.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/retrieval_backend.h"
 #include "src/core/sharded_cache.h"
 #include "src/obs/bench_json.h"
@@ -248,6 +251,22 @@ std::unique_ptr<ServingDriver> MakeDriver(const DatasetProfile& profile,
     driver->SeedExample(seeder.Next(), 0.0);
   }
   return driver;
+}
+
+// The whole file at `path` (empty when unreadable).
+std::string ReadFileBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return bytes;
+  }
+  char buf[1 << 16];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.append(buf, n);
+  }
+  std::fclose(f);
+  return bytes;
 }
 
 // Builds the seed pool ONCE and snapshots it, so every sweep cell (and the
@@ -412,8 +431,14 @@ int RunSnapshotBench(size_t n) {
   for (size_t i = 0; i < n; ++i) {
     pool.Put(generator.Next(), "[cached-response]", 0.8, 0.9, 48, 0.0);
   }
+  {
+    // Put only appends: link every shard here, in parallel, so the save
+    // below (and its memory gate) measures the save alone.
+    ThreadPool link_pool(config.num_shards);
+    pool.Flush(&link_pool);
+  }
   const auto build_end = std::chrono::steady_clock::now();
-  std::printf("  build:    %zu examples, %.1f MB pool in %.2f s (incremental hnsw inserts)\n",
+  std::printf("  build:    %zu examples, %.1f MB pool in %.2f s (hnsw appends + parallel link)\n",
               pool.size(), static_cast<double>(pool.used_bytes()) / (1024.0 * 1024.0),
               std::chrono::duration<double>(build_end - build_start).count());
 
@@ -710,6 +735,19 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   config.replay_load_threshold = 1e9;
   const std::string seed_snapshot =
       WriteSeedSnapshot(profile, catalog, config, "acceptance");
+  // The seed pool's graphs are linked in parallel by SaveSnapshot, one task
+  // per shard: the file must not depend on the thread count.
+  bool seed_bytes_identical = false;
+  {
+    DriverConfig one_thread = config;
+    one_thread.num_threads = 1;
+    const std::string one_thread_snapshot =
+        WriteSeedSnapshot(profile, catalog, one_thread, "acceptance1t");
+    const std::string eight_thread_bytes = ReadFileBytes(seed_snapshot);
+    seed_bytes_identical = !eight_thread_bytes.empty() &&
+                           eight_thread_bytes == ReadFileBytes(one_thread_snapshot);
+    std::remove(one_thread_snapshot.c_str());
+  }
 
   config.num_threads = 1;
   const DriverReport single = RestoredDriver(catalog, config, seed_snapshot)->Run(requests);
@@ -766,6 +804,8 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
               eight.replay_passes);
   std::printf("  wall split (8t): prepare %.3fs | serial %.3fs | maintenance %.3fs\n",
               eight.prepare_seconds, eight.serial_seconds, eight.maintenance_seconds);
+  std::printf("  seed snapshot bytes identical at 1 vs 8 threads: %s\n",
+              seed_bytes_identical ? "yes" : "NO (BUG)");
   std::printf("  1-thread vs 8-thread decisions identical: %s\n",
               identical ? "yes" : "NO (BUG)");
   std::printf("  prepare_chunk {1,16,32} decisions + tail exemplars identical: %s\n",
@@ -785,7 +825,8 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   std::printf("  maintenance-stalled windows: %zu  (required 0): %s\n",
               eight.maintenance_stalled_windows,
               eight.maintenance_stalled_windows == 0 ? "ok" : "FAIL");
-  const bool pipeline_ok = identical && chunk_identical && pools_identical &&
+  const bool pipeline_ok = seed_bytes_identical && identical && chunk_identical &&
+                           pools_identical &&
                            serial_us <= kSerialUsCeiling &&
                            maintenance_us <= kMaintenanceUsCeiling &&
                            eight.maintenance_stalled_windows == 0 &&

@@ -148,7 +148,9 @@ fi
 
 echo "== sharded-commit-pipeline + stage-0 + observability acceptance =="
 # Full lifecycle + background maintenance on hnsw at 1 vs 8 threads from the
-# same restored seed snapshot. Exit-enforces: identical decisions (including
+# same restored seed snapshot. Exit-enforces: a byte-identical seed snapshot
+# whether SaveSnapshot's parallel link pass runs on 1 or 8 threads,
+# identical decisions (including
 # across prepare_chunk {1,16,32}, with identical tail exemplars and
 # byte-identical pool contents), a serial request-path cost (driver-thread
 # time outside the pool and maintenance) under an absolute us/request

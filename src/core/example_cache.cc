@@ -229,10 +229,12 @@ bool ExampleCache::ImportExample(const Example& example, std::vector<float> embe
   if (example.id == 0 || examples_.count(example.id) > 0) {
     return false;
   }
-  used_bytes_ += example.SizeBytes();
-  if (add_to_index) {
-    index_->Add(example.id, std::move(embedding));
+  // An embedding the index rejects would leave an example stage-1 can never
+  // return: refuse the import instead.
+  if (add_to_index && !index_->Add(example.id, std::move(embedding)).ok()) {
+    return false;
   }
+  used_bytes_ += example.SizeBytes();
   examples_[example.id] = example;
   next_id_ = std::max(next_id_, example.id + 1);
   return true;

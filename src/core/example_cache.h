@@ -90,6 +90,9 @@ class ExampleCache : public ExampleStore {
   // accounting); returns evicted ids.
   std::vector<uint64_t> EvictToBytes(int64_t target_bytes);
 
+  // Links the index's pending nodes (VectorIndex::Flush).
+  void Flush() { index_->Flush(); }
+
   size_t size() const override { return examples_.size(); }
   int64_t used_bytes() const override { return used_bytes_; }
   const ExampleCacheConfig& config() const { return config_; }

@@ -268,7 +268,8 @@ class ExampleStore {
   // (LoadIndexBlob). The embedding is indexed as given and is what Snapshot
   // hands back, so it must be the embedder's output for the example's text:
   // an int8 store streams dequantized vectors, fit only for an int8 store.
-  // Returns false on id 0 or an id collision.
+  // Returns false, changing nothing, on id 0, an id collision, or an
+  // embedding the index rejects (wrong length).
   virtual bool ImportExample(const Example& example, std::vector<float> embedding,
                              bool add_to_index) = 0;
 

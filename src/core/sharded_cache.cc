@@ -7,6 +7,7 @@
 #include "src/common/binio.h"
 #include "src/common/mathutil.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 
 namespace iccache {
 
@@ -229,6 +230,41 @@ std::vector<uint64_t> ShardedExampleCache::AllIds() const {
   }
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+void ShardedExampleCache::FlushShard(size_t shard) {
+  std::unique_lock<std::shared_mutex> lock(shards_[shard].mu);
+  shards_[shard].cache->Flush();
+}
+
+size_t ShardedExampleCache::Flush(ThreadPool* pool) {
+  WaitGroup wg;
+  size_t tasks = 0;
+  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+    {
+      std::shared_lock<std::shared_mutex> lock(shards_[shard].mu);
+      if (shards_[shard].cache->index().pending() == 0) {
+        continue;
+      }
+    }
+    ++tasks;
+    wg.Add(1);
+    pool->Submit([this, shard, &wg] {
+      FlushShard(shard);
+      wg.Done();
+    });
+  }
+  wg.Wait();
+  return tasks;
+}
+
+size_t ShardedExampleCache::pending() const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) {
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    total += shard.cache->index().pending();
+  }
+  return total;
 }
 
 MaintenanceCut ShardedExampleCache::ExportMaintenanceCut() const {

@@ -39,6 +39,8 @@
 
 namespace iccache {
 
+class ThreadPool;
+
 struct ShardedCacheConfig {
   // Rounded up to a power of two; each shard is an independent ExampleCache.
   size_t num_shards = 8;
@@ -105,6 +107,18 @@ class ShardedExampleCache : public ExampleStore {
   size_t size() const override;
   int64_t used_bytes() const override { return used_bytes_total_.load(std::memory_order_relaxed); }
   std::vector<uint64_t> AllIds() const override;
+
+  // --- Index link step (HNSW appends at Put and links later) ---------------
+
+  // Links one shard's pending index nodes under its exclusive lock.
+  void FlushShard(size_t shard);
+  // Links every shard's pending nodes, one task on `pool` per shard that has
+  // any, and waits for them. Returns the number of tasks submitted: 0 when
+  // nothing is pending. Each shard links in its own append order, so the
+  // graphs do not depend on the pool's thread count.
+  size_t Flush(ThreadPool* pool);
+  // Pending index nodes over all shards.
+  size_t pending() const;
 
   // --- Persistence surface (ExampleStore) ----------------------------------
   //

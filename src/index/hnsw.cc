@@ -238,60 +238,82 @@ void HnswIndex::ShrinkLinks(uint32_t slot, int layer) {
   links = SelectNeighbors(scored, cap);
 }
 
-void HnswIndex::InsertLocked(uint64_t id, std::vector<float> vec) {
-  const int level = SampleLevel();
+void HnswIndex::AppendLocked(uint64_t id, const std::vector<float>& vec) {
   const uint32_t slot = static_cast<uint32_t>(nodes_.size());
   Node node;
   node.id = id;
-  node.level = level;
-  node.links.resize(static_cast<size_t>(level) + 1);
+  node.level = SampleLevel();
+  node.links.resize(static_cast<size_t>(node.level) + 1);
   nodes_.push_back(std::move(node));
-  QueryRef query;
-  query.f32 = vec.data();
   if (config_.quantize_int8) {
     qarena_.resize(qarena_.size() + config_.dim);
     float scale = 0.0f;
     simd::QuantizeI8(vec.data(), config_.dim, qarena_.data() + slot * config_.dim, &scale);
     scales_.push_back(scale);
-    // Stable for the duration of this insert: qarena_ only grows on the next
-    // Add.
-    query.i8 = QVecOf(slot);
-    query.scale = scale;
   } else {
     arena_.insert(arena_.end(), vec.begin(), vec.end());
-    query.f32 = VecOf(slot);  // same stability argument as the int8 arena
   }
   slot_of_[id] = slot;
   ++live_;
   insert_epochs_.push_back(0);
+}
 
-  if (entry_level_ < 0) {
-    entry_ = slot;
-    entry_level_ = level;
-    return;
-  }
-
-  uint32_t cur = entry_;
-  for (int layer = entry_level_; layer > level; --layer) {
-    cur = GreedyStep(query, cur, layer);
-  }
-  for (int layer = std::min(level, entry_level_); layer >= 0; --layer) {
-    ++insert_epoch_;
-    const std::vector<ScoredSlot> found =
-        SearchLayer(query, cur, layer, std::max<size_t>(1, config_.ef_construction),
-                    insert_epochs_, insert_epoch_);
-    cur = found.empty() ? cur : found[0].slot;
-    const std::vector<uint32_t> neighbors = SelectNeighbors(found, config_.max_neighbors);
-    for (uint32_t neighbor : neighbors) {
-      nodes_[slot].links[layer].push_back(neighbor);
-      nodes_[neighbor].links[layer].push_back(slot);
-      ShrinkLinks(neighbor, layer);
+void HnswIndex::LinkPendingLocked() {
+  for (; linked_ < nodes_.size(); ++linked_) {
+    const uint32_t slot = static_cast<uint32_t>(linked_);
+    const int level = nodes_[slot].level;
+    QueryRef query;
+    if (config_.quantize_int8) {
+      query.i8 = QVecOf(slot);
+      query.scale = scales_[slot];
+    } else {
+      query.f32 = VecOf(slot);
+    }
+    if (entry_level_ < 0) {
+      entry_ = slot;
+      entry_level_ = level;
+      continue;
+    }
+    uint32_t cur = entry_;
+    for (int layer = entry_level_; layer > level; --layer) {
+      cur = GreedyStep(query, cur, layer);
+    }
+    for (int layer = std::min(level, entry_level_); layer >= 0; --layer) {
+      ++insert_epoch_;
+      const std::vector<ScoredSlot> found =
+          SearchLayer(query, cur, layer, std::max<size_t>(1, config_.ef_construction),
+                      insert_epochs_, insert_epoch_);
+      cur = found.empty() ? cur : found[0].slot;
+      const std::vector<uint32_t> neighbors = SelectNeighbors(found, config_.max_neighbors);
+      for (uint32_t neighbor : neighbors) {
+        nodes_[slot].links[layer].push_back(neighbor);
+        nodes_[neighbor].links[layer].push_back(slot);
+        ShrinkLinks(neighbor, layer);
+      }
+    }
+    if (level > entry_level_) {
+      entry_ = slot;
+      entry_level_ = level;
     }
   }
-  if (level > entry_level_) {
-    entry_ = slot;
-    entry_level_ = level;
+}
+
+std::shared_lock<std::shared_mutex> HnswIndex::LinkedReadLock() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  if (linked_ < nodes_.size()) {
+    lock.unlock();
+    {
+      // Logically const: every read links first, so no result depends on
+      // when the link work ran (the cast is defined: no HnswIndex is a
+      // const object, readers only hold const references). An Add racing
+      // this gap leaves its node pending and unreachable, as if it had come
+      // after the read.
+      std::unique_lock<std::shared_mutex> write(mu_);
+      const_cast<HnswIndex*>(this)->LinkPendingLocked();
+    }
+    lock.lock();
   }
+  return lock;
 }
 
 Status HnswIndex::Add(uint64_t id, std::vector<float> vec) {
@@ -299,10 +321,25 @@ Status HnswIndex::Add(uint64_t id, std::vector<float> vec) {
     return Status::InvalidArgument("vector dimension mismatch");
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
-  RemoveLocked(id);  // overwrite semantics, matching FlatIndex
-  InsertLocked(id, std::move(vec));
+  if (slot_of_.count(id) > 0) {
+    // Overwrite semantics, matching FlatIndex. The old node is tombstoned
+    // linked, as it would be had every earlier Add linked at once.
+    LinkPendingLocked();
+    RemoveLocked(id);
+  }
+  AppendLocked(id, vec);
   MaybeCompactLocked();
   return Status::Ok();
+}
+
+void HnswIndex::Flush() {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  LinkPendingLocked();
+}
+
+size_t HnswIndex::pending() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return nodes_.size() - linked_;
 }
 
 bool HnswIndex::RemoveLocked(uint64_t id) {
@@ -324,12 +361,14 @@ bool HnswIndex::RemoveLocked(uint64_t id) {
     insert_epoch_ = 0;
     entry_ = 0;
     entry_level_ = -1;
+    linked_ = 0;
   }
   return true;
 }
 
 bool HnswIndex::Remove(uint64_t id) {
   std::unique_lock<std::shared_mutex> lock(mu_);
+  LinkPendingLocked();
   if (!RemoveLocked(id)) {
     return false;
   }
@@ -350,10 +389,12 @@ void HnswIndex::MaybeCompactLocked() {
 }
 
 void HnswIndex::CompactLocked() {
-  // Survivors are re-inserted from the float form. In quantized mode the
-  // dequantized values are exact multiples of the slot scale with the max
-  // element on the ±127 rail, so requantization reproduces the identical
-  // codes and scale — compaction is lossless either way.
+  // Survivors, pending ones included, are re-inserted in slot order from the
+  // float form; links are rebuilt from scratch, so whether a survivor was
+  // linked changes nothing. In quantized mode the dequantized values are
+  // exact multiples of the slot scale with the max element on the ±127 rail,
+  // so requantization reproduces the identical codes and scale — compaction
+  // is lossless either way.
   std::vector<std::pair<uint64_t, std::vector<float>>> survivors;
   survivors.reserve(live_);
   for (uint32_t slot = 0; slot < nodes_.size(); ++slot) {
@@ -378,9 +419,11 @@ void HnswIndex::CompactLocked() {
   entry_ = 0;
   entry_level_ = -1;
   live_ = 0;
-  for (auto& [id, vec] : survivors) {
-    InsertLocked(id, std::move(vec));
+  linked_ = 0;
+  for (const auto& [id, vec] : survivors) {
+    AppendLocked(id, vec);
   }
+  LinkPendingLocked();
 }
 
 void HnswIndex::Compact() {
@@ -787,13 +830,13 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
 
 void HnswIndex::SearchBatch(const float* queries, size_t num_queries, size_t query_dim,
                             size_t k, SearchScratch* scratch) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const auto lock = LinkedReadLock();
   SearchBatchLocked(queries, num_queries, query_dim, k, config_.ef_search, *scratch);
 }
 
 void HnswIndex::SearchBatchEf(const float* queries, size_t num_queries, size_t query_dim,
                               size_t k, size_t ef, SearchScratch* scratch) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const auto lock = LinkedReadLock();
   SearchBatchLocked(queries, num_queries, query_dim, k, ef, *scratch);
 }
 
@@ -833,7 +876,7 @@ size_t HnswIndex::tombstones() const {
 }
 
 int HnswIndex::max_level() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const auto lock = LinkedReadLock();
   return entry_level_;
 }
 
@@ -844,7 +887,7 @@ size_t HnswIndex::arena_bytes() const {
 }
 
 void HnswIndex::SaveGraph(ByteWriter* out) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const auto lock = LinkedReadLock();
   ByteWriter& w = *out;
   w.PutU32(kGraphFormatVersion);
   w.PutU8(config_.quantize_int8 ? 1 : 0);
@@ -886,7 +929,7 @@ void HnswIndex::SaveGraph(ByteWriter* out) const {
 }
 
 size_t HnswIndex::GraphImageSize() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const auto lock = LinkedReadLock();
   // Header through the level-sampler RNG: version, quantize flag, dim,
   // degree, node count, live count, entry, entry level, 4 RNG words, the
   // cached normal, and its flag.
@@ -1026,6 +1069,7 @@ bool HnswIndex::LoadGraph(std::string_view blob) {
   rng_.RestoreState(rng);
   insert_epochs_.assign(nodes_.size(), 0);
   insert_epoch_ = 0;
+  linked_ = nodes_.size();
   return true;
 }
 

@@ -5,10 +5,15 @@
 //
 // Properties the serving path relies on:
 //
-//  * Incremental Add: each insert wires the new vector into the multi-layer
-//    graph in O(ef_construction * degree) distance evaluations — no global
-//    rebuild, so the index never goes stale under churn (unlike KMeansIndex,
-//    whose clusters drift between rebuilds).
+//  * Incremental Add, linked later: Add draws the node's level and appends
+//    its vector; Flush (or the next read) wires every pending node into the
+//    multi-layer graph in append order, O(ef_construction * degree) distance
+//    evaluations each — no global rebuild, so the index never goes stale
+//    under churn (unlike KMeansIndex, whose clusters drift between
+//    rebuilds). A pending node has no links in or out, so the graph is the
+//    one linking at every Add would build; splitting the steps only moves
+//    the link work, which lets the serving driver link all its shards in
+//    parallel.
 //  * Tombstone Remove: deletion marks the node and keeps it as a traversal
 //    waypoint (removing it outright would tear holes in the graph). Search
 //    filters tombstones from results; when tombstones exceed
@@ -17,7 +22,8 @@
 //  * Concurrent readers: SearchBatch takes a shared lock and keeps all query
 //    state in the caller's scratch (Search's is thread-local), so any number
 //    of threads may search while at most one mutates
-//    (Add/Remove/Compact take the exclusive lock). This matches the sharded
+//    (Add/Remove/Compact/Flush take the exclusive lock; a reader that finds
+//    pending nodes takes it once to link them). This matches the sharded
 //    cache's locking discipline but also makes the index safe standalone.
 //
 // Vectors are expected L2-normalized (HashingEmbedder output); similarity is
@@ -83,11 +89,18 @@ class HnswIndex : public VectorIndex {
  public:
   explicit HnswIndex(HnswIndexConfig config = {});
 
-  // Inserts (or overwrites) the vector for id. Takes the exclusive lock.
+  // Appends (or overwrites) the vector for id as a pending node. Takes the
+  // exclusive lock. An overwrite links every pending node first, so the old
+  // node is tombstoned exactly as linking at every Add would leave it.
   Status Add(uint64_t id, std::vector<float> vec) override;
 
-  // Tombstones id; returns false when absent. May trigger compaction.
+  // Tombstones id; returns false when absent. Links pending nodes first;
+  // may trigger compaction.
   bool Remove(uint64_t id) override;
+
+  // Links every pending node, in append order, under the exclusive lock.
+  void Flush() override;
+  size_t pending() const override;
 
   // Search with an explicit beam width (recall/latency sweeps).
   std::vector<SearchResult> SearchEf(const std::vector<float>& query, size_t k, size_t ef) const;
@@ -138,7 +151,7 @@ class HnswIndex : public VectorIndex {
   // On success the previous contents are replaced wholesale.
   bool LoadGraph(std::string_view blob);
 
-  // Diagnostics.
+  // Diagnostics. size(), tombstones() and arena_bytes() count pending nodes.
   size_t tombstones() const;
   int max_level() const;
   // Bytes of vector storage currently held (float arena, or int8 codes plus
@@ -146,9 +159,9 @@ class HnswIndex : public VectorIndex {
   // arena space until compaction. Feeds the bytes-per-vector CI gate.
   size_t arena_bytes() const;
 
-  // Rebuilds the graph from the live nodes, dropping every tombstone.
-  // Normally triggered automatically by Remove; exposed for tests and for
-  // maintenance windows.
+  // Rebuilds the graph from the live nodes (pending ones included), dropping
+  // every tombstone, and leaves nothing pending. Normally triggered
+  // automatically by Remove; exposed for tests and for maintenance windows.
   void Compact();
 
   const HnswIndexConfig& config() const { return config_; }
@@ -182,9 +195,9 @@ class HnswIndex : public VectorIndex {
   const float* VecOf(uint32_t slot) const { return arena_.data() + slot * config_.dim; }
   const int8_t* QVecOf(uint32_t slot) const { return qarena_.data() + slot * config_.dim; }
 
-  // A query as the traversal kernels see it: the float form always, plus the
-  // int8 codes + scale when the arena is quantized. For inserts the int8 side
-  // aliases the just-appended arena slot (stable until the next Add).
+  // A query as the traversal kernels see it: the float form, or the int8
+  // codes + scale when the arena is quantized. A node being linked is its own
+  // query, aliasing its arena slot (linking never grows the arena).
   struct QueryRef {
     const float* f32 = nullptr;
     const int8_t* i8 = nullptr;
@@ -221,7 +234,16 @@ class HnswIndex : public VectorIndex {
   // Re-prunes `slot`'s layer-`layer` neighbor list down to LayerCap.
   void ShrinkLinks(uint32_t slot, int layer);
 
-  void InsertLocked(uint64_t id, std::vector<float> vec);
+  // The append step: draws id's level and appends its vector, its id and a
+  // node with no links (pending until LinkPendingLocked reaches it).
+  void AppendLocked(uint64_t id, const std::vector<float>& vec);
+  // The link step: wires every pending node into the graph in append order.
+  // A node's links depend only on the nodes before it, which pending nodes
+  // cannot change: they are unreachable (no links in, never the entry).
+  void LinkPendingLocked();
+  // A shared lock over a graph with nothing pending. A reader that finds
+  // pending nodes links them under the exclusive lock first.
+  std::shared_lock<std::shared_mutex> LinkedReadLock() const;
   bool RemoveLocked(uint64_t id);
   void CompactLocked();
   void MaybeCompactLocked();
@@ -245,10 +267,13 @@ class HnswIndex : public VectorIndex {
   std::vector<float> scales_;   // scales_[s]: dequant factor for slot s
   std::unordered_map<uint64_t, uint32_t> slot_of_;  // live ids only
   uint32_t entry_ = 0;
-  int entry_level_ = -1;  // -1 == empty graph
+  int entry_level_ = -1;  // -1 == empty graph (or nothing linked yet)
   size_t live_ = 0;
+  // nodes_[0, linked_) are wired into the graph; the rest are pending. Only
+  // live nodes are ever pending: Remove and an overwriting Add link first.
+  size_t linked_ = 0;
 
-  // Writer-side visited scratch (Add/Compact hold the exclusive lock, so a
+  // Writer-side visited scratch (linking holds the exclusive lock, so a
   // shared buffer is safe there; readers keep theirs in a SearchScratch, so
   // concurrent readers never share state).
   std::vector<uint32_t> insert_epochs_;

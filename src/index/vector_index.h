@@ -162,6 +162,14 @@ class VectorIndex {
   // Removes id; returns false when absent.
   virtual bool Remove(uint64_t id) = 0;
 
+  // Links what Add appended but has not yet wired into the search structure.
+  // Only HNSW defers work (its graph links); flat and k-means do nothing.
+  // Every read links first, so Flush moves link work onto the caller's
+  // thread and time without changing any result.
+  virtual void Flush() {}
+  // Vectors Flush would link.
+  virtual size_t pending() const { return 0; }
+
   // Returns up to k nearest neighbours sorted best-first: SearchBatch at
   // batch size 1 over a thread-local scratch.
   std::vector<SearchResult> Search(const std::vector<float>& query, size_t k) const;

@@ -590,7 +590,8 @@ Status DecodePoolSections(const SnapshotReader& reader, ExampleStore* store,
                                 /*add_to_index=*/!local.native_index_load)) {
         return Status::FailedPrecondition(
             "import rejected for example id " + std::to_string(example.id) +
-            " (duplicate id, or restoring into MORE shards than the snapshot was "
+            " (duplicate id; an embedding the index rejects, e.g. of the wrong "
+            "length; or restoring into MORE shards than the snapshot was "
             "taken with — the smallest ids cannot be re-sharded; equal or fewer "
             "shards always work)");
       }

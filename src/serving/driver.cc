@@ -90,7 +90,16 @@ uint64_t ServingDriver::SeedExample(const Request& request, double now) {
                     generation.output_tokens, now);
 }
 
+void ServingDriver::LinkPendingShards() {
+  if (cache_.pending() == 0) {
+    return;
+  }
+  ThreadPool pool(config_.num_threads);
+  cache_.Flush(&pool);
+}
+
 Status ServingDriver::SaveSnapshot(const std::string& path) {
+  LinkPendingShards();
   SnapshotWriter writer;
   PoolComponents components;
   components.selector = &selector_;
@@ -127,6 +136,9 @@ Status ServingDriver::RestoreSnapshot(const std::string& path) {
   if (!status.ok()) {
     return status;
   }
+  // The rebuild fallback (no usable graph image) appended every example;
+  // link them now, all shards at once. A native load leaves nothing pending.
+  LinkPendingShards();
   status = DecodeOptionalSection(reader, SnapshotSection::kDriver, [this](std::string_view bytes) {
     ByteReader r(bytes);
     const double last_replay_time = r.GetDouble();
@@ -534,6 +546,14 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
 
   const auto wall_start = std::chrono::steady_clock::now();
 
+  // Link whatever SeedExample appended since the last link pass before the
+  // first window reads the pool: one task per shard with pending nodes.
+  {
+    const auto start = std::chrono::steady_clock::now();
+    cache_.Flush(&pool);
+    prepare_wall += Since(start);
+  }
+
   // Prologue: prepare window 0 (there is nothing to overlap it with yet).
   if (!requests.empty()) {
     WaitGroup wg;
@@ -763,6 +783,9 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
                 (c.offloaded ? small_ : large_).capability,
                 /*from_large_model=*/!c.offloaded, request.arrival_time);
           }
+          // Link this shard's admissions here, so the next window's
+          // readers find nothing pending.
+          cache_.FlushShard(shard);
           publish_wg.Done();
         });
       }

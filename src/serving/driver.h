@@ -240,7 +240,8 @@ struct DriverReport {
   // Wall-clock split, three buckets summing to wall_seconds:
   //   prepare_seconds     — driver time blocked on pool task groups (the
   //                         parallel work: prepare, commit lanes, publish
-  //                         fan-outs); scales with num_threads.
+  //                         fan-outs, the link pass over seeded shards at
+  //                         the start); scales with num_threads.
   //   maintenance_seconds — cut exports, plan collection (including stall
   //                         waits), and mutation-batch application. Booked
   //                         separately so maintenance cost can no longer
@@ -296,6 +297,9 @@ class ServingDriver {
                                            const TraceConfig& trace, uint64_t seed);
 
   // Seeds the example pool with a large-model response (pool initialization).
+  // On HNSW this only appends the example's vector to its shard: the graphs
+  // are linked in one parallel pass, one pool task per shard, when seeding
+  // ends (SaveSnapshot or the start of Run) or by the first search.
   uint64_t SeedExample(const Request& request, double now);
 
   // Processes one stream segment (must be sorted by arrival_time) and runs
@@ -314,6 +318,10 @@ class ServingDriver {
   // replay/maintenance cursors + epoch, trace clock — as one atomic
   // snapshot. In-flight simulated requests are NOT captured: a snapshot
   // taken mid-trace restores the learned pool, not the cluster's queue.
+  // First links every shard's pending HNSW nodes in parallel (num_threads
+  // pool threads, created only when something is pending), so a freshly
+  // seeded pool's graphs are built here; the bytes do not depend on the
+  // thread count.
   Status SaveSnapshot(const std::string& path);
 
   // Restores a SaveSnapshot image into this (freshly constructed, unserved)
@@ -392,6 +400,10 @@ class ServingDriver {
   // Lane stage for one request: frozen selection, frozen-posterior routing,
   // generation, probe shadow generation. Pure given window-start state.
   void CommitLaneRequest(const Request& request, Prepared& prep, CommitSlot& slot) const;
+
+  // Links every shard's pending HNSW nodes on a num_threads pool, one task
+  // per shard; creates no thread when nothing is pending.
+  void LinkPendingShards();
 
   DriverConfig config_;
   ModelProfile small_;

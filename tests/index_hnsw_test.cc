@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/binio.h"
 #include "src/common/mathutil.h"
 #include "src/common/rng.h"
 
@@ -289,6 +291,181 @@ TEST_P(HnswSizeSweep, SearchReturnsRequestedK) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, HnswSizeSweep, ::testing::Values(0u, 1u, 2u, 7u, 63u, 100u, 333u));
+
+// --- The link step --------------------------------------------------------
+
+// Add appends; every method that reads or restructures the graph links the
+// pending nodes first, while the counters count them as they are.
+TEST(HnswLinkStepTest, AddAppendsAndGraphReadsLinkFirst) {
+  HnswIndexConfig config;
+  config.dim = 8;
+  HnswIndex index(config);
+  Rng rng(41);
+  for (uint64_t i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(index.Add(i, RandomUnitVector(rng, 8)).ok());
+  }
+  EXPECT_EQ(index.pending(), 50u);
+  EXPECT_EQ(index.size(), 50u);
+  EXPECT_EQ(index.tombstones(), 0u);
+  EXPECT_EQ(index.arena_bytes(), 50u * 8 * sizeof(float));
+  std::vector<float> stored;
+  EXPECT_TRUE(index.GetVector(7, &stored));
+  EXPECT_EQ(index.pending(), 50u);
+  EXPECT_GE(index.max_level(), 0);
+  EXPECT_EQ(index.pending(), 0u);
+
+  const std::vector<float> fresh = RandomUnitVector(rng, 8);
+  ASSERT_TRUE(index.Add(51, fresh).ok());
+  EXPECT_EQ(index.pending(), 1u);
+  const auto found = index.Search(fresh, 1);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].id, 51u);
+  EXPECT_EQ(index.pending(), 0u);
+
+  ASSERT_TRUE(index.Add(52, RandomUnitVector(rng, 8)).ok());
+  EXPECT_TRUE(index.Remove(3));
+  EXPECT_EQ(index.pending(), 0u);
+  ASSERT_TRUE(index.Add(53, RandomUnitVector(rng, 8)).ok());
+  ASSERT_TRUE(index.Add(53, RandomUnitVector(rng, 8)).ok());  // overwrite of a pending id
+  EXPECT_EQ(index.pending(), 1u);                              // only the new node
+  EXPECT_EQ(index.tombstones(), 2u);
+  index.Compact();
+  EXPECT_EQ(index.pending(), 0u);
+  EXPECT_EQ(index.tombstones(), 0u);
+  ASSERT_TRUE(index.Add(54, RandomUnitVector(rng, 8)).ok());
+  ByteWriter image;
+  index.SaveGraph(&image);
+  EXPECT_EQ(index.pending(), 0u);
+  EXPECT_EQ(image.size(), index.GraphImageSize());
+
+  FlatIndex flat(8);
+  ASSERT_TRUE(flat.Add(1, RandomUnitVector(rng, 8)).ok());
+  EXPECT_EQ(flat.pending(), 0u);
+  flat.Flush();
+  EXPECT_EQ(flat.size(), 1u);
+}
+
+enum class FlushPoint { kEveryAdd, kEnd, kRandomSearches };
+
+struct LinkRun {
+  std::string graph;                             // SaveGraph image at the end
+  std::vector<std::vector<SearchResult>> mid;    // searches at the seeded points
+  std::vector<std::vector<SearchResult>> final;  // fixed queries at the end
+  size_t pending_overwrites = 0;  // overwrites of a still-pending id (kEnd)
+  size_t linked_overwrites = 0;   // overwrites of a linked id (kEnd)
+  size_t pending_removes = 0;     // removes while nodes were pending (kEnd)
+  size_t compactions = 0;
+};
+
+// One seeded sequence of Adds, overwrites and Removes (enough tombstones for
+// compaction to fire), linked at `mode`'s points: after every Add (eager
+// linking), only at the end, or by searches at seeded random points.
+LinkRun RunLinkSequence(bool int8, FlushPoint mode) {
+  constexpr size_t kDim = 16;
+  HnswIndexConfig config;
+  config.dim = kDim;
+  config.quantize_int8 = int8;
+  config.min_tombstones_to_compact = 16;
+  HnswIndex index(config);
+  Rng ops(0xf1a5);
+  Rng points(0x5ea7);
+  Rng queries(0x9e77);
+  LinkRun run;
+  std::vector<uint64_t> ids;
+  uint64_t next_id = 1;
+  bool newest_pending = false;  // kEnd: ids.back() was appended since the last link
+  for (int op = 0; op < 600; ++op) {
+    const size_t tombstones = index.tombstones();
+    const double dice = ops.Uniform();
+    if (dice < 0.2 && !ids.empty()) {
+      const size_t at = static_cast<size_t>(ops.UniformInt(ids.size()));
+      run.pending_removes += index.pending() > 0 ? 1 : 0;
+      EXPECT_TRUE(index.Remove(ids[at]));
+      ids.erase(ids.begin() + static_cast<ptrdiff_t>(at));
+      newest_pending = false;
+    } else {
+      uint64_t id = 0;
+      if (dice < 0.4 && !ids.empty()) {
+        id = ops.Bernoulli(0.5) ? ids.back() : ids[ops.UniformInt(ids.size())];
+        if (mode == FlushPoint::kEnd && newest_pending && id == ids.back()) {
+          ++run.pending_overwrites;
+        } else if (mode == FlushPoint::kEnd) {
+          ++run.linked_overwrites;
+        }
+        newest_pending = false;
+      } else {
+        id = next_id++;
+        ids.push_back(id);
+        newest_pending = true;
+      }
+      EXPECT_TRUE(index.Add(id, RandomUnitVector(ops, kDim)).ok());
+      if (mode == FlushPoint::kEveryAdd) {
+        index.Flush();
+      }
+    }
+    run.compactions += index.tombstones() < tombstones ? 1 : 0;
+    const bool search_point = points.Bernoulli(0.05);
+    const std::vector<float> query = RandomUnitVector(queries, kDim);
+    if (search_point && mode != FlushPoint::kEnd) {
+      run.mid.push_back(index.Search(query, 5));
+    }
+  }
+  // End on fresh appends, so the final link pass has work in the lazy modes.
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(index.Add(next_id++, RandomUnitVector(ops, kDim)).ok());
+    if (mode == FlushPoint::kEveryAdd) {
+      index.Flush();
+    }
+  }
+  if (mode == FlushPoint::kEnd) {
+    EXPECT_GE(index.pending(), 5u);
+    index.Flush();
+  }
+  ByteWriter graph;
+  index.SaveGraph(&graph);
+  run.graph = graph.bytes();
+  for (int q = 0; q < 20; ++q) {
+    run.final.push_back(index.Search(RandomUnitVector(queries, kDim), 10));
+  }
+  return run;
+}
+
+void ExpectSameResults(const std::vector<std::vector<SearchResult>>& a,
+                       const std::vector<std::vector<SearchResult>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t q = 0; q < a.size(); ++q) {
+    ASSERT_EQ(a[q].size(), b[q].size()) << "query " << q;
+    for (size_t i = 0; i < a[q].size(); ++i) {
+      EXPECT_EQ(a[q][i].id, b[q][i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(a[q][i].score, b[q][i].score) << "query " << q << " rank " << i;
+    }
+  }
+}
+
+class HnswFlushPointTest : public ::testing::TestWithParam<bool> {};
+
+// Pending nodes have no links in or out and keep their level draws, so where
+// the link step runs changes no graph byte and no search result.
+TEST_P(HnswFlushPointTest, GraphAndResultsDoNotDependOnWhenNodesLink) {
+  const LinkRun every_add = RunLinkSequence(GetParam(), FlushPoint::kEveryAdd);
+  const LinkRun at_end = RunLinkSequence(GetParam(), FlushPoint::kEnd);
+  const LinkRun searches = RunLinkSequence(GetParam(), FlushPoint::kRandomSearches);
+  EXPECT_GT(at_end.pending_overwrites, 0u);
+  EXPECT_GT(at_end.linked_overwrites, 0u);
+  EXPECT_GT(at_end.pending_removes, 0u);
+  EXPECT_GT(every_add.compactions, 0u);
+  EXPECT_FALSE(every_add.mid.empty());
+  EXPECT_TRUE(at_end.graph == every_add.graph);
+  EXPECT_TRUE(searches.graph == every_add.graph);
+  ExpectSameResults(searches.mid, every_add.mid);
+  ExpectSameResults(at_end.final, every_add.final);
+  ExpectSameResults(searches.final, every_add.final);
+}
+
+INSTANTIATE_TEST_SUITE_P(Arenas, HnswFlushPointTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Int8" : "Float");
+                         });
 
 }  // namespace
 }  // namespace iccache

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -185,6 +186,58 @@ TEST(HnswStressTest, ConcurrentSearchBatchWithInserts) {
   });
   pool.Wait();
   EXPECT_GT(index.size(), 0u);
+}
+
+// Readers that find pending nodes take the exclusive lock to link them:
+// first searches racing on a freshly appended index must each get exactly
+// the result one thread gets after the link pass.
+TEST(HnswStressTest, ConcurrentFirstSearchesLinkPendingNodes) {
+  const size_t dim = 16;
+  const size_t kReaders = 6;
+  const size_t kQueries = 12;
+  HnswIndexConfig config;
+  config.dim = dim;
+  HnswIndex index(config);
+  HnswIndex reference(config);
+  Rng rng(0xf1f5);
+  for (uint64_t i = 1; i <= 800; ++i) {
+    const std::vector<float> v = RandomUnitVector(rng, dim);
+    ASSERT_TRUE(index.Add(i, v).ok());
+    ASSERT_TRUE(reference.Add(i, v).ok());
+  }
+  ASSERT_EQ(index.pending(), 800u);
+  std::vector<float> queries;
+  for (size_t q = 0; q < kQueries; ++q) {
+    const std::vector<float> v = RandomUnitVector(rng, dim);
+    queries.insert(queries.end(), v.begin(), v.end());
+  }
+  reference.Flush();
+  SearchScratch expected;
+  reference.SearchBatch(queries.data(), kQueries, dim, 5, &expected);
+
+  std::atomic<size_t> ready{0};
+  std::vector<SearchScratch> scratches(kReaders);
+  ThreadPool pool(kReaders);
+  for (size_t w = 0; w < kReaders; ++w) {
+    pool.Submit([&index, &queries, &scratches, &ready, w] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) {
+        std::this_thread::yield();  // release every reader at once
+      }
+      index.SearchBatch(queries.data(), kQueries, dim, 5, &scratches[w]);
+    });
+  }
+  pool.Wait();
+  EXPECT_EQ(index.pending(), 0u);
+  for (size_t w = 0; w < kReaders; ++w) {
+    for (size_t q = 0; q < kQueries; ++q) {
+      ASSERT_EQ(scratches[w].ResultCountOf(q), expected.ResultCountOf(q));
+      for (size_t r = 0; r < expected.ResultCountOf(q); ++r) {
+        EXPECT_EQ(scratches[w].ResultsOf(q)[r].id, expected.ResultsOf(q)[r].id);
+        EXPECT_EQ(scratches[w].ResultsOf(q)[r].score, expected.ResultsOf(q)[r].score);
+      }
+    }
+  }
 }
 
 // ShardedExampleCache with the HNSW backend under interleaved admissions,

@@ -8,6 +8,9 @@
 //    store churn (the TSan-verified surface);
 //  * kill-between-checkpoints crash recovery through the driver's periodic
 //    checkpointer;
+//  * the link step at restore: a native graph load leaves nothing to link,
+//    and a rebuilt pool answers the same whether RestoreSnapshot's parallel
+//    pass or the first search links it;
 //  * the exact bytes of two fixed states' snapshots, pinned;
 //  * writes that fail mid-section (RLIMIT_FSIZE): the previous snapshot
 //    survives, the store's locks are released, and a failed driver
@@ -349,6 +352,62 @@ TEST_F(PersistDriverTest, PeriodicCheckpointsSurviveTornNextWrite) {
   EXPECT_EQ(recovered.cache().size(), meta.example_count);
   EXPECT_EQ(recovered.cache().used_bytes(), meta.used_bytes);
   EXPECT_GT(recovered.restore_report().sim_time, 0.0);
+}
+
+// Seeding appends; SaveSnapshot links every shard. A native restore has
+// nothing to link, so Run's first link pass submits no task. Restoring into
+// fewer shards rejects the graph image and rebuilds by appending: the pool
+// must answer FindSimilar the same whether RestoreSnapshot's parallel pass
+// or the first search links it.
+TEST_F(PersistDriverTest, LinkStepAtRestore) {
+  ModelCatalog catalog;
+  DriverConfig config;
+  config.num_threads = 4;
+  config.cache.num_shards = 8;
+  config.cache.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
+  config.seed = kSeed;
+  const std::string path = TempPath("link");
+  {
+    auto seeded = MakeDriver(catalog, config);
+    EXPECT_GT(seeded->cache().pending(), 0u);
+    ASSERT_TRUE(seeded->SaveSnapshot(path).ok());
+    EXPECT_EQ(seeded->cache().pending(), 0u);
+  }
+
+  ServingDriver native(config, &catalog);
+  ASSERT_TRUE(native.RestoreSnapshot(path).ok());
+  EXPECT_TRUE(native.restore_report().native_index_load);
+  EXPECT_EQ(native.cache().pending(), 0u);
+  ThreadPool pool(2);
+  EXPECT_EQ(native.cache().Flush(&pool), 0u);
+
+  DriverConfig fewer = config;
+  fewer.cache.num_shards = 4;
+  ServingDriver linked(fewer, &catalog);
+  ASSERT_TRUE(linked.RestoreSnapshot(path).ok());
+  EXPECT_FALSE(linked.restore_report().native_index_load);
+  EXPECT_EQ(linked.cache().pending(), 0u);
+
+  ServingDriver lazy(fewer, &catalog);
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  PoolRestoreReport report;
+  ASSERT_TRUE(DecodePoolSections(reader, &lazy.cache(), {}, &report).ok());
+  EXPECT_FALSE(report.native_index_load);
+  EXPECT_GT(lazy.cache().pending(), 0u);
+
+  QueryGenerator probes(SmallProfile(), kSeed ^ 0x9a0b);
+  for (int q = 0; q < 24; ++q) {
+    const Request query = probes.Next();
+    const auto a = linked.cache().FindSimilar(query, 10);
+    const auto b = lazy.cache().FindSimilar(query, 10);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id) << "probe " << q << " rank " << i;
+      EXPECT_EQ(a[i].score, b[i].score) << "probe " << q << " rank " << i;
+    }
+  }
+  EXPECT_EQ(lazy.cache().pending(), 0u);
 }
 
 // Size and CRC-32 of a whole file.

@@ -4,7 +4,8 @@
 // truncation / crash staging / hostile files / files changed after Open /
 // streamed-section ordering), a save's buffering bound, and whole-pool
 // round trips over both stores and all three retrieval backends —
-// including PII-scrubbed pools, tombstone-heavy HNSW graphs, the component
+// including PII-scrubbed pools, tombstone-heavy HNSW graphs, sharded graphs
+// linked at any thread count, embeddings the index rejects, the component
 // (selector / manager / proxy / router) adaptive state, and stage-0 sections
 // from older writers that appended an HNSW graph image.
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/binio.h"
+#include "src/common/thread_pool.h"
 #include "src/core/example_cache.h"
 #include "src/core/manager.h"
 #include "src/core/selector.h"
@@ -817,6 +819,92 @@ TEST_F(PersistTest, ReshardOnRestoreFallsBackAndKeepsIds) {
   const Status status = DecodePoolSections(reader, &grown, {}, nullptr);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status.ToString();
+}
+
+// The link step runs per shard in that shard's append order, so a sharded
+// pool's snapshot does not depend on the pool that links it, nor on whether
+// the save links it instead.
+TEST_F(PersistTest, ShardedLinkPassIsThreadCountInvariant) {
+  auto embedder = std::make_shared<HashingEmbedder>();
+  ShardedCacheConfig config;
+  config.num_shards = 8;
+  config.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
+  std::vector<std::string> images;
+  for (size_t threads : {size_t{1}, size_t{4}, size_t{0}}) {
+    SCOPED_TRACE(threads);
+    ShardedExampleCache cache(embedder, config);
+    Rng rng(kSeed ^ 8);
+    FillStore(&cache, 300, &rng);
+    ASSERT_GT(cache.pending(), 0u);
+    if (threads > 0) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(cache.Flush(&pool), cache.num_shards());
+      EXPECT_EQ(cache.pending(), 0u);
+      EXPECT_EQ(cache.Flush(&pool), 0u);  // nothing pending: no task
+    }
+    const std::string path = TempPath("link_" + std::to_string(threads));
+    SnapshotWriter writer;
+    EncodePoolSections(cache, {}, 0.0, &writer);
+    ASSERT_TRUE(writer.WriteToFile(path).ok());
+    images.push_back(ReadFile(path));
+    EXPECT_EQ(cache.pending(), 0u);
+  }
+  ASSERT_FALSE(images[0].empty());
+  EXPECT_TRUE(images[1] == images[0]);
+  EXPECT_TRUE(images[2] == images[0]);
+}
+
+// A CRC-valid snapshot whose examples section holds an embedding one float
+// short fails the restore with a Status wherever the index is rebuilt from
+// the embeddings: on k-means always, on HNSW when the graph image is absent.
+TEST_F(PersistTest, ShortEmbeddingFailsRestore) {
+  for (RetrievalBackendKind kind : {RetrievalBackendKind::kKMeans, RetrievalBackendKind::kHnsw}) {
+    SCOPED_TRACE(RetrievalBackendKindName(kind));
+    auto embedder = std::make_shared<HashingEmbedder>();
+    ExampleCacheConfig config;
+    config.retrieval.kind = kind;
+    ExampleCache original(embedder, config);
+    Rng rng(kSeed ^ 9);
+    FillStore(&original, 80, &rng);
+    const std::string path = TempPath(std::string("short_src_") + RetrievalBackendKindName(kind));
+    {
+      SnapshotWriter writer;
+      EncodePoolSections(original, {}, 0.0, &writer);
+      ASSERT_TRUE(writer.WriteToFile(path).ok());
+    }
+    SnapshotReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    // Re-encode the examples with the tenth record's embedding cut by one
+    // float; the writer computes fresh CRCs and no kIndex section is written.
+    ByteWriter examples;
+    const std::vector<uint64_t> next_ids = original.ExportNextIds();
+    examples.PutU64(next_ids.size());
+    for (uint64_t next_id : next_ids) {
+      examples.PutU64(next_id);
+    }
+    examples.PutU64(original.size());
+    size_t record = 0;
+    ASSERT_TRUE(ForEachSnapshotExample(reader, [&](const Example& example,
+                                                   const std::vector<float>& embedding) {
+                  std::vector<float> written = embedding;
+                  if (record++ == 9) {
+                    written.pop_back();
+                  }
+                  EncodeExample(example.id, example, written, &examples);
+                }).ok());
+    const std::string bad_path = TempPath(std::string("short_") + RetrievalBackendKindName(kind));
+    SnapshotWriter bad;
+    bad.AddSection(SnapshotSection::kMeta, SectionBytes(reader, SnapshotSection::kMeta));
+    bad.AddSection(SnapshotSection::kExamples, examples.TakeBytes());
+    ASSERT_TRUE(bad.WriteToFile(bad_path).ok());
+
+    SnapshotReader bad_reader;
+    ASSERT_TRUE(bad_reader.Open(bad_path).ok());
+    ExampleCache restored(embedder, config);
+    const Status status = DecodePoolSections(bad_reader, &restored, {}, nullptr);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status.ToString();
+    EXPECT_NE(status.ToString().find("embedding"), std::string::npos) << status.ToString();
+  }
 }
 
 TEST_F(PersistTest, RestoreRequiresEmptyStoreAndMatchingDim) {

@@ -169,6 +169,41 @@ TEST_P(BackendSweep, RemoveDropsFromRetrieval) {
   }
 }
 
+// An embedding the index rejects fails the import and changes nothing: kept
+// without its vector, the example could never come back from stage-1.
+TEST_P(BackendSweep, ImportRejectsAnEmbeddingTheIndexRejects) {
+  auto embedder = std::make_shared<HashingEmbedder>();
+  ExampleCacheConfig config;
+  config.retrieval.kind = GetParam();
+  ShardedCacheConfig sharded_config;
+  sharded_config.num_shards = 4;
+  sharded_config.cache = config;
+  ExampleCache cache(embedder, config);
+  ShardedExampleCache sharded(embedder, sharded_config);
+  for (ExampleStore* store : {static_cast<ExampleStore*>(&cache),
+                              static_cast<ExampleStore*>(&sharded)}) {
+    const uint64_t kept =
+        store->Put(MakeRequest(1, "how do i sort a list in python"), "resp", 0.8, 0.9, 16, 0.0);
+    ASSERT_NE(kept, 0u);
+    const size_t size = store->size();
+    const int64_t used = store->used_bytes();
+    Example example;
+    ASSERT_TRUE(store->Snapshot(kept, &example));
+    example.id = 1000;
+    EXPECT_FALSE(store->ImportExample(example, {0.5f, 0.5f, 0.5f}, /*add_to_index=*/true));
+    EXPECT_EQ(store->size(), size);
+    EXPECT_EQ(store->used_bytes(), used);
+    Example absent;
+    EXPECT_FALSE(store->Snapshot(1000, &absent));
+    EXPECT_TRUE(store->ImportExample(example, embedder->Embed(example.request.text),
+                                     /*add_to_index=*/true));
+    EXPECT_EQ(store->size(), size + 1);
+    const auto found = store->FindSimilar(example.request, 2);
+    ASSERT_EQ(found.size(), 2u);
+    EXPECT_TRUE(found[0].id == 1000 || found[1].id == 1000);
+  }
+}
+
 // The full selection pipeline runs unchanged over the sharded cache with any
 // backend — the ExampleStore unification the driver relies on.
 TEST_P(BackendSweep, SelectorRunsOverShardedCache) {
