@@ -144,12 +144,38 @@ void ByteWriter::PutBytes(const void* data, size_t size) {
   Append(data, size);
 }
 
+ByteReader::ByteReader(ByteSource* source, uint64_t size, size_t buffer_bytes)
+    : size_(size), source_(source), buffer_(std::max<size_t>(buffer_bytes, 8)) {
+  data_ = buffer_.data();
+}
+
+bool ByteReader::Refill(size_t n) {
+  if (source_ == nullptr) {
+    ok_ = false;
+    return false;
+  }
+  const size_t kept = static_cast<size_t>(end_ - pos_);
+  std::memmove(buffer_.data(), data_ + (pos_ - begin_), kept);
+  data_ = buffer_.data();
+  begin_ = pos_;
+  end_ = pos_ + kept;
+  const size_t fill =
+      static_cast<size_t>(std::min<uint64_t>(buffer_.size(), size_ - begin_)) - kept;
+  if (kept + fill < n || !source_->Read(buffer_.data() + kept, fill)) {
+    ok_ = false;
+    return false;
+  }
+  end_ += fill;
+  max_buffered_ = std::max(max_buffered_, kept + fill);
+  return true;
+}
+
 const uint8_t* ByteReader::Take(size_t n) {
-  if (!ok_ || n > size_ - pos_) {
+  if (!ok_ || n > size_ - pos_ || (n > end_ - pos_ && !Refill(n))) {
     ok_ = false;
     return nullptr;
   }
-  const uint8_t* p = data_ + pos_;
+  const uint8_t* p = data_ + (pos_ - begin_);
   pos_ += n;
   return p;
 }
@@ -186,30 +212,56 @@ float ByteReader::GetFloat() {
   return ok_ ? v : 0.0f;
 }
 
-std::string_view ByteReader::GetStringView() {
+std::string ByteReader::GetString() {
   const uint64_t n = GetU64();
-  if (!ok_ || n > size_ - pos_) {
+  if (!ok_ || n > remaining()) {
     ok_ = false;
     return {};
   }
-  const uint8_t* p = Take(static_cast<size_t>(n));
-  return {reinterpret_cast<const char*>(p), static_cast<size_t>(n)};
+  std::string s(static_cast<size_t>(n), '\0');
+  if (!GetBytes(s.data(), s.size())) {
+    return {};
+  }
+  return s;
 }
 
-std::string ByteReader::GetString() { return std::string(GetStringView()); }
-
 bool ByteReader::GetBytes(void* dst, size_t size) {
-  const uint8_t* p = Take(size);
+  if (!ok_ || size > remaining()) {
+    ok_ = false;
+    return false;
+  }
+  // The buffered part first, then (streaming) the rest: straight from the
+  // source when it would fill the buffer, else through it.
+  uint8_t* out = static_cast<uint8_t*>(dst);
+  const size_t buffered = static_cast<size_t>(std::min<uint64_t>(size, end_ - pos_));
+  if (buffered > 0) {
+    std::memcpy(out, data_ + (pos_ - begin_), buffered);
+    pos_ += buffered;
+  }
+  const size_t rest = size - buffered;
+  if (rest == 0) {
+    return true;
+  }
+  if (rest >= buffer_.size()) {
+    if (!source_->Read(out + buffered, rest)) {
+      ok_ = false;
+      return false;
+    }
+    pos_ += rest;
+    begin_ = end_ = pos_;
+    return true;
+  }
+  const uint8_t* p = Take(rest);
   if (p == nullptr) {
     return false;
   }
-  std::memcpy(dst, p, size);
+  std::memcpy(out + buffered, p, rest);
   return true;
 }
 
 std::vector<float> ByteReader::GetFloats() {
   const uint64_t n = GetU64();
-  if (!ok_ || n > (size_ - pos_) / 4) {
+  if (!ok_ || n > remaining() / 4) {
     ok_ = false;
     return {};
   }
@@ -222,6 +274,40 @@ std::vector<float> ByteReader::GetFloats() {
     f = GetFloat();
   }
   return v;
+}
+
+void ByteReader::SkipFloats() {
+  const uint64_t n = GetU64();
+  if (!ok_ || n > remaining() / 4) {
+    ok_ = false;
+    return;
+  }
+  // Whole buffers at a time: nothing is allocated for the skipped floats.
+  for (uint64_t left = n * 4; left > 0;) {
+    const size_t step = static_cast<size_t>(
+        std::min<uint64_t>(left, std::max<uint64_t>(end_ - pos_, buffer_.size())));
+    if (Take(step) == nullptr) {
+      return;
+    }
+    left -= step;
+  }
+}
+
+bool ByteReader::DrainSource() {
+  if (source_ == nullptr) {
+    return true;
+  }
+  while (end_ < size_) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(buffer_.size(), size_ - end_));
+    if (!source_->Read(buffer_.data(), n)) {
+      ok_ = false;
+      return false;
+    }
+    end_ += n;
+    max_buffered_ = std::max(max_buffered_, n);
+  }
+  pos_ = begin_ = end_;
+  return true;
 }
 
 }  // namespace iccache

@@ -7,11 +7,16 @@
 //
 // A ByteWriter either accumulates its bytes in memory or streams them to a
 // ByteSink through a bounded buffer, so an encoder can write a snapshot
-// section many times larger than the memory it holds.
+// section many times larger than the memory it holds. A ByteReader likewise
+// reads either a buffer in memory or a known number of bytes pulled from a
+// ByteSource through one bounded buffer, so a decoder can read such a
+// section back in the same bounded memory.
 //
 // ByteReader is bounds-checked everywhere and latches a failure flag instead
 // of throwing: a truncated or corrupted buffer makes every subsequent read
 // return zero values and ok() == false, so callers validate once at the end.
+// A length field larger than what remains of the input fails before anything
+// is allocated for it.
 #ifndef SRC_COMMON_BINIO_H_
 #define SRC_COMMON_BINIO_H_
 
@@ -80,11 +85,29 @@ class ByteWriter {
   size_t max_buffered_ = 0;
 };
 
+// Origin of a streaming ByteReader's bytes.
+class ByteSource {
+ public:
+  virtual ~ByteSource() = default;
+  // Reads exactly the next `size` bytes into dst; false when they cannot be
+  // had (the reader then latches a failure).
+  virtual bool Read(void* dst, size_t size) = 0;
+};
+
 class ByteReader {
  public:
   ByteReader(const void* data, size_t size)
-      : data_(static_cast<const uint8_t*>(data)), size_(size) {}
+      : data_(static_cast<const uint8_t*>(data)), size_(size), end_(size) {}
   explicit ByteReader(std::string_view bytes) : ByteReader(bytes.data(), bytes.size()) {}
+  // Streams exactly `size` bytes from `source` (non-null) through one buffer
+  // of `buffer_bytes` (at least 8): fields and blocks are read into the
+  // buffer, refilled as they are consumed, and a GetBytes block of
+  // `buffer_bytes` or more goes from the source straight into its
+  // destination, so the reader never holds more than `buffer_bytes`.
+  ByteReader(ByteSource* source, uint64_t size, size_t buffer_bytes);
+  // data_ may point into buffer_.
+  ByteReader(const ByteReader&) = delete;
+  ByteReader& operator=(const ByteReader&) = delete;
 
   uint8_t GetU8();
   uint32_t GetU32();
@@ -94,27 +117,49 @@ class ByteReader {
   double GetDouble();
   float GetFloat();
   std::string GetString();
-  // A length-prefixed string as a view into the buffer (no copy).
-  std::string_view GetStringView();
   std::vector<float> GetFloats();
+  // Skips a length-prefixed float array: GetFloats without the array.
+  void SkipFloats();
   // Bulk copy of `size` raw bytes into dst; false (latching failure) when out
   // of bounds. Used for arena-sized blocks where per-element reads would cost.
   bool GetBytes(void* dst, size_t size);
 
+  // Streaming mode: pulls every byte not yet pulled from the source and
+  // drops it, even after a failed read, so a source that checks what it
+  // serves (a snapshot section's CRC) sees the whole input; everything
+  // counts as read afterwards. False when the source fails. A no-op
+  // returning true in memory mode.
+  bool DrainSource();
+
   // True iff every read so far was in bounds. Check after the final read.
   bool ok() const { return ok_; }
-  // True when the whole buffer has been consumed (format-exactness check).
+  // True when the whole input has been consumed (format-exactness check).
   bool AtEnd() const { return pos_ == size_; }
-  size_t remaining() const { return size_ - pos_; }
+  uint64_t remaining() const { return size_ - pos_; }
+  // The most bytes buffered at once while streaming.
+  size_t max_buffered() const { return max_buffered_; }
 
  private:
   // Returns a pointer to `n` readable bytes or nullptr (latching failure).
   const uint8_t* Take(size_t n);
+  // Streaming mode: moves the unread buffered bytes to the buffer's front
+  // and tops the buffer up from the source, so at least `n` (<= the buffer
+  // size, <= remaining()) are buffered; false (latching failure) when the
+  // source fails.
+  bool Refill(size_t n);
 
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
+  // The input's bytes [begin_, end_) are buffered at data_; in memory mode
+  // that is the whole input. pos_ is the read position, begin_ <= pos_ <=
+  // end_ <= size_.
+  const uint8_t* data_ = nullptr;
+  uint64_t size_ = 0;
+  uint64_t pos_ = 0;
+  uint64_t begin_ = 0;
+  uint64_t end_ = 0;
   bool ok_ = true;
+  ByteSource* source_ = nullptr;
+  std::vector<uint8_t> buffer_;
+  size_t max_buffered_ = 0;
 };
 
 }  // namespace iccache

@@ -254,9 +254,38 @@ const HnswIndex* ExampleCache::native_index() const {
   return dynamic_cast<const HnswIndex*>(index_.get());
 }
 
-bool ExampleCache::LoadIndexBlob(std::string_view blob) {
+bool ExampleCache::LoadIndexBlob(ByteReader* reader) {
+  return LoadGraphImage(reader, reader->remaining());
+}
+
+bool ExampleCache::LoadGraphImage(ByteReader* reader, uint64_t bytes) {
   auto* hnsw = dynamic_cast<HnswIndex*>(index_.get());
-  return hnsw != nullptr && hnsw->LoadGraph(blob);
+  return hnsw != nullptr && hnsw->LoadGraph(reader, bytes);
+}
+
+void ExampleCache::ResetIndex() {
+  index_ = MakeRetrievalIndex(config_.retrieval, embedder_->dim(), config_.seed);
+}
+
+bool ExampleCache::FindNativeIndexMismatch(uint64_t* id, bool* in_index) const {
+  const HnswIndex* graph = native_index();
+  if (graph == nullptr) {
+    return false;
+  }
+  // Both lists ascend, so at their first difference the smaller id is
+  // missing from the other list.
+  std::vector<uint64_t> indexed = graph->LiveIds();
+  std::sort(indexed.begin(), indexed.end());
+  const std::vector<uint64_t> imported = AllIds();
+  const auto [graph_it, example_it] =
+      std::mismatch(indexed.begin(), indexed.end(), imported.begin(), imported.end());
+  if (graph_it == indexed.end() && example_it == imported.end()) {
+    return false;
+  }
+  *in_index = example_it == imported.end() ||
+              (graph_it != indexed.end() && *graph_it < *example_it);
+  *id = *in_index ? *graph_it : *example_it;
+  return true;
 }
 
 }  // namespace iccache

@@ -110,7 +110,18 @@ class ExampleCache : public ExampleStore {
   std::vector<uint64_t> ExportNextIds() const override;
   bool ImportNextIds(const std::vector<uint64_t>& next_ids) override;
   bool HasNativeIndex() const override { return native_index() != nullptr; }
-  bool LoadIndexBlob(std::string_view blob) override;
+  using ExampleStore::LoadIndexBlob;
+  bool LoadIndexBlob(ByteReader* reader) override;
+  bool FindNativeIndexMismatch(uint64_t* id, bool* in_index) const override;
+
+  // Loads one HNSW graph image of exactly `bytes` bytes from `reader` (the
+  // sharded store's per-shard images); false, leaving the index untouched,
+  // on flat | kmeans or an image that is malformed or does not match.
+  bool LoadGraphImage(ByteReader* reader, uint64_t bytes);
+  // Replaces the index with a new empty one. Only for a cache that holds no
+  // examples: a sharded store's native load that fails part-way resets the
+  // shards it already loaded.
+  void ResetIndex();
 
   // The HNSW graph behind the native index image; null on flat | kmeans.
   const HnswIndex* native_index() const;

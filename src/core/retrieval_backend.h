@@ -284,13 +284,29 @@ class ExampleStore {
   // Native retrieval-index image (HNSW graph save/load; one length-prefixed
   // graph per shard on the sharded store). HasNativeIndex is false when the
   // configured backend has no native format (flat | kmeans). LoadIndexBlob
-  // returns false then, or when the image does not match this store's
-  // geometry — callers fall back to rebuilding the index from the exported
-  // embeddings, which always works. A partially applied LoadIndexBlob is
-  // safe to follow with the rebuild fallback: Add() has overwrite semantics
-  // in every backend.
+  // decodes the image from the rest of `reader`, which it must consume
+  // exactly, into a store that holds no examples yet. It returns false on a
+  // backend without a native format, or when the image does not match this
+  // store's geometry or is malformed; the index is then empty again, as
+  // before the call, and callers fall back to rebuilding it from the
+  // exported embeddings, which always works.
   virtual bool HasNativeIndex() const = 0;
-  virtual bool LoadIndexBlob(std::string_view blob) = 0;
+  virtual bool LoadIndexBlob(ByteReader* reader) = 0;
+  // The same decoder over a whole image in memory.
+  bool LoadIndexBlob(std::string_view blob) {
+    ByteReader reader(blob);
+    return LoadIndexBlob(&reader);
+  }
+
+  // After a native LoadIndexBlob and the imports that follow it (with
+  // add_to_index false, so the import never consults the graph): false when
+  // each shard's graph holds live exactly the ids imported into it, else
+  // true with *id the smallest id that one side holds and the other lacks
+  // and *in_index telling which side holds it. A CRC-valid snapshot whose
+  // index image and examples section disagree would otherwise restore a
+  // graph hit with no example behind it, or an example stage-1 never
+  // returns.
+  virtual bool FindNativeIndexMismatch(uint64_t* id, bool* in_index) const = 0;
 };
 
 }  // namespace iccache

@@ -388,30 +388,51 @@ bool ShardedExampleCache::ImportNextIds(const std::vector<uint64_t>& next_ids) {
   return true;
 }
 
-bool ShardedExampleCache::LoadIndexBlob(std::string_view blob) {
-  ByteReader reader(blob);
-  const uint64_t shard_count = reader.GetU64();
-  if (!reader.ok() || shard_count != shards_.size()) {
+bool ShardedExampleCache::LoadIndexBlob(ByteReader* reader) {
+  const uint64_t shard_count = reader->GetU64();
+  if (!reader->ok() || shard_count != shards_.size()) {
     return false;  // snapshot taken under a different shard count: rebuild
   }
-  // Split first so a malformed trailing sub-blob is detected before any
-  // shard is touched; a per-shard graph mismatch after that point still
-  // reports false and the rebuild fallback overwrites cleanly.
-  std::vector<std::string_view> per_shard;
-  per_shard.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    per_shard.push_back(reader.GetStringView());
-  }
-  if (!reader.ok() || !reader.AtEnd()) {
-    return false;
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::unique_lock<std::shared_mutex> lock(shards_[i].mu);
-    if (!shards_[i].cache->LoadIndexBlob(per_shard[i])) {
-      return false;
+  // Each shard's graph loads as its image streams past, so a malformed
+  // later image is found only after earlier shards loaded: reset those, so
+  // the rebuild fallback starts from empty indexes as a clean rebuild does.
+  size_t loaded = 0;
+  for (; loaded < shards_.size(); ++loaded) {
+    const uint64_t length = reader->GetU64();
+    std::unique_lock<std::shared_mutex> lock(shards_[loaded].mu);
+    if (!reader->ok() || length > reader->remaining() ||
+        !shards_[loaded].cache->LoadGraphImage(reader, length)) {
+      break;
     }
   }
-  return true;
+  if (loaded == shards_.size() && reader->AtEnd()) {
+    return true;
+  }
+  for (size_t shard = 0; shard < loaded; ++shard) {
+    std::unique_lock<std::shared_mutex> lock(shards_[shard].mu);
+    shards_[shard].cache->ResetIndex();
+  }
+  return false;
+}
+
+bool ShardedExampleCache::FindNativeIndexMismatch(uint64_t* id, bool* in_index) const {
+  bool found = false;
+  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+    std::shared_lock<std::shared_mutex> lock(shards_[shard].mu);
+    uint64_t inner = 0;
+    bool shard_in_index = false;
+    if (!shards_[shard].cache->FindNativeIndexMismatch(&inner, &shard_in_index)) {
+      continue;
+    }
+    // Spelled out rather than GlobalId: a hostile graph can hold inner id 0.
+    const uint64_t global = (inner << shard_bits_) | shard;
+    if (!found || global < *id) {
+      found = true;
+      *id = global;
+      *in_index = shard_in_index;
+    }
+  }
+  return found;
 }
 
 }  // namespace iccache

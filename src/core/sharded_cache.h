@@ -130,9 +130,11 @@ class ShardedExampleCache : public ExampleStore {
   // a LARGER count cannot represent ids below the new shard stride (they
   // would collapse to the reserved inner id 0), so such imports return false
   // and the restore fails cleanly. The native index image is one
-  // length-prefixed HNSW graph per shard; LoadIndexBlob rejects it when the
-  // shard count, backend, or graph geometry changed (restore then falls back
-  // to rebuild-from-embeddings).
+  // length-prefixed HNSW graph per shard; LoadIndexBlob decodes the shards
+  // in order as they stream and rejects the image when the shard count,
+  // backend, or graph geometry changed or any graph is malformed, resetting
+  // the shards it already loaded (restore then falls back to
+  // rebuild-from-embeddings).
   //
   // Holds ALL shard locks (shared, ascending) so the records and byte counts
   // describe one instant — the epoch view background maintenance plans
@@ -148,7 +150,9 @@ class ShardedExampleCache : public ExampleStore {
   std::vector<uint64_t> ExportNextIds() const override;
   bool ImportNextIds(const std::vector<uint64_t>& next_ids) override;
   bool HasNativeIndex() const override { return shards_[0].cache->HasNativeIndex(); }
-  bool LoadIndexBlob(std::string_view blob) override;
+  using ExampleStore::LoadIndexBlob;
+  bool LoadIndexBlob(ByteReader* reader) override;
+  bool FindNativeIndexMismatch(uint64_t* id, bool* in_index) const override;
 
   // Lifetime count of knapsack-evicted examples (maintenance observability).
   uint64_t evicted_total() const { return evicted_total_.load(std::memory_order_relaxed); }

@@ -950,9 +950,20 @@ size_t HnswIndex::GraphImageSize() const {
 }
 
 bool HnswIndex::LoadGraph(std::string_view blob) {
+  ByteReader reader(blob);
+  return LoadGraph(&reader, blob.size());
+}
+
+bool HnswIndex::LoadGraph(ByteReader* reader, uint64_t image_bytes) {
   // Parse and validate into locals first: a mismatched or corrupted image
   // must leave the index exactly as it was (the caller rebuilds instead).
-  ByteReader r(blob);
+  ByteReader& r = *reader;
+  if (image_bytes > r.remaining()) {
+    return false;
+  }
+  // What remains of the reader once the image is read; a read that crosses
+  // it has overrun the image.
+  const uint64_t after = r.remaining() - image_bytes;
   const uint32_t version = r.GetU32();
   if (version != kGraphFormatVersion && version != 1) {
     return false;
@@ -975,10 +986,12 @@ bool HnswIndex::LoadGraph(std::string_view blob) {
   }
   rng.cached_normal = r.GetDouble();
   rng.has_cached_normal = r.GetU8() != 0;
-  // node_count is also bounded by the blob itself (every node costs >= 13
-  // bytes), which keeps the reserve() below sane on corrupted input.
+  // Every node costs at least its id, level, tombstone flag and layer-0
+  // link count, plus `dim` arena bytes, so node_count is bounded by the
+  // image itself, which keeps the reserve() below sane on corrupted input.
+  constexpr uint64_t kMinNodeBytes = 8 + 4 + 1 + 4;
   if (!r.ok() || dim != config_.dim || max_neighbors != config_.max_neighbors ||
-      live > node_count || node_count > blob.size()) {
+      live > node_count || node_count > image_bytes / (kMinNodeBytes + config_.dim)) {
     return false;
   }
 
@@ -1008,6 +1021,9 @@ bool HnswIndex::LoadGraph(std::string_view blob) {
         }
       }
     }
+    if (!r.ok() || r.remaining() < after) {
+      return false;
+    }
     if (!node.deleted && !slot_of.emplace(node.id, static_cast<uint32_t>(slot)).second) {
       return false;  // duplicate live id
     }
@@ -1026,14 +1042,15 @@ bool HnswIndex::LoadGraph(std::string_view blob) {
     }
   }
   const uint64_t arena_len = r.GetU64();
-  if (!r.ok() || arena_len != node_count * config_.dim) {
+  if (!r.ok() || r.remaining() < after || arena_len != node_count * config_.dim) {
     return false;
   }
+  const uint64_t arena_bytes = r.remaining() - after;
   std::vector<float> arena;
   std::vector<int8_t> qarena;
   std::vector<float> scales;
   if (quantized) {
-    if (r.remaining() != arena_len + node_count * 4) {
+    if (arena_bytes != arena_len + node_count * 4) {
       return false;
     }
     qarena.resize(static_cast<size_t>(arena_len));
@@ -1043,7 +1060,7 @@ bool HnswIndex::LoadGraph(std::string_view blob) {
       return false;
     }
   } else {
-    if (r.remaining() != arena_len * 4) {
+    if (arena_bytes != arena_len * 4) {
       return false;
     }
     arena.resize(static_cast<size_t>(arena_len));
@@ -1051,8 +1068,11 @@ bool HnswIndex::LoadGraph(std::string_view blob) {
       return false;
     }
   }
+  // Searches descend from the entry node's links at the entry level, so
+  // those links must exist.
   if (slot_of.size() != live ||
-      (node_count > 0 && (entry >= node_count || entry_level < 0 || entry_level > kMaxLevel)) ||
+      (node_count > 0 && (entry >= node_count || entry_level < 0 || entry_level > kMaxLevel ||
+                          nodes[entry].level < entry_level)) ||
       (node_count == 0 && entry_level != -1)) {
     return false;
   }
@@ -1071,6 +1091,16 @@ bool HnswIndex::LoadGraph(std::string_view blob) {
   insert_epoch_ = 0;
   linked_ = nodes_.size();
   return true;
+}
+
+std::vector<uint64_t> HnswIndex::LiveIds() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::vector<uint64_t> ids;
+  ids.reserve(slot_of_.size());
+  for (const auto& [id, slot] : slot_of_) {
+    ids.push_back(id);
+  }
+  return ids;
 }
 
 }  // namespace iccache

@@ -144,12 +144,21 @@ class HnswIndex : public VectorIndex {
   // no Add or Remove runs in between.
   size_t GraphImageSize() const;
 
-  // Validates the blob's embedded format version, dimension, and degree
-  // bound against this index's config before touching any state; on
+  // Decodes the image that occupies exactly the next `image_bytes` bytes of
+  // `reader`, reading its node table and arena straight into the locals it
+  // validates (a streaming reader never holds the image whole). Validates
+  // the embedded format version, dimension, and degree bound against this
+  // index's config and the graph's structure before touching any state; on
   // mismatch or corruption the index is left untouched and false is
-  // returned (the caller falls back to rebuilding from raw embeddings).
-  // On success the previous contents are replaced wholesale.
+  // returned (the caller falls back to rebuilding from raw embeddings),
+  // and the reader's position is unspecified. On success the reader stands
+  // at the image's end and the previous contents are replaced wholesale.
+  bool LoadGraph(ByteReader* reader, uint64_t image_bytes);
+  // The same decoder over a whole image in memory.
   bool LoadGraph(std::string_view blob);
+
+  // Live (non-tombstoned) ids, pending ones included, in no set order.
+  std::vector<uint64_t> LiveIds() const;
 
   // Diagnostics. size(), tombstones() and arena_bytes() count pending nodes.
   size_t tombstones() const;

@@ -341,7 +341,11 @@ bool DecodeExample(ByteReader* reader, Example* example, std::vector<float>* emb
   example->replay_gain_ema = reader->GetDouble();
   example->replay_count = reader->GetI32();
   example->offload_value = reader->GetDouble();
-  *embedding = reader->GetFloats();
+  if (embedding != nullptr) {
+    *embedding = reader->GetFloats();
+  } else {
+    reader->SkipFloats();
+  }
   return reader->ok();
 }
 
@@ -495,27 +499,26 @@ Status DecodeStage0Summary(const SnapshotReader& reader, Stage0Summary* summary)
 namespace {
 
 // Walks the kExamples payload: the per-shard insertion counters into
-// *next_ids, then each record through `fn`, stopping at its first error.
-Status WalkExamplesSection(
-    std::string_view bytes, std::vector<uint64_t>* next_ids,
-    const std::function<Status(const Example&, std::vector<float>)>& fn) {
-  ByteReader r(bytes);
-  const uint64_t shard_count = r.GetU64();
-  if (!r.ok() || shard_count > bytes.size()) {
+// *next_ids, then each record through `fn` (its embedding skipped, and
+// handed over empty, unless `embeddings`), stopping at its first error.
+Status WalkExamplesSection(ByteReader* r, bool embeddings, std::vector<uint64_t>* next_ids,
+                           const std::function<Status(const Example&, std::vector<float>)>& fn) {
+  const uint64_t shard_count = r->GetU64();
+  if (!r->ok() || shard_count > r->remaining() / 8) {
     return Status::InvalidArgument("malformed examples section (shard counters)");
   }
   next_ids->resize(static_cast<size_t>(shard_count));
   for (auto& next_id : *next_ids) {
-    next_id = r.GetU64();
+    next_id = r->GetU64();
   }
-  const uint64_t count = r.GetU64();
-  if (!r.ok()) {
+  const uint64_t count = r->GetU64();
+  if (!r->ok()) {
     return Status::InvalidArgument("malformed examples section (count)");
   }
   Example example;
   std::vector<float> embedding;
   for (uint64_t i = 0; i < count; ++i) {
-    if (!DecodeExample(&r, &example, &embedding)) {
+    if (!DecodeExample(r, &example, embeddings ? &embedding : nullptr)) {
       return Status::InvalidArgument("malformed example record " + std::to_string(i));
     }
     const Status status = fn(example, std::move(embedding));
@@ -523,7 +526,7 @@ Status WalkExamplesSection(
       return status;
     }
   }
-  if (!r.AtEnd()) {
+  if (!r->AtEnd()) {
     return Status::InvalidArgument("trailing bytes in examples section");
   }
   return Status::Ok();
@@ -534,17 +537,14 @@ Status WalkExamplesSection(
 Status ForEachSnapshotExample(
     const SnapshotReader& reader,
     const std::function<void(const Example&, const std::vector<float>&)>& fn) {
-  SectionBuffer bytes;
-  const Status status = reader.Section(SnapshotSection::kExamples, &bytes);
-  if (!status.ok()) {
-    return status;
-  }
   std::vector<uint64_t> next_ids;
-  return WalkExamplesSection(bytes.bytes(), &next_ids,
-                             [&fn](const Example& example, std::vector<float> embedding) {
-                               fn(example, embedding);
-                               return Status::Ok();
-                             });
+  return reader.StreamSection(SnapshotSection::kExamples, [&](ByteReader* r) {
+    return WalkExamplesSection(r, /*embeddings=*/true, &next_ids,
+                               [&fn](const Example& example, std::vector<float> embedding) {
+                                 fn(example, embedding);
+                                 return Status::Ok();
+                               });
+  });
 }
 
 Status DecodePoolSections(const SnapshotReader& reader, ExampleStore* store,
@@ -566,42 +566,48 @@ Status DecodePoolSections(const SnapshotReader& reader, ExampleStore* store,
   }
 
   // Native index image first (HNSW graph load, no rebuild); on any mismatch
-  // fall back to per-example Add during import below. Each large section is
-  // loaded alone and freed once decoded, so a restore holds the pool plus
-  // one section.
+  // fall back to per-example Add during import below. Both large sections
+  // stream through one buffer, each graph and each record decoded as it
+  // passes, so a restore holds the pool plus that buffer.
   if (reader.HasSection(SnapshotSection::kIndex)) {
-    SectionBuffer index;
-    status = reader.Section(SnapshotSection::kIndex, &index);
+    status = reader.StreamSection(SnapshotSection::kIndex, [store, &local](ByteReader* r) {
+      local.native_index_load = store->LoadIndexBlob(r);
+      return Status::Ok();
+    });
     if (!status.ok()) {
       return status;
     }
-    local.native_index_load = store->LoadIndexBlob(index.bytes());
   }
 
+  // With the graph loaded the import never reads an embedding, so the
+  // records' embeddings are skipped unread.
   std::vector<uint64_t> next_ids;
-  {
-    SectionBuffer examples;
-    status = reader.Section(SnapshotSection::kExamples, &examples);
-    if (!status.ok()) {
-      return status;
+  const auto import = [store, &local](const Example& example, std::vector<float> embedding) {
+    if (!store->ImportExample(example, std::move(embedding),
+                              /*add_to_index=*/!local.native_index_load)) {
+      return Status::FailedPrecondition(
+          "import rejected for example id " + std::to_string(example.id) +
+          " (duplicate id; an embedding the index rejects, e.g. of the wrong "
+          "length; or restoring into MORE shards than the snapshot was "
+          "taken with — the smallest ids cannot be re-sharded; equal or fewer "
+          "shards always work)");
     }
-    const auto import = [store, &local](const Example& example, std::vector<float> embedding) {
-      if (!store->ImportExample(example, std::move(embedding),
-                                /*add_to_index=*/!local.native_index_load)) {
-        return Status::FailedPrecondition(
-            "import rejected for example id " + std::to_string(example.id) +
-            " (duplicate id; an embedding the index rejects, e.g. of the wrong "
-            "length; or restoring into MORE shards than the snapshot was "
-            "taken with — the smallest ids cannot be re-sharded; equal or fewer "
-            "shards always work)");
-      }
-      ++local.examples;
-      return Status::Ok();
-    };
-    status = WalkExamplesSection(examples.bytes(), &next_ids, import);
-    if (!status.ok()) {
-      return status;
-    }
+    ++local.examples;
+    return Status::Ok();
+  };
+  status = reader.StreamSection(SnapshotSection::kExamples, [&](ByteReader* r) {
+    return WalkExamplesSection(r, /*embeddings=*/!local.native_index_load, &next_ids, import);
+  });
+  if (!status.ok()) {
+    return status;
+  }
+  uint64_t mismatch = 0;
+  bool in_index = false;
+  if (local.native_index_load && store->FindNativeIndexMismatch(&mismatch, &in_index)) {
+    return Status::InvalidArgument(
+        "index section and examples section disagree: example id " + std::to_string(mismatch) +
+        (in_index ? " is in the graph image but not the examples section"
+                  : " is in the examples section but not the graph image"));
   }
   local.next_ids_restored = store->ImportNextIds(next_ids);
   local.used_bytes = store->used_bytes();

@@ -79,7 +79,8 @@ RngState DecodeRngState(ByteReader* reader);
 
 // --- Single-example record (shared with tools/snapshot_dump) ---------------
 // `id` is written in place of example.id, which is shard-local on a sharded
-// store.
+// store. DecodeExample skips the embedding, allocating nothing for it, when
+// `embedding` is null.
 void EncodeExample(uint64_t id, const Example& example, const std::vector<float>& embedding,
                    ByteWriter* writer);
 bool DecodeExample(ByteReader* reader, Example* example, std::vector<float>* embedding);
@@ -99,8 +100,12 @@ void EncodePoolSections(const ExampleStore& store, const PoolComponents& compone
 // load first when possible, examples re-imported (re-sharded by id) with the
 // byte accounting replayed, insertion counters restored, then each present
 // component section applied. Absent sections leave their component at its
-// configured defaults. Sections load one at a time and the index and
-// examples payloads are freed once decoded.
+// configured defaults. The index and examples sections stream through one
+// kSnapshotFlushBytes buffer (SnapshotReader::StreamSection), each shard's
+// graph and each record decoded as it passes; the other sections are small
+// and load whole. After a native index load, a graph whose live ids differ
+// from the imported examples' fails the restore (InvalidArgument naming the
+// smallest such id).
 Status DecodePoolSections(const SnapshotReader& reader, ExampleStore* store,
                           const PoolComponents& components, PoolRestoreReport* report);
 

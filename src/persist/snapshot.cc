@@ -313,6 +313,7 @@ void SnapshotReader::Close() {
   format_version_ = 0;
   file_size_ = 0;
   toc_.clear();
+  max_buffered_bytes_ = 0;
 }
 
 Status SnapshotReader::ReadAt(uint64_t offset, void* dst, size_t size) const {
@@ -424,10 +425,13 @@ Status SnapshotReader::Open(const std::string& path) {
   return Status::Ok();
 }
 
-bool SnapshotReader::HasSection(SnapshotSection id) const {
-  return std::any_of(toc_.begin(), toc_.end(),
-                     [id](const SnapshotSectionInfo& info) { return info.id == id; });
+const SnapshotSectionInfo* SnapshotReader::Find(SnapshotSection id) const {
+  const auto it = std::find_if(toc_.begin(), toc_.end(),
+                               [id](const SnapshotSectionInfo& info) { return info.id == id; });
+  return it == toc_.end() ? nullptr : &*it;
 }
+
+bool SnapshotReader::HasSection(SnapshotSection id) const { return Find(id) != nullptr; }
 
 bool SectionBuffer::Allocate(size_t size) {
   Release();
@@ -452,32 +456,102 @@ void SectionBuffer::Release() {
   size_ = 0;
 }
 
+namespace {
+
+Status MissingSection(SnapshotSection id) {
+  return Status::InvalidArgument(std::string("snapshot has no ") + SnapshotSectionName(id) +
+                                 " section");
+}
+
+Status ChangedSinceOpen(SnapshotSection id) {
+  return Status::InvalidArgument(std::string("snapshot section '") + SnapshotSectionName(id) +
+                                 "' checksum mismatch (file changed since open)");
+}
+
+}  // namespace
+
 Status SnapshotReader::Section(SnapshotSection id, SectionBuffer* out) const {
   out->Release();
-  const auto it = std::find_if(toc_.begin(), toc_.end(),
-                               [id](const SnapshotSectionInfo& info) { return info.id == id; });
-  if (it == toc_.end()) {
-    return Status::InvalidArgument(std::string("snapshot has no ") + SnapshotSectionName(id) +
-                                   " section");
+  const SnapshotSectionInfo* info = Find(id);
+  if (info == nullptr) {
+    return MissingSection(id);
   }
-  const size_t size = static_cast<size_t>(it->size);
+  const size_t size = static_cast<size_t>(info->size);
   Status status = Status::Ok();
   if (!out->Allocate(size)) {
     status = Status::ResourceExhausted("cannot map " + std::to_string(size) + " bytes for the " +
                                        SnapshotSectionName(id) + " section");
   }
   if (status.ok()) {
-    status = ReadAt(it->offset, out->data_, size);
+    status = ReadAt(info->offset, out->data_, size);
   }
-  if (status.ok() && Crc32(out->data_, size) != it->crc32) {
-    status = Status::InvalidArgument(std::string("snapshot section '") + SnapshotSectionName(id) +
-                                     "' checksum mismatch (file changed since open)");
+  if (status.ok() && Crc32(out->data_, size) != info->crc32) {
+    status = ChangedSinceOpen(id);
   }
   if (!status.ok()) {
     out->Release();
     return Status(status.code(), path_ + ": " + status.message());
   }
   return Status::Ok();
+}
+
+// Serves one section of the open file to a streaming ByteReader, in order,
+// folding every byte into the section's CRC-32: the read that reaches the
+// section's end fails when the CRC disagrees with the TOC's.
+class SnapshotReader::SectionSource final : public ByteSource {
+ public:
+  SectionSource(const SnapshotReader& reader, const SnapshotSectionInfo& info)
+      : reader_(reader), info_(info) {}
+
+  bool Read(void* dst, size_t size) override {
+    if (!status_.ok()) {
+      return false;
+    }
+    if (size > info_.size - pos_) {
+      status_ = Status::Internal(std::string("read past the end of snapshot section '") +
+                                 SnapshotSectionName(info_.id) + "'");
+      return false;
+    }
+    status_ = reader_.ReadAt(info_.offset + pos_, dst, size);
+    if (!status_.ok()) {
+      return false;
+    }
+    crc_ = Crc32(dst, size, crc_);
+    pos_ += size;
+    if (pos_ == info_.size && crc_ != info_.crc32) {
+      status_ = ChangedSinceOpen(info_.id);
+    }
+    return status_.ok();
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  const SnapshotReader& reader_;
+  const SnapshotSectionInfo info_;
+  uint64_t pos_ = 0;
+  uint32_t crc_ = 0;
+  Status status_;
+};
+
+Status SnapshotReader::StreamSection(SnapshotSection id,
+                                     const std::function<Status(ByteReader*)>& decode) const {
+  const SnapshotSectionInfo* info = Find(id);
+  if (info == nullptr) {
+    return MissingSection(id);
+  }
+  SectionSource source(*this, *info);
+  Status status;
+  {
+    ByteReader reader(&source, info->size, kSnapshotFlushBytes);
+    status = decode(&reader);
+    reader.DrainSource();
+    max_buffered_bytes_ = std::max(max_buffered_bytes_, reader.max_buffered());
+  }
+  if (!source.status().ok()) {
+    return Status(source.status().code(), path_ + ": " + source.status().message());
+  }
+  return status;
 }
 
 }  // namespace iccache

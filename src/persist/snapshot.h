@@ -14,19 +14,34 @@
 //
 //   SnapshotReader reader;
 //   Status s = reader.Open("/var/lib/iccache/pool.snap");  // validates CRCs
-//   SectionBuffer examples;
-//   s = reader.Section(SnapshotSection::kExamples, &examples);  // re-validates
+//   SectionBuffer meta;
+//   s = reader.Section(SnapshotSection::kMeta, &meta);      // whole, re-validated
+//   s = reader.StreamSection(SnapshotSection::kExamples,    // streamed,
+//                            [&](ByteReader* r) {           // re-validated
+//                              ...                          // at its end
+//                              return Status::Ok();
+//                            });
 //
 // WriteToFile streams: it reserves the header and TOC at `path + ".tmp"`,
 // runs each section's encoder straight into the file through one buffer of
 // kSnapshotFlushBytes (tracking each section's size and CRC-32 as it goes),
 // patches the TOC, then fsyncs, renames over `path`, and fsyncs the parent
 // directory, so a kill at any instant leaves `path` holding either the
-// previous complete snapshot or the new one. Open verifies the magic,
-// format version, TOC checksum, and every section checksum in one buffered
-// pass, and keeps the file open; Section loads one section at a time and
-// checks its CRC again, so a file that changes after Open yields an error,
-// never unverified bytes.
+// previous complete snapshot or the new one.
+//
+// Open verifies the magic, format version, TOC checksum, and every section
+// checksum in one buffered pass, and keeps the file open. Section loads one
+// section whole and checks its CRC again before handing it over.
+// StreamSection hands one section to its decoder through one buffer of
+// kSnapshotFlushBytes, recomputing the CRC as the bytes arrive, and reads
+// the section to its end whatever the decoder consumed: the read that
+// reaches the end fails on a CRC mismatch, and a file that no longer holds
+// the section's bytes fails the read that misses them. So a file changed
+// after Open never restores. The guarantee is exactly that: a byte changed
+// in place after Open can reach a streamed section's decoder before the
+// check at the section's end fails the load. Decoders must therefore reject
+// arbitrary bytes with a Status, never a crash — which they must anyway,
+// since a hostile file can carry valid CRCs.
 #ifndef SRC_PERSIST_SNAPSHOT_H_
 #define SRC_PERSIST_SNAPSHOT_H_
 
@@ -43,7 +58,8 @@
 
 namespace iccache {
 
-// Payload bytes a save buffers before handing them to the file.
+// Payload bytes a save buffers before handing them to the file, and the
+// buffer a streamed section load reads the file through.
 inline constexpr size_t kSnapshotFlushBytes = size_t{256} << 10;
 
 struct SnapshotSectionInfo {
@@ -148,12 +164,29 @@ class SnapshotReader {
   // empty.
   Status Section(SnapshotSection id, SectionBuffer* out) const;
 
+  // Runs `decode` over section `id` read from the open file through one
+  // kSnapshotFlushBytes buffer (a streaming ByteReader), recomputing the
+  // section's CRC as its bytes arrive, then reads whatever `decode` left so
+  // the whole section is checked. A section the snapshot does not carry, a
+  // short read, or a CRC mismatch (the file changed since Open) is
+  // InvalidArgument (an I/O error Internal), and a failed read takes
+  // precedence over the Status `decode` returns.
+  Status StreamSection(SnapshotSection id,
+                       const std::function<Status(ByteReader*)>& decode) const;
+
   uint32_t format_version() const { return format_version_; }
   uint64_t file_size() const { return file_size_; }
   const std::vector<SnapshotSectionInfo>& sections() const { return toc_; }
+  // The most payload bytes a StreamSection has buffered at once since Open:
+  // at most kSnapshotFlushBytes, however large the section.
+  size_t max_buffered_bytes() const { return max_buffered_bytes_; }
 
  private:
+  class SectionSource;
+
   void Close();
+  // The TOC entry of section `id`; null when the snapshot lacks it.
+  const SnapshotSectionInfo* Find(SnapshotSection id) const;
   // Reads [offset, offset + size) into dst; a short read is an error.
   Status ReadAt(uint64_t offset, void* dst, size_t size) const;
 
@@ -162,6 +195,7 @@ class SnapshotReader {
   uint32_t format_version_ = 0;
   uint64_t file_size_ = 0;
   std::vector<SnapshotSectionInfo> toc_;
+  mutable size_t max_buffered_bytes_ = 0;
 };
 
 }  // namespace iccache

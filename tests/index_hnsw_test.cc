@@ -292,6 +292,74 @@ TEST_P(HnswSizeSweep, SearchReturnsRequestedK) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, HnswSizeSweep, ::testing::Values(0u, 1u, 2u, 7u, 63u, 100u, 333u));
 
+// --- Native graph images ---------------------------------------------------
+
+// Serves a byte string to a streaming ByteReader.
+class StringSource : public ByteSource {
+ public:
+  explicit StringSource(std::string bytes) : bytes_(std::move(bytes)) {}
+  bool Read(void* dst, size_t size) override {
+    if (size > bytes_.size() - pos_) {
+      return false;
+    }
+    std::copy_n(bytes_.data() + pos_, size, static_cast<char*>(dst));
+    pos_ += size;
+    return true;
+  }
+
+ private:
+  std::string bytes_;
+  size_t pos_ = 0;
+};
+
+// LoadGraph reads an image out of the middle of a stream through a buffer
+// far smaller than the image, stopping exactly at the image's end; an entry
+// level above the entry node's own level, which the first search would
+// follow out of bounds, is rejected like any other malformed image.
+TEST(HnswIndexTest, LoadGraphStreamsAnImageAndRejectsABadEntryLevel) {
+  HnswIndexConfig config;
+  config.dim = 16;
+  config.max_neighbors = 4;  // a small degree grows upper layers quickly
+  HnswIndex index(config);
+  Rng rng(77);
+  for (uint64_t i = 1; i <= 300; ++i) {
+    ASSERT_TRUE(index.Add(i, RandomUnitVector(rng, 16)).ok());
+  }
+  ASSERT_TRUE(index.Remove(5));
+  ByteWriter image;
+  index.SaveGraph(&image);
+  ASSERT_GT(index.max_level(), 0);
+
+  ByteWriter framed;
+  framed.PutU32(0xabcd);
+  framed.PutBytes(image.bytes().data(), image.size());
+  framed.PutU32(0xef01);
+  StringSource source(framed.bytes());
+  ByteReader stream(&source, framed.size(), 64);
+  EXPECT_EQ(stream.GetU32(), 0xabcdu);
+  HnswIndex restored(config);
+  ASSERT_TRUE(restored.LoadGraph(&stream, image.size()));
+  EXPECT_EQ(stream.GetU32(), 0xef01u);
+  EXPECT_TRUE(stream.ok() && stream.AtEnd());
+  EXPECT_EQ(stream.max_buffered(), 64u);
+  ByteWriter again;
+  restored.SaveGraph(&again);
+  EXPECT_TRUE(again.bytes() == image.bytes());
+
+  // Version, quantize flag, dim, degree, node and live counts and the entry
+  // slot precede the entry level.
+  constexpr size_t kEntryLevel = 4 + 1 + 8 + 8 + 8 + 8 + 4;
+  for (int32_t level : {index.max_level() + 1, 24}) {
+    std::string bad = image.bytes();
+    ByteWriter field;
+    field.PutI32(level);
+    bad.replace(kEntryLevel, 4, field.bytes());
+    HnswIndex target(config);
+    EXPECT_FALSE(target.LoadGraph(bad)) << level;
+    EXPECT_EQ(target.size(), 0u);
+  }
+}
+
 // --- The link step --------------------------------------------------------
 
 // Add appends; every method that reads or restructures the graph links the

@@ -1,13 +1,16 @@
 // Persistence subsystem unit tests: binio primitives (the sliced CRC-32
 // against a bytewise reference, whole float blocks, the streaming writer's
-// buffer bound), snapshot container integrity (magic / version / CRC /
-// truncation / crash staging / hostile files / files changed after Open /
-// streamed-section ordering), a save's buffering bound, and whole-pool
+// buffer bound, the streaming reader's buffer bound and length checks),
+// snapshot container integrity (magic / version / CRC / truncation / crash
+// staging / hostile files / files changed after Open / streamed-section
+// ordering), a save's and a restore's buffering bounds, and whole-pool
 // round trips over both stores and all three retrieval backends —
 // including PII-scrubbed pools, tombstone-heavy HNSW graphs, sharded graphs
-// linked at any thread count, embeddings the index rejects, the component
-// (selector / manager / proxy / router) adaptive state, and stage-0 sections
-// from older writers that appended an HNSW graph image.
+// linked at any thread count, embeddings the index rejects, graph images
+// that disagree with the examples section or break after some shards
+// loaded, the component (selector / manager / proxy / router) adaptive
+// state, and stage-0 sections from older writers that appended an HNSW
+// graph image.
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -192,6 +196,44 @@ std::string SectionBytes(const SnapshotReader& reader, SnapshotSection id) {
   return std::string(section.bytes());
 }
 
+// The examples section of `reader`'s snapshot re-encoded with only the
+// records `keep` accepts, under `store`'s insertion counters.
+std::string ExamplesSectionWhere(const SnapshotReader& reader, const ExampleStore& store,
+                                 const std::function<bool(const Example&)>& keep) {
+  ByteWriter records;
+  uint64_t count = 0;
+  const Status status = ForEachSnapshotExample(
+      reader, [&](const Example& example, const std::vector<float>& embedding) {
+        if (keep(example)) {
+          EncodeExample(example.id, example, embedding, &records);
+          ++count;
+        }
+      });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  ByteWriter section;
+  const std::vector<uint64_t> next_ids = store.ExportNextIds();
+  section.PutU64(next_ids.size());
+  for (uint64_t next_id : next_ids) {
+    section.PutU64(next_id);
+  }
+  section.PutU64(count);
+  section.PutBytes(records.bytes().data(), records.size());
+  return section.TakeBytes();
+}
+
+// Writes a pool snapshot of the given payloads, with fresh CRCs; an empty
+// `index` leaves the index section out.
+void WritePoolSnapshot(const std::string& path, const std::string& meta,
+                       const std::string& examples, const std::string& index) {
+  SnapshotWriter writer;
+  writer.AddSection(SnapshotSection::kMeta, meta);
+  writer.AddSection(SnapshotSection::kExamples, examples);
+  if (!index.empty()) {
+    writer.AddSection(SnapshotSection::kIndex, index);
+  }
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+}
+
 TEST(BinioTest, PrimitivesRoundTrip) {
   ByteWriter w;
   w.PutU8(0xAB);
@@ -341,6 +383,103 @@ TEST(BinioTest, StreamingWriterIsBoundedAndByteIdentical) {
       << "the large block should pass straight through";
 }
 
+// Serves a byte string to a streaming ByteReader, noting each read.
+class RecordingSource : public ByteSource {
+ public:
+  explicit RecordingSource(std::string bytes) : bytes_(std::move(bytes)) {}
+  bool Read(void* dst, size_t size) override {
+    if (size > bytes_.size() - pos_) {
+      return false;
+    }
+    std::memcpy(dst, bytes_.data() + pos_, size);
+    pos_ += size;
+    reads.push_back(size);
+    return true;
+  }
+  size_t pulled() const { return pos_; }
+  std::vector<size_t> reads;
+
+ private:
+  std::string bytes_;
+  size_t pos_ = 0;
+};
+
+TEST(BinioTest, StreamingReaderDecodesRecordsAcrossAndBeyondItsBuffer) {
+  constexpr size_t kBuffer = 64;
+  ByteWriter w;
+  for (uint32_t i = 0; i < 40; ++i) {  // small records straddle every buffer edge
+    w.PutU32(i);
+    w.PutString("record " + std::to_string(i));
+    w.PutDouble(0.5 * i);
+  }
+  const std::string big(1000, 'b');  // larger than the buffer
+  w.PutString(big);
+  std::vector<float> floats(300);
+  for (size_t i = 0; i < floats.size(); ++i) {
+    floats[i] = static_cast<float>(i) * 0.25f;
+  }
+  w.PutFloats(floats);  // a block larger than the buffer, skipped
+  w.PutFloats({1.0f, 2.0f});
+  w.PutU8(7);
+
+  RecordingSource source(w.bytes());
+  ByteReader r(&source, w.size(), kBuffer);
+  for (uint32_t i = 0; i < 40; ++i) {
+    ASSERT_EQ(r.GetU32(), i);
+    ASSERT_EQ(r.GetString(), "record " + std::to_string(i));
+    ASSERT_EQ(r.GetDouble(), 0.5 * i);
+  }
+  EXPECT_EQ(r.GetString(), big);
+  r.SkipFloats();
+  EXPECT_EQ(r.GetFloats(), (std::vector<float>{1.0f, 2.0f}));
+  EXPECT_EQ(r.GetU8(), 7);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(source.pulled(), w.size());
+  EXPECT_GT(r.max_buffered(), 0u);
+  EXPECT_LE(r.max_buffered(), kBuffer);
+  // Only the large string bypassed the buffer (the skipped floats went
+  // through it); everything else came a buffer or less at a time.
+  EXPECT_EQ(std::count_if(source.reads.begin(), source.reads.end(),
+                          [](size_t read) { return read > kBuffer; }),
+            1);
+}
+
+// A length field larger than what remains of the input fails at once: the
+// reader pulls nothing more from its source and allocates nothing for it.
+TEST(BinioTest, StreamingReaderRejectsInflatedLengthsBeforeAllocating) {
+  ByteWriter body;
+  body.PutString("tail");
+  for (uint64_t inflated : {uint64_t{1} << 20, uint64_t{1} << 62, ~uint64_t{0}}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      SCOPED_TRACE("length " + std::to_string(inflated) + " kind " + std::to_string(kind));
+      ByteWriter w;
+      w.PutU64(inflated);
+      w.PutBytes(body.bytes().data(), body.size());
+      RecordingSource source(w.bytes());
+      ByteReader r(&source, w.size(), 16);
+      if (kind == 0) {
+        EXPECT_TRUE(r.GetString().empty());
+      } else if (kind == 1) {
+        EXPECT_TRUE(r.GetFloats().empty());
+      } else {
+        r.SkipFloats();
+      }
+      EXPECT_FALSE(r.ok());
+      EXPECT_EQ(source.pulled(), std::min<size_t>(16, w.size()));
+      EXPECT_EQ(r.GetU8(), 0);  // latched
+      EXPECT_TRUE(r.DrainSource());  // the source itself is sound
+      EXPECT_EQ(source.pulled(), w.size());
+    }
+  }
+  // The same bound in memory mode.
+  ByteWriter w;
+  w.PutU64(~uint64_t{0});
+  ByteReader r(w.bytes());
+  EXPECT_TRUE(r.GetString().empty());
+  EXPECT_FALSE(r.ok());
+}
+
 TEST_F(PersistTest, ContainerRejectsCorruption) {
   const std::string path = TempPath("corrupt");
   SnapshotWriter writer;
@@ -454,8 +593,11 @@ TEST_F(PersistTest, HostileFilesFailRestore) {
   }
 }
 
-// A file that shrinks or changes after Open fails the section loads with a
-// Status; no unverified byte reaches a decoder.
+// A file that shrinks or changes after Open fails the section loads and the
+// restore with a Status. A section loaded whole is re-checked before it is
+// handed over; a streamed one is re-checked as its last byte is read, so a
+// byte changed in place can reach a decoder before the restore fails, but
+// such a file never restores.
 TEST_F(PersistTest, FileChangedAfterOpenFailsSectionLoads) {
   const std::string path = TempPath("changed");
   auto embedder = std::make_shared<HashingEmbedder>();
@@ -539,6 +681,54 @@ TEST_F(PersistTest, SaveBuffersAtMostOneFlushPlusOneRecord) {
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   EXPECT_TRUE(*image == ReadFile(path));
   EXPECT_LE(in_memory.max_buffered_bytes(), kSnapshotFlushBytes + largest_record);
+}
+
+// However large the pool, a restore buffers at most one flush threshold of
+// section bytes: the index and examples sections stream through one buffer,
+// records straddle its edges, and a record larger than the whole buffer (a
+// 1 MiB request text) goes straight into the decoded example. The rebuild
+// path, which reads every embedding, streams the same way.
+TEST_F(PersistTest, RestoreBuffersAtMostOneFlushPlusOneRecord) {
+  const std::string path = TempPath("restore_bound");
+  auto embedder = std::make_shared<HashingEmbedder>();
+  ShardedCacheConfig config;
+  config.num_shards = 8;
+  config.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
+  ShardedExampleCache pool(embedder, config);
+  Rng rng(kSeed ^ 0xb0f);
+  FillStore(&pool, 3200, &rng);
+  std::string huge;
+  while (huge.size() < (size_t{1} << 20)) {
+    huge += "how do i configure widget pipeline stage " + std::to_string(huge.size()) + " ";
+  }
+  // Prepared by hand: PII-scrubbing a text this long takes seconds.
+  PreparedAdmission prepared;
+  prepared.admit = true;
+  prepared.sanitized_text = huge;
+  prepared.embedding = embedder->Embed(huge);
+  ASSERT_NE(pool.PutPrepared(MakeRequest(90000, huge), std::move(prepared), "big response", 0.7,
+                             0.9, 40, 1.0),
+            0u);
+
+  SnapshotWriter writer;
+  EncodePoolSections(pool, {}, 0.0, &writer);
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+  for (size_t shards : {size_t{8}, size_t{4}}) {
+    SCOPED_TRACE(shards == 8 ? "native graph load" : "rebuild from the embeddings");
+    SnapshotReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    EXPECT_GT(reader.file_size(), 10 * kSnapshotFlushBytes);
+    ShardedCacheConfig restore_config = config;
+    restore_config.num_shards = shards;
+    ShardedExampleCache restored(embedder, restore_config);
+    PoolRestoreReport report;
+    const Status status = DecodePoolSections(reader, &restored, {}, &report);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(report.native_index_load, shards == 8);
+    ExpectStoresEqual(pool, restored);
+    EXPECT_GT(reader.max_buffered_bytes(), 0u);
+    EXPECT_LE(reader.max_buffered_bytes(), kSnapshotFlushBytes);
+  }
 }
 
 // Streamed sections are written in image order; a misordered, missing or
@@ -905,6 +1095,160 @@ TEST_F(PersistTest, ShortEmbeddingFailsRestore) {
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status.ToString();
     EXPECT_NE(status.ToString().find("embedding"), std::string::npos) << status.ToString();
   }
+}
+
+// With the graph loaded natively the import never consults it, so a
+// CRC-valid snapshot whose index image and examples section disagree must
+// fail the restore with a Status naming the id, whichever side holds it and
+// on either store.
+TEST_F(PersistTest, IndexImageThatDisagreesWithExamplesFailsRestore) {
+  auto embedder = std::make_shared<HashingEmbedder>();
+  ExampleCacheConfig plain;
+  plain.retrieval.kind = RetrievalBackendKind::kHnsw;
+  ShardedCacheConfig sharded;
+  sharded.num_shards = 4;
+  sharded.cache = plain;
+  for (bool is_sharded : {false, true}) {
+    const std::string tag = is_sharded ? "sharded" : "plain";
+    SCOPED_TRACE(tag);
+    const auto make_store = [&]() -> std::unique_ptr<ExampleStore> {
+      if (is_sharded) {
+        return std::make_unique<ShardedExampleCache>(embedder, sharded);
+      }
+      return std::make_unique<ExampleCache>(embedder, plain);
+    };
+    std::unique_ptr<ExampleStore> original = make_store();
+    Rng rng(kSeed ^ 0xd15);
+    const std::vector<uint64_t> ids = FillStore(original.get(), 80, &rng);
+    const uint64_t dropped = ids[10];
+    const std::string path = TempPath("disagree_src_" + tag);
+    {
+      SnapshotWriter writer;
+      EncodePoolSections(*original, {}, 0.0, &writer);
+      ASSERT_TRUE(writer.WriteToFile(path).ok());
+    }
+    SnapshotReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    const std::string meta = SectionBytes(reader, SnapshotSection::kMeta);
+    const std::string index = SectionBytes(reader, SnapshotSection::kIndex);
+    const auto restore = [&](const std::string& examples, const std::string& index_bytes,
+                             const std::string& name) {
+      const std::string mixed = TempPath(name + "_" + tag);
+      WritePoolSnapshot(mixed, meta, examples, index_bytes);
+      SnapshotReader mixed_reader;
+      EXPECT_TRUE(mixed_reader.Open(mixed).ok());
+      std::unique_ptr<ExampleStore> target = make_store();
+      PoolRestoreReport report;
+      const Status status = DecodePoolSections(mixed_reader, target.get(), {}, &report);
+      EXPECT_TRUE(report.native_index_load || !status.ok());
+      return status;
+    };
+    const auto keep_all = [](const Example&) { return true; };
+    const Status same = restore(ExamplesSectionWhere(reader, *original, keep_all), index, "same");
+    EXPECT_TRUE(same.ok()) << same.ToString();
+
+    // The graph holds an id the examples section lacks.
+    Status status = restore(ExamplesSectionWhere(reader, *original,
+                                                 [dropped](const Example& example) {
+                                                   return example.id != dropped;
+                                                 }),
+                            index, "graph_extra");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+    EXPECT_NE(status.message().find("example id " + std::to_string(dropped) +
+                                    " is in the graph image but not the examples section"),
+              std::string::npos)
+        << status.ToString();
+
+    // The examples section holds an id the graph lacks: a later image, taken
+    // after the example was removed (a tombstone is not a live id).
+    ASSERT_TRUE(original->Remove(dropped));
+    const std::string later = TempPath("disagree_later_" + tag);
+    {
+      SnapshotWriter writer;
+      EncodePoolSections(*original, {}, 0.0, &writer);
+      ASSERT_TRUE(writer.WriteToFile(later).ok());
+    }
+    SnapshotReader later_reader;
+    ASSERT_TRUE(later_reader.Open(later).ok());
+    status = restore(SectionBytes(reader, SnapshotSection::kExamples),
+                     SectionBytes(later_reader, SnapshotSection::kIndex), "examples_extra");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+    EXPECT_NE(status.message().find("example id " + std::to_string(dropped) +
+                                    " is in the examples section but not the graph image"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
+// Shard graphs load as the index section streams past, so a CRC-valid file
+// whose LAST shard image is malformed is found out only after the other
+// shards loaded. The restore must reset them and rebuild every shard
+// exactly as a restore of the same file without an index section does.
+TEST_F(PersistTest, MalformedLastShardImageFallsBackToACleanRebuild) {
+  auto embedder = std::make_shared<HashingEmbedder>();
+  ShardedCacheConfig config;
+  config.num_shards = 8;
+  config.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
+  ShardedExampleCache original(embedder, config);
+  Rng rng(kSeed ^ 0x1a57);
+  FillStore(&original, 200, &rng);
+  const std::string path = TempPath("last_shard_src");
+  {
+    SnapshotWriter writer;
+    EncodePoolSections(original, {}, 0.0, &writer);
+    ASSERT_TRUE(writer.WriteToFile(path).ok());
+  }
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  const std::string meta = SectionBytes(reader, SnapshotSection::kMeta);
+  const std::string examples = SectionBytes(reader, SnapshotSection::kExamples);
+  std::string index = SectionBytes(reader, SnapshotSection::kIndex);
+  // Walk the per-shard framing (count, then length-prefixed images) to the
+  // last image and break its dimension field, 128 -> 129.
+  ByteReader framing(index);
+  ASSERT_EQ(framing.GetU64(), config.num_shards);
+  size_t last_image = 0;
+  for (size_t shard = 0; shard < config.num_shards; ++shard) {
+    const uint64_t length = framing.GetU64();
+    last_image = index.size() - framing.remaining();
+    std::string image(length, '\0');
+    ASSERT_TRUE(framing.GetBytes(image.data(), image.size()));
+  }
+  ASSERT_TRUE(framing.AtEnd());
+  constexpr size_t kDimOffset = 4 + 1;  // after the format version and quantize flag
+  index[last_image + kDimOffset] ^= 0x01;
+
+  const auto restore = [&](const std::string& index_bytes, const std::string& name,
+                           ShardedExampleCache* target) {
+    const std::string file = TempPath(name);
+    WritePoolSnapshot(file, meta, examples, index_bytes);
+    SnapshotReader file_reader;
+    ASSERT_TRUE(file_reader.Open(file).ok());
+    PoolRestoreReport report;
+    const Status status = DecodePoolSections(file_reader, target, {}, &report);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_FALSE(report.native_index_load);
+  };
+  ShardedExampleCache fallback(embedder, config);
+  restore(index, "last_shard_bad", &fallback);
+  ShardedExampleCache clean(embedder, config);
+  restore("", "last_shard_clean", &clean);
+
+  ExpectStoresEqual(clean, fallback);
+  std::vector<Request> queries;
+  for (uint64_t q = 0; q < 25; ++q) {
+    queries.push_back(MakeRequest(50000 + q, "configure widget " + std::to_string(5 * q)));
+  }
+  ExpectSameSearchResults(clean, fallback, queries, 10);
+  // The same graphs, tombstones and level-sampler states, byte for byte.
+  SnapshotWriter clean_image;
+  EncodePoolSections(clean, {}, 0.0, &clean_image);
+  SnapshotWriter fallback_image;
+  EncodePoolSections(fallback, {}, 0.0, &fallback_image);
+  const StatusOr<std::string> a = clean_image.Encode();
+  const StatusOr<std::string> b = fallback_image.Encode();
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_TRUE(*a == *b);
 }
 
 TEST_F(PersistTest, RestoreRequiresEmptyStoreAndMatchingDim) {
