@@ -553,7 +553,8 @@ int main(int argc, char** argv) {
           const double save_s = SecondsSince(save_start);
           HnswIndex restored(hnsw->config());
           const auto load_start = std::chrono::steady_clock::now();
-          const bool loaded = restored.LoadGraph(blob.bytes());
+          ByteReader image(blob.bytes());
+          const bool loaded = restored.LoadGraph(&image, blob.size());
           const double load_s = SecondsSince(load_start);
           bool identical = loaded;
           if (loaded) {

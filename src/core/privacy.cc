@@ -1,6 +1,7 @@
 #include "src/core/privacy.h"
 
 #include <cctype>
+#include <string_view>
 
 namespace iccache {
 
@@ -11,29 +12,29 @@ bool IsWordChar(char c) {
   return std::isalnum(u) || c == '.' || c == '_' || c == '-' || c == '+';
 }
 
-// Scans for token@token.tld shapes starting at position i; returns the end of
-// the matched span or std::string::npos.
-size_t MatchEmail(const std::string& text, size_t i) {
-  size_t at = text.find('@', i);
-  if (at == std::string::npos || at == i) {
+// End of the run of word characters starting at i (i itself when text[i]
+// is not one).
+size_t WordRunEnd(const std::string& text, size_t i) {
+  while (i < text.size() && IsWordChar(text[i])) {
+    ++i;
+  }
+  return i;
+}
+
+// An e-mail (token@token.tld) starting anywhere inside a word run that ends
+// at `run_end` must have its '@' right there, since '@' is not a word
+// character: the local part is the rest of the run, and the domain is the
+// word run after the '@', which must hold a '.'. Returns the end of the
+// matched span or std::string::npos; the answer is the same for every start
+// position in the run.
+size_t MatchEmailAt(const std::string& text, size_t run_end) {
+  if (run_end >= text.size() || text[run_end] != '@') {
     return std::string::npos;
   }
-  // Local part must directly precede '@' from position i.
-  for (size_t j = i; j < at; ++j) {
-    if (!IsWordChar(text[j])) {
-      return std::string::npos;
-    }
-  }
-  size_t end = at + 1;
-  bool saw_dot = false;
-  while (end < text.size() && (IsWordChar(text[end]))) {
-    if (text[end] == '.') {
-      saw_dot = true;
-    }
-    ++end;
-  }
-  if (!saw_dot || end == at + 1) {
-    return std::string::npos;
+  const size_t end = WordRunEnd(text, run_end + 1);
+  const std::string_view domain(text.data() + run_end + 1, end - run_end - 1);
+  if (domain.find('.') == std::string_view::npos) {
+    return std::string::npos;  // empty domain, or no dot in it
   }
   return end;
 }
@@ -89,11 +90,18 @@ ScrubResult PiiScrubber::Scrub(const std::string& text) const {
   ScrubResult result;
   std::string out;
   out.reserve(text.size());
+  // The word run holding i and the e-mail match it gives every start
+  // position inside it: each run is scanned once, so Scrub is linear.
+  size_t run_end = 0;
+  size_t email_end = std::string::npos;
   size_t i = 0;
   while (i < text.size()) {
     const char c = text[i];
-    if (IsWordChar(c) && std::isalnum(static_cast<unsigned char>(c))) {
-      const size_t email_end = MatchEmail(text, i);
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      if (i >= run_end) {
+        run_end = WordRunEnd(text, i);
+        email_end = MatchEmailAt(text, run_end);
+      }
       if (email_end != std::string::npos) {
         out += "[EMAIL]";
         ++result.emails_removed;

@@ -22,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/binio.h"
@@ -292,11 +291,6 @@ class ExampleStore {
   // exported embeddings, which always works.
   virtual bool HasNativeIndex() const = 0;
   virtual bool LoadIndexBlob(ByteReader* reader) = 0;
-  // The same decoder over a whole image in memory.
-  bool LoadIndexBlob(std::string_view blob) {
-    ByteReader reader(blob);
-    return LoadIndexBlob(&reader);
-  }
 
   // After a native LoadIndexBlob and the imports that follow it (with
   // add_to_index false, so the import never consults the graph): false when

@@ -24,9 +24,8 @@ ExampleSelector::ExampleSelector(ExampleStore* store, ProxyUtilityModel* proxy,
     : store_(store),
       proxy_(proxy),
       config_(config),
-      utility_threshold_(config.initial_utility_threshold),
-      grid_benefit_(config.threshold_grid.size(), 0.0),
-      grid_count_(config.threshold_grid.size(), 0) {}
+      learner_(config.threshold_grid, config.initial_utility_threshold,
+               config.adapt_every_n_requests) {}
 
 std::vector<SelectorCandidate> ExampleSelector::Stage1FromResults(
     const std::vector<SearchResult>& results) const {
@@ -122,7 +121,7 @@ std::vector<SelectorCandidate> ExampleSelector::CombineCore(
     if (selected.size() >= config_.max_examples) {
       break;
     }
-    if (apply_threshold && candidate->utility < utility_threshold_) {
+    if (apply_threshold && candidate->utility < utility_threshold()) {
       continue;
     }
     const int tokens = candidate->example.PromptTokens();
@@ -185,26 +184,6 @@ std::vector<SelectorCandidate> ExampleSelector::CommitSelectionFrozen(
     const std::vector<SelectorCandidate>& candidates, const ModelProfile& target_model,
     std::vector<uint64_t>* accessed) const {
   return CombineCore(candidates, target_model, /*apply_threshold=*/true, accessed);
-}
-
-void ExampleSelector::AdvanceWindow(size_t requests) {
-  if (requests == 0) {
-    return;
-  }
-  const uint64_t before = requests_seen_;
-  requests_seen_ += requests;
-  if (config_.adapt_every_n_requests == 0) {
-    return;
-  }
-  // Adapt once per window that crosses a cadence multiple: the whole window
-  // was served under the window-start threshold, so the grid re-evaluation
-  // lands at the boundary, independent of lane count by construction.
-  // CommitSelection's window is its one request: it adapts on every
-  // adapt_every_n_requests-th request.
-  const uint64_t n = config_.adapt_every_n_requests;
-  if (before / n != requests_seen_ / n) {
-    AdaptThresholdFromGrid();
-  }
 }
 
 std::vector<SelectedExample> ExampleSelector::ToSelected(
@@ -272,8 +251,9 @@ void ExampleSelector::OnFeedback(const Request& request, const std::vector<Selec
   if (total_utility <= 0.0) {
     return;
   }
-  for (size_t g = 0; g < config_.threshold_grid.size(); ++g) {
-    const double threshold = config_.threshold_grid[g];
+  const std::vector<double>& grid = learner_.grid();
+  for (size_t g = 0; g < grid.size(); ++g) {
+    const double threshold = grid[g];
     double kept_utility = 0.0;
     double kept_tokens = 0.0;
     for (size_t i = 0; i < used.size(); ++i) {
@@ -284,49 +264,8 @@ void ExampleSelector::OnFeedback(const Request& request, const std::vector<Selec
     }
     const double benefit = observed_quality_gain * (kept_utility / total_utility) -
                            kTokenCostWeight * kept_tokens;
-    grid_benefit_[g] += benefit;
-    ++grid_count_[g];
-  }
-}
-
-SelectorAdaptiveState ExampleSelector::SaveAdaptiveState() const {
-  SelectorAdaptiveState state;
-  state.utility_threshold = utility_threshold_;
-  state.requests_seen = requests_seen_;
-  state.grid_benefit = grid_benefit_;
-  state.grid_count = grid_count_;
-  return state;
-}
-
-bool ExampleSelector::RestoreAdaptiveState(const SelectorAdaptiveState& state) {
-  if (state.grid_benefit.size() != config_.threshold_grid.size() ||
-      state.grid_count.size() != config_.threshold_grid.size()) {
-    return false;
-  }
-  utility_threshold_ = state.utility_threshold;
-  requests_seen_ = state.requests_seen;
-  grid_benefit_ = state.grid_benefit;
-  grid_count_ = state.grid_count;
-  return true;
-}
-
-void ExampleSelector::AdaptThresholdFromGrid() {
-  double best_benefit = -1e300;
-  double best_threshold = utility_threshold_;
-  bool any = false;
-  for (size_t g = 0; g < config_.threshold_grid.size(); ++g) {
-    if (grid_count_[g] == 0) {
-      continue;
-    }
-    const double mean_benefit = grid_benefit_[g] / static_cast<double>(grid_count_[g]);
-    if (mean_benefit > best_benefit) {
-      best_benefit = mean_benefit;
-      best_threshold = config_.threshold_grid[g];
-      any = true;
-    }
-  }
-  if (any) {
-    utility_threshold_ = best_threshold;
+    learner_.Credit(g, benefit);
+    learner_.Count(g);
   }
 }
 

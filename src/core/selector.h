@@ -8,10 +8,11 @@
 // prompt-token budget of the target model, and orders examples worst-to-best
 // so the most helpful example sits adjacent to the question.
 //
-// The dynamic threshold adapts online: the selector periodically probes a
-// grid of thresholds on sampled traffic and keeps the one with the best
-// observed net benefit (quality gain minus token cost), per the paper's
-// "Selecting Example Combinations".
+// The dynamic threshold adapts online: the selector credits a grid of
+// thresholds with the net benefit (quality gain minus token cost) each would
+// have produced on sampled traffic, and its ThresholdLearner periodically
+// keeps the one with the best mean, per the paper's "Selecting Example
+// Combinations".
 //
 // The selector runs against the ExampleStore interface, so the same pipeline
 // serves the single-threaded ExampleCache and the concurrent
@@ -34,6 +35,7 @@
 
 #include "src/core/proxy_model.h"
 #include "src/core/retrieval_backend.h"
+#include "src/core/threshold_learner.h"
 #include "src/llm/model_profile.h"
 #include "src/workload/request.h"
 
@@ -57,16 +59,6 @@ struct SelectorCandidate {
   // exact vector (int8 hnsw); Combine then embeds lazily, so only candidates
   // that clear the threshold/budget filters pay for an embedding.
   std::vector<float> embedding;
-};
-
-// The selector's online-learned state (snapshot persistence): the dynamic
-// utility threshold plus the adaptation cadence counter and per-grid-cell
-// net-benefit accounting that drive AdvanceWindow's adaptation.
-struct SelectorAdaptiveState {
-  double utility_threshold = 0.0;
-  uint64_t requests_seen = 0;
-  std::vector<double> grid_benefit;
-  std::vector<uint64_t> grid_count;
 };
 
 struct SelectorConfig {
@@ -148,23 +140,20 @@ class ExampleSelector {
   // CommitSelectionFrozen: counts `requests` toward the adaptation cadence
   // and re-evaluates the threshold grid once if the counter crossed an
   // adapt_every_n_requests multiple. Serial callers only (window boundary).
-  void AdvanceWindow(size_t requests);
+  void AdvanceWindow(size_t requests) { learner_.AdvanceWindow(requests); }
 
   // Feeds an observed helpfulness label back into the proxy model and the
   // threshold adaptation accounting.
   void OnFeedback(const Request& request, const std::vector<SelectedExample>& used,
                   const ModelProfile& target_model, double observed_quality_gain);
 
-  double utility_threshold() const { return utility_threshold_; }
-  void set_utility_threshold(double threshold) { utility_threshold_ = threshold; }
+  double utility_threshold() const { return learner_.threshold(); }
+  void set_utility_threshold(double threshold) { learner_.set_threshold(threshold); }
   const SelectorConfig& config() const { return config_; }
 
-  // Snapshot persistence. RestoreAdaptiveState returns false (leaving the
-  // selector untouched) when the saved grid does not match this config's
-  // threshold_grid size — a restored pool with a different grid keeps its
-  // configured defaults instead of inheriting misaligned accounting.
-  SelectorAdaptiveState SaveAdaptiveState() const;
-  bool RestoreAdaptiveState(const SelectorAdaptiveState& state);
+  // The utility-threshold learner, whose state snapshots persist.
+  const ThresholdLearner& learner() const { return learner_; }
+  ThresholdLearner* mutable_learner() { return &learner_; }
 
   // Converts committed candidates into the wire-level selection records.
   static std::vector<SelectedExample> ToSelected(const std::vector<SelectorCandidate>& picked);
@@ -189,17 +178,11 @@ class ExampleSelector {
   std::vector<SelectorCandidate> Combine(const std::vector<SelectorCandidate>& candidates,
                                          const ModelProfile& target_model, bool apply_threshold,
                                          double now);
-  void AdaptThresholdFromGrid();
 
   ExampleStore* store_;
   ProxyUtilityModel* proxy_;
   SelectorConfig config_;
-  double utility_threshold_;
-  uint64_t requests_seen_ = 0;
-
-  // Per-threshold running net benefit from feedback (threshold adaptation).
-  std::vector<double> grid_benefit_;
-  std::vector<uint64_t> grid_count_;
+  ThresholdLearner learner_;
 };
 
 }  // namespace iccache

@@ -86,13 +86,12 @@ Status IcCacheService::RestoreSnapshot(const std::string& path) {
   if (!status.ok()) {
     return status;
   }
-  status = DecodeOptionalSection(reader, SnapshotSection::kService, [this](std::string_view bytes) {
-    ByteReader r(bytes);
-    const RngState service_rng = DecodeRngState(&r);
-    const double baseline = r.GetDouble();
-    const bool baseline_initialized = r.GetU8() != 0;
-    const RngState generator_rng = DecodeRngState(&r);
-    if (!r.ok() || !r.AtEnd()) {
+  status = DecodeOptionalSection(reader, SnapshotSection::kService, [this](ByteReader* r) {
+    const RngState service_rng = DecodeRngState(r);
+    const double baseline = r->GetDouble();
+    const bool baseline_initialized = r->GetU8() != 0;
+    const RngState generator_rng = DecodeRngState(r);
+    if (!r->ok() || !r->AtEnd()) {
       return false;
     }
     rng_.RestoreState(service_rng);

@@ -150,7 +150,6 @@ class ShardedExampleCache : public ExampleStore {
   std::vector<uint64_t> ExportNextIds() const override;
   bool ImportNextIds(const std::vector<uint64_t>& next_ids) override;
   bool HasNativeIndex() const override { return shards_[0].cache->HasNativeIndex(); }
-  using ExampleStore::LoadIndexBlob;
   bool LoadIndexBlob(ByteReader* reader) override;
   bool FindNativeIndexMismatch(uint64_t* id, bool* in_index) const override;
 

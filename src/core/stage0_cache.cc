@@ -21,9 +21,8 @@ Stage0ResponseCache::Stage0ResponseCache(std::shared_ptr<const Embedder> embedde
     : embedder_(std::move(embedder)),
       config_(std::move(config)),
       index_(embedder_->dim()),
-      hit_threshold_(config_.initial_hit_threshold),
-      grid_benefit_(config_.threshold_grid.size(), 0.0),
-      grid_count_(config_.threshold_grid.size(), 0) {}
+      learner_(config_.threshold_grid, config_.initial_hit_threshold,
+               config_.adapt_every_n_requests) {}
 
 const Stage0Entry* Stage0ResponseCache::Nearest(const std::vector<float>& embedding,
                                                 double* similarity) const {
@@ -282,71 +281,16 @@ void Stage0ResponseCache::EnforceBounds() {
 
 void Stage0ResponseCache::OnHitFeedback(double similarity, double reused_quality,
                                         double fresh_quality, int tokens_saved) {
-  for (size_t g = 0; g < config_.threshold_grid.size(); ++g) {
-    if (similarity >= config_.threshold_grid[g]) {
-      grid_benefit_[g] += (reused_quality - fresh_quality) +
-                          config_.token_saving_weight * static_cast<double>(tokens_saved);
+  const std::vector<double>& grid = learner_.grid();
+  for (size_t g = 0; g < grid.size(); ++g) {
+    if (similarity >= grid[g]) {
+      learner_.Credit(g, (reused_quality - fresh_quality) +
+                             config_.token_saving_weight * static_cast<double>(tokens_saved));
     }
     // A cell the similarity does not clear would have generated fresh: zero
     // net benefit, but the sample still counts so cell means are comparable.
-    ++grid_count_[g];
+    learner_.Count(g);
   }
-}
-
-void Stage0ResponseCache::AdvanceWindow(size_t requests) {
-  if (requests == 0 || !config_.learn_threshold) {
-    return;
-  }
-  const uint64_t before = requests_seen_;
-  requests_seen_ += requests;
-  if (config_.adapt_every_n_requests == 0) {
-    return;
-  }
-  const uint64_t n = config_.adapt_every_n_requests;
-  if (before / n != requests_seen_ / n) {
-    AdaptThresholdFromGrid();
-  }
-}
-
-void Stage0ResponseCache::AdaptThresholdFromGrid() {
-  double best_benefit = -1e300;
-  double best_threshold = hit_threshold_;
-  bool any = false;
-  for (size_t g = 0; g < config_.threshold_grid.size(); ++g) {
-    if (grid_count_[g] == 0) {
-      continue;
-    }
-    const double mean_benefit = grid_benefit_[g] / static_cast<double>(grid_count_[g]);
-    if (mean_benefit > best_benefit) {
-      best_benefit = mean_benefit;
-      best_threshold = config_.threshold_grid[g];
-      any = true;
-    }
-  }
-  if (any) {
-    hit_threshold_ = best_threshold;
-  }
-}
-
-Stage0AdaptiveState Stage0ResponseCache::SaveAdaptiveState() const {
-  Stage0AdaptiveState state;
-  state.hit_threshold = hit_threshold_;
-  state.requests_seen = requests_seen_;
-  state.grid_benefit = grid_benefit_;
-  state.grid_count = grid_count_;
-  return state;
-}
-
-bool Stage0ResponseCache::RestoreAdaptiveState(const Stage0AdaptiveState& state) {
-  if (state.grid_benefit.size() != config_.threshold_grid.size() ||
-      state.grid_count.size() != config_.threshold_grid.size()) {
-    return false;
-  }
-  hit_threshold_ = state.hit_threshold;
-  requests_seen_ = state.requests_seen;
-  grid_benefit_ = state.grid_benefit;
-  grid_count_ = state.grid_count;
-  return true;
 }
 
 void Stage0ResponseCache::ExportEntries(
@@ -360,14 +304,14 @@ void Stage0ResponseCache::ExportEntries(
 }
 
 bool Stage0ResponseCache::ImportEntry(const Stage0Entry& entry, std::vector<float> embedding) {
-  if (entry.id == 0 || entries_.count(entry.id) > 0) {
+  if (entry.id == 0 || entries_.count(entry.id) > 0 ||
+      !index_.Add(entry.id, std::move(embedding)).ok()) {
     return false;
   }
   used_bytes_ += entry.SizeBytes();
   id_by_text_[entry.request.text] = entry.id;
   entries_[entry.id] = entry;
   next_id_ = std::max(next_id_, entry.id + 1);
-  index_.Add(entry.id, std::move(embedding));
   return true;
 }
 

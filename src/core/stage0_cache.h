@@ -23,9 +23,10 @@
 //
 // Serving semantics layered on top:
 //
-//   * learned hit threshold — the selector's dynamic-threshold machinery
-//     (grid of candidate thresholds, per-cell net-benefit accounting fed by
-//     probe-sampled counterfactuals, cadence-driven re-evaluation);
+//   * learned hit threshold — a ThresholdLearner, as for the selector's
+//     utility threshold (grid of candidate thresholds, per-cell net-benefit
+//     accounting fed by probe-sampled counterfactuals, cadence-driven
+//     re-evaluation);
 //   * staleness — entries older than `ttl_s` never hit and are expired at
 //     maintenance boundaries; quality feedback below a fixed floor
 //     (kInvalidateBelowQuality, stage0_cache.cc) invalidates the entry
@@ -48,6 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/threshold_learner.h"
 #include "src/embedding/embedder.h"
 #include "src/index/vector_index.h"
 #include "src/workload/request.h"
@@ -93,16 +95,6 @@ struct Stage0Probe {
 struct Stage0DedupeHint {
   uint64_t id = 0;  // 0: the probe saw an empty cache
   double similarity = 0.0;
-};
-
-// Online-learned state for snapshot persistence (mirrors
-// SelectorAdaptiveState): the dynamic hit threshold plus the cadence counter
-// and per-grid-cell net-benefit accounting.
-struct Stage0AdaptiveState {
-  double hit_threshold = 0.0;
-  uint64_t requests_seen = 0;
-  std::vector<double> grid_benefit;
-  std::vector<uint64_t> grid_count;
 };
 
 struct Stage0Config {
@@ -185,7 +177,7 @@ class Stage0ResponseCache {
   // threshold only moves at window boundaries (AdvanceWindow), so lanes
   // judge every request in a window against the same frozen value.
   bool Confident(const Stage0Probe& probe) const {
-    return probe.fresh && probe.similarity >= hit_threshold_;
+    return probe.fresh && probe.similarity >= hit_threshold();
   }
 
   // --- Stateful mutations (serial merge / synchronous callers only) --------
@@ -229,10 +221,18 @@ class Stage0ResponseCache {
   // Counts `requests` toward the adaptation cadence and re-evaluates the
   // grid once when the counter crosses an adapt_every_n_requests multiple
   // (the driver calls this per window boundary, the service per request).
-  void AdvanceWindow(size_t requests);
+  // A no-op without `learn_threshold`.
+  void AdvanceWindow(size_t requests) {
+    if (config_.learn_threshold) {
+      learner_.AdvanceWindow(requests);
+    }
+  }
 
-  double hit_threshold() const { return hit_threshold_; }
-  void set_hit_threshold(double threshold) { hit_threshold_ = threshold; }
+  double hit_threshold() const { return learner_.threshold(); }
+  void set_hit_threshold(double threshold) { learner_.set_threshold(threshold); }
+  // The hit-threshold learner, whose state snapshots persist.
+  const ThresholdLearner& learner() const { return learner_; }
+  ThresholdLearner* mutable_learner() { return &learner_; }
 
   // --- Accessors / persistence ---------------------------------------------
 
@@ -241,17 +241,14 @@ class Stage0ResponseCache {
   const Stage0Config& config() const { return config_; }
   std::shared_ptr<const Embedder> embedder() const { return embedder_; }
 
-  Stage0AdaptiveState SaveAdaptiveState() const;
-  // False (cache untouched) on a grid-size mismatch, as with the selector.
-  bool RestoreAdaptiveState(const Stage0AdaptiveState& state);
-
   // Iterates every entry with its embedding in index scan order. Importing
   // the entries back in this order rebuilds an identical scan, so restored
   // probes match the writer's, equal-score tie-breaks included.
   void ExportEntries(
       const std::function<void(const Stage0Entry&, const std::vector<float>&)>& fn) const;
   // Re-inserts an exported entry preserving id, statistics, and byte
-  // accounting. False on id 0 or a duplicate id.
+  // accounting. False, changing nothing, on id 0, a duplicate id, or an
+  // embedding the index rejects (wrong length).
   bool ImportEntry(const Stage0Entry& entry, std::vector<float> embedding);
 
   uint64_t next_id() const { return next_id_; }
@@ -261,7 +258,6 @@ class Stage0ResponseCache {
   const Stage0Entry* Nearest(const std::vector<float>& embedding, double* similarity) const;
   bool RemoveEntry(uint64_t id);
   void EnforceBounds();
-  void AdaptThresholdFromGrid();
 
   std::shared_ptr<const Embedder> embedder_;
   Stage0Config config_;
@@ -273,11 +269,7 @@ class Stage0ResponseCache {
   std::unordered_map<std::string, uint64_t> id_by_text_;
   uint64_t next_id_ = 1;
   int64_t used_bytes_ = 0;
-
-  double hit_threshold_;
-  uint64_t requests_seen_ = 0;
-  std::vector<double> grid_benefit_;
-  std::vector<uint64_t> grid_count_;
+  ThresholdLearner learner_;
 };
 
 }  // namespace iccache

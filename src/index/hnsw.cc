@@ -949,11 +949,6 @@ size_t HnswIndex::GraphImageSize() const {
   return bytes;
 }
 
-bool HnswIndex::LoadGraph(std::string_view blob) {
-  ByteReader reader(blob);
-  return LoadGraph(&reader, blob.size());
-}
-
 bool HnswIndex::LoadGraph(ByteReader* reader, uint64_t image_bytes) {
   // Parse and validate into locals first: a mismatched or corrupted image
   // must leave the index exactly as it was (the caller rebuilds instead).

@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <shared_mutex>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -154,8 +153,6 @@ class HnswIndex : public VectorIndex {
   // and the reader's position is unspecified. On success the reader stands
   // at the image's end and the previous contents are replaced wholesale.
   bool LoadGraph(ByteReader* reader, uint64_t image_bytes);
-  // The same decoder over a whole image in memory.
-  bool LoadGraph(std::string_view blob);
 
   // Live (non-tombstoned) ids, pending ones included, in no set order.
   std::vector<uint64_t> LiveIds() const;

@@ -9,44 +9,85 @@ namespace {
 // Bump kSnapshotFormatVersion (snapshot_format.h) when any encoding below
 // changes; the container version covers these section layouts.
 
-std::string EncodeSelectorSection(const ExampleSelector& selector) {
-  const SelectorAdaptiveState state = selector.SaveAdaptiveState();
-  ByteWriter w;
-  w.PutDouble(state.utility_threshold);
-  w.PutU64(state.requests_seen);
-  w.PutU64(state.grid_benefit.size());
+// The request half of an example record and of a stage-0 entry record.
+void EncodeRequest(const Request& request, ByteWriter* w) {
+  w->PutU64(request.id);
+  w->PutU8(static_cast<uint8_t>(request.dataset));
+  w->PutU8(static_cast<uint8_t>(request.task));
+  w->PutString(request.text);
+  w->PutU32(request.topic_id);
+  w->PutU32(request.intent_id);
+  w->PutDouble(request.difficulty);
+  w->PutI32(request.input_tokens);
+  w->PutI32(request.target_output_tokens);
+  w->PutDouble(request.arrival_time);
+  w->PutU32(request.privacy_domain);
+}
+
+void DecodeRequest(ByteReader* r, Request* request) {
+  request->id = r->GetU64();
+  request->dataset = static_cast<DatasetId>(r->GetU8());
+  request->task = static_cast<TaskType>(r->GetU8());
+  request->text = r->GetString();
+  request->topic_id = r->GetU32();
+  request->intent_id = r->GetU32();
+  request->difficulty = r->GetDouble();
+  request->input_tokens = r->GetI32();
+  request->target_output_tokens = r->GetI32();
+  request->arrival_time = r->GetDouble();
+  request->privacy_domain = r->GetU32();
+}
+
+// A learner's adaptation grid: the cell count, every cell's benefit, then
+// every cell's sample count. The selector and stage-0 sections both carry
+// one, each after its own threshold and cadence counter.
+void EncodeGrid(const ThresholdLearnerState& state, ByteWriter* w) {
+  w->PutU64(state.grid_benefit.size());
   for (double benefit : state.grid_benefit) {
-    w.PutDouble(benefit);
+    w->PutDouble(benefit);
   }
   for (uint64_t count : state.grid_count) {
-    w.PutU64(count);
+    w->PutU64(count);
   }
+}
+
+// False on a read past the end, or a cell count the rest of the section
+// cannot hold (16 bytes a cell), before anything is allocated for it.
+bool DecodeGrid(ByteReader* r, ThresholdLearnerState* state) {
+  const uint64_t cells = r->GetU64();
+  if (!r->ok() || cells > r->remaining() / 16) {
+    return false;
+  }
+  state->grid_benefit.resize(static_cast<size_t>(cells));
+  for (auto& benefit : state->grid_benefit) {
+    benefit = r->GetDouble();
+  }
+  state->grid_count.resize(static_cast<size_t>(cells));
+  for (auto& count : state->grid_count) {
+    count = r->GetU64();
+  }
+  return r->ok();
+}
+
+std::string EncodeSelectorSection(const ExampleSelector& selector) {
+  const ThresholdLearnerState& state = selector.learner().state();
+  ByteWriter w;
+  w.PutDouble(state.threshold);
+  w.PutU64(state.requests_seen);
+  EncodeGrid(state, &w);
   return w.TakeBytes();
 }
 
-bool DecodeSelectorSection(std::string_view bytes, ExampleSelector* selector) {
-  ByteReader r(bytes);
-  SelectorAdaptiveState state;
-  state.utility_threshold = r.GetDouble();
-  state.requests_seen = r.GetU64();
-  const uint64_t grid = r.GetU64();
-  if (!r.ok() || grid > bytes.size()) {
-    return false;
-  }
-  state.grid_benefit.resize(grid);
-  for (auto& benefit : state.grid_benefit) {
-    benefit = r.GetDouble();
-  }
-  state.grid_count.resize(grid);
-  for (auto& count : state.grid_count) {
-    count = r.GetU64();
-  }
-  if (!r.ok() || !r.AtEnd()) {
+bool DecodeSelectorSection(ByteReader* r, ExampleSelector* selector) {
+  ThresholdLearnerState state;
+  state.threshold = r->GetDouble();
+  state.requests_seen = r->GetU64();
+  if (!DecodeGrid(r, &state) || !r->AtEnd()) {
     return false;
   }
   // A grid-size mismatch (restoring under a different threshold_grid config)
   // is not a format error: the selector keeps its configured defaults.
-  selector->RestoreAdaptiveState(state);
+  selector->mutable_learner()->Restore(state);
   return true;
 }
 
@@ -60,17 +101,16 @@ std::string EncodeProxySection(const ProxyUtilityModel& proxy) {
   return w.TakeBytes();
 }
 
-bool DecodeProxySection(std::string_view bytes, ProxyUtilityModel* proxy) {
-  ByteReader r(bytes);
-  if (r.GetU64() != ProxyFeatures::kDim) {
+bool DecodeProxySection(ByteReader* r, ProxyUtilityModel* proxy) {
+  if (r->GetU64() != ProxyFeatures::kDim) {
     return false;
   }
   std::array<double, ProxyFeatures::kDim> weights{};
   for (auto& weight : weights) {
-    weight = r.GetDouble();
+    weight = r->GetDouble();
   }
-  const uint64_t updates = r.GetU64();
-  if (!r.ok() || !r.AtEnd()) {
+  const uint64_t updates = r->GetU64();
+  if (!r->ok() || !r->AtEnd()) {
     return false;
   }
   proxy->RestoreState(weights, static_cast<size_t>(updates));
@@ -99,15 +139,14 @@ std::string EncodeRouterSection(const RequestRouter& router) {
   return w.TakeBytes();
 }
 
-bool DecodeRouterSection(std::string_view bytes, RequestRouter* router) {
-  ByteReader r(bytes);
-  const double load_ema = r.GetDouble();
-  const bool load_initialized = r.GetU8() != 0;
-  const RngState explore_rng = DecodeRngState(&r);
-  const RngState bandit_rng = DecodeRngState(&r);
-  const uint64_t num_arms = r.GetU64();
+bool DecodeRouterSection(ByteReader* r, RequestRouter* router) {
+  const double load_ema = r->GetDouble();
+  const bool load_initialized = r->GetU8() != 0;
+  const RngState explore_rng = DecodeRngState(r);
+  const RngState bandit_rng = DecodeRngState(r);
+  const uint64_t num_arms = r->GetU64();
   ContextualBandit& bandit = router->mutable_bandit();
-  if (!r.ok() || num_arms != bandit.num_arms()) {
+  if (!r->ok() || num_arms != bandit.num_arms()) {
     return false;
   }
   // Stage every arm before committing any: a half-restored bandit would be
@@ -116,21 +155,21 @@ bool DecodeRouterSection(std::string_view bytes, RequestRouter* router) {
   std::vector<std::vector<double>> bs(num_arms);
   std::vector<uint64_t> updates(num_arms);
   for (size_t i = 0; i < num_arms; ++i) {
-    const uint64_t dim = r.GetU64();
-    if (!r.ok() || dim != bandit.arm(i).dim()) {
+    const uint64_t dim = r->GetU64();
+    if (!r->ok() || dim != bandit.arm(i).dim()) {
       return false;
     }
     precisions[i].resize(dim * dim);
     for (auto& v : precisions[i]) {
-      v = r.GetDouble();
+      v = r->GetDouble();
     }
     bs[i].resize(dim);
     for (auto& v : bs[i]) {
-      v = r.GetDouble();
+      v = r->GetDouble();
     }
-    updates[i] = r.GetU64();
+    updates[i] = r->GetU64();
   }
-  if (!r.ok() || !r.AtEnd()) {
+  if (!r->ok() || !r->AtEnd()) {
     return false;
   }
   for (size_t i = 0; i < num_arms; ++i) {
@@ -153,37 +192,19 @@ bool DecodeRouterSection(std::string_view bytes, RequestRouter* router) {
 // probes. The native-index flag is always written as 0: older writers set it
 // to 1 and appended an HNSW graph image, which decoding skips.
 void EncodeStage0Section(const Stage0ResponseCache& cache, ByteWriter* out) {
-  const Stage0AdaptiveState state = cache.SaveAdaptiveState();
+  const ThresholdLearnerState& state = cache.learner().state();
   ByteWriter& w = *out;
-  w.PutDouble(state.hit_threshold);
+  w.PutDouble(state.threshold);
   w.PutU64(state.requests_seen);
   w.PutU64(cache.size());
   w.PutI64(cache.used_bytes());
   w.PutU8(0);  // no native index image
-
-  w.PutU64(state.grid_benefit.size());
-  for (double benefit : state.grid_benefit) {
-    w.PutDouble(benefit);
-  }
-  for (uint64_t count : state.grid_count) {
-    w.PutU64(count);
-  }
+  EncodeGrid(state, &w);
   w.PutU64(cache.next_id());
 
   cache.ExportEntries([&w](const Stage0Entry& entry, const std::vector<float>& embedding) {
     w.PutU64(entry.id);
-    const Request& request = entry.request;
-    w.PutU64(request.id);
-    w.PutU8(static_cast<uint8_t>(request.dataset));
-    w.PutU8(static_cast<uint8_t>(request.task));
-    w.PutString(request.text);
-    w.PutU32(request.topic_id);
-    w.PutU32(request.intent_id);
-    w.PutDouble(request.difficulty);
-    w.PutI32(request.input_tokens);
-    w.PutI32(request.target_output_tokens);
-    w.PutDouble(request.arrival_time);
-    w.PutU32(request.privacy_domain);
+    EncodeRequest(entry.request, &w);
     w.PutString(entry.response_text);
     w.PutDouble(entry.response_quality);
     w.PutI32(entry.response_tokens);
@@ -194,70 +215,42 @@ void EncodeStage0Section(const Stage0ResponseCache& cache, ByteWriter* out) {
   });
 }
 
-bool DecodeStage0Section(std::string_view bytes, Stage0ResponseCache* cache) {
+// Imports each entry as it is read and stops at the first failed read or
+// rejected import, so nothing is sized from the claimed entry count.
+bool DecodeStage0Section(ByteReader* r, Stage0ResponseCache* cache) {
   if (cache->size() != 0) {
     return false;  // restore requires an empty stage-0 cache
   }
-  ByteReader r(bytes);
-  Stage0AdaptiveState state;
-  state.hit_threshold = r.GetDouble();
-  state.requests_seen = r.GetU64();
-  const uint64_t entry_count = r.GetU64();
-  const int64_t used_bytes = r.GetI64();
-  const bool native = r.GetU8() != 0;
-  const uint64_t grid = r.GetU64();
-  if (!r.ok() || grid > bytes.size() || entry_count > bytes.size()) {
+  ThresholdLearnerState state;
+  state.threshold = r->GetDouble();
+  state.requests_seen = r->GetU64();
+  const uint64_t entry_count = r->GetU64();
+  const int64_t used_bytes = r->GetI64();
+  const bool native = r->GetU8() != 0;
+  if (!DecodeGrid(r, &state)) {
     return false;
   }
-  state.grid_benefit.resize(grid);
-  for (auto& benefit : state.grid_benefit) {
-    benefit = r.GetDouble();
-  }
-  state.grid_count.resize(grid);
-  for (auto& count : state.grid_count) {
-    count = r.GetU64();
-  }
-  const uint64_t next_id = r.GetU64();
-
-  std::vector<Stage0Entry> entries(static_cast<size_t>(entry_count));
-  std::vector<std::vector<float>> embeddings(static_cast<size_t>(entry_count));
+  const uint64_t next_id = r->GetU64();
+  Stage0Entry entry;
   for (uint64_t i = 0; i < entry_count; ++i) {
-    Stage0Entry& entry = entries[i];
-    entry.id = r.GetU64();
-    Request& request = entry.request;
-    request.id = r.GetU64();
-    request.dataset = static_cast<DatasetId>(r.GetU8());
-    request.task = static_cast<TaskType>(r.GetU8());
-    request.text = r.GetString();
-    request.topic_id = r.GetU32();
-    request.intent_id = r.GetU32();
-    request.difficulty = r.GetDouble();
-    request.input_tokens = r.GetI32();
-    request.target_output_tokens = r.GetI32();
-    request.arrival_time = r.GetDouble();
-    request.privacy_domain = r.GetU32();
-    entry.response_text = r.GetString();
-    entry.response_quality = r.GetDouble();
-    entry.response_tokens = r.GetI32();
-    entry.admitted_time = r.GetDouble();
-    entry.last_hit_time = r.GetDouble();
-    entry.hit_count = r.GetU64();
-    embeddings[i] = r.GetFloats();
-    if (!r.ok()) {
+    entry.id = r->GetU64();
+    DecodeRequest(r, &entry.request);
+    entry.response_text = r->GetString();
+    entry.response_quality = r->GetDouble();
+    entry.response_tokens = r->GetI32();
+    entry.admitted_time = r->GetDouble();
+    entry.last_hit_time = r->GetDouble();
+    entry.hit_count = r->GetU64();
+    std::vector<float> embedding = r->GetFloats();
+    if (!r->ok() || !cache->ImportEntry(entry, std::move(embedding))) {
       return false;
     }
   }
   if (native) {
-    r.GetString();  // an older writer's HNSW graph image; the index is rebuilt below
+    r->GetString();  // an older writer's HNSW graph image; the index was rebuilt above
   }
-  if (!r.ok() || !r.AtEnd()) {
+  if (!r->ok() || !r->AtEnd()) {
     return false;
-  }
-
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    if (!cache->ImportEntry(entries[i], std::move(embeddings[i]))) {
-      return false;
-    }
   }
   if (cache->used_bytes() != used_bytes) {
     return false;  // replayed byte accounting disagrees with the writer's
@@ -265,7 +258,7 @@ bool DecodeStage0Section(std::string_view bytes, Stage0ResponseCache* cache) {
   cache->restore_next_id(next_id);
   // A grid-size mismatch (restoring under a different threshold_grid config)
   // keeps the configured defaults, exactly like the selector.
-  cache->RestoreAdaptiveState(state);
+  cache->mutable_learner()->Restore(state);
   return true;
 }
 
@@ -292,18 +285,7 @@ RngState DecodeRngState(ByteReader* reader) {
 void EncodeExample(uint64_t id, const Example& example, const std::vector<float>& embedding,
                    ByteWriter* writer) {
   writer->PutU64(id);
-  const Request& request = example.request;
-  writer->PutU64(request.id);
-  writer->PutU8(static_cast<uint8_t>(request.dataset));
-  writer->PutU8(static_cast<uint8_t>(request.task));
-  writer->PutString(request.text);
-  writer->PutU32(request.topic_id);
-  writer->PutU32(request.intent_id);
-  writer->PutDouble(request.difficulty);
-  writer->PutI32(request.input_tokens);
-  writer->PutI32(request.target_output_tokens);
-  writer->PutDouble(request.arrival_time);
-  writer->PutU32(request.privacy_domain);
+  EncodeRequest(example.request, writer);
   writer->PutString(example.response_text);
   writer->PutDouble(example.response_quality);
   writer->PutDouble(example.source_capability);
@@ -319,18 +301,7 @@ void EncodeExample(uint64_t id, const Example& example, const std::vector<float>
 
 bool DecodeExample(ByteReader* reader, Example* example, std::vector<float>* embedding) {
   example->id = reader->GetU64();
-  Request& request = example->request;
-  request.id = reader->GetU64();
-  request.dataset = static_cast<DatasetId>(reader->GetU8());
-  request.task = static_cast<TaskType>(reader->GetU8());
-  request.text = reader->GetString();
-  request.topic_id = reader->GetU32();
-  request.intent_id = reader->GetU32();
-  request.difficulty = reader->GetDouble();
-  request.input_tokens = reader->GetI32();
-  request.target_output_tokens = reader->GetI32();
-  request.arrival_time = reader->GetDouble();
-  request.privacy_domain = reader->GetU32();
+  DecodeRequest(reader, &example->request);
   example->response_text = reader->GetString();
   example->response_quality = reader->GetDouble();
   example->source_capability = reader->GetDouble();
@@ -443,57 +414,46 @@ void EncodePoolSections(const ExampleStore& store, const PoolComponents& compone
 }
 
 Status DecodeOptionalSection(const SnapshotReader& reader, SnapshotSection id,
-                             const std::function<bool(std::string_view)>& decode) {
+                             const std::function<bool(ByteReader*)>& decode) {
   if (!reader.HasSection(id)) {
     return Status::Ok();
   }
-  SectionBuffer bytes;
-  const Status status = reader.Section(id, &bytes);
-  if (!status.ok()) {
-    return status;
-  }
-  if (!decode(bytes.bytes())) {
-    return Status::InvalidArgument(std::string("malformed ") + SnapshotSectionName(id) +
-                                   " section");
-  }
-  return Status::Ok();
+  return reader.StreamSection(id, [id, &decode](ByteReader* r) {
+    if (!decode(r)) {
+      return Status::InvalidArgument(std::string("malformed ") + SnapshotSectionName(id) +
+                                     " section");
+    }
+    return Status::Ok();
+  });
 }
 
 Status DecodePoolMeta(const SnapshotReader& reader, PoolMeta* meta) {
-  SectionBuffer bytes;
-  const Status status = reader.Section(SnapshotSection::kMeta, &bytes);
-  if (!status.ok()) {
-    return status;
-  }
-  ByteReader r(bytes.bytes());
-  meta->example_count = r.GetU64();
-  meta->used_bytes = r.GetI64();
-  meta->shard_count = r.GetU64();
-  meta->embed_dim = r.GetU32();
-  meta->has_native_index = r.GetU8();
-  meta->sim_time = r.GetDouble();
-  if (!r.ok() || !r.AtEnd()) {
-    return Status::InvalidArgument("malformed meta section");
-  }
-  return Status::Ok();
+  return reader.StreamSection(SnapshotSection::kMeta, [meta](ByteReader* r) {
+    meta->example_count = r->GetU64();
+    meta->used_bytes = r->GetI64();
+    meta->shard_count = r->GetU64();
+    meta->embed_dim = r->GetU32();
+    meta->has_native_index = r->GetU8();
+    meta->sim_time = r->GetDouble();
+    if (!r->ok() || !r->AtEnd()) {
+      return Status::InvalidArgument("malformed meta section");
+    }
+    return Status::Ok();
+  });
 }
 
 Status DecodeStage0Summary(const SnapshotReader& reader, Stage0Summary* summary) {
-  SectionBuffer bytes;
-  const Status status = reader.Section(SnapshotSection::kStage0, &bytes);
-  if (!status.ok()) {
-    return status;
-  }
-  ByteReader r(bytes.bytes());
-  summary->hit_threshold = r.GetDouble();
-  summary->requests_seen = r.GetU64();
-  summary->entry_count = r.GetU64();
-  summary->used_bytes = r.GetI64();
-  summary->has_native_index = r.GetU8();
-  if (!r.ok()) {
-    return Status::InvalidArgument("malformed stage0 section");
-  }
-  return Status::Ok();
+  return reader.StreamSection(SnapshotSection::kStage0, [summary](ByteReader* r) {
+    summary->hit_threshold = r->GetDouble();
+    summary->requests_seen = r->GetU64();
+    summary->entry_count = r->GetU64();
+    summary->used_bytes = r->GetI64();
+    summary->has_native_index = r->GetU8();
+    if (!r->ok()) {
+      return Status::InvalidArgument("malformed stage0 section");
+    }
+    return Status::Ok();
+  });
 }
 
 namespace {
@@ -616,35 +576,26 @@ Status DecodePoolSections(const SnapshotReader& reader, ExampleStore* store,
   struct ComponentSection {
     SnapshotSection id;
     bool wanted;
-    std::function<bool(std::string_view)> decode;
+    std::function<bool(ByteReader*)> decode;
   };
   const ComponentSection sections[] = {
       {SnapshotSection::kSelector, components.selector != nullptr,
-       [&components](std::string_view bytes) {
-         return DecodeSelectorSection(bytes, components.selector);
-       }},
+       [&components](ByteReader* r) { return DecodeSelectorSection(r, components.selector); }},
       {SnapshotSection::kManager, components.manager != nullptr,
-       [&components](std::string_view bytes) {
-         ByteReader r(bytes);
-         const double last_decay = r.GetDouble();
-         if (!r.ok() || !r.AtEnd()) {
+       [&components](ByteReader* r) {
+         const double last_decay = r->GetDouble();
+         if (!r->ok() || !r->AtEnd()) {
            return false;
          }
          components.manager->set_last_decay_time(last_decay);
          return true;
        }},
       {SnapshotSection::kProxy, components.proxy != nullptr,
-       [&components](std::string_view bytes) {
-         return DecodeProxySection(bytes, components.proxy);
-       }},
+       [&components](ByteReader* r) { return DecodeProxySection(r, components.proxy); }},
       {SnapshotSection::kRouter, components.router != nullptr,
-       [&components](std::string_view bytes) {
-         return DecodeRouterSection(bytes, components.router);
-       }},
+       [&components](ByteReader* r) { return DecodeRouterSection(r, components.router); }},
       {SnapshotSection::kStage0, components.stage0 != nullptr,
-       [&components](std::string_view bytes) {
-         return DecodeStage0Section(bytes, components.stage0);
-       }},
+       [&components](ByteReader* r) { return DecodeStage0Section(r, components.stage0); }},
   };
   for (const ComponentSection& section : sections) {
     if (section.wanted) {

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/binio.h"
@@ -100,21 +99,24 @@ void EncodePoolSections(const ExampleStore& store, const PoolComponents& compone
 // load first when possible, examples re-imported (re-sharded by id) with the
 // byte accounting replayed, insertion counters restored, then each present
 // component section applied. Absent sections leave their component at its
-// configured defaults. The index and examples sections stream through one
-// kSnapshotFlushBytes buffer (SnapshotReader::StreamSection), each shard's
-// graph and each record decoded as it passes; the other sections are small
-// and load whole. After a native index load, a graph whose live ids differ
-// from the imported examples' fails the restore (InvalidArgument naming the
-// smallest such id).
+// configured defaults. Every section streams through one buffer of at most
+// kSnapshotFlushBytes (SnapshotReader::StreamSection): each shard's graph,
+// each example record and each stage-0 entry is decoded as it passes, and
+// no count or length is trusted further than the bytes left in its section,
+// so a hostile count fails (InvalidArgument) before anything is sized from
+// it. After a native index load, a graph whose live ids differ from the
+// imported examples' fails the restore (InvalidArgument naming the smallest
+// such id).
 Status DecodePoolSections(const SnapshotReader& reader, ExampleStore* store,
                           const PoolComponents& components, PoolRestoreReport* report);
 
-// Loads section `id` and applies `decode` when the snapshot carries it (OK
-// and untouched when it does not); a payload `decode` rejects is
+// Streams section `id` through `decode` when the snapshot carries it (OK
+// and untouched when it does not); a payload `decode` rejects — it must read
+// the section to its end (ByteReader::AtEnd) — is
 // InvalidArgument("malformed <section> section"). Owners decode their own
 // kDriver / kService sections through this.
 Status DecodeOptionalSection(const SnapshotReader& reader, SnapshotSection id,
-                             const std::function<bool(std::string_view)>& decode);
+                             const std::function<bool(ByteReader*)>& decode);
 
 // kMeta alone (dump tool, prechecks).
 Status DecodePoolMeta(const SnapshotReader& reader, PoolMeta* meta);

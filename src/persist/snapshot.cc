@@ -1,7 +1,6 @@
 #include "src/persist/snapshot.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -433,29 +432,6 @@ const SnapshotSectionInfo* SnapshotReader::Find(SnapshotSection id) const {
 
 bool SnapshotReader::HasSection(SnapshotSection id) const { return Find(id) != nullptr; }
 
-bool SectionBuffer::Allocate(size_t size) {
-  Release();
-  if (size == 0) {
-    return true;
-  }
-  void* data =
-      ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (data == MAP_FAILED) {
-    return false;
-  }
-  data_ = static_cast<char*>(data);
-  size_ = size;
-  return true;
-}
-
-void SectionBuffer::Release() {
-  if (data_ != nullptr) {
-    ::munmap(data_, size_);
-  }
-  data_ = nullptr;
-  size_ = 0;
-}
-
 namespace {
 
 Status MissingSection(SnapshotSection id) {
@@ -469,31 +445,6 @@ Status ChangedSinceOpen(SnapshotSection id) {
 }
 
 }  // namespace
-
-Status SnapshotReader::Section(SnapshotSection id, SectionBuffer* out) const {
-  out->Release();
-  const SnapshotSectionInfo* info = Find(id);
-  if (info == nullptr) {
-    return MissingSection(id);
-  }
-  const size_t size = static_cast<size_t>(info->size);
-  Status status = Status::Ok();
-  if (!out->Allocate(size)) {
-    status = Status::ResourceExhausted("cannot map " + std::to_string(size) + " bytes for the " +
-                                       SnapshotSectionName(id) + " section");
-  }
-  if (status.ok()) {
-    status = ReadAt(info->offset, out->data_, size);
-  }
-  if (status.ok() && Crc32(out->data_, size) != info->crc32) {
-    status = ChangedSinceOpen(id);
-  }
-  if (!status.ok()) {
-    out->Release();
-    return Status(status.code(), path_ + ": " + status.message());
-  }
-  return Status::Ok();
-}
 
 // Serves one section of the open file to a streaming ByteReader, in order,
 // folding every byte into the section's CRC-32: the read that reaches the
@@ -543,7 +494,8 @@ Status SnapshotReader::StreamSection(SnapshotSection id,
   SectionSource source(*this, *info);
   Status status;
   {
-    ByteReader reader(&source, info->size, kSnapshotFlushBytes);
+    ByteReader reader(&source, info->size,
+                      static_cast<size_t>(std::min<uint64_t>(info->size, kSnapshotFlushBytes)));
     status = decode(&reader);
     reader.DrainSource();
     max_buffered_bytes_ = std::max(max_buffered_bytes_, reader.max_buffered());

@@ -14,8 +14,6 @@
 //
 //   SnapshotReader reader;
 //   Status s = reader.Open("/var/lib/iccache/pool.snap");  // validates CRCs
-//   SectionBuffer meta;
-//   s = reader.Section(SnapshotSection::kMeta, &meta);      // whole, re-validated
 //   s = reader.StreamSection(SnapshotSection::kExamples,    // streamed,
 //                            [&](ByteReader* r) {           // re-validated
 //                              ...                          // at its end
@@ -30,16 +28,17 @@
 // previous complete snapshot or the new one.
 //
 // Open verifies the magic, format version, TOC checksum, and every section
-// checksum in one buffered pass, and keeps the file open. Section loads one
-// section whole and checks its CRC again before handing it over.
-// StreamSection hands one section to its decoder through one buffer of
-// kSnapshotFlushBytes, recomputing the CRC as the bytes arrive, and reads
-// the section to its end whatever the decoder consumed: the read that
-// reaches the end fails on a CRC mismatch, and a file that no longer holds
-// the section's bytes fails the read that misses them. So a file changed
-// after Open never restores. The guarantee is exactly that: a byte changed
-// in place after Open can reach a streamed section's decoder before the
-// check at the section's end fails the load. Decoders must therefore reject
+// checksum in one buffered pass, and keeps the file open. StreamSection is
+// the one way to read a section back: it hands the section to its decoder
+// through one buffer of at most kSnapshotFlushBytes (a section smaller than
+// that arrives in one read, checked before the decoder sees a byte),
+// recomputing the CRC as the bytes arrive, and reads the section to its end
+// whatever the decoder consumed: the read that reaches the end fails on a
+// CRC mismatch, and a file that no longer holds the section's bytes fails
+// the read that misses them. So a file changed after Open never restores.
+// The guarantee is exactly that: a byte changed in place after Open can
+// reach the decoder of a section larger than the buffer before the check at
+// the section's end fails the load. Decoders must therefore reject
 // arbitrary bytes with a Status, never a crash — which they must anyway,
 // since a hostile file can carry valid CRCs.
 #ifndef SRC_PERSIST_SNAPSHOT_H_
@@ -49,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/binio.h"
@@ -121,29 +119,6 @@ class SnapshotWriter {
   size_t max_buffered_bytes_ = 0;
 };
 
-// One loaded section payload (SnapshotReader::Section). Its bytes live in
-// their own anonymous memory mapping, so dropping a large section hands its
-// memory back to the system at once: a multi-megabyte buffer freed through
-// the allocator can stay resident in the heap for the rest of the process.
-class SectionBuffer {
- public:
-  SectionBuffer() = default;
-  ~SectionBuffer() { Release(); }
-  SectionBuffer(const SectionBuffer&) = delete;
-  SectionBuffer& operator=(const SectionBuffer&) = delete;
-
-  std::string_view bytes() const { return {data_, size_}; }
-
- private:
-  friend class SnapshotReader;
-  // Maps `size` zeroed bytes; false when the mapping fails.
-  bool Allocate(size_t size);
-  void Release();
-
-  char* data_ = nullptr;
-  size_t size_ = 0;
-};
-
 class SnapshotReader {
  public:
   SnapshotReader() = default;
@@ -158,19 +133,13 @@ class SnapshotReader {
 
   bool HasSection(SnapshotSection id) const;
 
-  // Loads section `id` into *out from the open file and re-checks its CRC.
-  // A section the snapshot does not carry, a short read, or a CRC mismatch
-  // (the file changed since Open) is InvalidArgument, and *out is left
-  // empty.
-  Status Section(SnapshotSection id, SectionBuffer* out) const;
-
   // Runs `decode` over section `id` read from the open file through one
-  // kSnapshotFlushBytes buffer (a streaming ByteReader), recomputing the
-  // section's CRC as its bytes arrive, then reads whatever `decode` left so
-  // the whole section is checked. A section the snapshot does not carry, a
-  // short read, or a CRC mismatch (the file changed since Open) is
-  // InvalidArgument (an I/O error Internal), and a failed read takes
-  // precedence over the Status `decode` returns.
+  // buffer of min(section size, kSnapshotFlushBytes) (a streaming
+  // ByteReader), recomputing the section's CRC as its bytes arrive, then
+  // reads whatever `decode` left so the whole section is checked. A section
+  // the snapshot does not carry, a short read, or a CRC mismatch (the file
+  // changed since Open) is InvalidArgument (an I/O error Internal), and a
+  // failed read takes precedence over the Status `decode` returns.
   Status StreamSection(SnapshotSection id,
                        const std::function<Status(ByteReader*)>& decode) const;
 

@@ -139,12 +139,11 @@ Status ServingDriver::RestoreSnapshot(const std::string& path) {
   // The rebuild fallback (no usable graph image) appended every example;
   // link them now, all shards at once. A native load leaves nothing pending.
   LinkPendingShards();
-  status = DecodeOptionalSection(reader, SnapshotSection::kDriver, [this](std::string_view bytes) {
-    ByteReader r(bytes);
-    const double last_replay_time = r.GetDouble();
-    const RngState generator_rng = DecodeRngState(&r);
-    const uint64_t maintenance_epoch = r.GetU64();
-    if (!r.ok() || !r.AtEnd()) {
+  status = DecodeOptionalSection(reader, SnapshotSection::kDriver, [this](ByteReader* r) {
+    const double last_replay_time = r->GetDouble();
+    const RngState generator_rng = DecodeRngState(r);
+    const uint64_t maintenance_epoch = r->GetU64();
+    if (!r->ok() || !r->AtEnd()) {
       return false;
     }
     last_replay_time_ = last_replay_time;

@@ -355,7 +355,8 @@ TEST(HnswIndexTest, LoadGraphStreamsAnImageAndRejectsABadEntryLevel) {
     field.PutI32(level);
     bad.replace(kEntryLevel, 4, field.bytes());
     HnswIndex target(config);
-    EXPECT_FALSE(target.LoadGraph(bad)) << level;
+    ByteReader reader(bad);
+    EXPECT_FALSE(target.LoadGraph(&reader, bad.size())) << level;
     EXPECT_EQ(target.size(), 0u);
   }
 }

@@ -4,10 +4,12 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/binio.h"
 #include "src/common/mathutil.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
@@ -24,6 +26,12 @@ std::vector<float> RandomUnitVector(Rng& rng, size_t dim) {
   }
   NormalizeL2(v);
   return v;
+}
+
+// Loads a whole graph image held in memory.
+bool LoadImage(HnswIndex* index, const std::string& image) {
+  ByteReader reader(image);
+  return index->LoadGraph(&reader, image.size());
 }
 
 HnswIndexConfig QuantizedConfig(size_t dim) {
@@ -187,7 +195,7 @@ TEST(HnswQuantizedTest, GraphImageRoundTripsExactly) {
   index.SaveGraph(&blob);
 
   HnswIndex restored(config);
-  ASSERT_TRUE(restored.LoadGraph(blob.bytes()));
+  ASSERT_TRUE(LoadImage(&restored, blob.bytes()));
   EXPECT_EQ(restored.size(), index.size());
   EXPECT_EQ(restored.tombstones(), index.tombstones());
   EXPECT_EQ(restored.max_level(), index.max_level());
@@ -247,15 +255,15 @@ TEST(HnswQuantizedTest, QuantizationModeMismatchRejectsImage) {
   // falls back to rebuilding from embeddings, requantizing along the way).
   HnswIndex quant_target(qconfig);
   ASSERT_TRUE(quant_target.Add(7, RandomUnitVector(rng, dim)).ok());
-  EXPECT_FALSE(quant_target.LoadGraph(float_blob.bytes()));
+  EXPECT_FALSE(LoadImage(&quant_target, float_blob.bytes()));
   EXPECT_EQ(quant_target.size(), 1u);
 
   HnswIndex float_target(fconfig);
-  EXPECT_FALSE(float_target.LoadGraph(quant_blob.bytes()));
+  EXPECT_FALSE(LoadImage(&float_target, quant_blob.bytes()));
   EXPECT_EQ(float_target.size(), 0u);
 
   // Same mode still round-trips.
-  EXPECT_TRUE(quant_target.LoadGraph(quant_blob.bytes()));
+  EXPECT_TRUE(LoadImage(&quant_target, quant_blob.bytes()));
   EXPECT_EQ(quant_target.size(), 100u);
 }
 

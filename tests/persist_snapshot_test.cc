@@ -188,12 +188,23 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   std::fclose(f);
 }
 
-// A section the snapshot must carry, loaded whole.
+// Every byte of section `id`, streamed into one string: StreamSection's
+// Status (a missing section, a short read, a CRC mismatch), and the bytes in
+// *bytes when it is OK.
+Status ReadSection(const SnapshotReader& reader, SnapshotSection id, std::string* bytes) {
+  return reader.StreamSection(id, [bytes](ByteReader* r) {
+    bytes->resize(static_cast<size_t>(r->remaining()));
+    r->GetBytes(bytes->data(), bytes->size());
+    return Status::Ok();
+  });
+}
+
+// A section the snapshot must carry, read whole.
 std::string SectionBytes(const SnapshotReader& reader, SnapshotSection id) {
-  SectionBuffer section;
-  const Status status = reader.Section(id, &section);
+  std::string bytes;
+  const Status status = ReadSection(reader, id, &bytes);
   EXPECT_TRUE(status.ok()) << status.ToString();
-  return std::string(section.bytes());
+  return bytes;
 }
 
 // The examples section of `reader`'s snapshot re-encoded with only the
@@ -594,10 +605,10 @@ TEST_F(PersistTest, HostileFilesFailRestore) {
 }
 
 // A file that shrinks or changes after Open fails the section loads and the
-// restore with a Status. A section loaded whole is re-checked before it is
-// handed over; a streamed one is re-checked as its last byte is read, so a
-// byte changed in place can reach a decoder before the restore fails, but
-// such a file never restores.
+// restore with a Status. A streamed section is re-checked as its last byte
+// is read, so a byte changed in place can reach the decoder of a section
+// larger than the read buffer before the restore fails, but such a file
+// never restores.
 TEST_F(PersistTest, FileChangedAfterOpenFailsSectionLoads) {
   const std::string path = TempPath("changed");
   auto embedder = std::make_shared<HashingEmbedder>();
@@ -617,9 +628,8 @@ TEST_F(PersistTest, FileChangedAfterOpenFailsSectionLoads) {
     ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(image.size() / 2)), 0);
     ExampleCache target(embedder, config);
     EXPECT_FALSE(DecodePoolSections(reader, &target, {}, nullptr).ok());
-    SectionBuffer section;
-    EXPECT_FALSE(reader.Section(SnapshotSection::kIndex, &section).ok());
-    EXPECT_TRUE(section.bytes().empty());
+    std::string section;
+    EXPECT_FALSE(ReadSection(reader, SnapshotSection::kIndex, &section).ok());
   }
   {  // a payload byte flipped in place after Open
     WriteFile(path, image);
@@ -632,11 +642,10 @@ TEST_F(PersistTest, FileChangedAfterOpenFailsSectionLoads) {
       }
     }
     WriteFile(path, bad);
-    SectionBuffer section;
-    const Status status = reader.Section(SnapshotSection::kExamples, &section);
+    std::string section;
+    const Status status = ReadSection(reader, SnapshotSection::kExamples, &section);
     EXPECT_FALSE(status.ok());
     EXPECT_NE(status.message().find("checksum"), std::string::npos) << status.ToString();
-    EXPECT_TRUE(section.bytes().empty());
     ExampleCache target(embedder, config);
     EXPECT_FALSE(DecodePoolSections(reader, &target, {}, nullptr).ok());
   }
@@ -701,7 +710,7 @@ TEST_F(PersistTest, RestoreBuffersAtMostOneFlushPlusOneRecord) {
   while (huge.size() < (size_t{1} << 20)) {
     huge += "how do i configure widget pipeline stage " + std::to_string(huge.size()) + " ";
   }
-  // Prepared by hand: PII-scrubbing a text this long takes seconds.
+  // Prepared by hand, so the stored text is exactly `huge`.
   PreparedAdmission prepared;
   prepared.admit = true;
   prepared.sanitized_text = huge;
@@ -1324,9 +1333,9 @@ TEST_F(PersistTest, ComponentAdaptiveStateRoundTrip) {
   ASSERT_TRUE(reader.Open(path).ok());
   ASSERT_TRUE(DecodePoolSections(reader, &store2, components2, nullptr).ok());
 
-  const SelectorAdaptiveState sa = selector.SaveAdaptiveState();
-  const SelectorAdaptiveState sb = selector2.SaveAdaptiveState();
-  EXPECT_DOUBLE_EQ(sa.utility_threshold, sb.utility_threshold);
+  const ThresholdLearnerState sa = selector.learner().state();
+  const ThresholdLearnerState sb = selector2.learner().state();
+  EXPECT_DOUBLE_EQ(sa.threshold, sb.threshold);
   EXPECT_EQ(sa.requests_seen, sb.requests_seen);
   EXPECT_EQ(sa.grid_benefit, sb.grid_benefit);
   EXPECT_EQ(sa.grid_count, sb.grid_count);

@@ -362,7 +362,8 @@ TEST_P(StoredVectorSweep, SnapshotVectorIsTheEmbedderOutput) {
     SCOPED_TRACE(native ? "native graph load" : "rebuild");
     ShardedExampleCache restored(embedder, config);
     if (native) {
-      ASSERT_TRUE(restored.LoadIndexBlob(cut.index_image.bytes()));
+      ByteReader image(cut.index_image.bytes());
+      ASSERT_TRUE(restored.LoadIndexBlob(&image));
     }
     ByteReader reader(cut.records.bytes());
     for (uint64_t i = 0; i < cut.summary.example_count; ++i) {

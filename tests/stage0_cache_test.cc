@@ -153,17 +153,35 @@ TEST(Stage0CacheTest, AdaptiveStateRoundTrips) {
   cache.AdvanceWindow(300);
 
   Stage0ResponseCache other(SharedEmbedder(), config);
-  ASSERT_TRUE(other.RestoreAdaptiveState(cache.SaveAdaptiveState()));
+  ASSERT_TRUE(other.mutable_learner()->Restore(cache.learner().state()));
   EXPECT_DOUBLE_EQ(other.hit_threshold(), cache.hit_threshold());
-  const Stage0AdaptiveState a = cache.SaveAdaptiveState();
-  const Stage0AdaptiveState b = other.SaveAdaptiveState();
+  const ThresholdLearnerState a = cache.learner().state();
+  const ThresholdLearnerState b = other.learner().state();
   EXPECT_EQ(a.requests_seen, b.requests_seen);
   EXPECT_EQ(a.grid_benefit, b.grid_benefit);
   EXPECT_EQ(a.grid_count, b.grid_count);
 
-  Stage0AdaptiveState mismatched = a;
+  ThresholdLearnerState mismatched = a;
   mismatched.grid_benefit.push_back(0.0);
-  EXPECT_FALSE(other.RestoreAdaptiveState(mismatched));
+  EXPECT_FALSE(other.mutable_learner()->Restore(mismatched));
+}
+
+// A snapshot entry whose embedding the exact index rejects (wrong length) is
+// refused whole: an entry kept without its vector could never hit, and the
+// next save would count it in the header but write no record for it.
+TEST(Stage0CacheTest, ImportRejectsAnEmbeddingTheIndexRejects) {
+  Stage0ResponseCache cache(SharedEmbedder(), FlatConfig());
+  Stage0Entry entry;
+  entry.id = 7;
+  entry.request = MakeRequest(1, "what is the boiling point of water");
+  entry.response_tokens = 30;
+  EXPECT_FALSE(cache.ImportEntry(entry, std::vector<float>(3, 0.5f)));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.used_bytes(), 0);
+  EXPECT_EQ(cache.next_id(), 1u);
+  EXPECT_TRUE(cache.ImportEntry(entry, SharedEmbedder()->Embed(entry.request.text)));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.next_id(), 8u);
 }
 
 // --- Regression: the unbounded / duplicate-accepting baseline ---------------
