@@ -1,16 +1,12 @@
 // Stage-1 retrieval scaling: build time, search latency, recall@k, and arena
-// memory for flat vs kmeans vs hnsw (float and int8-quantized) at growing
-// pool sizes. This is the bench behind two acceptance bars:
+// memory for flat vs kmeans vs hnsw at growing pool sizes. This is the bench
+// behind the acceptance bar hnsw vs flat (>= 100k vectors): graph search
+// >= 5x faster than brute force with recall@10 >= 0.9.
 //
-//   * hnsw vs flat (>= 100k vectors): graph search >= 5x faster than brute
-//     force with recall@10 >= 0.9.
-//   * int8 vs float hnsw (>= 100k vectors, --acceptance): quantized search
-//     >= 1.3x the float graph's throughput, recall@10 >= 0.95, and arena
-//     memory <= 160 bytes/vector (vs 512 B at dim=128 float).
-//
-// At the largest size the int8 graph image is also saved and restored to
-// record snapshot size and restore time (the million-example operational
-// story: restore is O(bytes), not an O(N * ef_construction) rebuild).
+// At the largest size the graph image is also saved and restored to record
+// snapshot size and restore time (the million-example operational story:
+// restore is O(bytes), not an O(N * ef_construction) rebuild); with
+// --acceptance the round trip must return identical searches.
 //
 // Flags:
 //   --sizes=1000,10000,100000   pool sizes to sweep
@@ -28,11 +24,9 @@
 //                               are the known ANN worst case and measure the
 //                               graph, not the workload.
 //   --sigma=0.2                 per-coordinate noise around cluster centers
-//   --quantize=both             hnsw arena variants: none | int8 | both
-//   --rerank=64                 int8 exact re-rank depth
 //   --batch                     also measure the multi-query SearchBatch path
 //                               (adds a batch us/q column; with --acceptance,
-//                               hnsw float AND int8 at >= 100k must run
+//                               hnsw at >= 100k must run
 //                               >= 1.2x the single-query us/q with
 //                               bit-identical results and zero steady-state
 //                               scratch growth)
@@ -82,10 +76,6 @@ struct Flags {
   size_t hnsw_m = 0;
   size_t hnsw_efc = 0;
   size_t hnsw_efs = 0;
-  // Which hnsw arena variants to sweep.
-  bool hnsw_float = true;
-  bool hnsw_int8 = true;
-  size_t rerank = 64;
   bool batch = false;
   size_t batch_size = 32;
   bool acceptance = false;
@@ -141,23 +131,11 @@ Flags ParseFlags(int argc, char** argv) {
       flags.hnsw_efc = std::strtoull(arg.c_str() + 6, nullptr, 10);
     } else if (arg.rfind("--efs=", 0) == 0) {
       flags.hnsw_efs = std::strtoull(arg.c_str() + 6, nullptr, 10);
-    } else if (arg.rfind("--rerank=", 0) == 0) {
-      flags.rerank = std::strtoull(arg.c_str() + 9, nullptr, 10);
     } else if (arg == "--batch") {
       flags.batch = true;
     } else if (arg.rfind("--batch-size=", 0) == 0) {
       flags.batch_size = std::strtoull(arg.c_str() + 13, nullptr, 10);
       flags.batch = flags.batch_size > 0;
-    } else if (arg.rfind("--quantize=", 0) == 0) {
-      const std::string mode = arg.substr(11);
-      if (mode == "none") {
-        flags.hnsw_int8 = false;
-      } else if (mode == "int8") {
-        flags.hnsw_float = false;
-      } else if (mode != "both") {
-        std::fprintf(stderr, "bad --quantize mode (none|int8|both): %s\n", arg.c_str());
-        std::exit(2);
-      }
     } else if (arg.rfind("--json-out=", 0) == 0) {
       flags.json_out = arg.substr(11);
     } else if (arg == "--acceptance") {
@@ -376,9 +354,9 @@ int main(int argc, char** argv) {
   using namespace iccache;
   const Flags flags = ParseFlags(argc, argv);
 
-  benchutil::PrintTitle("Stage-1 retrieval scaling: flat vs kmeans vs hnsw (float | int8)");
-  std::printf("  dim=%zu  queries=%zu  k=%zu  rerank=%zu  kernel=%s\n", flags.dim, flags.queries,
-              flags.k, flags.rerank, simd::KernelLevelName(simd::ActiveKernelLevel()));
+  benchutil::PrintTitle("Stage-1 retrieval scaling: flat vs kmeans vs hnsw");
+  std::printf("  dim=%zu  queries=%zu  k=%zu  kernel=%s\n", flags.dim, flags.queries, flags.k,
+              simd::KernelLevelName(simd::ActiveKernelLevel()));
   std::printf("  %-9s %-10s %12s %16s %14s %10s %9s %12s\n", "size", "index", "build (s)",
               "search (us/q)", "batch (us/q)", "recall@k", "B/vec", "vs flat");
 
@@ -393,7 +371,6 @@ int main(int argc, char** argv) {
   bench.AddConfig("dim", std::to_string(flags.dim));
   bench.AddConfig("queries", std::to_string(flags.queries));
   bench.AddConfig("k", std::to_string(flags.k));
-  bench.AddConfig("rerank", std::to_string(flags.rerank));
   bench.AddConfig("simd_kernel", simd::KernelLevelName(simd::ActiveKernelLevel()));
   const auto add_rows = [&bench](size_t n, const char* name, const Measurement& m,
                                  double speedup, bool measure_recall) {
@@ -471,109 +448,76 @@ int main(int argc, char** argv) {
                   "(skipped)");
     }
 
-    Measurement float_m;
-    bool have_float = false;
-    for (const bool int8 : {false, true}) {
-      if ((int8 && !flags.hnsw_int8) || (!int8 && !flags.hnsw_float)) {
-        continue;
-      }
-      RetrievalBackendConfig config;
-      config.kind = RetrievalBackendKind::kHnsw;
-      config.quantize = int8 ? QuantizationKind::kInt8 : QuantizationKind::kNone;
-      config.rerank_k = flags.rerank;
-      if (flags.hnsw_m != 0) {
-        config.hnsw.max_neighbors = flags.hnsw_m;
-      }
-      if (flags.hnsw_efc != 0) {
-        config.hnsw.ef_construction = flags.hnsw_efc;
-      }
-      if (flags.hnsw_efs != 0) {
-        config.hnsw.ef_search = flags.hnsw_efs;
-      }
-      const auto index = MakeRetrievalIndex(config, flags.dim, 0x5eed ^ n);
-      const Measurement m =
-          Measure(*index, vectors, queries, truth, flags.k, flags.batch ? flags.batch_size : 0);
-      const double speedup =
-          m.search_us_per_query > 0.0 ? flat_m.search_us_per_query / m.search_us_per_query : 0.0;
-      PrintRow(n, int8 ? "hnsw-int8" : "hnsw", m, speedup);
-      add_rows(n, int8 ? "hnsw_int8" : "hnsw", m, speedup, true);
-      if (!int8) {
-        float_m = m;
-        have_float = true;
-      }
+    RetrievalBackendConfig config;
+    config.kind = RetrievalBackendKind::kHnsw;
+    if (flags.hnsw_m != 0) {
+      config.hnsw.max_neighbors = flags.hnsw_m;
+    }
+    if (flags.hnsw_efc != 0) {
+      config.hnsw.ef_construction = flags.hnsw_efc;
+    }
+    if (flags.hnsw_efs != 0) {
+      config.hnsw.ef_search = flags.hnsw_efs;
+    }
+    const auto index = MakeRetrievalIndex(config, flags.dim, 0x5eed ^ n);
+    const Measurement m =
+        Measure(*index, vectors, queries, truth, flags.k, flags.batch ? flags.batch_size : 0);
+    const double speedup =
+        m.search_us_per_query > 0.0 ? flat_m.search_us_per_query / m.search_us_per_query : 0.0;
+    PrintRow(n, "hnsw", m, speedup);
+    add_rows(n, "hnsw", m, speedup, true);
 
-      if (!int8 && n >= 100000) {
-        acceptance_ok = acceptance_ok && speedup >= 5.0 && m.recall >= 0.9;
+    if (n >= 100000) {
+      acceptance_ok = acceptance_ok && speedup >= 5.0 && m.recall >= 0.9;
+    }
+    // Batched-traversal bar (hnsw at >= 100k): the multi-query path must
+    // beat the single-query path by >= 1.2x while returning bit-identical
+    // (id, score) lists and growing the reusable scratch zero times after
+    // warm-up. The ratio is the median of the PAIRED per-slice timings so
+    // interference bursts cannot flip it.
+    if (flags.batch && flags.acceptance && n >= 100000 && m.batch_measured) {
+      const double batch_speedup = m.batch_paired_speedup;
+      const bool batch_speed_ok = batch_speedup >= 1.2;
+      std::printf("  %-9zu %-10s batch vs single: %.2fx  identical=%d  zero_alloc=%d\n", n,
+                  "hnsw", batch_speedup, m.batch_identical, m.batch_zero_alloc);
+      if (!batch_speed_ok || !m.batch_identical || !m.batch_zero_alloc) {
+        std::printf("  %-9zu %-10s batch acceptance: speed_ok=%d identical=%d zero_alloc=%d\n",
+                    n, "", batch_speed_ok, m.batch_identical, m.batch_zero_alloc);
+        acceptance_ok = false;
       }
-      // Batched-traversal bars (float AND int8 hnsw at >= 100k): the
-      // multi-query path must beat the single-query path by >= 1.2x while
-      // returning bit-identical (id, score) lists and growing the reusable
-      // scratch zero times after warm-up. The ratio is the median of the
-      // PAIRED per-slice timings so interference bursts cannot flip it.
-      if (flags.batch && flags.acceptance && n >= 100000 && m.batch_measured) {
-        const double batch_speedup = m.batch_paired_speedup;
-        const bool batch_speed_ok = batch_speedup >= 1.2;
-        std::printf("  %-9zu %-10s batch vs single: %.2fx  identical=%d  zero_alloc=%d\n", n,
-                    int8 ? "hnsw-int8" : "hnsw", batch_speedup, m.batch_identical,
-                    m.batch_zero_alloc);
-        if (!batch_speed_ok || !m.batch_identical || !m.batch_zero_alloc) {
-          std::printf(
-              "  %-9zu %-10s batch acceptance: speed_ok=%d identical=%d zero_alloc=%d\n", n, "",
-              batch_speed_ok, m.batch_identical, m.batch_zero_alloc);
-          acceptance_ok = false;
-        }
-      }
-      if (int8 && flags.acceptance && n >= 100000) {
-        // Int8 bars: throughput over the float graph, absolute recall, and
-        // the arena memory budget.
-        const double vs_float = have_float && m.search_us_per_query > 0.0
-                                    ? float_m.search_us_per_query / m.search_us_per_query
-                                    : 0.0;
-        const bool speed_ok = !have_float || vs_float >= 1.3;
-        const bool recall_ok = m.recall >= 0.95;
-        const bool memory_ok = m.bytes_per_vec <= 160.0;
-        if (have_float) {
-          std::printf("  %-9zu %-10s int8 vs float hnsw: %.2fx\n", n, "", vs_float);
-        }
-        if (!speed_ok || !recall_ok || !memory_ok) {
-          std::printf("  %-9zu %-10s int8 acceptance: speed_ok=%d recall_ok=%d memory_ok=%d\n",
-                      n, "", speed_ok, recall_ok, memory_ok);
-          acceptance_ok = false;
-        }
-      }
+    }
 
-      // Snapshot story at the largest size, int8 arena: image size, save and
-      // restore wall time, and a search-identity spot check.
-      if (int8 && n == largest) {
-        auto* hnsw = dynamic_cast<HnswIndex*>(index.get());
-        if (hnsw != nullptr) {
-          ByteWriter blob;
-          const auto save_start = std::chrono::steady_clock::now();
-          hnsw->SaveGraph(&blob);
-          const double save_s = SecondsSince(save_start);
-          HnswIndex restored(hnsw->config());
-          const auto load_start = std::chrono::steady_clock::now();
-          ByteReader image(blob.bytes());
-          const bool loaded = restored.LoadGraph(&image, blob.size());
-          const double load_s = SecondsSince(load_start);
-          bool identical = loaded;
-          if (loaded) {
-            for (size_t q = 0; q < std::min<size_t>(queries.size(), 10); ++q) {
-              const auto a = hnsw->Search(queries[q], flags.k);
-              const auto b = restored.Search(queries[q], flags.k);
-              identical = identical && a.size() == b.size();
-              for (size_t i = 0; identical && i < a.size(); ++i) {
-                identical = a[i].id == b[i].id;
-              }
+    // Snapshot story at the largest size: image size, save and restore wall
+    // time, and a search-identity spot check.
+    if (n == largest) {
+      auto* hnsw = dynamic_cast<HnswIndex*>(index.get());
+      if (hnsw != nullptr) {
+        ByteWriter blob;
+        const auto save_start = std::chrono::steady_clock::now();
+        hnsw->SaveGraph(&blob);
+        const double save_s = SecondsSince(save_start);
+        HnswIndex restored(hnsw->config());
+        const auto load_start = std::chrono::steady_clock::now();
+        ByteReader image(blob.bytes());
+        const bool loaded = restored.LoadGraph(&image, blob.size());
+        const double load_s = SecondsSince(load_start);
+        bool identical = loaded;
+        if (loaded) {
+          for (size_t q = 0; q < std::min<size_t>(queries.size(), 10); ++q) {
+            const auto a = hnsw->Search(queries[q], flags.k);
+            const auto b = restored.Search(queries[q], flags.k);
+            identical = identical && a.size() == b.size();
+            for (size_t i = 0; identical && i < a.size(); ++i) {
+              identical = a[i].id == b[i].id;
             }
           }
-          std::printf(
-              "  %-9zu %-10s snapshot: %.1f MB  save %.3f s  restore %.3f s  round-trip %s\n", n,
-              "", static_cast<double>(blob.size()) / (1024.0 * 1024.0), save_s, load_s,
-              identical ? "ok" : "MISMATCH");
-          if (flags.acceptance) {
-            acceptance_ok = acceptance_ok && identical;
-          }
+        }
+        std::printf(
+            "  %-9zu %-10s snapshot: %.1f MB  save %.3f s  restore %.3f s  round-trip %s\n", n,
+            "", static_cast<double>(blob.size()) / (1024.0 * 1024.0), save_s, load_s,
+            identical ? "ok" : "MISMATCH");
+        if (flags.acceptance) {
+          acceptance_ok = acceptance_ok && identical;
         }
       }
     }
@@ -581,9 +525,8 @@ int main(int argc, char** argv) {
 
   benchutil::PrintNote(
       "acceptance bars (>= 100k vectors): hnsw >= 5x flat with recall@10 >= 0.9; with "
-      "--acceptance, int8 additionally >= 1.3x float hnsw, recall@10 >= 0.95, arena <= 160 "
-      "B/vec, and the graph image round-trips; with --batch, SearchBatch >= 1.2x single-query "
-      "us/q on hnsw float AND int8 with bit-identical results and zero steady-state scratch "
+      "--acceptance, the graph image round-trips; with --batch, SearchBatch >= 1.2x "
+      "single-query us/q on hnsw with bit-identical results and zero steady-state scratch "
       "growth");
   benchutil::PrintNote(
       "kmeans above --kmeans-cap is skipped: incremental Lloyd rebuilds dominate runtime");

@@ -5,9 +5,10 @@
 # paper benches (each must exit 0), self-test
 # the repository benchmark (bench/perf) and serve one of its workloads
 # (churn256k, 1 s) end to end, smoke one benchmark under a
-# 2-second cap, rerun the SIMD kernel + quantization suites
+# 2-second cap, rerun the SIMD kernel and batched-index suites
 # under the forced-scalar dispatch path, exit-enforce the stage-1 retrieval
-# scaling bars at 100k vectors (float hnsw vs flat, int8 vs float), then
+# scaling bars at 100k vectors (hnsw vs flat, batched traversal, graph-image
+# round trip), then
 # snapshot a real driver pool and verify the on-disk format with
 # tools/snapshot_dump, and save + restore a 30k-example pool under the
 # streamed save and restore memory gates. The observability acceptance additionally exit-enforces
@@ -101,24 +102,22 @@ if [[ "${rc}" -ne 0 && "${rc}" -ne 124 ]]; then
   exit "${rc}"
 fi
 
-echo "== simd kernel + quantization suites: forced-scalar dispatch =="
+echo "== simd kernel + batched index suites: forced-scalar dispatch =="
 # The unit label above already runs both suites under the best kernel the
 # box offers (avx2 where available); this rerun pins the portable scalar
 # fallback so both dispatch paths stay green everywhere. The override is
 # read once at first kernel use, so each rerun needs a fresh process.
 ICCACHE_FORCE_SCALAR=1 timeout 120 "${BUILD_DIR}/common_simd_test" > /dev/null
-ICCACHE_FORCE_SCALAR=1 timeout 300 "${BUILD_DIR}/index_quantized_test" > /dev/null
 ICCACHE_FORCE_SCALAR=1 timeout 300 "${BUILD_DIR}/index_batch_test" > /dev/null
 
-echo "== retrieval scaling acceptance (100k, int8 vs float hnsw) =="
+echo "== retrieval scaling acceptance (100k hnsw) =="
 # Exit-enforces the stage-1 retrieval bars on a clustered 128-d corpus:
-# float hnsw >= 5x flat at recall@10 >= 0.9; int8 hnsw >= 1.3x the float
-# graph at recall@10 >= 0.95 with <= 160 B/vec of vector arena; and the
-# quantized graph image round-trips through save/restore. --batch adds the
-# batched-traversal bars: SearchBatch >= 1.2x single-query us/q on hnsw
-# (float AND int8) with bit-identical results and zero steady-state scratch
-# allocations. ~90 s: the two 100k graph builds dominate, the 1000-query
-# search windows keep the timing comparison out of the noise floor.
+# hnsw >= 5x flat at recall@10 >= 0.9, and the graph image round-trips
+# through save/restore. --batch adds the batched-traversal bars: SearchBatch
+# >= 1.2x single-query us/q on hnsw with bit-identical results and zero
+# steady-state scratch allocations. ~60 s: the 100k graph build dominates,
+# the 1000-query search windows keep the timing comparison out of the noise
+# floor.
 RETRIEVAL_JSON="$(mktemp -u /tmp/iccache_ci_retrieval_XXXXXX.json)"
 timeout 900 "${BUILD_DIR}/bench_retrieval_scaling" \
   --sizes=100000 --dim=128 --queries=1000 --M=16 --efc=100 --efs=192 \

@@ -167,24 +167,6 @@ bool Rng::Bernoulli(double p) {
   return Uniform() < p;
 }
 
-int64_t Rng::Poisson(double mean) {
-  if (mean <= 0.0) {
-    return 0;
-  }
-  if (mean > 64.0) {
-    const double sample = Normal(mean, std::sqrt(mean));
-    return std::max<int64_t>(0, static_cast<int64_t>(std::llround(sample)));
-  }
-  const double limit = std::exp(-mean);
-  int64_t count = -1;
-  double product = 1.0;
-  do {
-    ++count;
-    product *= Uniform();
-  } while (product > limit);
-  return count;
-}
-
 size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {

@@ -75,9 +75,6 @@ class Rng {
   // Bernoulli trial with success probability p (clamped to [0, 1]).
   bool Bernoulli(double p);
 
-  // Poisson with the given mean (Knuth for small mean, normal approx above 64).
-  int64_t Poisson(double mean);
-
   // Samples an index proportional to the (non-negative) weights. Returns
   // weights.size() - 1 on degenerate all-zero input... callers treat a uniform
   // fallback as acceptable in that case.

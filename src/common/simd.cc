@@ -52,29 +52,6 @@ double ScalarL2Sq(const float* a, const float* b, size_t n) {
   return static_cast<double>((acc0 + acc1) + (acc2 + acc3));
 }
 
-int32_t ScalarDotI8(const int8_t* a, const int8_t* b, size_t n) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return acc;
-}
-
-double ScalarDotF32I8(const float* a, const int8_t* b, size_t n) {
-  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 += a[i] * static_cast<float>(b[i]);
-    acc1 += a[i + 1] * static_cast<float>(b[i + 1]);
-    acc2 += a[i + 2] * static_cast<float>(b[i + 2]);
-    acc3 += a[i + 3] * static_cast<float>(b[i + 3]);
-  }
-  for (; i < n; ++i) {
-    acc0 += a[i] * static_cast<float>(b[i]);
-  }
-  return static_cast<double>((acc0 + acc1) + (acc2 + acc3));
-}
-
 // --- AVX2 + FMA kernels -----------------------------------------------------
 //
 // Compiled with per-function target attributes so the translation unit builds
@@ -92,15 +69,6 @@ __attribute__((target("avx2"))) inline float HSum256(__m256 v) {
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
   return _mm_cvtss_f32(s);
-}
-
-__attribute__((target("avx2"))) inline int32_t HSum256i(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 8));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-  return _mm_cvtsi128_si32(s);
 }
 
 __attribute__((target("avx2,fma"))) double DotAvx2(const float* a, const float* b, size_t n) {
@@ -143,52 +111,6 @@ __attribute__((target("avx2,fma"))) double L2SqAvx2(const float* a, const float*
   return static_cast<double>(total);
 }
 
-__attribute__((target("avx2"))) int32_t DotI8Avx2(const int8_t* a, const int8_t* b, size_t n) {
-  // Widen int8 -> int16 and use the pairwise multiply-add: every product is
-  // exact in int16 x int16 -> int32, so this path is bit-identical to the
-  // scalar reference (determinism relies on that for graph traversal).
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-    const __m256i a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-    const __m256i b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-    const __m256i b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-  }
-  for (; i + 16 <= n; i += 16) {
-    const __m256i a16 =
-        _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i b16 =
-        _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a16, b16));
-  }
-  int32_t total = HSum256i(acc);
-  for (; i < n; ++i) {
-    total += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return total;
-}
-
-__attribute__((target("avx2,fma"))) double DotF32I8Avx2(const float* a, const int8_t* b,
-                                                        size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i q8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i));
-    const __m256 qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), qf, acc);
-  }
-  float total = HSum256(acc);
-  for (; i < n; ++i) {
-    total += a[i] * static_cast<float>(b[i]);
-  }
-  return static_cast<double>(total);
-}
-
 }  // namespace
 
 #endif  // ICCACHE_SIMD_X86
@@ -223,8 +145,6 @@ struct Dispatch {
   bool forced_scalar;
   double (*dot)(const float*, const float*, size_t);
   double (*l2sq)(const float*, const float*, size_t);
-  int32_t (*dot_i8)(const int8_t*, const int8_t*, size_t);
-  double (*dot_f32_i8)(const float*, const int8_t*, size_t);
 };
 
 Dispatch MakeDispatch() {
@@ -235,15 +155,11 @@ Dispatch MakeDispatch() {
   if (d.level == KernelLevel::kAvx2) {
     d.dot = &DotAvx2;
     d.l2sq = &L2SqAvx2;
-    d.dot_i8 = &DotI8Avx2;
-    d.dot_f32_i8 = &DotF32I8Avx2;
     return d;
   }
 #endif
   d.dot = &ScalarDot;
   d.l2sq = &ScalarL2Sq;
-  d.dot_i8 = &ScalarDotI8;
-  d.dot_f32_i8 = &ScalarDotF32I8;
   return d;
 }
 
@@ -273,14 +189,6 @@ double Dot(const float* a, const float* b, size_t n) { return GetDispatch().dot(
 
 double L2Sq(const float* a, const float* b, size_t n) { return GetDispatch().l2sq(a, b, n); }
 
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  return GetDispatch().dot_i8(a, b, n);
-}
-
-double DotF32I8(const float* a, const int8_t* b, size_t n) {
-  return GetDispatch().dot_f32_i8(a, b, n);
-}
-
 double Cosine(const float* a, const float* b, size_t n) {
   const double na = Dot(a, a, n);
   const double nb = Dot(b, b, n);
@@ -289,33 +197,6 @@ double Cosine(const float* a, const float* b, size_t n) {
   }
   const double cosine = Dot(a, b, n) / std::sqrt(na * nb);
   return std::min(1.0, std::max(-1.0, cosine));
-}
-
-void QuantizeI8(const float* src, size_t n, int8_t* dst, float* scale) {
-  float max_abs = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    max_abs = std::max(max_abs, std::fabs(src[i]));
-  }
-  if (max_abs <= 0.0f) {
-    std::fill(dst, dst + n, static_cast<int8_t>(0));
-    *scale = 0.0f;
-    return;
-  }
-  const float s = max_abs / 127.0f;
-  const float inv = 127.0f / max_abs;
-  for (size_t i = 0; i < n; ++i) {
-    // lround ties away from zero; any consistent rounding works, it only has
-    // to be the SAME everywhere (quantization runs on one path, unvectorized).
-    const long q = std::lround(src[i] * inv);
-    dst[i] = static_cast<int8_t>(std::min(127l, std::max(-127l, q)));
-  }
-  *scale = s;
-}
-
-void DequantizeI8(const int8_t* src, size_t n, float scale, float* dst) {
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<float>(src[i]) * scale;
-  }
 }
 
 }  // namespace simd

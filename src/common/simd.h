@@ -14,16 +14,12 @@
 // processes — the AVX2 kernels accumulate in 8 float lanes with FMA while
 // the scalar reference uses a 4-accumulator unroll — so cross-process
 // comparisons must either force a common level or allow the documented
-// tolerance below. Integer kernels (DotI8) are exact on every path.
+// tolerance below.
 //
 // Accuracy contract (see tests/common_simd_test.cc):
-//   Dot / L2Sq / DotF32I8 — dispatched vs scalar agree within a relative
-//     error of 1e-5 (plus 1e-6 absolute slack near zero) for |x| <= 1 inputs
-//     at dims up to a few thousand; both are float-accumulated.
-//   DotI8 — bit-exact on every path (pure int32 arithmetic).
-//   QuantizeI8 — symmetric per-vector scheme: scale = max|x| / 127, values
-//     rounded to the nearest int8 in [-127, 127]; element-wise dequantization
-//     error is bounded by scale / 2. The zero vector quantizes to scale 0.
+//   Dot / L2Sq — dispatched vs scalar agree within a relative error of 1e-5
+//     (plus 1e-6 absolute slack near zero) for |x| <= 1 inputs at dims up to
+//     a few thousand; both are float-accumulated.
 //
 // mathutil::Dot (double accumulation) intentionally stays separate: it backs
 // L2Norm / NormalizeL2 / CosineSimilarity and the numeric tests that pin its
@@ -32,7 +28,6 @@
 #define SRC_COMMON_SIMD_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace iccache {
 namespace simd {
@@ -60,28 +55,10 @@ double Dot(const float* a, const float* b, size_t n);
 // Squared Euclidean distance of two float vectors, float-accumulated.
 double L2Sq(const float* a, const float* b, size_t n);
 
-// Exact int32 inner product of two int8 vectors. Safe for n up to ~2^17
-// (worst case |sum| = n * 127^2 must fit int32); retrieval dims are O(100).
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
-
-// Asymmetric inner product: full-precision floats against an int8-quantized
-// vector (the caller applies the vector's scale). This is the exact-float
-// re-rank kernel: the query side never loses precision to quantization.
-double DotF32I8(const float* a, const int8_t* b, size_t n);
-
 // Cosine similarity in [-1, 1] composed from the dispatched Dot; returns 0
 // when either vector has zero norm. Matches mathutil::CosineSimilarity
 // semantics but float-accumulated (stage-2 diversity scoring hot path).
 double Cosine(const float* a, const float* b, size_t n);
-
-// --- Symmetric int8 scalar quantization -------------------------------------
-
-// Quantizes n floats to int8 with scale = max|src| / 127 (0 for the zero
-// vector): dst[i] = round(src[i] / scale) clamped to [-127, 127].
-void QuantizeI8(const float* src, size_t n, int8_t* dst, float* scale);
-
-// Inverse map: dst[i] = src[i] * scale.
-void DequantizeI8(const int8_t* src, size_t n, float scale, float* dst);
 
 // --- Scalar reference implementations ---------------------------------------
 //
@@ -91,8 +68,6 @@ void DequantizeI8(const int8_t* src, size_t n, float scale, float* dst);
 // scalar-dispatched processes reproduce its historical similarities.
 double ScalarDot(const float* a, const float* b, size_t n);
 double ScalarL2Sq(const float* a, const float* b, size_t n);
-int32_t ScalarDotI8(const int8_t* a, const int8_t* b, size_t n);
-double ScalarDotF32I8(const float* a, const int8_t* b, size_t n);
 
 // Internal dispatch resolver, exposed for tests: the level the process WOULD
 // pick given cpu support and the force-scalar override.

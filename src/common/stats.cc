@@ -29,14 +29,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-void RunningStat::Reset() {
-  count_ = 0;
-  mean_ = 0.0;
-  m2_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 Ema::Ema(double alpha) : alpha_(std::min(1.0, std::max(1e-9, alpha))) {}
 
 void Ema::Add(double x) {
@@ -46,11 +38,6 @@ void Ema::Add(double x) {
     return;
   }
   value_ = alpha_ * x + (1.0 - alpha_) * value_;
-}
-
-void Ema::Reset() {
-  value_ = 0.0;
-  initialized_ = false;
 }
 
 void Ema::Decay(double factor) { value_ *= factor; }
@@ -107,30 +94,6 @@ int LatencyHistogram::BucketIndex(double x) const {
   return static_cast<int>(bin);
 }
 
-bool LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.lo_ != lo_ || other.growth_ != growth_ ||
-      other.buckets_.size() != buckets_.size()) {
-    return false;
-  }
-  if (other.count_ > 0) {
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-  }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  return true;
-}
-
 LatencyHistogram LatencyHistogram::Delta(const LatencyHistogram& now,
                                          const LatencyHistogram& prev) {
   if (prev.lo_ != now.lo_ || prev.growth_ != now.growth_ ||
@@ -173,16 +136,6 @@ double LatencyHistogram::Percentile(double p) const {
     }
   }
   return max_;
-}
-
-void LatencyHistogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  underflow_ = 0;
-  overflow_ = 0;
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
 }
 
 Histogram::Histogram(double lo, double hi, size_t num_bins)

@@ -26,8 +26,6 @@ class RunningStat {
   double max() const { return count_ == 0 ? 0.0 : max_; }
   double sum() const { return mean_ * static_cast<double>(count_); }
 
-  void Reset();
-
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
@@ -45,7 +43,6 @@ class Ema {
   void Add(double x);
   double value() const { return value_; }
   bool initialized() const { return initialized_; }
-  void Reset();
 
   // Applies a multiplicative decay directly (used for the hourly 0.9 utility
   // decay in the Example Manager, paper section 4.3).
@@ -82,10 +79,6 @@ class LatencyHistogram {
                             size_t num_buckets = 256);
 
   void Add(double x);
-  // Sums `other` into this histogram; both must share lo/growth/num_buckets.
-  // Returns false (and leaves this histogram untouched) on a geometry
-  // mismatch.
-  bool Merge(const LatencyHistogram& other);
 
   // Bucket a value would land in: -1 for underflow, num_buckets() for
   // overflow, otherwise the in-range bucket index.
@@ -119,8 +112,6 @@ class LatencyHistogram {
   double BucketUpperEdge(size_t i) const { return edges_[i + 1]; }
   double lo() const { return lo_; }
   double growth() const { return growth_; }
-
-  void Reset();
 
  private:
   double lo_;

@@ -79,9 +79,7 @@ bool ExampleCache::Snapshot(uint64_t id, Example* out, std::vector<float>* embed
   *out = *example;
   if (embedding != nullptr) {
     embedding->clear();
-    if (StoresExactVectors(config_.retrieval)) {
-      index_->GetVector(id, embedding);
-    }
+    index_->GetVector(id, embedding);
   }
   return true;
 }

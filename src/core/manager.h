@@ -128,8 +128,7 @@ class ExampleManager {
   // state (the driver's stage-1 row), to skip the check's own k=1 search.
   // Their top-1 equals the k=1 search's exactly: flat is exact, kmeans
   // probes nprobe clusters at any k, and hnsw walks a beam of
-  // max(ef_search, k) with a rerank budget of max(rerank_k, k), so this
-  // holds while ef_search >= k and rerank_k >= k. nullptr searches.
+  // max(ef_search, k), so this holds while ef_search >= k. nullptr searches.
   PreparedLifecycleAdmission PrepareAdmission(
       const Request& request, const std::vector<float>* text_embedding = nullptr,
       const std::vector<SearchResult>* nearest = nullptr) const;

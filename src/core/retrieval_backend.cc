@@ -50,8 +50,6 @@ std::unique_ptr<VectorIndex> MakeRetrievalIndex(const RetrievalBackendConfig& co
       HnswIndexConfig hnsw = config.hnsw;
       hnsw.dim = dim;
       hnsw.seed = seed;
-      hnsw.quantize_int8 = config.quantize == QuantizationKind::kInt8;
-      hnsw.rerank_k = config.rerank_k;
       return std::make_unique<HnswIndex>(hnsw);
     }
     case RetrievalBackendKind::kKMeans:
@@ -63,10 +61,6 @@ std::unique_ptr<VectorIndex> MakeRetrievalIndex(const RetrievalBackendConfig& co
       return std::make_unique<KMeansIndex>(kmeans);
     }
   }
-}
-
-bool StoresExactVectors(const RetrievalBackendConfig& config) {
-  return config.kind != RetrievalBackendKind::kHnsw || config.quantize == QuantizationKind::kNone;
 }
 
 const char* RetrievalBackendKindName(RetrievalBackendKind kind) {
@@ -88,27 +82,6 @@ bool ParseRetrievalBackendKind(const std::string& name, RetrievalBackendKind* ou
     *out = RetrievalBackendKind::kKMeans;
   } else if (name == "hnsw") {
     *out = RetrievalBackendKind::kHnsw;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* QuantizationKindName(QuantizationKind kind) {
-  switch (kind) {
-    case QuantizationKind::kInt8:
-      return "int8";
-    case QuantizationKind::kNone:
-    default:
-      return "none";
-  }
-}
-
-bool ParseQuantizationKind(const std::string& name, QuantizationKind* out) {
-  if (name == "none") {
-    *out = QuantizationKind::kNone;
-  } else if (name == "int8") {
-    *out = QuantizationKind::kInt8;
   } else {
     return false;
   }

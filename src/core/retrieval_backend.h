@@ -40,30 +40,13 @@ enum class RetrievalBackendKind {
   kHnsw,
 };
 
-// Embedding storage precision for backends that support quantization (today:
-// hnsw). kInt8 stores each vector as dim int8 codes + one float scale (~3.9x
-// less arena memory at dim=128) and re-ranks the top `rerank_k` candidates
-// against the full-precision query, keeping recall@10 >= 0.95 of the float
-// index at million-example pools.
-enum class QuantizationKind {
-  kNone,
-  kInt8,
-};
-
 struct RetrievalBackendConfig {
   // kKMeans is the seed repo's behavior and stays the default.
   RetrievalBackendKind kind = RetrievalBackendKind::kKMeans;
   // K-Means: clusters probed per query.
   size_t nprobe = 3;
-  // Embedding storage precision (hnsw only; flat/kmeans ignore it — they are
-  // the exact references).
-  QuantizationKind quantize = QuantizationKind::kNone;
-  // Beam candidates re-scored at full precision before the final top-k cut
-  // (only meaningful with quantize = kInt8).
-  size_t rerank_k = 64;
   // HNSW knobs; `hnsw.dim` and `hnsw.seed` are overridden by the owning
-  // cache (embedder dimension / per-shard seed) at construction, and
-  // `hnsw.quantize_int8` / `hnsw.rerank_k` by the fields above.
+  // cache (embedder dimension / per-shard seed) at construction.
   HnswIndexConfig hnsw;
 };
 
@@ -71,24 +54,12 @@ struct RetrievalBackendConfig {
 std::unique_ptr<VectorIndex> MakeRetrievalIndex(const RetrievalBackendConfig& config, size_t dim,
                                                 uint64_t seed);
 
-// True when the configured index keeps every added vector bit for bit (flat,
-// kmeans, float hnsw), so GetVector returns exactly what was added; false
-// for int8 hnsw, whose arena holds only quantized codes.
-bool StoresExactVectors(const RetrievalBackendConfig& config);
-
 // "flat" | "kmeans" | "hnsw".
 const char* RetrievalBackendKindName(RetrievalBackendKind kind);
 
 // Parses a backend name (as accepted by bench --index flags); returns false
 // on an unknown name, leaving *out untouched.
 bool ParseRetrievalBackendKind(const std::string& name, RetrievalBackendKind* out);
-
-// "none" | "int8".
-const char* QuantizationKindName(QuantizationKind kind);
-
-// Parses a quantization name (bench --quantize flags); returns false on an
-// unknown name, leaving *out untouched.
-bool ParseQuantizationKind(const std::string& name, QuantizationKind* out);
 
 // Result of the pure (parallel-phase) half of an admission: the privacy
 // decision plus the embedding of the sanitized text. Produced by
@@ -178,8 +149,7 @@ class ExampleStore {
   // Copies the example for id into *out; false when absent (e.g. evicted).
   // When `embedding` is non-null it receives, under the same lock, the
   // example's stored index vector, which is the embedder's output for
-  // example.request.text, or is left empty when the backend does not keep
-  // that output exactly (int8 hnsw; see StoresExactVectors).
+  // example.request.text.
   virtual bool Snapshot(uint64_t id, Example* out,
                         std::vector<float>* embedding = nullptr) const = 0;
 
@@ -265,8 +235,7 @@ class ExampleStore {
   // used_bytes() is exact after a restore). When `add_to_index` is false the
   // caller has already restored the retrieval index natively
   // (LoadIndexBlob). The embedding is indexed as given and is what Snapshot
-  // hands back, so it must be the embedder's output for the example's text:
-  // an int8 store streams dequantized vectors, fit only for an int8 store.
+  // hands back, so it must be the embedder's output for the example's text.
   // Returns false, changing nothing, on id 0, an id collision, or an
   // embedding the index rejects (wrong length).
   virtual bool ImportExample(const Example& example, std::vector<float> embedding,

@@ -115,7 +115,6 @@ std::vector<SelectorCandidate> ExampleSelector::CombineCore(
                                             static_cast<double>(target_model.context_window));
   int tokens_used = 0;
 
-  const auto embedder = store_->embedder();
   std::vector<SelectorCandidate> selected;
   for (const SelectorCandidate* candidate : order) {
     if (selected.size() >= config_.max_examples) {
@@ -129,11 +128,7 @@ std::vector<SelectorCandidate> ExampleSelector::CombineCore(
       continue;
     }
     // Diversity: reject near-duplicates of already selected examples.
-    // Embed lazily when the store returned no vector: only candidates that
-    // survive the threshold/budget filters pay for an embedding.
-    std::vector<float> embedding =
-        candidate->embedding.empty() ? embedder->Embed(candidate->example.request.text)
-                                     : candidate->embedding;
+    const std::vector<float>& embedding = candidate->embedding;
     bool duplicate = false;
     for (const SelectorCandidate& prior : selected) {
       if (simd::Cosine(embedding.data(), prior.embedding.data(),
@@ -148,7 +143,6 @@ std::vector<SelectorCandidate> ExampleSelector::CombineCore(
     }
 
     selected.push_back(*candidate);
-    selected.back().embedding = std::move(embedding);
     tokens_used += tokens;
     if (accessed != nullptr) {
       accessed->push_back(candidate->id);

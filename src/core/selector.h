@@ -55,9 +55,7 @@ struct SelectorCandidate {
   double utility = 0.0;     // stage-2 proxy score
   Example example;          // snapshot copy (safe across shard locks)
   // Example-text embedding for the diversity guard: the store's stored index
-  // vector, copied out with the snapshot. Empty when the store keeps no
-  // exact vector (int8 hnsw); Combine then embeds lazily, so only candidates
-  // that clear the threshold/budget filters pay for an embedding.
+  // vector, copied out with the snapshot.
   std::vector<float> embedding;
 };
 

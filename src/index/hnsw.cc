@@ -1,7 +1,6 @@
 #include "src/index/hnsw.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -22,16 +21,11 @@ constexpr int kMaxLevel = 24;
 
 // Version of the SaveGraph byte layout; bump on incompatible change so stale
 // graph images fall back to a rebuild instead of being misread.
-//   v1: float arena only.
-//   v2: adds a quantization-mode byte; quantized images carry the int8 code
-//       arena plus per-slot scales instead of the float arena. v1 images are
-//       still accepted by float-mode indexes.
+//   v1: float arena.
+//   v2: adds a mode byte after the version. It is always written as 0 (float
+//       arena); an image with any other mode is rejected. v1 images are
+//       still accepted.
 constexpr uint32_t kGraphFormatVersion = 2;
-
-// Process-wide rerank telemetry (relaxed: these are monotonic counters the
-// driver reads as deltas; no ordering is implied with index state).
-std::atomic<uint64_t> g_rerank_queries{0};
-std::atomic<uint64_t> g_rerank_candidates{0};
 
 inline void PrefetchLine(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -70,11 +64,6 @@ inline void PrefetchWrite(const void* p) {
 
 }  // namespace
 
-uint64_t HnswRerankQueriesTotal() { return g_rerank_queries.load(std::memory_order_relaxed); }
-uint64_t HnswRerankCandidatesTotal() {
-  return g_rerank_candidates.load(std::memory_order_relaxed);
-}
-
 HnswIndex::HnswIndex(HnswIndexConfig config)
     : config_(config),
       level_multiplier_(1.0 /
@@ -88,26 +77,15 @@ int HnswIndex::SampleLevel() {
   return std::min(level, kMaxLevel);
 }
 
-double HnswIndex::SimQ(const QueryRef& query, uint32_t slot) const {
-  if (config_.quantize_int8) {
-    // Symmetric quantized inner product. DotI8 is bit-exact across dispatch
-    // levels, so traversal order is deterministic per process and across
-    // machines.
-    return static_cast<double>(simd::DotI8(query.i8, QVecOf(slot), config_.dim)) *
-           static_cast<double>(query.scale) * static_cast<double>(scales_[slot]);
-  }
-  return simd::Dot(query.f32, VecOf(slot), config_.dim);
+double HnswIndex::SimQ(const float* query, uint32_t slot) const {
+  return simd::Dot(query, VecOf(slot), config_.dim);
 }
 
 double HnswIndex::SimSlots(uint32_t a, uint32_t b) const {
-  if (config_.quantize_int8) {
-    return static_cast<double>(simd::DotI8(QVecOf(a), QVecOf(b), config_.dim)) *
-           static_cast<double>(scales_[a]) * static_cast<double>(scales_[b]);
-  }
   return simd::Dot(VecOf(a), VecOf(b), config_.dim);
 }
 
-uint32_t HnswIndex::GreedyStep(const QueryRef& query, uint32_t slot, int layer) const {
+uint32_t HnswIndex::GreedyStep(const float* query, uint32_t slot, int layer) const {
   double best = SimQ(query, slot);
   bool improved = true;
   while (improved) {
@@ -124,7 +102,7 @@ uint32_t HnswIndex::GreedyStep(const QueryRef& query, uint32_t slot, int layer) 
   return slot;
 }
 
-std::vector<HnswIndex::ScoredSlot> HnswIndex::SearchLayer(const QueryRef& query, uint32_t entry,
+std::vector<HnswIndex::ScoredSlot> HnswIndex::SearchLayer(const float* query, uint32_t entry,
                                                           int layer, size_t ef,
                                                           std::vector<uint32_t>& epochs,
                                                           uint32_t epoch, uint64_t* visited,
@@ -159,8 +137,7 @@ std::vector<HnswIndex::ScoredSlot> HnswIndex::SearchLayer(const QueryRef& query,
     // stall on every line.
     for (uint32_t neighbor : links) {
       if (epochs[neighbor] != epoch) {
-        PrefetchLine(config_.quantize_int8 ? static_cast<const void*>(QVecOf(neighbor))
-                                           : static_cast<const void*>(VecOf(neighbor)));
+        PrefetchLine(VecOf(neighbor));
       }
     }
     for (uint32_t neighbor : links) {
@@ -245,14 +222,7 @@ void HnswIndex::AppendLocked(uint64_t id, const std::vector<float>& vec) {
   node.level = SampleLevel();
   node.links.resize(static_cast<size_t>(node.level) + 1);
   nodes_.push_back(std::move(node));
-  if (config_.quantize_int8) {
-    qarena_.resize(qarena_.size() + config_.dim);
-    float scale = 0.0f;
-    simd::QuantizeI8(vec.data(), config_.dim, qarena_.data() + slot * config_.dim, &scale);
-    scales_.push_back(scale);
-  } else {
-    arena_.insert(arena_.end(), vec.begin(), vec.end());
-  }
+  arena_.insert(arena_.end(), vec.begin(), vec.end());
   slot_of_[id] = slot;
   ++live_;
   insert_epochs_.push_back(0);
@@ -262,13 +232,7 @@ void HnswIndex::LinkPendingLocked() {
   for (; linked_ < nodes_.size(); ++linked_) {
     const uint32_t slot = static_cast<uint32_t>(linked_);
     const int level = nodes_[slot].level;
-    QueryRef query;
-    if (config_.quantize_int8) {
-      query.i8 = QVecOf(slot);
-      query.scale = scales_[slot];
-    } else {
-      query.f32 = VecOf(slot);
-    }
+    const float* query = VecOf(slot);
     if (entry_level_ < 0) {
       entry_ = slot;
       entry_level_ = level;
@@ -355,8 +319,6 @@ bool HnswIndex::RemoveLocked(uint64_t id) {
     // structure made purely of tombstones.
     nodes_.clear();
     arena_.clear();
-    qarena_.clear();
-    scales_.clear();
     insert_epochs_.clear();
     insert_epoch_ = 0;
     entry_ = 0;
@@ -389,30 +351,20 @@ void HnswIndex::MaybeCompactLocked() {
 }
 
 void HnswIndex::CompactLocked() {
-  // Survivors, pending ones included, are re-inserted in slot order from the
-  // float form; links are rebuilt from scratch, so whether a survivor was
-  // linked changes nothing. In quantized mode the dequantized values are
-  // exact multiples of the slot scale with the max element on the ±127 rail,
-  // so requantization reproduces the identical codes and scale — compaction
-  // is lossless either way.
+  // Survivors, pending ones included, are re-inserted in slot order; links
+  // are rebuilt from scratch, so whether a survivor was linked changes
+  // nothing.
   std::vector<std::pair<uint64_t, std::vector<float>>> survivors;
   survivors.reserve(live_);
   for (uint32_t slot = 0; slot < nodes_.size(); ++slot) {
     if (nodes_[slot].deleted) {
       continue;
     }
-    std::vector<float> vec(config_.dim);
-    if (config_.quantize_int8) {
-      simd::DequantizeI8(QVecOf(slot), config_.dim, scales_[slot], vec.data());
-    } else {
-      std::copy(VecOf(slot), VecOf(slot) + config_.dim, vec.begin());
-    }
-    survivors.emplace_back(nodes_[slot].id, std::move(vec));
+    survivors.emplace_back(nodes_[slot].id,
+                           std::vector<float>(VecOf(slot), VecOf(slot) + config_.dim));
   }
   nodes_.clear();
   arena_.clear();
-  qarena_.clear();
-  scales_.clear();
   slot_of_.clear();
   insert_epochs_.clear();
   insert_epoch_ = 0;
@@ -448,28 +400,20 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
   if (s.epochs.capacity() > config_.visited_shrink_floor &&
       s.epochs.capacity() / 4 > nodes_.size()) {
     std::vector<uint32_t>().swap(s.epochs);
-    std::vector<uint16_t>().swap(s.visited_mask);
+    std::vector<uint8_t>().swap(s.visited_mask);
     s.epoch = 0;
   }
   if (s.epochs.size() < nodes_.size()) {
     s.GrowResize(s.epochs, nodes_.size());
     s.GrowResize(s.visited_mask, nodes_.size());
   }
-  if (config_.quantize_int8) {
-    s.GrowResize(s.q8, num_queries * config_.dim);
-    s.GrowResize(s.q8_scales, num_queries);
-    for (size_t i = 0; i < num_queries; ++i) {
-      simd::QuantizeI8(queries + i * query_dim, config_.dim, s.q8.data() + i * config_.dim,
-                       &s.q8_scales[i]);
-    }
-  }
   // Interleave width: enough in-flight queries to cover an arena-line miss
   // with the other queries' scoring work, few enough that the in-flight
   // working set (beam states + prefetched vectors) stays cache-resident.
-  // int8 codes are 4x smaller than float vectors, so more queries fit before
-  // the group starts evicting its own prefetches (12 and 16 measure within
-  // noise of each other; 12 leaves more L1 headroom for the beam heaps).
-  const size_t kInterleave = config_.quantize_int8 ? 12 : 8;
+  // Each group member owns one bit of the visited mask.
+  constexpr size_t kInterleave = 8;
+  static_assert(kInterleave <= 8 * sizeof(decltype(SearchScratch::visited_mask)::value_type),
+                "one visited-mask bit per interleaved query");
   if (s.beams.size() < std::min(num_queries, kInterleave)) {
     ++s.grows;
     s.beams.resize(std::min(num_queries, kInterleave));
@@ -479,15 +423,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
     s.heaps.resize(1);
   }
   const size_t ef_eff = std::max(ef, k);
-  const auto query_ref = [&](size_t qi) {
-    QueryRef q;
-    q.f32 = queries + qi * query_dim;
-    if (config_.quantize_int8) {
-      q.i8 = s.q8.data() + qi * config_.dim;
-      q.scale = s.q8_scales[qi];
-    }
-    return q;
-  };
+  const auto query_of = [&](size_t qi) { return queries + qi * query_dim; };
   for (size_t base = 0; base < num_queries; base += kInterleave) {
     const size_t group = std::min(kInterleave, num_queries - base);
     // One span per interleave group; args sum the group's layer-0 visited and
@@ -524,7 +460,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
       beam.done = false;
       beam.cur = entry_;
       beam.layer = entry_level_;
-      beam.best = SimQ(query_ref(base + g), entry_);
+      beam.best = SimQ(query_of(base + g), entry_);
     }
     bool any_descending = entry_level_ >= 1;
     while (any_descending) {
@@ -536,8 +472,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
           continue;
         }
         for (uint32_t neighbor : nodes_[beam.cur].links[beam.layer]) {
-          PrefetchLine(config_.quantize_int8 ? static_cast<const void*>(QVecOf(neighbor))
-                                             : static_cast<const void*>(VecOf(neighbor)));
+          PrefetchLine(VecOf(neighbor));
         }
       }
       any_descending = false;
@@ -546,7 +481,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
         if (beam.layer < 1) {
           continue;
         }
-        const QueryRef q = query_ref(base + g);
+        const float* q = query_of(base + g);
         const uint32_t scan_slot = beam.cur;
         bool improved = false;
         for (uint32_t neighbor : nodes_[scan_slot].links[beam.layer]) {
@@ -578,20 +513,19 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
         s.epochs[cur] = group_epoch;
         s.visited_mask[cur] = 0;
       }
-      s.visited_mask[cur] |= static_cast<uint16_t>(1u << g);
+      s.visited_mask[cur] |= static_cast<uint8_t>(1u << g);
       if (vis != nullptr) {
         ++*vis;
       }
     }
     // Phase 2: interleaved beam expansion. 2a pops each live query's best
     // frontier node, marks its unvisited neighbors and prefetches their
-    // vectors (full span: float or int8 arena); 2b scores them — by then the
-    // other queries' 2a passes have hidden the arena-line latency — and tops
-    // off by prefetching the NEXT pop's graph node, so the following round's
-    // adjacency chase starts warm. Per query the operation sequence is
+    // vectors; 2b scores them — by then the other queries' 2a passes have
+    // hidden the arena-line latency — and tops off by prefetching the NEXT
+    // pop's graph node, so the following round's adjacency chase starts
+    // warm. Per query the operation sequence is
     // exactly the single-query beam's; prefetches never change a result.
-    const size_t vec_bytes =
-        config_.quantize_int8 ? config_.dim : config_.dim * sizeof(float);
+    const size_t vec_bytes = config_.dim * sizeof(float);
     bool any_active = true;
     while (any_active) {
       any_active = false;
@@ -656,14 +590,14 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
         if (beam.scan_links == nullptr) {
           continue;
         }
-        const uint16_t bit = static_cast<uint16_t>(1u << g);
+        const uint8_t bit = static_cast<uint8_t>(1u << g);
         for (uint32_t neighbor : *beam.scan_links) {
           if (s.epochs[neighbor] != group_epoch) {
             s.epochs[neighbor] = group_epoch;
             s.visited_mask[neighbor] = 0;
           }
           if ((s.visited_mask[neighbor] & bit) == 0) {
-            s.visited_mask[neighbor] = static_cast<uint16_t>(s.visited_mask[neighbor] | bit);
+            s.visited_mask[neighbor] = static_cast<uint8_t>(s.visited_mask[neighbor] | bit);
             if (vis != nullptr) {
               ++*vis;
             }
@@ -671,98 +605,65 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
             // float vectors here would flood the miss buffers and evict the
             // other interleaved queries' lines; the scoring pass below
             // streams the remaining lines one neighbor ahead instead.
-            PrefetchLine(config_.quantize_int8 ? static_cast<const void*>(QVecOf(neighbor))
-                                               : static_cast<const void*>(VecOf(neighbor)));
+            PrefetchLine(VecOf(neighbor));
             s.GrowPush(beam.pending, neighbor);
           }
         }
       }
-      // 2b: score the marked neighbors. Scoring a neighbor and pushing it
-      // through the query's bounded heaps is identical in either arena; only
-      // the ORDER queries take turns differs by arena (see below), and each
-      // query always scores its own pending list front to back against its
-      // own heaps, so either schedule is bit-identical to the sequential
-      // single-query beam.
-      const auto score_neighbor = [&](SearchScratch::Beam& beam, const QueryRef& q,
-                                      uint32_t neighbor) {
-        const double neighbor_sim = SimQ(q, neighbor);
-        if (beam.results.size() < ef_eff || neighbor_sim > beam.results.front().first) {
-          s.GrowPush(beam.candidates, {neighbor_sim, neighbor});
-          std::push_heap(beam.candidates.begin(), beam.candidates.end());
-          s.GrowPush(beam.results, {neighbor_sim, neighbor});
-          std::push_heap(beam.results.begin(), beam.results.end(),
-                         std::greater<std::pair<double, uint32_t>>{});
-          if (beam.results.size() > ef_eff) {
-            std::pop_heap(beam.results.begin(), beam.results.end(),
-                          std::greater<std::pair<double, uint32_t>>{});
-            beam.results.pop_back();
+      // 2b: score the marked neighbors ROUND-ROBIN across the group, one
+      // neighbor per live query per turn, so the full-span prefetch issued
+      // for a query's next 512-byte vector has a whole group's worth of other
+      // queries' dot products to hide behind before it is consumed. Each
+      // query still scores its own pending list front to back against its
+      // own heaps, so the schedule is bit-identical to the sequential
+      // single-query beam. At group == 1 this degenerates to a plain
+      // one-ahead software pipeline.
+      size_t max_pending = 0;
+      for (size_t g = 0; g < group; ++g) {
+        const SearchScratch::Beam& beam = s.beams[g];
+        max_pending = std::max(max_pending, beam.pending.size());
+        if (beam.pending.empty()) {
+          if (!beam.done && !beam.candidates.empty()) {
+            PrefetchLine(&nodes_[beam.candidates.front().second]);
           }
+        } else {
+          PrefetchSpan(VecOf(beam.pending[0]), vec_bytes);
         }
-      };
-      if (!config_.quantize_int8) {
-        // Float arena: ROUND-ROBIN across the group, one neighbor per live
-        // query per turn, so the full-span prefetch issued for a query's
-        // next 512-byte vector has a whole group's worth of other queries'
-        // dot products to hide behind before it is consumed. At group == 1
-        // this degenerates to a plain one-ahead software pipeline.
-        size_t max_pending = 0;
-        for (size_t g = 0; g < group; ++g) {
-          const SearchScratch::Beam& beam = s.beams[g];
-          max_pending = std::max(max_pending, beam.pending.size());
-          if (beam.pending.empty()) {
-            if (!beam.done && !beam.candidates.empty()) {
-              PrefetchLine(&nodes_[beam.candidates.front().second]);
-            }
-          } else {
-            PrefetchSpan(VecOf(beam.pending[0]), vec_bytes);
-          }
-        }
-        for (size_t p = 0; p < max_pending; ++p) {
-          for (size_t g = 0; g < group; ++g) {
-            SearchScratch::Beam& beam = s.beams[g];
-            if (p >= beam.pending.size()) {
-              continue;
-            }
-            if (p + 1 < beam.pending.size()) {
-              PrefetchSpan(VecOf(beam.pending[p + 1]), vec_bytes);
-            }
-            score_neighbor(beam, query_ref(base + g), beam.pending[p]);
-            if (p + 1 == beam.pending.size() && !beam.candidates.empty()) {
-              // Last pending neighbor scored: warm the next round's pop
-              // target so 2a-pre's adjacency read is cheap.
-              PrefetchLine(&nodes_[beam.candidates.front().second]);
-            }
-          }
-        }
-      } else {
-        // Int8 arena: per-query sequential scoring. A 128-byte code is
-        // fully covered by the marking pass's line prefetch and the dot is
-        // a handful of cycles, so round-robin turn-taking across a 16-wide
-        // group costs more in bookkeeping than it hides in latency.
+      }
+      for (size_t p = 0; p < max_pending; ++p) {
         for (size_t g = 0; g < group; ++g) {
           SearchScratch::Beam& beam = s.beams[g];
-          if (beam.pending.empty()) {
-            if (!beam.done && !beam.candidates.empty()) {
-              PrefetchLine(&nodes_[beam.candidates.front().second]);
-            }
+          if (p >= beam.pending.size()) {
             continue;
           }
-          const QueryRef q = query_ref(base + g);
-          for (const uint32_t neighbor : beam.pending) {
-            score_neighbor(beam, q, neighbor);
+          if (p + 1 < beam.pending.size()) {
+            PrefetchSpan(VecOf(beam.pending[p + 1]), vec_bytes);
           }
-          // Warm the next round's pop target (2a-pre reads its adjacency
-          // pointer) — by then every other query's scoring pass has run.
-          if (!beam.candidates.empty()) {
+          const uint32_t neighbor = beam.pending[p];
+          const double neighbor_sim = SimQ(query_of(base + g), neighbor);
+          if (beam.results.size() < ef_eff || neighbor_sim > beam.results.front().first) {
+            s.GrowPush(beam.candidates, {neighbor_sim, neighbor});
+            std::push_heap(beam.candidates.begin(), beam.candidates.end());
+            s.GrowPush(beam.results, {neighbor_sim, neighbor});
+            std::push_heap(beam.results.begin(), beam.results.end(),
+                           std::greater<std::pair<double, uint32_t>>{});
+            if (beam.results.size() > ef_eff) {
+              std::pop_heap(beam.results.begin(), beam.results.end(),
+                            std::greater<std::pair<double, uint32_t>>{});
+              beam.results.pop_back();
+            }
+          }
+          if (p + 1 == beam.pending.size() && !beam.candidates.empty()) {
+            // Last pending neighbor scored: warm the next round's pop
+            // target so 2a-pre's adjacency read is cheap.
             PrefetchLine(&nodes_[beam.candidates.front().second]);
           }
         }
       }
     }
     span.SetArgs(visited, hops);
-    // Phase 3 (per query): drain the beam best-first, re-rank / filter
-    // tombstones through the bounded scratch heap, append to the flat result
-    // arena.
+    // Phase 3 (per query): drain the beam best-first, filter tombstones
+    // through the bounded scratch heap, append to the flat result arena.
     for (size_t g = 0; g < group; ++g) {
       const size_t qi = base + g;
       SearchScratch::Beam& beam = s.beams[g];
@@ -775,51 +676,19 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
       std::reverse(beam.found.begin(), beam.found.end());  // best-first
       auto& heap = s.heaps[0];
       heap.clear();
-      if (config_.quantize_int8 && config_.rerank_k > 0) {
-        // Exact re-rank: the beam ordered candidates by the quantized metric;
-        // re-score the best rerank_k live ones against the full-precision
-        // query (asymmetric f32 x i8 dot) so the final top-k ordering is free
-        // of quantization noise on the query side.
-        const size_t budget = std::max(config_.rerank_k, k);
-        size_t rescored = 0;
-        const float* qf = queries + qi * query_dim;
-        // The id/deleted reads below are random Node loads the beam last
-        // touched many pops ago; an 8-ahead pipeline keeps them in flight.
-        const size_t nf = beam.found.size();
-        for (size_t j = 0; j < nf && j < 8; ++j) {
-          PrefetchLine(&nodes_[beam.found[j].second]);
+      // The id/deleted reads below are random Node loads the beam last
+      // touched many pops ago; an 8-ahead pipeline keeps them in flight.
+      const size_t nf = beam.found.size();
+      for (size_t j = 0; j < nf && j < 8; ++j) {
+        PrefetchLine(&nodes_[beam.found[j].second]);
+      }
+      for (size_t j = 0; j < nf; ++j) {
+        if (j + 8 < nf) {
+          PrefetchLine(&nodes_[beam.found[j + 8].second]);
         }
-        for (size_t j = 0; j < nf; ++j) {
-          if (j + 8 < nf) {
-            PrefetchLine(&nodes_[beam.found[j + 8].second]);
-          }
-          const auto& scored = beam.found[j];
-          if (nodes_[scored.second].deleted) {
-            continue;
-          }
-          if (rescored >= budget) {
-            break;
-          }
-          const double exact = simd::DotF32I8(qf, QVecOf(scored.second), config_.dim) *
-                               static_cast<double>(scales_[scored.second]);
-          ScratchTopK::Push(heap, k, exact, nodes_[scored.second].id, s);
-          ++rescored;
-        }
-        g_rerank_queries.fetch_add(1, std::memory_order_relaxed);
-        g_rerank_candidates.fetch_add(rescored, std::memory_order_relaxed);
-      } else {
-        const size_t nf = beam.found.size();
-        for (size_t j = 0; j < nf && j < 8; ++j) {
-          PrefetchLine(&nodes_[beam.found[j].second]);
-        }
-        for (size_t j = 0; j < nf; ++j) {
-          if (j + 8 < nf) {
-            PrefetchLine(&nodes_[beam.found[j + 8].second]);
-          }
-          const auto& scored = beam.found[j];
-          if (!nodes_[scored.second].deleted) {
-            ScratchTopK::Push(heap, k, scored.first, nodes_[scored.second].id, s);
-          }
+        const auto& scored = beam.found[j];
+        if (!nodes_[scored.second].deleted) {
+          ScratchTopK::Push(heap, k, scored.first, nodes_[scored.second].id, s);
         }
       }
       ScratchTopK::DrainDescending(heap, &s.results, s);
@@ -856,12 +725,7 @@ bool HnswIndex::GetVector(uint64_t id, std::vector<float>* out) const {
   if (it == slot_of_.end()) {
     return false;
   }
-  if (config_.quantize_int8) {
-    out->resize(config_.dim);
-    simd::DequantizeI8(QVecOf(it->second), config_.dim, scales_[it->second], out->data());
-  } else {
-    out->assign(VecOf(it->second), VecOf(it->second) + config_.dim);
-  }
+  out->assign(VecOf(it->second), VecOf(it->second) + config_.dim);
   return true;
 }
 
@@ -882,15 +746,14 @@ int HnswIndex::max_level() const {
 
 size_t HnswIndex::arena_bytes() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return arena_.size() * sizeof(float) + qarena_.size() * sizeof(int8_t) +
-         scales_.size() * sizeof(float);
+  return arena_.size() * sizeof(float);
 }
 
 void HnswIndex::SaveGraph(ByteWriter* out) const {
   const auto lock = LinkedReadLock();
   ByteWriter& w = *out;
   w.PutU32(kGraphFormatVersion);
-  w.PutU8(config_.quantize_int8 ? 1 : 0);
+  w.PutU8(0);  // mode: float arena
   w.PutU64(config_.dim);
   w.PutU64(config_.max_neighbors);
   w.PutU64(nodes_.size());
@@ -915,22 +778,14 @@ void HnswIndex::SaveGraph(ByteWriter* out) const {
     }
   }
   static_assert(sizeof(float) == 4, "IEEE-754 float expected");
-  if (config_.quantize_int8) {
-    // Quantized image: the raw code arena plus per-slot scales. Storing the
-    // codes (not dequantized floats) makes restore exact by construction.
-    w.PutU64(qarena_.size());
-    w.PutBytes(qarena_.data(), qarena_.size());
-    w.PutBytes(scales_.data(), scales_.size() * sizeof(float));
-  } else {
-    // Arena as one raw little-endian float block (the dominant payload).
-    w.PutU64(arena_.size());
-    w.PutBytes(arena_.data(), arena_.size() * sizeof(float));
-  }
+  // Arena as one raw little-endian float block (the dominant payload).
+  w.PutU64(arena_.size());
+  w.PutBytes(arena_.data(), arena_.size() * sizeof(float));
 }
 
 size_t HnswIndex::GraphImageSize() const {
   const auto lock = LinkedReadLock();
-  // Header through the level-sampler RNG: version, quantize flag, dim,
+  // Header through the level-sampler RNG: version, mode byte, dim,
   // degree, node count, live count, entry, entry level, 4 RNG words, the
   // cached normal, and its flag.
   size_t bytes = 4 + 1 + 8 * 4 + 4 + 4 + 8 * 4 + 8 + 1;
@@ -940,12 +795,7 @@ size_t HnswIndex::GraphImageSize() const {
       bytes += 4 + 4 * layer.size();
     }
   }
-  bytes += 8;  // arena length
-  if (config_.quantize_int8) {
-    bytes += qarena_.size() + scales_.size() * sizeof(float);
-  } else {
-    bytes += arena_.size() * sizeof(float);
-  }
+  bytes += 8 + arena_.size() * sizeof(float);  // arena length, arena
   return bytes;
 }
 
@@ -963,10 +813,8 @@ bool HnswIndex::LoadGraph(ByteReader* reader, uint64_t image_bytes) {
   if (version != kGraphFormatVersion && version != 1) {
     return false;
   }
-  // v1 images predate quantization and are implicitly float; a quantized
-  // index cannot adopt one (the caller rebuilds, requantizing as it goes).
-  const bool quantized = version >= 2 && r.GetU8() != 0;
-  if (quantized != config_.quantize_int8) {
+  // v1 images have no mode byte; v2's must be 0, the float arena.
+  if (version >= 2 && r.GetU8() != 0) {
     return false;
   }
   const uint64_t dim = r.GetU64();
@@ -982,11 +830,12 @@ bool HnswIndex::LoadGraph(ByteReader* reader, uint64_t image_bytes) {
   rng.cached_normal = r.GetDouble();
   rng.has_cached_normal = r.GetU8() != 0;
   // Every node costs at least its id, level, tombstone flag and layer-0
-  // link count, plus `dim` arena bytes, so node_count is bounded by the
+  // link count, plus `dim` arena floats, so node_count is bounded by the
   // image itself, which keeps the reserve() below sane on corrupted input.
   constexpr uint64_t kMinNodeBytes = 8 + 4 + 1 + 4;
   if (!r.ok() || dim != config_.dim || max_neighbors != config_.max_neighbors ||
-      live > node_count || node_count > image_bytes / (kMinNodeBytes + config_.dim)) {
+      live > node_count ||
+      node_count > image_bytes / (kMinNodeBytes + config_.dim * sizeof(float))) {
     return false;
   }
 
@@ -1040,28 +889,12 @@ bool HnswIndex::LoadGraph(ByteReader* reader, uint64_t image_bytes) {
   if (!r.ok() || r.remaining() < after || arena_len != node_count * config_.dim) {
     return false;
   }
-  const uint64_t arena_bytes = r.remaining() - after;
-  std::vector<float> arena;
-  std::vector<int8_t> qarena;
-  std::vector<float> scales;
-  if (quantized) {
-    if (arena_bytes != arena_len + node_count * 4) {
-      return false;
-    }
-    qarena.resize(static_cast<size_t>(arena_len));
-    scales.resize(static_cast<size_t>(node_count));
-    if (!r.GetBytes(qarena.data(), qarena.size()) ||
-        !r.GetBytes(scales.data(), scales.size() * sizeof(float))) {
-      return false;
-    }
-  } else {
-    if (arena_bytes != arena_len * 4) {
-      return false;
-    }
-    arena.resize(static_cast<size_t>(arena_len));
-    if (!r.GetBytes(arena.data(), arena.size() * sizeof(float))) {
-      return false;
-    }
+  if (r.remaining() - after != arena_len * sizeof(float)) {
+    return false;
+  }
+  std::vector<float> arena(static_cast<size_t>(arena_len));
+  if (!r.GetBytes(arena.data(), arena.size() * sizeof(float))) {
+    return false;
   }
   // Searches descend from the entry node's links at the entry level, so
   // those links must exist.
@@ -1075,8 +908,6 @@ bool HnswIndex::LoadGraph(ByteReader* reader, uint64_t image_bytes) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   nodes_ = std::move(nodes);
   arena_ = std::move(arena);
-  qarena_ = std::move(qarena);
-  scales_ = std::move(scales);
   slot_of_ = std::move(slot_of);
   entry_ = entry;
   entry_level_ = entry_level;

@@ -56,18 +56,6 @@ struct HnswIndexConfig {
   // total slots and there are at least `min_tombstones_to_compact` of them.
   static constexpr double max_tombstone_fraction = 0.25;
   size_t min_tombstones_to_compact = 64;
-  // Int8 scalar quantization of the vector arena: each vector is stored as
-  // dim int8 codes plus one float scale (symmetric, scale = max|x| / 127),
-  // cutting arena memory ~3.9x at dim=128 and letting graph traversal run on
-  // the bit-exact integer dot kernel. Queries quantize once on entry; the
-  // top `rerank_k` beam candidates are re-scored against the float query
-  // (asymmetric f32xi8 dot) so quantization noise does not reorder the final
-  // top-k. Takes effect at construction; LoadGraph rejects images whose
-  // quantization mode differs (caller falls back to a rebuild).
-  bool quantize_int8 = false;
-  // Number of beam candidates re-scored with the float query before the final
-  // top-k cut (only meaningful with quantize_int8; clamped up to k).
-  size_t rerank_k = 64;
   // Reader visited-scratch high-watermark: a search scratch's epoch buffer is
   // rebuilt when its capacity exceeds BOTH this floor and 4x the current node
   // count, so long-lived serving threads stop pinning peak-size buffers after
@@ -76,13 +64,6 @@ struct HnswIndexConfig {
   size_t visited_shrink_floor = size_t{1} << 16;
   uint64_t seed = 0x9f5eed;
 };
-
-// Process-wide rerank counters (monotonic; all HnswIndex instances). The
-// serving driver samples these at window boundaries and publishes deltas as
-// metrics — plumbing a hub through every index would couple layers for two
-// numbers.
-uint64_t HnswRerankQueriesTotal();
-uint64_t HnswRerankCandidatesTotal();
 
 class HnswIndex : public VectorIndex {
  public:
@@ -108,7 +89,7 @@ class HnswIndex : public VectorIndex {
   // lock for the whole batch (safe from many threads concurrently with one
   // writer), queries traversed in interleaved groups so one query's compute
   // hides another's arena-line misses (each 2a pass prefetches the next hop's
-  // neighbor vectors/codes; the matching 2b pass scores them after the other
+  // neighbor vectors; the matching 2b pass scores them after the other
   // queries' passes have covered the latency). Per query the traversal runs
   // over per-query beam state, so results do not depend on the batch size —
   // and every buffer lives in the caller's SearchScratch, so steady-state
@@ -160,9 +141,8 @@ class HnswIndex : public VectorIndex {
   // Diagnostics. size(), tombstones() and arena_bytes() count pending nodes.
   size_t tombstones() const;
   int max_level() const;
-  // Bytes of vector storage currently held (float arena, or int8 codes plus
-  // scales when quantized). Tombstoned slots included — they still occupy
-  // arena space until compaction. Feeds the bytes-per-vector CI gate.
+  // Bytes of the float vector arena. Tombstoned slots included — they still
+  // occupy arena space until compaction. Feeds the bytes-per-vector CI gate.
   size_t arena_bytes() const;
 
   // Rebuilds the graph from the live nodes (pending ones included), dropping
@@ -193,31 +173,20 @@ class HnswIndex : public VectorIndex {
 
   int SampleLevel();
 
-  // Vectors live in one flat arena (slot-major): `dim` floats per slot, or —
-  // with quantize_int8 — `dim` int8 codes per slot plus a parallel scales_
-  // array. One indirection per distance evaluation and prefetchable by
-  // address arithmetic, which is what makes graph hops cheap at 100k+
-  // vectors.
+  // Vectors live in one flat arena (slot-major): `dim` floats per slot. One
+  // indirection per distance evaluation and prefetchable by address
+  // arithmetic, which is what makes graph hops cheap at 100k+ vectors.
   const float* VecOf(uint32_t slot) const { return arena_.data() + slot * config_.dim; }
-  const int8_t* QVecOf(uint32_t slot) const { return qarena_.data() + slot * config_.dim; }
 
-  // A query as the traversal kernels see it: the float form, or the int8
-  // codes + scale when the arena is quantized. A node being linked is its own
-  // query, aliasing its arena slot (linking never grows the arena).
-  struct QueryRef {
-    const float* f32 = nullptr;
-    const int8_t* i8 = nullptr;
-    float scale = 0.0f;
-  };
-
-  // query-vs-slot similarity (quantized domain when enabled).
-  double SimQ(const QueryRef& query, uint32_t slot) const;
+  // query-vs-slot similarity. A node being linked is its own query, aliasing
+  // its arena slot (linking never grows the arena).
+  double SimQ(const float* query, uint32_t slot) const;
   // stored-vs-stored similarity, for the diversity heuristic and link pruning.
   double SimSlots(uint32_t a, uint32_t b) const;
 
   // Greedy hill-climb at `layer` starting from `slot`; returns the local
   // optimum slot for `query`.
-  uint32_t GreedyStep(const QueryRef& query, uint32_t slot, int layer) const;
+  uint32_t GreedyStep(const float* query, uint32_t slot, int layer) const;
 
   // Beam search at one layer. `epochs`/`epoch` implement an O(1)-reset
   // visited set (slot visited iff epochs[slot] == epoch). Traverses through
@@ -225,7 +194,7 @@ class HnswIndex : public VectorIndex {
   // `visited`/`hops` are non-null they accumulate the number of distinct
   // nodes marked visited and of frontier expansions (tracing only — callers
   // pass nullptr on the untraced path so the loop stays counter-free).
-  std::vector<ScoredSlot> SearchLayer(const QueryRef& query, uint32_t entry, int layer, size_t ef,
+  std::vector<ScoredSlot> SearchLayer(const float* query, uint32_t entry, int layer, size_t ef,
                                       std::vector<uint32_t>& epochs, uint32_t epoch,
                                       uint64_t* visited = nullptr,
                                       uint64_t* hops = nullptr) const;
@@ -265,12 +234,7 @@ class HnswIndex : public VectorIndex {
   Rng rng_;
 
   std::vector<Node> nodes_;
-  // Exactly one arena is populated: arena_ (float mode) or qarena_ + scales_
-  // (quantized mode) — keeping both would defeat the memory point of
-  // quantizing.
-  std::vector<float> arena_;    // nodes_[s]'s vector at [s*dim, (s+1)*dim)
-  std::vector<int8_t> qarena_;  // int8 codes, same slot-major layout
-  std::vector<float> scales_;   // scales_[s]: dequant factor for slot s
+  std::vector<float> arena_;  // nodes_[s]'s vector at [s*dim, (s+1)*dim)
   std::unordered_map<uint64_t, uint32_t> slot_of_;  // live ids only
   uint32_t entry_ = 0;
   int entry_level_ = -1;  // -1 == empty graph (or nothing linked yet)

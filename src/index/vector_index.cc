@@ -11,8 +11,8 @@ namespace iccache {
 namespace {
 
 // Arena slots scored per block in the blocked multi-query scans: 256 slots at
-// dim=128 is 128 KB of float arena (32 KB quantized) — sized so a block stays
-// resident in L2 while every query of the batch streams through it.
+// dim=128 is 128 KB of float arena — sized so a block stays resident in L2
+// while every query of the batch streams through it.
 constexpr size_t kScanBlockSlots = 256;
 
 // KMeansIndex re-clusters once it has grown by this factor since the last build.

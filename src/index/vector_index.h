@@ -42,7 +42,7 @@ struct SearchScratch {
   std::vector<SearchResult> results;
   std::vector<size_t> offsets;
 
-  // --- Bounded top-k heaps (flat scan, kmeans members, hnsw rerank) --------
+  // --- Bounded top-k heaps (flat scan, kmeans members, hnsw results) -------
   std::vector<std::vector<std::pair<double, uint64_t>>> heaps;
   // KMeans probe-selection scratch (one query at a time).
   std::vector<std::pair<double, uint64_t>> cluster_heap;
@@ -52,16 +52,12 @@ struct SearchScratch {
   // Epoch-reset visited set shared by the batch's interleaved queries: slot n
   // was visited by interleave-group member g iff epochs[n] holds the group's
   // epoch AND bit g of visited_mask[n] is set. The mask is what lets up to
-  // sixteen in-flight queries share one buffer without clobbering each
-  // other's marks; a stale epoch implicitly clears the mask, so nothing is
-  // ever rescanned between groups.
+  // eight in-flight queries share one buffer without clobbering each other's
+  // marks; a stale epoch implicitly clears the mask, so nothing is ever
+  // rescanned between groups.
   std::vector<uint32_t> epochs;
-  std::vector<uint16_t> visited_mask;
+  std::vector<uint8_t> visited_mask;
   uint32_t epoch = 0;
-  // Quantized query codes (num_queries * dim) + per-query scales, for int8
-  // arenas.
-  std::vector<int8_t> q8;
-  std::vector<float> q8_scales;
   struct Beam {
     std::vector<std::pair<double, uint32_t>> candidates;  // max-heap frontier
     std::vector<std::pair<double, uint32_t>> results;     // min-heap, bounded ef

@@ -166,22 +166,4 @@ std::string MetricsHub::PrometheusText(const std::string& prefix) const {
   return out.str();
 }
 
-void MetricsHub::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) {
-    (void)name;
-    counter->Reset();
-  }
-  for (auto& [name, gauge] : gauges_) {
-    (void)name;
-    gauge->Set(0.0);
-  }
-  for (auto& [name, histogram] : histograms_) {
-    (void)name;
-    histogram->Reset();
-  }
-  series_.clear();
-  series_dropped_ = 0;
-}
-
 }  // namespace iccache

@@ -54,7 +54,6 @@ class MetricCounter {
   double value() const {
     return obs_internal::BitsDouble(bits_.load(std::memory_order_relaxed));
   }
-  void Reset() { bits_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> bits_{0};
@@ -100,11 +99,6 @@ class MetricHistogram {
   std::map<int, uint64_t> exemplars() const {
     std::lock_guard<std::mutex> lock(mu_);
     return exemplars_;
-  }
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    histogram_.Reset();
-    exemplars_.clear();
   }
 
  private:
@@ -162,9 +156,6 @@ class MetricsHub {
   // Prometheus text exposition: counters/gauges as single samples,
   // histograms as cumulative `le` buckets plus `_sum`/`_count`.
   std::string PrometheusText(const std::string& prefix = "iccache_") const;
-
-  // Zeroes counters/histograms and clears the series; handles stay valid.
-  void Reset();
 
  private:
   std::vector<std::pair<std::string, double>> CountersAndGaugesLocked() const;

@@ -193,17 +193,4 @@ std::vector<WatchdogEvent> SloWatchdog::OnWindow(const MetricsWindowSample& samp
   return fired;
 }
 
-void SloWatchdog::Reset() {
-  for (RuleState& state : states_) {
-    state = RuleState{};
-  }
-  have_prev_ = false;
-  prev_ = MetricsWindowSample{};
-  prev_e2e_ = LatencyHistogram();
-  prev_queue_ = LatencyHistogram();
-  hit_rate_ema_.Reset();
-  queue_ema_.Reset();
-  events_.clear();
-}
-
 }  // namespace iccache

@@ -81,13 +81,11 @@ class SloWatchdog {
                                       const LatencyHistogram& e2e,
                                       const LatencyHistogram& queue = LatencyHistogram());
 
-  // Every event fired since construction/Reset, in firing order.
+  // Every event fired since construction, in firing order.
   const std::vector<WatchdogEvent>& events() const { return events_; }
   bool latched(WatchdogRule rule) const {
     return states_[static_cast<size_t>(rule)].latched;
   }
-
-  void Reset();
 
  private:
   struct RuleState {

@@ -234,9 +234,9 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
   }
 
   // Per-request tail: selector filter/snapshot/stage-2 scoring (each
-  // snapshot carries the example's stored vector, so the commit lanes'
-  // diversity guard re-embeds only on an int8 store — the dynamic utility
-  // threshold is applied in the lane stage) and the pure lifecycle half
+  // snapshot carries the example's stored vector, which the commit lanes'
+  // diversity guard reads — the dynamic utility threshold is applied in the
+  // lane stage) and the pure lifecycle half
   // (near-duplicate check + scrub/embed of the admission payload; the
   // quality gate runs at publish time). The check reads the top-1 of the
   // request's stage-1 row, which the store, frozen until publish, still
@@ -431,14 +431,6 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   // between runs can be checked against the kernel in one glance.
   MetricGauge* g_simd_level = hub_.Gauge("simd_kernel_level");
   g_simd_level->Set(static_cast<double>(static_cast<int>(simd::ActiveKernelLevel())));
-  MetricCounter* m_rerank_queries = hub_.Counter("hnsw_rerank_queries_total");
-  MetricCounter* m_rerank_candidates = hub_.Counter("hnsw_rerank_candidates_total");
-  // The HNSW rerank counters are process-global; sample them as deltas at
-  // window boundaries so the hub's windowed series stays per-run.
-  const uint64_t rerank_queries_before = HnswRerankQueriesTotal();
-  const uint64_t rerank_candidates_before = HnswRerankCandidatesTotal();
-  uint64_t rerank_queries_seen = rerank_queries_before;
-  uint64_t rerank_candidates_seen = rerank_candidates_before;
 
   // Utilization denominator: both pools' replicas at full batch occupancy.
   const double pool_capacity =
@@ -892,14 +884,6 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
                                            cluster_.PoolInFlight(large_.name)));
     g_sim_time->Set(cluster_.now());
     {
-      const uint64_t q_now = HnswRerankQueriesTotal();
-      const uint64_t c_now = HnswRerankCandidatesTotal();
-      m_rerank_queries->Add(static_cast<double>(q_now - rerank_queries_seen));
-      m_rerank_candidates->Add(static_cast<double>(c_now - rerank_candidates_seen));
-      rerank_queries_seen = q_now;
-      rerank_candidates_seen = c_now;
-    }
-    {
       // Evictions as a counter (store watermark + maintenance batches), so
       // the watchdog's eviction-storm rule sees per-window deltas.
       const uint64_t store_evicted = cache_.evicted_total();
@@ -966,10 +950,6 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   report.checkpoint_p50_ms = run_checkpoint_ms.Percentile(50);
   report.checkpoint_p99_ms = run_checkpoint_ms.Percentile(99);
   report.simd_kernel = simd::KernelLevelName(simd::ActiveKernelLevel());
-  report.hnsw_rerank_queries =
-      static_cast<size_t>(HnswRerankQueriesTotal() - rerank_queries_before);
-  report.hnsw_rerank_candidates =
-      static_cast<size_t>(HnswRerankCandidatesTotal() - rerank_candidates_before);
   report.embed_memo_hits = static_cast<size_t>(memo_hits_.load(std::memory_order_relaxed) -
                                                memo_hits_before);
   report.embed_memo_misses = static_cast<size_t>(memo_misses_.load(std::memory_order_relaxed) -

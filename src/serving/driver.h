@@ -266,11 +266,6 @@ struct DriverReport {
   // threads and lanes of a run share one kernel — the determinism contract
   // (byte-identical decisions at any thread/lane count) holds per process.
   std::string simd_kernel;
-  // HNSW exact re-rank activity (zeros unless the retrieval backend runs the
-  // int8-quantized arena): queries that took the re-rank pass and candidates
-  // re-scored at full precision.
-  size_t hnsw_rerank_queries = 0;
-  size_t hnsw_rerank_candidates = 0;
 
   // Embedding memo-cache activity in the batched prepare path. Memos are
   // per-worker (thread_local), so the split between hits and misses depends

@@ -213,28 +213,6 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(RngTest, PoissonSmallMean) {
-  Rng rng(19);
-  double sum = 0.0;
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) {
-    const int64_t k = rng.Poisson(3.5);
-    ASSERT_GE(k, 0);
-    sum += static_cast<double>(k);
-  }
-  EXPECT_NEAR(sum / n, 3.5, 0.1);
-}
-
-TEST(RngTest, PoissonLargeMeanUsesNormalApprox) {
-  Rng rng(20);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    sum += static_cast<double>(rng.Poisson(200.0));
-  }
-  EXPECT_NEAR(sum / n, 200.0, 1.5);
-}
-
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(21);
   const std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};
@@ -333,7 +311,6 @@ TEST_P(RngSeedSweep, DistributionsStayInSupport) {
     const double b = rng.Beta(2.0, 2.0);
     EXPECT_GE(b, 0.0);
     EXPECT_LE(b, 1.0);
-    EXPECT_GE(rng.Poisson(2.0), 0);
   }
 }
 

@@ -85,53 +85,9 @@ TEST(SimdKernelTest, L2SqMatchesScalarReferenceAcrossDims) {
   }
 }
 
-TEST(SimdKernelTest, DotI8IsBitExactAcrossDims) {
-  Rng rng(0x51d18);
-  for (size_t n : kDims) {
-    for (int trial = 0; trial < 8; ++trial) {
-      std::vector<int8_t> a(n), b(n);
-      for (size_t i = 0; i < n; ++i) {
-        a[i] = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
-        b[i] = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
-      }
-      // Integer kernels must agree EXACTLY — graph traversal determinism
-      // depends on it.
-      EXPECT_EQ(simd::DotI8(a.data(), b.data(), n), simd::ScalarDotI8(a.data(), b.data(), n));
-    }
-  }
-}
-
-TEST(SimdKernelTest, DotI8SaturatedExtremes) {
-  // All-(-127) x all-127 at a madd-pair-heavy dim: exercises the widened
-  // int16 pairwise path at its largest magnitudes.
-  const size_t n = 128;
-  std::vector<int8_t> a(n, -127), b(n, 127);
-  const int32_t want = -127 * 127 * static_cast<int32_t>(n);
-  EXPECT_EQ(simd::DotI8(a.data(), b.data(), n), want);
-  EXPECT_EQ(simd::ScalarDotI8(a.data(), b.data(), n), want);
-}
-
-TEST(SimdKernelTest, DotF32I8MatchesScalarReferenceAcrossDims) {
-  Rng rng(0x51d22);
-  for (size_t n : kDims) {
-    for (int trial = 0; trial < 8; ++trial) {
-      const std::vector<float> a = RandomVec(rng, n);
-      std::vector<int8_t> b(n);
-      for (size_t i = 0; i < n; ++i) {
-        b[i] = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
-      }
-      // int8 magnitudes reach 127, so scale the tolerance by it.
-      const double want = simd::ScalarDotF32I8(a.data(), b.data(), n);
-      const double tol = 1e-5 * std::max(1.0, std::fabs(want)) +
-                         127.0 * 1e-6 * std::sqrt(static_cast<double>(n));
-      EXPECT_NEAR(simd::DotF32I8(a.data(), b.data(), n), want, tol);
-    }
-  }
-}
-
 TEST(SimdKernelTest, UnalignedPointersAreSafe) {
   // Kernels use unaligned loads; feed them pointers offset by 1..3 elements
-  // (and 1..3 bytes for int8) from a fresh allocation.
+  // from a fresh allocation.
   Rng rng(0x51d33);
   const size_t n = 131;
   for (size_t offset = 1; offset <= 3; ++offset) {
@@ -141,24 +97,13 @@ TEST(SimdKernelTest, UnalignedPointersAreSafe) {
     const float* b = fb.data() + offset;
     ExpectClose(simd::Dot(a, b, n), simd::ScalarDot(a, b, n), static_cast<double>(n));
     ExpectClose(simd::L2Sq(a, b, n), simd::ScalarL2Sq(a, b, n), static_cast<double>(n));
-
-    std::vector<int8_t> qa(n + offset), qb(n + offset);
-    for (size_t i = 0; i < n + offset; ++i) {
-      qa[i] = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
-      qb[i] = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
-    }
-    EXPECT_EQ(simd::DotI8(qa.data() + offset, qb.data() + offset, n),
-              simd::ScalarDotI8(qa.data() + offset, qb.data() + offset, n));
   }
 }
 
 TEST(SimdKernelTest, ZeroLengthIsZero) {
   const float f = 1.0f;
-  const int8_t q = 1;
   EXPECT_EQ(simd::Dot(&f, &f, 0), 0.0);
   EXPECT_EQ(simd::L2Sq(&f, &f, 0), 0.0);
-  EXPECT_EQ(simd::DotI8(&q, &q, 0), 0);
-  EXPECT_EQ(simd::DotF32I8(&f, &q, 0), 0.0);
 }
 
 TEST(SimdKernelTest, CosineMatchesMathutilSemantics) {
@@ -172,67 +117,6 @@ TEST(SimdKernelTest, CosineMatchesMathutilSemantics) {
   EXPECT_NEAR(simd::Cosine(a.data(), a.data(), a.size()), 1.0, 1e-6);
   const std::vector<float> zero(128, 0.0f);
   EXPECT_EQ(simd::Cosine(zero.data(), b.data(), zero.size()), 0.0);
-}
-
-TEST(SimdQuantizeTest, RoundTripErrorIsBoundedByHalfScale) {
-  Rng rng(0x0a7e);
-  for (size_t n : kDims) {
-    const std::vector<float> src = RandomVec(rng, n);
-    std::vector<int8_t> q(n);
-    float scale = -1.0f;
-    simd::QuantizeI8(src.data(), n, q.data(), &scale);
-    ASSERT_GE(scale, 0.0f);
-    std::vector<float> deq(n);
-    simd::DequantizeI8(q.data(), n, scale, deq.data());
-    for (size_t i = 0; i < n; ++i) {
-      // Documented element-wise bound: |x - deq(q(x))| <= scale / 2 (plus a
-      // float-rounding epsilon).
-      EXPECT_LE(std::fabs(src[i] - deq[i]), 0.5f * scale + 1e-6f);
-      EXPECT_GE(q[i], -127);
-      EXPECT_LE(q[i], 127);
-    }
-  }
-}
-
-TEST(SimdQuantizeTest, MaxMagnitudeElementHitsFullRange) {
-  const std::vector<float> src = {0.25f, -1.0f, 0.5f, 0.125f};
-  std::vector<int8_t> q(src.size());
-  float scale = 0.0f;
-  simd::QuantizeI8(src.data(), src.size(), q.data(), &scale);
-  EXPECT_EQ(q[1], -127);  // the max-|x| element maps to the rail
-  EXPECT_FLOAT_EQ(scale, 1.0f / 127.0f);
-}
-
-TEST(SimdQuantizeTest, ZeroVectorQuantizesToZeroScale) {
-  const std::vector<float> src(64, 0.0f);
-  std::vector<int8_t> q(src.size(), 1);
-  float scale = 1.0f;
-  simd::QuantizeI8(src.data(), src.size(), q.data(), &scale);
-  EXPECT_EQ(scale, 0.0f);
-  for (int8_t v : q) {
-    EXPECT_EQ(v, 0);
-  }
-}
-
-TEST(SimdQuantizeTest, QuantizedDotApproximatesFloatDot) {
-  // End-to-end sanity for the symmetric-scale similarity used by the HNSW
-  // traversal: dotI8(qa, qb) * sa * sb must track the float dot.
-  Rng rng(0x0a7e2);
-  for (int trial = 0; trial < 16; ++trial) {
-    const size_t n = 128;
-    std::vector<float> a = RandomVec(rng, n);
-    std::vector<float> b = RandomVec(rng, n);
-    std::vector<int8_t> qa(n), qb(n);
-    float sa = 0.0f, sb = 0.0f;
-    simd::QuantizeI8(a.data(), n, qa.data(), &sa);
-    simd::QuantizeI8(b.data(), n, qb.data(), &sb);
-    const double approx = static_cast<double>(simd::DotI8(qa.data(), qb.data(), n)) *
-                          static_cast<double>(sa) * static_cast<double>(sb);
-    const double exact = simd::ScalarDot(a.data(), b.data(), n);
-    // Quantization noise per element <= scale/2; accumulated error for unit-ish
-    // normals stays well inside this loose envelope.
-    EXPECT_NEAR(approx, exact, 0.05 * static_cast<double>(n) * sa * sb * 127.0 + 0.5);
-  }
 }
 
 }  // namespace

@@ -41,14 +41,6 @@ TEST(RunningStatTest, EmptyAndSingle) {
   EXPECT_EQ(stat.variance(), 0.0);
 }
 
-TEST(RunningStatTest, ResetClears) {
-  RunningStat stat;
-  stat.Add(1.0);
-  stat.Reset();
-  EXPECT_EQ(stat.count(), 0u);
-  EXPECT_EQ(stat.mean(), 0.0);
-}
-
 TEST(RunningStatTest, NumericallyStableForLargeOffsets) {
   RunningStat stat;
   for (int i = 0; i < 1000; ++i) {
@@ -86,14 +78,6 @@ TEST(EmaTest, DecayScalesValue) {
   ema.Add(10.0);
   ema.Decay(0.9);
   EXPECT_NEAR(ema.value(), 9.0, 1e-12);
-}
-
-TEST(EmaTest, ResetClearsState) {
-  Ema ema(0.5);
-  ema.Add(3.0);
-  ema.Reset();
-  EXPECT_FALSE(ema.initialized());
-  EXPECT_EQ(ema.value(), 0.0);
 }
 
 TEST(HistogramTest, BinsAndDensity) {
@@ -237,45 +221,6 @@ TEST(LatencyHistogramTest, PercentileMonotoneInP) {
     EXPECT_GE(value, previous) << "p=" << p;
     previous = value;
   }
-}
-
-TEST(LatencyHistogramTest, MergeSumsStateAndRejectsGeometryMismatch) {
-  LatencyHistogram a(1.0, 2.0, 4);
-  LatencyHistogram b(1.0, 2.0, 4);
-  a.Add(1.5);
-  a.Add(100.0);
-  b.Add(3.0);
-  b.Add(0.5);
-  ASSERT_TRUE(a.Merge(b));
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.bucket_count(0), 1u);
-  EXPECT_EQ(a.bucket_count(1), 1u);
-  EXPECT_EQ(a.underflow_count(), 1u);
-  EXPECT_EQ(a.overflow_count(), 1u);
-  EXPECT_DOUBLE_EQ(a.min(), 0.5);
-  EXPECT_DOUBLE_EQ(a.max(), 100.0);
-  EXPECT_DOUBLE_EQ(a.sum(), 105.0);
-
-  LatencyHistogram mismatched(1.0, 4.0, 4);
-  mismatched.Add(2.0);
-  const size_t before = a.count();
-  EXPECT_FALSE(a.Merge(mismatched));
-  EXPECT_EQ(a.count(), before);  // left untouched on mismatch
-}
-
-TEST(LatencyHistogramTest, ResetClears) {
-  LatencyHistogram h(1.0, 2.0, 4);
-  h.Add(0.5);
-  h.Add(3.0);
-  h.Add(50.0);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.underflow_count(), 0u);
-  EXPECT_EQ(h.overflow_count(), 0u);
-  EXPECT_EQ(h.Percentile(50.0), 0.0);
-  h.Add(2.5);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
 }
 
 }  // namespace

@@ -49,13 +49,11 @@ TEST(ManagerDedupeTest, Stage1TopScoreAnswersTheK1Probe) {
   struct Backend {
     const char* name;
     RetrievalBackendKind kind;
-    QuantizationKind quantize;
   };
   const Backend backends[] = {
-      {"flat", RetrievalBackendKind::kFlat, QuantizationKind::kNone},
-      {"kmeans", RetrievalBackendKind::kKMeans, QuantizationKind::kNone},
-      {"hnsw", RetrievalBackendKind::kHnsw, QuantizationKind::kNone},
-      {"hnsw-int8", RetrievalBackendKind::kHnsw, QuantizationKind::kInt8},
+      {"flat", RetrievalBackendKind::kFlat},
+      {"kmeans", RetrievalBackendKind::kKMeans},
+      {"hnsw", RetrievalBackendKind::kHnsw},
   };
   const size_t k = SelectorConfig().stage1_candidates;
   ModelCatalog catalog;
@@ -65,7 +63,6 @@ TEST(ManagerDedupeTest, Stage1TopScoreAnswersTheK1Probe) {
     ShardedCacheConfig config;
     ASSERT_EQ(config.num_shards, 8u);
     config.cache.retrieval.kind = backend.kind;
-    config.cache.retrieval.quantize = backend.quantize;
     ShardedExampleCache cache(std::make_shared<HashingEmbedder>(), config);
     ExampleManager manager(&cache, &sim, catalog.Get("gemma-2-27b"));
     const double line = manager.config().dedupe_similarity;

@@ -1,5 +1,5 @@
 // Batched search (SearchBatch) acceptance: batch-size invariance across all
-// three backends x {float, int8} x batch sizes {1, 7, 32}, zero steady-state
+// three backends x batch sizes {1, 7, 32}, zero steady-state
 // allocations (scratch-reuse counter), and the visited high-watermark
 // rebuild. Search is SearchBatch at batch size 1, so the *BatchMatchesSingle
 // cases compare batch-of-n with batch-of-1 of the same kernel: they check
@@ -118,19 +118,6 @@ TEST(IndexBatchTest, HnswFloatBatchMatchesSingle) {
   ExpectBatchMatchesSingle(index, kDim, 10, 64, 0x88);
 }
 
-TEST(IndexBatchTest, HnswInt8BatchMatchesSingle) {
-  HnswIndexConfig config;
-  config.dim = kDim;
-  config.max_neighbors = 8;
-  config.ef_construction = 60;
-  config.ef_search = 48;
-  config.quantize_int8 = true;
-  config.rerank_k = 16;
-  HnswIndex index(config);
-  FillIndex(&index, 1500, kDim, 0x99);
-  ExpectBatchMatchesSingle(index, kDim, 10, 64, 0xaa);
-}
-
 TEST(IndexBatchTest, HnswBatchMatchesSingleWithTombstones) {
   HnswIndexConfig config;
   config.dim = kDim;
@@ -168,26 +155,22 @@ TEST(IndexBatchTest, BatchOfOneAndEmptyIndexEdgeCases) {
 // Steady-state SearchBatch must perform ZERO heap allocations per query: the
 // scratch-reuse counter (`grows`) stops advancing once the scratch is warm.
 TEST(IndexBatchTest, SteadyStateBatchDoesNotGrowScratch) {
-  for (const bool quantize : {false, true}) {
-    HnswIndexConfig config;
-    config.dim = kDim;
-    config.max_neighbors = 8;
-    config.ef_construction = 60;
-    config.ef_search = 48;
-    config.quantize_int8 = quantize;
-    HnswIndex index(config);
-    FillIndex(&index, 2000, kDim, 0xdd);
-    std::vector<std::vector<float>> queries;
-    const std::vector<float> arena = MakeQueryArena(32, kDim, 0xee, &queries);
-    SearchScratch scratch;
-    index.SearchBatch(arena.data(), 32, kDim, 10, &scratch);  // warm-up batch
-    const uint64_t warm = scratch.grows;
-    for (int round = 0; round < 20; ++round) {
-      index.SearchBatch(arena.data(), 32, kDim, 10, &scratch);
-    }
-    EXPECT_EQ(scratch.grows, warm) << "quantize=" << quantize
-                                   << ": steady-state batches reallocated scratch";
+  HnswIndexConfig config;
+  config.dim = kDim;
+  config.max_neighbors = 8;
+  config.ef_construction = 60;
+  config.ef_search = 48;
+  HnswIndex index(config);
+  FillIndex(&index, 2000, kDim, 0xdd);
+  std::vector<std::vector<float>> queries;
+  const std::vector<float> arena = MakeQueryArena(32, kDim, 0xee, &queries);
+  SearchScratch scratch;
+  index.SearchBatch(arena.data(), 32, kDim, 10, &scratch);  // warm-up batch
+  const uint64_t warm = scratch.grows;
+  for (int round = 0; round < 20; ++round) {
+    index.SearchBatch(arena.data(), 32, kDim, 10, &scratch);
   }
+  EXPECT_EQ(scratch.grows, warm) << "steady-state batches reallocated scratch";
 }
 
 TEST(IndexBatchTest, FlatSteadyStateBatchDoesNotGrowScratch) {

@@ -346,7 +346,7 @@ TEST(HnswIndexTest, LoadGraphStreamsAnImageAndRejectsABadEntryLevel) {
   restored.SaveGraph(&again);
   EXPECT_TRUE(again.bytes() == image.bytes());
 
-  // Version, quantize flag, dim, degree, node and live counts and the entry
+  // Version, mode byte, dim, degree, node and live counts and the entry
   // slot precede the entry level.
   constexpr size_t kEntryLevel = 4 + 1 + 8 + 8 + 8 + 8 + 4;
   for (int32_t level : {index.max_level() + 1, 24}) {
@@ -359,6 +359,68 @@ TEST(HnswIndexTest, LoadGraphStreamsAnImageAndRejectsABadEntryLevel) {
     EXPECT_FALSE(target.LoadGraph(&reader, bad.size())) << level;
     EXPECT_EQ(target.size(), 0u);
   }
+}
+
+// Saves a small float graph and returns its image.
+std::string SmallGraphImage(const HnswIndexConfig& config, uint64_t seed) {
+  HnswIndex index(config);
+  Rng rng(seed);
+  for (uint64_t i = 0; i < 100; ++i) {
+    EXPECT_TRUE(index.Add(i, RandomUnitVector(rng, config.dim)).ok());
+  }
+  ByteWriter image;
+  index.SaveGraph(&image);
+  return image.bytes();
+}
+
+// Loads `image` into an index that already holds one vector; a rejected
+// image must leave that vector in place.
+void ExpectRejectedAndUntouched(const HnswIndexConfig& config, const std::string& image) {
+  HnswIndex target(config);
+  Rng rng(5);
+  const std::vector<float> kept = RandomUnitVector(rng, config.dim);
+  ASSERT_TRUE(target.Add(7, kept).ok());
+  ByteReader reader(image);
+  EXPECT_FALSE(target.LoadGraph(&reader, image.size()));
+  EXPECT_EQ(target.size(), 1u);
+  const auto found = target.Search(kept, 1);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].id, 7u);
+}
+
+// The mode byte after the version is always 0 (the float arena); an image
+// carrying any other mode is rejected, so the caller rebuilds.
+TEST(HnswIndexTest, NonzeroModeByteRejectsImage) {
+  HnswIndexConfig config;
+  config.dim = 16;
+  std::string image = SmallGraphImage(config, 47);
+  ASSERT_EQ(image[4], '\0');
+  {
+    HnswIndex same(config);
+    ByteReader reader(image);
+    ASSERT_TRUE(same.LoadGraph(&reader, image.size()));
+    EXPECT_EQ(same.size(), 100u);
+  }
+  image[4] = 1;
+  ExpectRejectedAndUntouched(config, image);
+}
+
+// Every node carries at least 17 bytes of record plus dim arena floats, so
+// LoadGraph bounds the node count by image_bytes / (17 + 4 * dim) before it
+// reserves the node table. A count that fits only at one arena byte per
+// dimension must fail and leave the index untouched.
+TEST(HnswIndexTest, NodeCountAboveTheFloatArenaBoundRejectsImage) {
+  HnswIndexConfig config;
+  config.dim = 16;
+  std::string image = SmallGraphImage(config, 48);
+  // Version, mode byte, dim and degree precede the node count.
+  constexpr size_t kNodeCount = 4 + 1 + 8 + 8;
+  const uint64_t claimed = image.size() / (17 + config.dim);
+  ASSERT_GT(claimed, image.size() / (17 + config.dim * sizeof(float)));
+  ByteWriter field;
+  field.PutU64(claimed);
+  image.replace(kNodeCount, 8, field.bytes());
+  ExpectRejectedAndUntouched(config, image);
 }
 
 // --- The link step --------------------------------------------------------
@@ -429,11 +491,10 @@ struct LinkRun {
 // One seeded sequence of Adds, overwrites and Removes (enough tombstones for
 // compaction to fire), linked at `mode`'s points: after every Add (eager
 // linking), only at the end, or by searches at seeded random points.
-LinkRun RunLinkSequence(bool int8, FlushPoint mode) {
+LinkRun RunLinkSequence(FlushPoint mode) {
   constexpr size_t kDim = 16;
   HnswIndexConfig config;
   config.dim = kDim;
-  config.quantize_int8 = int8;
   config.min_tombstones_to_compact = 16;
   HnswIndex index(config);
   Rng ops(0xf1a5);
@@ -511,14 +572,12 @@ void ExpectSameResults(const std::vector<std::vector<SearchResult>>& a,
   }
 }
 
-class HnswFlushPointTest : public ::testing::TestWithParam<bool> {};
-
 // Pending nodes have no links in or out and keep their level draws, so where
 // the link step runs changes no graph byte and no search result.
-TEST_P(HnswFlushPointTest, GraphAndResultsDoNotDependOnWhenNodesLink) {
-  const LinkRun every_add = RunLinkSequence(GetParam(), FlushPoint::kEveryAdd);
-  const LinkRun at_end = RunLinkSequence(GetParam(), FlushPoint::kEnd);
-  const LinkRun searches = RunLinkSequence(GetParam(), FlushPoint::kRandomSearches);
+TEST(HnswFlushPointTest, GraphAndResultsDoNotDependOnWhenNodesLink) {
+  const LinkRun every_add = RunLinkSequence(FlushPoint::kEveryAdd);
+  const LinkRun at_end = RunLinkSequence(FlushPoint::kEnd);
+  const LinkRun searches = RunLinkSequence(FlushPoint::kRandomSearches);
   EXPECT_GT(at_end.pending_overwrites, 0u);
   EXPECT_GT(at_end.linked_overwrites, 0u);
   EXPECT_GT(at_end.pending_removes, 0u);
@@ -530,11 +589,6 @@ TEST_P(HnswFlushPointTest, GraphAndResultsDoNotDependOnWhenNodesLink) {
   ExpectSameResults(at_end.final, every_add.final);
   ExpectSameResults(searches.final, every_add.final);
 }
-
-INSTANTIATE_TEST_SUITE_P(Arenas, HnswFlushPointTest, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return std::string(info.param ? "Int8" : "Float");
-                         });
 
 }  // namespace
 }  // namespace iccache

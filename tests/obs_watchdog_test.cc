@@ -207,24 +207,6 @@ TEST(SloWatchdogTest, MaintenanceStallFiresWheneverTheCounterAdvances) {
   EXPECT_EQ(fired[0].rule, WatchdogRule::kMaintenanceStall);
 }
 
-TEST(SloWatchdogTest, ResetForgetsBaselinesLatchesAndEvents) {
-  WatchdogConfig config;
-  config.eviction_storm_threshold = 10.0;
-  config.trigger_windows = 1;
-  SloWatchdog watchdog(config);
-  LatencyHistogram e2e;
-  watchdog.OnWindow(MakeSample(0, 100, 0, 0), e2e);
-  ASSERT_EQ(watchdog.OnWindow(MakeSample(1, 200, 0, 100), e2e).size(), 1u);
-  EXPECT_TRUE(watchdog.latched(WatchdogRule::kEvictionStorm));
-
-  watchdog.Reset();
-  EXPECT_TRUE(watchdog.events().empty());
-  EXPECT_FALSE(watchdog.latched(WatchdogRule::kEvictionStorm));
-  // After Reset the first window is a baseline again: a huge cumulative
-  // eviction count alone is not a per-window burst.
-  EXPECT_TRUE(watchdog.OnWindow(MakeSample(2, 300, 0, 100), e2e).empty());
-}
-
 TEST(SloWatchdogTest, EveryRuleHasAUniqueName) {
   std::vector<std::string> names;
   for (size_t i = 0; i < static_cast<size_t>(WatchdogRule::kNumRules); ++i) {

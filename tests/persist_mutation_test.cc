@@ -124,10 +124,12 @@ void PutLe(std::string* bytes, size_t offset, uint64_t value, size_t width) {
   }
 }
 
-// A length or count field of a section: where it sits and how wide it is.
+// A length or count field of a section: where it sits, how wide it is, and
+// one value to try besides the sweep's generic inflations (0: none).
 struct LengthField {
   size_t offset = 0;
   size_t width = 8;
+  uint64_t also = 0;
 };
 
 // The examples section's shard-counter count, record count, and every
@@ -178,11 +180,13 @@ std::vector<LengthField> IndexLengthFields(const std::string& section, size_t di
       break;
     }
     fields.push_back({prefix, 8});
-    // version u32, quantize flag u8, dim u64, degree u64, then node_count.
+    // version u32, mode byte u8, dim u64, degree u64, then node_count.
     constexpr size_t kNodeCount = 4 + 1 + 8 + 8;
     ByteReader head(bytes.data() + kNodeCount, 8);
     const uint64_t nodes = head.GetU64();
-    fields.push_back({image + kNodeCount, 8});      // node count
+    // Also claim as many nodes as the image holds at 17 record bytes plus
+    // one arena byte per dimension: more than fit at dim floats each.
+    fields.push_back({image + kNodeCount, 8, length / (17 + dim)});  // node count
     fields.push_back({image + kNodeCount + 8, 8});  // live count
     // The header runs through the level-sampler RNG (86 bytes); the first
     // node's id, level and tombstone flag (13 bytes) precede its first
@@ -335,8 +339,8 @@ class MutationSweepTest : public ::testing::Test {
   }
 
   // Restores every mutant of section `id`: 512 single-bit flips and 64
-  // truncations at seeded positions, and five inflated values of each
-  // length field in `fields`.
+  // truncations at seeded positions, and five inflated values (plus the
+  // field's own `also`) of each length field in `fields`.
   SweepResult Sweep(SnapshotSection id, const std::vector<LengthField>& fields) {
     const std::string& pristine = sections_.at(id);
     Rng rng(kSeed ^ static_cast<uint64_t>(id));
@@ -356,7 +360,11 @@ class MutationSweepTest : public ::testing::Test {
     for (const LengthField& field : fields) {
       const uint64_t rest = pristine.size() - field.offset - field.width;
       const uint64_t max = field.width == 8 ? ~uint64_t{0} : 0xFFFFFFFFu;
-      for (uint64_t inflated : {rest + 1, rest / 4 + 1, uint64_t{1} << 31, max >> 1, max}) {
+      std::vector<uint64_t> values = {rest + 1, rest / 4 + 1, uint64_t{1} << 31, max >> 1, max};
+      if (field.also != 0) {
+        values.push_back(field.also);
+      }
+      for (uint64_t inflated : values) {
         SCOPED_TRACE(std::string(SnapshotSectionName(id)) + ": length at " +
                      std::to_string(field.offset) + " = " + std::to_string(inflated));
         std::string bytes = pristine;

@@ -1224,7 +1224,7 @@ TEST_F(PersistTest, MalformedLastShardImageFallsBackToACleanRebuild) {
     ASSERT_TRUE(framing.GetBytes(image.data(), image.size()));
   }
   ASSERT_TRUE(framing.AtEnd());
-  constexpr size_t kDimOffset = 4 + 1;  // after the format version and quantize flag
+  constexpr size_t kDimOffset = 4 + 1;  // after the format version and mode byte
   index[last_image + kDimOffset] ^= 0x01;
 
   const auto restore = [&](const std::string& index_bytes, const std::string& name,

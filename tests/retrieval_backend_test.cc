@@ -68,24 +68,19 @@ TEST(RetrievalBackendTest, WrongLengthQueryReturnsNothingOnEveryBackend) {
   struct Case {
     const char* name;
     RetrievalBackendKind kind;
-    QuantizationKind quantize;
     size_t examples;
   };
   const size_t cluster_at = KMeansIndexConfig().min_points_to_cluster;
   const Case cases[] = {
-      {"flat", RetrievalBackendKind::kFlat, QuantizationKind::kNone, 40},
-      {"kmeans-unclustered", RetrievalBackendKind::kKMeans, QuantizationKind::kNone,
-       cluster_at - 1},
-      {"kmeans-clustered", RetrievalBackendKind::kKMeans, QuantizationKind::kNone,
-       3 * cluster_at},
-      {"hnsw", RetrievalBackendKind::kHnsw, QuantizationKind::kNone, 40},
-      {"hnsw-int8", RetrievalBackendKind::kHnsw, QuantizationKind::kInt8, 40},
+      {"flat", RetrievalBackendKind::kFlat, 40},
+      {"kmeans-unclustered", RetrievalBackendKind::kKMeans, cluster_at - 1},
+      {"kmeans-clustered", RetrievalBackendKind::kKMeans, 3 * cluster_at},
+      {"hnsw", RetrievalBackendKind::kHnsw, 40},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     ExampleCacheConfig config;
     config.retrieval.kind = c.kind;
-    config.retrieval.quantize = c.quantize;
     ExampleCache cache(std::make_shared<HashingEmbedder>(), config);
     for (size_t i = 0; i < c.examples; ++i) {
       ASSERT_NE(cache.Put(MakeRequest(i + 1, "how do i sort a list of " + std::to_string(i) +
@@ -267,8 +262,6 @@ class RecordingSnapshotSink : public StoreSnapshotSink {
 struct StoredVectorBackend {
   const char* name;
   RetrievalBackendKind kind;
-  QuantizationKind quantize;
-  bool exact;  // keeps the embedder's output bit for bit
 };
 
 class StoredVectorSweep : public ::testing::TestWithParam<StoredVectorBackend> {};
@@ -278,11 +271,9 @@ bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-// Every example's Snapshot vector is Embed(example.request.text) bit for bit
-// on exact backends, and absent on int8. Returns how many stored texts the
-// PII scrubber rewrote.
-size_t ExpectStoredVectorsAreEmbedderOutput(const ExampleStore& store, const Embedder& embedder,
-                                            bool exact) {
+// Every example's Snapshot vector is Embed(example.request.text) bit for
+// bit. Returns how many stored texts the PII scrubber rewrote.
+size_t ExpectStoredVectorsAreEmbedderOutput(const ExampleStore& store, const Embedder& embedder) {
   size_t scrubbed = 0;
   for (uint64_t id : store.AllIds()) {
     Example example;
@@ -291,11 +282,7 @@ size_t ExpectStoredVectorsAreEmbedderOutput(const ExampleStore& store, const Emb
     if (example.request.text.find("[EMAIL]") != std::string::npos) {
       ++scrubbed;
     }
-    if (exact) {
-      EXPECT_TRUE(SameBits(embedding, embedder.Embed(example.request.text))) << "id " << id;
-    } else {
-      EXPECT_TRUE(embedding.empty()) << "id " << id;
-    }
+    EXPECT_TRUE(SameBits(embedding, embedder.Embed(example.request.text))) << "id " << id;
   }
   return scrubbed;
 }
@@ -314,9 +301,7 @@ TEST_P(StoredVectorSweep, SnapshotVectorIsTheEmbedderOutput) {
   config.cache.capacity_bytes = 40000;  // ~230 of the 320 inserts fit
   config.cache.low_watermark = 0.8;
   config.cache.retrieval.kind = backend.kind;
-  config.cache.retrieval.quantize = backend.quantize;
   config.cache.retrieval.hnsw.min_tombstones_to_compact = 8;
-  EXPECT_EQ(StoresExactVectors(config.cache.retrieval), backend.exact);
   ShardedExampleCache store(embedder, config);
 
   std::vector<float> text_embedding(embedder->dim());
@@ -346,7 +331,7 @@ TEST_P(StoredVectorSweep, SnapshotVectorIsTheEmbedderOutput) {
       example.response_tokens = 30;
     }));
   }
-  EXPECT_GT(ExpectStoredVectorsAreEmbedderOutput(store, *embedder, backend.exact), 0u);
+  EXPECT_GT(ExpectStoredVectorsAreEmbedderOutput(store, *embedder), 0u);
 
   // Through the streamed snapshot export and the record codec, as a save
   // and a restore see the pool.
@@ -374,12 +359,11 @@ TEST_P(StoredVectorSweep, SnapshotVectorIsTheEmbedderOutput) {
     }
     EXPECT_TRUE(reader.AtEnd());
     ASSERT_EQ(restored.size(), store.size());
-    ExpectStoredVectorsAreEmbedderOutput(restored, *embedder, backend.exact);
+    ExpectStoredVectorsAreEmbedderOutput(restored, *embedder);
   }
 
-  // Candidates carry the stored vectors; where the store keeps none, the
-  // commit embeds lazily. Either way the frozen commit picks what it picked
-  // when prepare re-embedded every candidate.
+  // Candidates carry the stored vectors, so the frozen commit picks what it
+  // picked when prepare re-embedded every candidate.
   ProxyUtilityModel proxy;
   ExampleSelector selector(&store, &proxy);
   selector.set_utility_threshold(0.0);
@@ -407,11 +391,7 @@ TEST_P(StoredVectorSweep, SnapshotVectorIsTheEmbedderOutput) {
       candidate.embedding = embedder->Embed(candidate.example.request.text);
     }
     for (size_t c = 0; c < candidates.size(); ++c) {
-      if (backend.exact) {
-        EXPECT_TRUE(SameBits(candidates[c].embedding, reembedded[c].embedding));
-      } else {
-        EXPECT_TRUE(candidates[c].embedding.empty());
-      }
+      EXPECT_TRUE(SameBits(candidates[c].embedding, reembedded[c].embedding));
     }
     candidates_seen += candidates.size();
 
@@ -435,12 +415,9 @@ TEST_P(StoredVectorSweep, SnapshotVectorIsTheEmbedderOutput) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, StoredVectorSweep,
     ::testing::Values(
-        StoredVectorBackend{"flat", RetrievalBackendKind::kFlat, QuantizationKind::kNone, true},
-        StoredVectorBackend{"kmeans", RetrievalBackendKind::kKMeans, QuantizationKind::kNone,
-                            true},
-        StoredVectorBackend{"hnsw", RetrievalBackendKind::kHnsw, QuantizationKind::kNone, true},
-        StoredVectorBackend{"hnsw_int8", RetrievalBackendKind::kHnsw, QuantizationKind::kInt8,
-                            false}),
+        StoredVectorBackend{"flat", RetrievalBackendKind::kFlat},
+        StoredVectorBackend{"kmeans", RetrievalBackendKind::kKMeans},
+        StoredVectorBackend{"hnsw", RetrievalBackendKind::kHnsw}),
     [](const ::testing::TestParamInfo<StoredVectorBackend>& info) { return info.param.name; });
 
 }  // namespace

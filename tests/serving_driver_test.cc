@@ -129,47 +129,6 @@ TEST(ServingDriverTest, HnswBackendIsThreadCountInvariant) {
   EXPECT_GT(single.offloaded_requests, 0u);
 }
 
-// Determinism guard for the int8-quantized arena: the kernel dispatch level
-// is fixed per process and the quantized traversal uses the bit-exact integer
-// dot, so decisions must stay byte-identical across the full {1,8} threads x
-// {1,4} commit-lanes matrix with quantization on.
-TEST(ServingDriverTest, QuantizedHnswIsThreadAndLaneCountInvariant) {
-  const std::vector<Request> requests = SmallWorkload();
-  ModelCatalog catalog;
-  DriverConfig base;
-  base.batch_window = 32;
-  base.cache.num_shards = 4;
-  base.cache.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
-  base.cache.cache.retrieval.quantize = QuantizationKind::kInt8;
-
-  const DriverReport* reference = nullptr;
-  std::vector<DriverReport> reports;
-  reports.reserve(4);
-  for (size_t threads : {1u, 8u}) {
-    for (size_t lanes : {1u, 4u}) {
-      DriverConfig config = base;
-      config.num_threads = threads;
-      config.commit_lanes = lanes;
-      reports.push_back(MakeDriverWithConfig(catalog, config)->Run(requests));
-      // Every run reports the same (process-fixed) kernel level.
-      EXPECT_EQ(reports.back().simd_kernel, reports.front().simd_kernel);
-      if (reference == nullptr) {
-        reference = &reports.back();
-        continue;
-      }
-      ExpectSameDecisions(*reference, reports.back());
-      EXPECT_EQ(reference->offloaded_requests, reports.back().offloaded_requests);
-      EXPECT_EQ(reference->admitted_examples, reports.back().admitted_examples);
-    }
-  }
-  ASSERT_NE(reference, nullptr);
-  EXPECT_GT(reference->offloaded_requests, 0u);
-  // Quantized retrieval actually exercised the rerank pass.
-  EXPECT_GT(reference->hnsw_rerank_queries, 0u);
-  EXPECT_GE(reference->hnsw_rerank_candidates, reference->hnsw_rerank_queries);
-  EXPECT_TRUE(reference->simd_kernel == "avx2" || reference->simd_kernel == "scalar");
-}
-
 // The batched prepare path re-blocks embed/stage-0/stage-1 work into
 // prepare_chunk-sized batches, but chunking is a locality optimisation only:
 // decisions, counters, and memo-independent state must be byte-identical at
@@ -473,13 +432,12 @@ TEST(ServingDriverLifecycleTest, SelectorFaultBypassStillDedupesAdmissions) {
 }
 
 // The fused dedupe reads the top-1 of the stage-1 row, which equals a k=1
-// search only while the hnsw beam (ef_search) and the int8 rerank budget
-// are at least stage1_candidates wide (ExampleManager::PrepareAdmission).
-// The driver's defaults must keep that precondition.
+// search only while the hnsw beam (ef_search) is at least stage1_candidates
+// wide (ExampleManager::PrepareAdmission). The driver's defaults must keep
+// that precondition.
 TEST(ServingDriverTest, DefaultsKeepTheStage1BeamWideEnoughForDedupe) {
   const DriverConfig config;
   EXPECT_GE(config.cache.cache.retrieval.hnsw.ef_search, config.selector.stage1_candidates);
-  EXPECT_GE(config.cache.cache.retrieval.rerank_k, config.selector.stage1_candidates);
 }
 
 TEST(ServingDriverLifecycleTest, RouterFaultBypassRoutesEverythingToLarge) {

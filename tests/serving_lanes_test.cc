@@ -138,8 +138,11 @@ TEST(ServingLanesTest, ThreadAndLaneMatrixIsByteIdentical) {
       reports.push_back(MakeDriver(catalog, config, kSeed)->Run(requests));
     }
   }
+  // The kernel dispatch level is fixed per process, and every run reports it.
+  EXPECT_TRUE(reports[0].simd_kernel == "avx2" || reports[0].simd_kernel == "scalar");
   for (size_t i = 1; i < reports.size(); ++i) {
     SCOPED_TRACE("variant " + std::to_string(i));
+    EXPECT_EQ(reports[i].simd_kernel, reports[0].simd_kernel);
     ExpectSameDecisions(reports[0], reports[i]);
     ExpectSameLifecycleCounts(reports[0], reports[i]);
     ASSERT_EQ(reports[0].completions.size(), reports[i].completions.size());
