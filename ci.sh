@@ -5,7 +5,7 @@
 # paper benches (each must exit 0), self-test
 # the repository benchmark (bench/perf) and serve one of its workloads
 # (churn256k, 1 s) end to end, smoke one benchmark under a
-# 2-second cap, rerun the SIMD kernel and batched-index suites
+# 2-second cap, rerun the SIMD kernel, batched-index and HNSW suites
 # under the forced-scalar dispatch path, exit-enforce the stage-1 retrieval
 # scaling bars at 100k vectors (hnsw vs flat, batched traversal, graph-image
 # round trip), then
@@ -102,13 +102,15 @@ if [[ "${rc}" -ne 0 && "${rc}" -ne 124 ]]; then
   exit "${rc}"
 fi
 
-echo "== simd kernel + batched index suites: forced-scalar dispatch =="
-# The unit label above already runs both suites under the best kernel the
+echo "== simd kernel + index suites: forced-scalar dispatch =="
+# The unit label above already runs these suites under the best kernel the
 # box offers (avx2 where available); this rerun pins the portable scalar
-# fallback so both dispatch paths stay green everywhere. The override is
+# fallback so both dispatch paths stay green everywhere, including the
+# scalar constants of index_hnsw_test's pinned pruned graph. The override is
 # read once at first kernel use, so each rerun needs a fresh process.
 ICCACHE_FORCE_SCALAR=1 timeout 120 "${BUILD_DIR}/common_simd_test" > /dev/null
 ICCACHE_FORCE_SCALAR=1 timeout 300 "${BUILD_DIR}/index_batch_test" > /dev/null
+ICCACHE_FORCE_SCALAR=1 timeout 300 "${BUILD_DIR}/index_hnsw_test" > /dev/null
 
 echo "== retrieval scaling acceptance (100k hnsw) =="
 # Exit-enforces the stage-1 retrieval bars on a clustered 128-d corpus:

@@ -20,6 +20,9 @@
 //   Dot / L2Sq — dispatched vs scalar agree within a relative error of 1e-5
 //     (plus 1e-6 absolute slack near zero) for |x| <= 1 inputs at dims up to
 //     a few thousand; both are float-accumulated.
+//   DotMany — out[i] is bit-identical to Dot(q, vecs[i], n) at the same
+//     kernel level, for every n and count (the scalar form loops ScalarDot,
+//     so it follows any change to what ScalarDot computes).
 //
 // mathutil::Dot (double accumulation) intentionally stays separate: it backs
 // L2Norm / NormalizeL2 / CosineSimilarity and the numeric tests that pin its
@@ -51,6 +54,12 @@ bool ScalarForced();
 
 // Inner product of two float vectors, float-accumulated.
 double Dot(const float* a, const float* b, size_t n);
+
+// out[i] = Dot(q, vecs[i], n) for i < count: one call scores a batch of
+// vectors against one query (an HNSW hop's neighbors). The AVX2 form runs
+// four vectors per pass, sharing the loads of q and overlapping their FMA
+// chains.
+void DotMany(const float* q, const float* const* vecs, size_t count, size_t n, double* out);
 
 // Squared Euclidean distance of two float vectors, float-accumulated.
 double L2Sq(const float* a, const float* b, size_t n);

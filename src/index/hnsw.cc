@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <mutex>
-#include <queue>
 #include <utility>
 
 #include "src/common/binio.h"
@@ -103,69 +103,63 @@ uint32_t HnswIndex::GreedyStep(const float* query, uint32_t slot, int layer) con
 }
 
 std::vector<HnswIndex::ScoredSlot> HnswIndex::SearchLayer(const float* query, uint32_t entry,
-                                                          int layer, size_t ef,
-                                                          std::vector<uint32_t>& epochs,
-                                                          uint32_t epoch, uint64_t* visited,
-                                                          uint64_t* hops) const {
-  // candidates: max-heap on similarity (frontier to expand).
-  std::priority_queue<std::pair<double, uint32_t>> candidates;
-  // results: min-heap on similarity, bounded to ef (current best set).
-  std::priority_queue<std::pair<double, uint32_t>, std::vector<std::pair<double, uint32_t>>,
-                      std::greater<std::pair<double, uint32_t>>>
-      results;
-
-  const double entry_sim = SimQ(query, entry);
-  candidates.emplace(entry_sim, entry);
-  results.emplace(entry_sim, entry);
-  epochs[entry] = epoch;
-  if (visited != nullptr) {
-    ++*visited;
-  }
+                                                          int layer, size_t ef) {
+  // candidates: max-heap of beam keys (frontier to expand); results: min-heap,
+  // bounded to ef (current best set). Key order is (similarity, slot) order,
+  // so both run the comparisons std::priority_queue over the pairs would.
+  std::vector<uint64_t>& candidates = link_candidates_;
+  std::vector<uint64_t>& results = link_results_;
+  candidates.clear();
+  results.clear();
+  const uint64_t entry_key = BeamKey(SimQ(query, entry), entry);
+  candidates.push_back(entry_key);
+  results.push_back(entry_key);
+  insert_epochs_[entry] = insert_epoch_;
 
   while (!candidates.empty()) {
-    const auto [sim, slot] = candidates.top();
-    candidates.pop();
-    if (results.size() >= ef && sim < results.top().first) {
+    std::pop_heap(candidates.begin(), candidates.end());
+    const uint64_t top = candidates.back();
+    candidates.pop_back();
+    if (results.size() >= ef && BeamKeySim(top) < BeamKeySim(results.front())) {
       break;  // frontier can no longer improve the result set
     }
-    if (hops != nullptr) {
-      ++*hops;
-    }
-    const std::vector<uint32_t>& links = nodes_[slot].links[layer];
-    // Warm the arena lines for the whole neighborhood before evaluating it:
-    // graph hops are random access, and the evaluation loop would otherwise
-    // stall on every line.
-    for (uint32_t neighbor : links) {
-      if (epochs[neighbor] != epoch) {
-        PrefetchLine(VecOf(neighbor));
-      }
-    }
-    for (uint32_t neighbor : links) {
-      if (epochs[neighbor] == epoch) {
+    // Mark the unvisited neighbors in link order, warming their arena lines
+    // (graph hops are random access), then score them with one call.
+    link_pending_.clear();
+    link_vecs_.clear();
+    for (uint32_t neighbor : nodes_[BeamKeySlot(top)].links[layer]) {
+      if (insert_epochs_[neighbor] == insert_epoch_) {
         continue;
       }
-      epochs[neighbor] = epoch;
-      if (visited != nullptr) {
-        ++*visited;
-      }
-      const double neighbor_sim = SimQ(query, neighbor);
-      if (results.size() < ef || neighbor_sim > results.top().first) {
-        candidates.emplace(neighbor_sim, neighbor);
-        results.emplace(neighbor_sim, neighbor);
+      insert_epochs_[neighbor] = insert_epoch_;
+      PrefetchLine(VecOf(neighbor));
+      link_pending_.push_back(neighbor);
+      link_vecs_.push_back(VecOf(neighbor));
+    }
+    link_sims_.resize(link_vecs_.size());
+    simd::DotMany(query, link_vecs_.data(), link_vecs_.size(), config_.dim, link_sims_.data());
+    for (size_t i = 0; i < link_pending_.size(); ++i) {
+      const double neighbor_sim = link_sims_[i];
+      if (results.size() < ef || neighbor_sim > BeamKeySim(results.front())) {
+        const uint64_t key = BeamKey(neighbor_sim, link_pending_[i]);
+        candidates.push_back(key);
+        std::push_heap(candidates.begin(), candidates.end());
+        results.push_back(key);
+        std::push_heap(results.begin(), results.end(), std::greater<uint64_t>{});
         if (results.size() > ef) {
-          results.pop();
+          std::pop_heap(results.begin(), results.end(), std::greater<uint64_t>{});
+          results.pop_back();
         }
       }
     }
   }
 
-  std::vector<ScoredSlot> out;
-  out.reserve(results.size());
-  while (!results.empty()) {
-    out.push_back(ScoredSlot{results.top().first, results.top().second});
-    results.pop();
+  std::vector<ScoredSlot> out(results.size());
+  for (auto it = out.rbegin(); it != out.rend(); ++it) {  // best-first
+    *it = ScoredSlot{BeamKeySim(results.front()), BeamKeySlot(results.front())};
+    std::pop_heap(results.begin(), results.end(), std::greater<uint64_t>{});
+    results.pop_back();
   }
-  std::reverse(out.begin(), out.end());  // best-first
   return out;
 }
 
@@ -245,8 +239,7 @@ void HnswIndex::LinkPendingLocked() {
     for (int layer = std::min(level, entry_level_); layer >= 0; --layer) {
       ++insert_epoch_;
       const std::vector<ScoredSlot> found =
-          SearchLayer(query, cur, layer, std::max<size_t>(1, config_.ef_construction),
-                      insert_epochs_, insert_epoch_);
+          SearchLayer(query, cur, layer, std::max<size_t>(1, config_.ef_construction));
       cur = found.empty() ? cur : found[0].slot;
       const std::vector<uint32_t> neighbors = SelectNeighbors(found, config_.max_neighbors);
       for (uint32_t neighbor : neighbors) {
@@ -507,8 +500,8 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
       SearchScratch::Beam& beam = s.beams[g];
       const uint32_t cur = beam.cur;
       const double entry_sim = beam.best;
-      s.GrowPush(beam.candidates, {entry_sim, cur});  // one element: already a heap
-      s.GrowPush(beam.results, {entry_sim, cur});
+      s.GrowPush(beam.candidates, BeamKey(entry_sim, cur));  // one element: already a heap
+      s.GrowPush(beam.results, BeamKey(entry_sim, cur));
       if (s.epochs[cur] != group_epoch) {
         s.epochs[cur] = group_epoch;
         s.visited_mask[cur] = 0;
@@ -520,11 +513,12 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
     }
     // Phase 2: interleaved beam expansion. 2a pops each live query's best
     // frontier node, marks its unvisited neighbors and prefetches their
-    // vectors; 2b scores them — by then the other queries' 2a passes have
-    // hidden the arena-line latency — and tops off by prefetching the NEXT
-    // pop's graph node, so the following round's adjacency chase starts
-    // warm. Per query the operation sequence is
-    // exactly the single-query beam's; prefetches never change a result.
+    // vectors; 2b scores each query's marked neighbors in one DotMany call —
+    // by then the other queries' 2a passes have hidden the arena-line
+    // latency — and tops off by prefetching the NEXT pop's graph node, so
+    // the following round's adjacency chase starts warm. Per query the
+    // operation sequence is exactly the single-query beam's; prefetches
+    // never change a result.
     const size_t vec_bytes = config_.dim * sizeof(float);
     bool any_active = true;
     while (any_active) {
@@ -536,7 +530,8 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
       for (size_t g = 0; g < group; ++g) {
         const SearchScratch::Beam& beam = s.beams[g];
         if (!beam.done && !beam.candidates.empty()) {
-          const std::vector<uint32_t>& links = nodes_[beam.candidates.front().second].links[0];
+          const std::vector<uint32_t>& links =
+              nodes_[BeamKeySlot(beam.candidates.front())].links[0];
           if (!links.empty()) {
             PrefetchSpan(links.data(), links.size() * sizeof(uint32_t));
           }
@@ -560,17 +555,18 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
           beam.done = true;
           continue;
         }
-        const auto [sim, slot] = beam.candidates.front();
+        const uint64_t top = beam.candidates.front();
         std::pop_heap(beam.candidates.begin(), beam.candidates.end());
         beam.candidates.pop_back();
-        if (beam.results.size() >= ef_eff && sim < beam.results.front().first) {
+        if (beam.results.size() >= ef_eff &&
+            BeamKeySim(top) < BeamKeySim(beam.results.front())) {
           beam.done = true;  // frontier can no longer improve the result set
           continue;
         }
         if (hop != nullptr) {
           ++*hop;
         }
-        beam.scan_links = &nodes_[slot].links[0];
+        beam.scan_links = &nodes_[BeamKeySlot(top)].links[0];
         for (uint32_t neighbor : *beam.scan_links) {
           PrefetchWrite(&s.epochs[neighbor]);
           PrefetchWrite(&s.visited_mask[neighbor]);
@@ -601,63 +597,56 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
             if (vis != nullptr) {
               ++*vis;
             }
-            // Head of the vector only: a full-span prefetch of ~30 512-byte
-            // float vectors here would flood the miss buffers and evict the
-            // other interleaved queries' lines; the scoring pass below
-            // streams the remaining lines one neighbor ahead instead.
+            // Head of the vector only: the marking passes of a whole group
+            // would otherwise stream ~30 512-byte vectors per query through
+            // the miss buffers at once; the scoring pass below streams each
+            // query's remaining lines while the query before it scores.
             PrefetchLine(VecOf(neighbor));
             s.GrowPush(beam.pending, neighbor);
           }
         }
       }
-      // 2b: score the marked neighbors ROUND-ROBIN across the group, one
-      // neighbor per live query per turn, so the full-span prefetch issued
-      // for a query's next 512-byte vector has a whole group's worth of other
-      // queries' dot products to hide behind before it is consumed. Each
-      // query still scores its own pending list front to back against its
-      // own heaps, so the schedule is bit-identical to the sequential
-      // single-query beam. At group == 1 this degenerates to a plain
-      // one-ahead software pipeline.
-      size_t max_pending = 0;
+      // 2b: per live query, score the marked neighbors with one DotMany
+      // call and push them in marking order, against the query's own heaps,
+      // so the schedule is bit-identical to the sequential single-query
+      // beam. Each query's vectors are streamed in whole while the query
+      // before it scores, and each query ends by warming its next pop's
+      // graph node so 2a-pre's adjacency read is cheap.
       for (size_t g = 0; g < group; ++g) {
-        const SearchScratch::Beam& beam = s.beams[g];
-        max_pending = std::max(max_pending, beam.pending.size());
-        if (beam.pending.empty()) {
-          if (!beam.done && !beam.candidates.empty()) {
-            PrefetchLine(&nodes_[beam.candidates.front().second]);
+        SearchScratch::Beam& beam = s.beams[g];
+        if (g + 1 < group) {
+          for (uint32_t neighbor : s.beams[g + 1].pending) {
+            PrefetchSpan(VecOf(neighbor), vec_bytes);
           }
-        } else {
-          PrefetchSpan(VecOf(beam.pending[0]), vec_bytes);
         }
-      }
-      for (size_t p = 0; p < max_pending; ++p) {
-        for (size_t g = 0; g < group; ++g) {
-          SearchScratch::Beam& beam = s.beams[g];
-          if (p >= beam.pending.size()) {
-            continue;
-          }
-          if (p + 1 < beam.pending.size()) {
-            PrefetchSpan(VecOf(beam.pending[p + 1]), vec_bytes);
-          }
-          const uint32_t neighbor = beam.pending[p];
-          const double neighbor_sim = SimQ(query_of(base + g), neighbor);
-          if (beam.results.size() < ef_eff || neighbor_sim > beam.results.front().first) {
-            s.GrowPush(beam.candidates, {neighbor_sim, neighbor});
+        // The gather buffers hold the level-0 degree bound, or a loaded
+        // image's longer list.
+        const size_t count = beam.pending.size();
+        if (s.gather_vecs.size() < count) {
+          s.GrowResize(s.gather_vecs, std::max(count, LayerCap(0)));
+          s.GrowResize(s.gather_sims, std::max(count, LayerCap(0)));
+        }
+        for (size_t p = 0; p < count; ++p) {
+          s.gather_vecs[p] = VecOf(beam.pending[p]);
+        }
+        simd::DotMany(query_of(base + g), s.gather_vecs.data(), count, config_.dim,
+                      s.gather_sims.data());
+        for (size_t p = 0; p < count; ++p) {
+          const double neighbor_sim = s.gather_sims[p];
+          if (beam.results.size() < ef_eff || neighbor_sim > BeamKeySim(beam.results.front())) {
+            const uint64_t key = BeamKey(neighbor_sim, beam.pending[p]);
+            s.GrowPush(beam.candidates, key);
             std::push_heap(beam.candidates.begin(), beam.candidates.end());
-            s.GrowPush(beam.results, {neighbor_sim, neighbor});
-            std::push_heap(beam.results.begin(), beam.results.end(),
-                           std::greater<std::pair<double, uint32_t>>{});
+            s.GrowPush(beam.results, key);
+            std::push_heap(beam.results.begin(), beam.results.end(), std::greater<uint64_t>{});
             if (beam.results.size() > ef_eff) {
-              std::pop_heap(beam.results.begin(), beam.results.end(),
-                            std::greater<std::pair<double, uint32_t>>{});
+              std::pop_heap(beam.results.begin(), beam.results.end(), std::greater<uint64_t>{});
               beam.results.pop_back();
             }
           }
-          if (p + 1 == beam.pending.size() && !beam.candidates.empty()) {
-            // Last pending neighbor scored: warm the next round's pop
-            // target so 2a-pre's adjacency read is cheap.
-            PrefetchLine(&nodes_[beam.candidates.front().second]);
-          }
+        }
+        if (!beam.done && !beam.candidates.empty()) {
+          PrefetchLine(&nodes_[BeamKeySlot(beam.candidates.front())]);
         }
       }
     }
@@ -669,8 +658,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
       SearchScratch::Beam& beam = s.beams[g];
       while (!beam.results.empty()) {
         s.GrowPush(beam.found, beam.results.front());
-        std::pop_heap(beam.results.begin(), beam.results.end(),
-                      std::greater<std::pair<double, uint32_t>>{});
+        std::pop_heap(beam.results.begin(), beam.results.end(), std::greater<uint64_t>{});
         beam.results.pop_back();
       }
       std::reverse(beam.found.begin(), beam.found.end());  // best-first
@@ -680,15 +668,15 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
       // touched many pops ago; an 8-ahead pipeline keeps them in flight.
       const size_t nf = beam.found.size();
       for (size_t j = 0; j < nf && j < 8; ++j) {
-        PrefetchLine(&nodes_[beam.found[j].second]);
+        PrefetchLine(&nodes_[BeamKeySlot(beam.found[j])]);
       }
       for (size_t j = 0; j < nf; ++j) {
         if (j + 8 < nf) {
-          PrefetchLine(&nodes_[beam.found[j + 8].second]);
+          PrefetchLine(&nodes_[BeamKeySlot(beam.found[j + 8])]);
         }
-        const auto& scored = beam.found[j];
-        if (!nodes_[scored.second].deleted) {
-          ScratchTopK::Push(heap, k, scored.first, nodes_[scored.second].id, s);
+        const Node& node = nodes_[BeamKeySlot(beam.found[j])];
+        if (!node.deleted) {
+          ScratchTopK::Push(heap, k, BeamKeySim(beam.found[j]), node.id, s);
         }
       }
       ScratchTopK::DrainDescending(heap, &s.results, s);
@@ -701,22 +689,6 @@ void HnswIndex::SearchBatch(const float* queries, size_t num_queries, size_t que
                             size_t k, SearchScratch* scratch) const {
   const auto lock = LinkedReadLock();
   SearchBatchLocked(queries, num_queries, query_dim, k, config_.ef_search, *scratch);
-}
-
-void HnswIndex::SearchBatchEf(const float* queries, size_t num_queries, size_t query_dim,
-                              size_t k, size_t ef, SearchScratch* scratch) const {
-  const auto lock = LinkedReadLock();
-  SearchBatchLocked(queries, num_queries, query_dim, k, ef, *scratch);
-}
-
-std::vector<SearchResult> HnswIndex::SearchEf(const std::vector<float>& query, size_t k,
-                                              size_t ef) const {
-  // Search's discipline (VectorIndex::Search): the batch kernel at batch
-  // size 1 over a thread-local scratch.
-  static thread_local SearchScratch scratch;
-  SearchBatchEf(query.data(), 1, query.size(), k, ef, &scratch);
-  return std::vector<SearchResult>(scratch.ResultsOf(0),
-                                   scratch.ResultsOf(0) + scratch.ResultCountOf(0));
 }
 
 bool HnswIndex::GetVector(uint64_t id, std::vector<float>* out) const {

@@ -32,6 +32,7 @@
 #define SRC_INDEX_HNSW_H_
 
 #include <cstdint>
+#include <cstring>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -49,8 +50,9 @@ struct HnswIndexConfig {
   size_t max_neighbors = 32;
   // Beam width while wiring a new node in. Larger = better graph, slower Add.
   size_t ef_construction = 200;
-  // Default beam width for Search; raise for recall, lower for latency.
-  // SearchEf overrides per call.
+  // Beam width for Search and SearchBatch; raise for recall, lower for
+  // latency. A recall/latency sweep loads one graph image (SaveGraph /
+  // LoadGraph) into an index per width.
   size_t ef_search = 192;
   // Compact (rebuild from live nodes) when tombstones exceed this fraction of
   // total slots and there are at least `min_tombstones_to_compact` of them.
@@ -64,6 +66,38 @@ struct HnswIndexConfig {
   size_t visited_shrink_floor = size_t{1} << 16;
   uint64_t seed = 0x9f5eed;
 };
+
+// --- Beam keys ---------------------------------------------------------------
+//
+// Both HNSW beams (the link step's and the search's) hold each entry as one
+// 8-byte key: the similarity's float bits in unsigned order in the high word,
+// the slot in the low word. Similarities are float-accumulated (simd::Dot
+// widens a float), so the float is exact, and for every finite similarity key
+// order equals std::pair<double, uint32_t> order: non-negatives get the sign
+// bit set, negatives are inverted, and -0 folds onto +0, which the pair
+// comparison already treats as equal. So a heap of keys runs the comparisons
+// a heap of pairs would, at half the bytes.
+inline uint64_t BeamKey(double sim, uint32_t slot) {
+  const float f = static_cast<float>(sim);
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  if (bits == 0x80000000u) {
+    bits = 0;  // -0 sorts as +0
+  }
+  bits = (bits & 0x80000000u) != 0 ? ~bits : (bits | 0x80000000u);
+  return (uint64_t{bits} << 32) | slot;
+}
+
+// The similarity a key holds, bit for bit (-0 comes back as +0).
+inline float BeamKeySim(uint64_t key) {
+  uint32_t bits = static_cast<uint32_t>(key >> 32);
+  bits = (bits & 0x80000000u) != 0 ? (bits & 0x7fffffffu) : ~bits;
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+inline uint32_t BeamKeySlot(uint64_t key) { return static_cast<uint32_t>(key); }
 
 class HnswIndex : public VectorIndex {
  public:
@@ -82,24 +116,18 @@ class HnswIndex : public VectorIndex {
   void Flush() override;
   size_t pending() const override;
 
-  // Search with an explicit beam width (recall/latency sweeps).
-  std::vector<SearchResult> SearchEf(const std::vector<float>& query, size_t k, size_t ef) const;
-
   // Batched top-k by cosine similarity with beam width ef_search: ONE shared
   // lock for the whole batch (safe from many threads concurrently with one
   // writer), queries traversed in interleaved groups so one query's compute
-  // hides another's arena-line misses (each 2a pass prefetches the next hop's
-  // neighbor vectors; the matching 2b pass scores them after the other
-  // queries' passes have covered the latency). Per query the traversal runs
-  // over per-query beam state, so results do not depend on the batch size —
-  // and every buffer lives in the caller's SearchScratch, so steady-state
-  // batches allocate nothing.
+  // hides another's arena-line misses (each 2a pass marks the next hop's
+  // neighbors and prefetches their vectors; the matching 2b pass scores each
+  // query's marked neighbors with one simd::DotMany call, after the other
+  // queries' passes have covered the latency, and pushes them in marking
+  // order). Per query the traversal runs over per-query beam state, so
+  // results do not depend on the batch size — and every buffer lives in the
+  // caller's SearchScratch, so steady-state batches allocate nothing.
   void SearchBatch(const float* queries, size_t num_queries, size_t query_dim, size_t k,
                    SearchScratch* scratch) const override;
-
-  // Batched search with an explicit beam width.
-  void SearchBatchEf(const float* queries, size_t num_queries, size_t query_dim, size_t k,
-                     size_t ef, SearchScratch* scratch) const;
 
   // Copies the vector for a live id; false for absent or tombstoned ids.
   bool GetVector(uint64_t id, std::vector<float>* out) const override;
@@ -188,16 +216,13 @@ class HnswIndex : public VectorIndex {
   // optimum slot for `query`.
   uint32_t GreedyStep(const float* query, uint32_t slot, int layer) const;
 
-  // Beam search at one layer. `epochs`/`epoch` implement an O(1)-reset
-  // visited set (slot visited iff epochs[slot] == epoch). Traverses through
-  // tombstones (they remain waypoints); the caller filters them. When
-  // `visited`/`hops` are non-null they accumulate the number of distinct
-  // nodes marked visited and of frontier expansions (tracing only — callers
-  // pass nullptr on the untraced path so the loop stays counter-free).
-  std::vector<ScoredSlot> SearchLayer(const float* query, uint32_t entry, int layer, size_t ef,
-                                      std::vector<uint32_t>& epochs, uint32_t epoch,
-                                      uint64_t* visited = nullptr,
-                                      uint64_t* hops = nullptr) const;
+  // The link step's beam search at one layer, best-first. The visited set
+  // is insert_epochs_ under the current insert_epoch_ (slot visited iff the
+  // two are equal); each hop marks the popped node's unvisited neighbors in
+  // link order, scores them with one simd::DotMany call and pushes them in
+  // that order. Traverses through tombstones (they remain waypoints); the
+  // caller filters them.
+  std::vector<ScoredSlot> SearchLayer(const float* query, uint32_t entry, int layer, size_t ef);
 
   // The HNSW diversity heuristic (Malkov & Yashunin, Alg. 4): scanning
   // best-first, keep a candidate only if it is closer to the query than to
@@ -222,9 +247,9 @@ class HnswIndex : public VectorIndex {
   bool RemoveLocked(uint64_t id);
   void CompactLocked();
   void MaybeCompactLocked();
-  // The one traversal core behind SearchBatch and SearchBatchEf (Search and
-  // SearchEf run them at batch size 1), so batch-vs-single identity is
-  // structural rather than re-proved per change.
+  // The one traversal core behind SearchBatch (Search runs it at batch size
+  // 1), so batch-vs-single identity is structural rather than re-proved per
+  // change.
   void SearchBatchLocked(const float* queries, size_t num_queries, size_t query_dim, size_t k,
                          size_t ef, SearchScratch& scratch) const;
 
@@ -243,11 +268,17 @@ class HnswIndex : public VectorIndex {
   // live nodes are ever pending: Remove and an overwriting Add link first.
   size_t linked_ = 0;
 
-  // Writer-side visited scratch (linking holds the exclusive lock, so a
-  // shared buffer is safe there; readers keep theirs in a SearchScratch, so
-  // concurrent readers never share state).
+  // Writer-side beam scratch (linking holds the exclusive lock, so shared
+  // buffers are safe there; readers keep theirs in a SearchScratch, so
+  // concurrent readers never share state): the visited epochs, the beam's
+  // key heaps, and one hop's gathered neighbors with their similarities.
   std::vector<uint32_t> insert_epochs_;
   uint32_t insert_epoch_ = 0;
+  std::vector<uint64_t> link_candidates_;  // max-heap frontier
+  std::vector<uint64_t> link_results_;     // min-heap, bounded ef
+  std::vector<uint32_t> link_pending_;
+  std::vector<const float*> link_vecs_;
+  std::vector<double> link_sims_;
 };
 
 }  // namespace iccache

@@ -58,11 +58,13 @@ struct SearchScratch {
   std::vector<uint32_t> epochs;
   std::vector<uint8_t> visited_mask;
   uint32_t epoch = 0;
+  // Beam entries are 8-byte (similarity, slot) keys ordered like the pair
+  // (hnsw.h BeamKey).
   struct Beam {
-    std::vector<std::pair<double, uint32_t>> candidates;  // max-heap frontier
-    std::vector<std::pair<double, uint32_t>> results;     // min-heap, bounded ef
-    std::vector<std::pair<double, uint32_t>> found;       // drained best-first
-    std::vector<uint32_t> pending;  // neighbors marked this round, to score
+    std::vector<uint64_t> candidates;  // max-heap frontier
+    std::vector<uint64_t> results;     // min-heap, bounded ef
+    std::vector<uint64_t> found;       // drained best-first
+    std::vector<uint32_t> pending;     // neighbors marked this round, to score
     // Adjacency list popped this round (hnsw): set by the pop pass, consumed
     // by the marking pass after every other query's pop has run in between —
     // the gap is what gives the pop pass's visited-word prefetches time to
@@ -75,6 +77,10 @@ struct SearchScratch {
     double best = 0.0;
   };
   std::vector<Beam> beams;
+  // One query's marked neighbors, gathered for one simd::DotMany call, and
+  // their similarities (hnsw sizes both to its level-0 degree bound).
+  std::vector<const float*> gather_vecs;
+  std::vector<double> gather_sims;
 
   template <typename T>
   void GrowResize(std::vector<T>& v, size_t n) {

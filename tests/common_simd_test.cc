@@ -7,6 +7,7 @@
 #include "src/common/simd.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -97,6 +98,50 @@ TEST(SimdKernelTest, UnalignedPointersAreSafe) {
     const float* b = fb.data() + offset;
     ExpectClose(simd::Dot(a, b, n), simd::ScalarDot(a, b, n), static_cast<double>(n));
     ExpectClose(simd::L2Sq(a, b, n), simd::ScalarL2Sq(a, b, n), static_cast<double>(n));
+  }
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// DotMany's contract is bit identity with Dot at the same kernel level, at
+// every length (the 16-float body, the 8-float remainder step and the scalar
+// tail) and every count (the four-vector passes and the single-vector rest).
+// One pointer set is distinct vectors at every float alignment; the other
+// repeats vectors and lists the query itself among them.
+TEST(SimdKernelTest, DotManyIsBitIdenticalToDot) {
+  Rng rng(0x51d55);
+  constexpr size_t kMaxLen = 300;
+  constexpr size_t kMaxCount = 9;
+  constexpr size_t kStride = kMaxLen + 8;
+  const std::vector<float> pool = RandomVec(rng, kMaxCount * kStride);
+  const std::vector<float> query = RandomVec(rng, kMaxLen + 1);
+  const float* q = query.data() + 1;  // unaligned
+  const std::vector<const float*> distinct = [&] {
+    std::vector<const float*> vecs;
+    for (size_t v = 0; v < kMaxCount; ++v) {
+      vecs.push_back(pool.data() + v * kStride + v % 8);
+    }
+    return vecs;
+  }();
+  const std::vector<const float*> repeats = {distinct[0], q,           distinct[0],
+                                             distinct[5], q,           distinct[5],
+                                             distinct[5], distinct[3], q};
+  for (const std::vector<const float*>* vecs : {&distinct, &repeats}) {
+    for (size_t n = 0; n <= kMaxLen; ++n) {
+      for (size_t count = 0; count <= kMaxCount; ++count) {
+        std::vector<double> out(count + 1, -7.0);
+        simd::DotMany(q, vecs->data(), count, n, out.data());
+        for (size_t v = 0; v < count; ++v) {
+          ASSERT_EQ(Bits(out[v]), Bits(simd::Dot(q, (*vecs)[v], n)))
+              << "n " << n << " count " << count << " vector " << v;
+        }
+        ASSERT_EQ(out[count], -7.0) << "wrote past count at n " << n;
+      }
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include "src/index/hnsw.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "src/common/binio.h"
 #include "src/common/mathutil.h"
 #include "src/common/rng.h"
+#include "src/common/simd.h"
 
 namespace iccache {
 namespace {
@@ -239,18 +242,27 @@ TEST(HnswIndexTest, RemoveAllThenReuse) {
   EXPECT_EQ(index.Search(RandomUnitVector(rng, 4), 5).size(), 1u);
 }
 
+// The same graph searched at two beam widths: the wide index loads the
+// narrow one's graph image.
 TEST(HnswIndexTest, WiderBeamNeverHurtsRecall) {
   const size_t dim = 32;
   HnswIndexConfig config;
   config.dim = dim;
-  HnswIndex index(config);
+  config.ef_search = 16;
+  HnswIndex narrow(config);
   FlatIndex exact(dim);
   Rng rng(36);
   for (uint64_t i = 0; i < 2000; ++i) {
     const auto v = RandomUnitVector(rng, dim);
-    ASSERT_TRUE(index.Add(i, v).ok());
+    ASSERT_TRUE(narrow.Add(i, v).ok());
     ASSERT_TRUE(exact.Add(i, v).ok());
   }
+  config.ef_search = 256;
+  HnswIndex wide(config);
+  ByteWriter image;
+  narrow.SaveGraph(&image);
+  ByteReader reader(image.bytes());
+  ASSERT_TRUE(wide.LoadGraph(&reader, image.size()));
   size_t narrow_hits = 0;
   size_t wide_hits = 0;
   for (int q = 0; q < 40; ++q) {
@@ -259,10 +271,10 @@ TEST(HnswIndexTest, WiderBeamNeverHurtsRecall) {
     for (const auto& r : exact.Search(query, 10)) {
       truth.insert(r.id);
     }
-    for (const auto& r : index.SearchEf(query, 10, 16)) {
+    for (const auto& r : narrow.Search(query, 10)) {
       narrow_hits += truth.count(r.id);
     }
-    for (const auto& r : index.SearchEf(query, 10, 256)) {
+    for (const auto& r : wide.Search(query, 10)) {
       wide_hits += truth.count(r.id);
     }
   }
@@ -588,6 +600,136 @@ TEST(HnswFlushPointTest, GraphAndResultsDoNotDependOnWhenNodesLink) {
   ExpectSameResults(searches.mid, every_add.mid);
   ExpectSameResults(at_end.final, every_add.final);
   ExpectSameResults(searches.final, every_add.final);
+}
+
+// --- Beam keys ---------------------------------------------------------------
+
+uint32_t FloatBits(float f) {
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+// A beam key orders like the (similarity, slot) pair it replaces and decodes
+// to the similarity's float bit for bit, over seeded similarities with the
+// edge values mixed in: 0 and -0 (equal, so the slot decides), +-1,
+// subnormals, the normal extremes, infinities, and each value tied at several
+// slots.
+TEST(HnswBeamKeyTest, KeyOrderEqualsPairOrderAndDecodesExactly) {
+  using Limits = std::numeric_limits<float>;
+  std::vector<float> sims = {0.0f,
+                             -0.0f,
+                             1.0f,
+                             -1.0f,
+                             Limits::denorm_min(),
+                             -Limits::denorm_min(),
+                             Limits::min() - Limits::denorm_min(),  // largest subnormal
+                             -(Limits::min() - Limits::denorm_min()),
+                             Limits::min(),
+                             -Limits::min(),
+                             Limits::max(),
+                             -Limits::max(),
+                             Limits::infinity(),
+                             -Limits::infinity()};
+  Rng rng(0xbea3);
+  for (int i = 0; i < 120; ++i) {
+    sims.push_back(static_cast<float>(2.0 * rng.Uniform() - 1.0));
+  }
+  std::vector<std::pair<double, uint32_t>> entries;
+  for (float sim : sims) {
+    for (uint32_t slot : {0u, 1u, static_cast<uint32_t>(rng.UniformInt(1u << 31)), ~0u}) {
+      entries.emplace_back(sim, slot);
+    }
+  }
+  std::vector<uint64_t> keys;
+  for (const auto& [sim, slot] : entries) {
+    const uint64_t key = BeamKey(sim, slot);
+    keys.push_back(key);
+    EXPECT_EQ(BeamKeySlot(key), slot);
+    // -0 decodes as +0, the one value the key does not keep apart.
+    const float want = sim == 0.0 ? 0.0f : static_cast<float>(sim);
+    EXPECT_EQ(FloatBits(BeamKeySim(key)), FloatBits(want)) << sim;
+  }
+  size_t mismatches = 0;
+  for (size_t a = 0; a < entries.size(); ++a) {
+    for (size_t b = 0; b < entries.size(); ++b) {
+      mismatches += (keys[a] < keys[b]) != (entries[a] < entries[b]) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// --- A pinned pruned graph ------------------------------------------------
+
+// Size and CRC-32 of the pruned graph's SaveGraph image, and the CRC-32 of
+// its search results, at one kernel level (similarities differ in their last
+// bits between levels, and with them the links).
+struct PinnedGraph {
+  size_t image_size;
+  uint32_t image_crc;
+  uint32_t results_crc;
+};
+
+// A default-config graph (M 32, ef_construction 200, ef_search 192) over
+// 4,000 clustered 128-d vectors: hub nodes collect more than 2M level-0
+// back-links, so ShrinkLinks prunes, and 1,334 removes cross the compaction
+// threshold, so compaction relinks the survivors. The image pins every link
+// the link step's beam, the diversity heuristic and pruning chose; the
+// results pin the search beam over that graph. Pushing one hop's neighbors
+// in another order, or rounding one similarity differently, moves them.
+// ci.sh reruns this suite with ICCACHE_FORCE_SCALAR=1 for the scalar pin.
+TEST(HnswPinnedGraphTest, PrunedGraphMatchesPinnedBytes) {
+  const HnswIndexConfig config;
+  HnswIndex index(config);
+  Rng rng(0x9a4f);
+  std::vector<std::vector<float>> centers;
+  for (int c = 0; c < 16; ++c) {
+    centers.push_back(RandomUnitVector(rng, config.dim));
+  }
+  const auto clustered = [&] {
+    std::vector<float> v = centers[rng.UniformInt(centers.size())];
+    for (auto& x : v) {
+      x += static_cast<float>(0.12 * rng.Normal());
+    }
+    NormalizeL2(v);
+    return v;
+  };
+  constexpr uint64_t kVectors = 4000;
+  for (uint64_t id = 0; id < kVectors; ++id) {
+    ASSERT_TRUE(index.Add(id, clustered()).ok());
+  }
+  size_t removed = 0;
+  for (uint64_t id = 0; id < kVectors; id += 3) {
+    ASSERT_TRUE(index.Remove(id));
+    ++removed;
+  }
+  ASSERT_EQ(index.size(), kVectors - removed);
+  ASSERT_LT(index.tombstones(), removed);  // compaction ran
+
+  ByteWriter image;
+  index.SaveGraph(&image);
+  std::vector<float> queries;
+  for (int q = 0; q < 64; ++q) {
+    const std::vector<float> query = clustered();
+    queries.insert(queries.end(), query.begin(), query.end());
+  }
+  SearchScratch scratch;
+  index.SearchBatch(queries.data(), 64, config.dim, 10, &scratch);
+  ASSERT_EQ(scratch.results.size(), 64u * 10);
+  ByteWriter results;
+  for (const SearchResult& r : scratch.results) {
+    results.PutU64(r.id);
+    results.PutDouble(r.score);
+  }
+  const PinnedGraph got{image.size(), Crc32(image.bytes().data(), image.size()),
+                        Crc32(results.bytes().data(), results.size())};
+
+  const PinnedGraph want = simd::ActiveKernelLevel() == simd::KernelLevel::kAvx2
+                               ? PinnedGraph{1940149, 0xc0da656bu, 0xc30af13au}
+                               : PinnedGraph{1940149, 0x43674a6eu, 0x1920337cu};
+  EXPECT_EQ(got.image_size, want.image_size);
+  EXPECT_EQ(got.image_crc, want.image_crc) << std::hex << got.image_crc;
+  EXPECT_EQ(got.results_crc, want.results_crc) << std::hex << got.results_crc;
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/binio.h"
 #include "src/common/mathutil.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -77,10 +78,17 @@ TEST(HnswStressTest, ConcurrentAddRemoveSearch) {
 
   EXPECT_EQ(index.size(), total_added.load() - total_removed.load());
   // After the churn settles, every surviving id is findable and no removed id
-  // ever surfaces.
+  // ever surfaces: a copy of the graph searched with a beam wider than the
+  // graph returns exactly the live ids.
+  config.ef_search = 4096;
+  HnswIndex wide(config);
+  ByteWriter image;
+  index.SaveGraph(&image);
+  ByteReader reader(image.bytes());
+  ASSERT_TRUE(wide.LoadGraph(&reader, image.size()));
   Rng rng(0xf17a1);
   const auto everything =
-      index.SearchEf(RandomUnitVector(rng, dim), index.size() + index.tombstones(), 4096);
+      wide.Search(RandomUnitVector(rng, dim), index.size() + index.tombstones());
   EXPECT_EQ(everything.size(), index.size());
 }
 
