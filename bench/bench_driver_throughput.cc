@@ -31,15 +31,19 @@
 //   --restore=<path>      lifecycle demo: warm-start the driver from <path>
 //                         instead of re-seeding, reporting restore ms
 //   --snapshot-bench=N    standalone persistence acceptance: build an
-//                         N-example sharded HNSW pool, snapshot it, restore
-//                         it natively (no graph rebuild), report write/read
-//                         ms, how far each raises peak resident memory, and
-//                         the restore's transient (its peak rise minus the
+//                         N-example sharded HNSW pool, snapshot it, drop it,
+//                         restore it natively (no graph rebuild), then put
+//                         N/20 more examples into the restored pool and
+//                         link them; report write/read ms, how far each
+//                         phase raises peak resident memory, and the
+//                         restore's transient (its peak rise minus the
 //                         restored pool's own resident growth); exits
 //                         non-zero when the restore needs a rebuild, a
 //                         100k-scale pool takes >= 2 s, the save adds 0.5x
-//                         the file size or more to peak memory, or the
-//                         restore's transient reaches 0.1x the file size
+//                         the file size or more to peak memory, the
+//                         restore's transient reaches 0.1x the file size, or
+//                         the puts after the restore add 0.1x the file size
+//                         or more to peak memory
 //   --stage0=on|off       enable the stage-0 response tier in the thread
 //                         sweep (default off); adds hit-rate and
 //                         tokens-saved columns to the table
@@ -426,11 +430,19 @@ constexpr double kSaveRssCeilingFileMultiple = 0.5;
 // streamed restore holds one read buffer and one record beyond the pool,
 // where loading each large section whole held about half the file.
 constexpr double kRestoreTransientCeilingFileMultiple = 0.1;
+// Putting N/20 examples into the restored pool (about one pool30k serve's
+// admissions) must add less than this multiple of the file size to peak
+// resident memory: the index arenas grow by blocks and never copy the
+// restored vectors. At N=30000 an arena sized exactly by the restore, which
+// copied itself whole on its shard's first put, read 0.34x; blocks read
+// 0.03x.
+constexpr double kServeRssCeilingFileMultiple = 0.1;
 
 // Standalone persistence acceptance: an N-example sharded HNSW pool must
 // snapshot and restore through the native graph image (no rebuild), at
-// 100k-example scale the restore must come in under 2 seconds, and the save
-// and the restore must stream rather than hold the image in memory.
+// 100k-example scale the restore must come in under 2 seconds, the save and
+// the restore must stream rather than hold the image in memory, and the
+// restored pool must take new examples without copying what it holds.
 int RunSnapshotBench(size_t n) {
   benchutil::PrintTitle("Persistence: snapshot/restore of the example pool (8 shards, hnsw)");
   const std::string path =
@@ -439,30 +451,28 @@ int RunSnapshotBench(size_t n) {
   ShardedCacheConfig config;
   config.num_shards = 8;
   config.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
-  ShardedExampleCache pool(embedder, config);
+  auto pool = std::make_unique<ShardedExampleCache>(embedder, config);
 
   const DatasetProfile profile = benchutil::ScaledProfile(DatasetId::kLmsysChat, n);
   QueryGenerator generator(profile, kSeed ^ 0x5a9);
+  ThreadPool link_pool(config.num_shards);
   const auto build_start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < n; ++i) {
-    pool.Put(generator.Next(), "[cached-response]", 0.8, 0.9, 48, 0.0);
+    pool->Put(generator.Next(), "[cached-response]", 0.8, 0.9, 48, 0.0);
   }
-  {
-    // Put only appends: link every shard here, in parallel, so the save
-    // below (and its memory gate) measures the save alone.
-    ThreadPool link_pool(config.num_shards);
-    pool.Flush(&link_pool);
-  }
+  // Put only appends: link every shard here, in parallel, so the save below
+  // (and its memory gate) measures the save alone.
+  pool->Flush(&link_pool);
   const auto build_end = std::chrono::steady_clock::now();
   std::printf("  build:    %zu examples, %.1f MB pool in %.2f s (hnsw appends + parallel link)\n",
-              pool.size(), static_cast<double>(pool.used_bytes()) / (1024.0 * 1024.0),
+              pool->size(), static_cast<double>(pool->used_bytes()) / (1024.0 * 1024.0),
               std::chrono::duration<double>(build_end - build_start).count());
 
   PeakRssProbe rss;
   const bool rss_measured = rss.Reset();
   SnapshotWriter writer;
   const auto write_start = std::chrono::steady_clock::now();
-  EncodePoolSections(pool, {}, /*sim_time=*/0.0, &writer);
+  EncodePoolSections(*pool, {}, /*sim_time=*/0.0, &writer);
   const Status write_status = writer.WriteToFile(path);
   const auto write_end = std::chrono::steady_clock::now();
   const double save_rss_mib = rss_measured ? rss.RaisedMib() : 0.0;
@@ -471,6 +481,20 @@ int RunSnapshotBench(size_t n) {
     return 1;
   }
   const double write_s = std::chrono::duration<double>(write_end - write_start).count();
+
+  // The original pool's answers to 16 probes, for the spot-check below. It
+  // is dropped before the restore, as a warm start restores into a process
+  // that does not hold it.
+  QueryGenerator probes(profile, kSeed ^ 0x9a0b);
+  std::vector<Request> probe_queries;
+  std::vector<std::vector<SearchResult>> probe_answers;
+  for (int q = 0; q < 16; ++q) {
+    probe_queries.push_back(probes.Next());
+    probe_answers.push_back(pool->FindSimilar(probe_queries.back(), 10));
+  }
+  const size_t pool_size = pool->size();
+  const int64_t pool_bytes = pool->used_bytes();
+  pool.reset();
 
   ShardedExampleCache restored(embedder, config);
   SnapshotReader reader;
@@ -498,11 +522,9 @@ int RunSnapshotBench(size_t n) {
 
   // Spot-check: the restored pool answers identically.
   bool searches_match = true;
-  QueryGenerator probes(profile, kSeed ^ 0x9a0b);
-  for (int q = 0; q < 16; ++q) {
-    const Request query = probes.Next();
-    const auto a = pool.FindSimilar(query, 10);
-    const auto b = restored.FindSimilar(query, 10);
+  for (size_t q = 0; q < probe_queries.size(); ++q) {
+    const auto& a = probe_answers[q];
+    const auto b = restored.FindSimilar(probe_queries[q], 10);
     searches_match = searches_match && a.size() == b.size();
     for (size_t i = 0; searches_match && i < a.size(); ++i) {
       searches_match = a[i].id == b[i].id && a[i].score == b[i].score;
@@ -510,19 +532,36 @@ int RunSnapshotBench(size_t n) {
   }
   std::printf("  restored searches identical to original: %s\n",
               searches_match ? "yes" : "NO (BUG)");
+  const bool restored_whole = restored.size() == pool_size && restored.used_bytes() == pool_bytes;
+
+  // Serve phase: new examples into the restored pool, linked in parallel as
+  // the driver links its shards.
+  const size_t serve_puts = n / 20;
+  const bool serve_rss_measured = restore_rss_measured && rss.Reset();
+  const auto serve_start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < serve_puts; ++i) {
+    restored.Put(generator.Next(), "[cached-response]", 0.8, 0.9, 48, 0.0);
+  }
+  restored.Flush(&link_pool);
+  const auto serve_end = std::chrono::steady_clock::now();
+  const double serve_rss_mib = serve_rss_measured ? rss.RaisedMib() : 0.0;
+  std::printf("  serve:    %zu more examples put and linked in %.0f ms\n", serve_puts,
+              1000.0 * std::chrono::duration<double>(serve_end - serve_start).count());
 
   // How far each phase lifts peak resident memory. The restore's figure
   // includes the restored pool itself.
   bool save_memory_ok = true;
   bool restore_memory_ok = true;
+  bool serve_memory_ok = true;
   const double file_mib = static_cast<double>(reader.file_size()) / (1024.0 * 1024.0);
-  if (rss_measured && restore_rss_measured && file_mib > 0.0) {
+  if (rss_measured && restore_rss_measured && serve_rss_measured && file_mib > 0.0) {
     save_memory_ok = save_rss_mib < kSaveRssCeilingFileMultiple * file_mib;
     restore_memory_ok = restore_transient_mib < kRestoreTransientCeilingFileMultiple * file_mib;
+    serve_memory_ok = serve_rss_mib < kServeRssCeilingFileMultiple * file_mib;
     std::printf("  peak rss: save +%.1f MiB (%.2fx file), restore +%.1f MiB (%.2fx file, "
-                "restored pool included)\n",
+                "restored pool included), serve +%.1f MiB (%.2fx file)\n",
                 save_rss_mib, save_rss_mib / file_mib, restore_rss_mib,
-                restore_rss_mib / file_mib);
+                restore_rss_mib / file_mib, serve_rss_mib, serve_rss_mib / file_mib);
     std::printf("  restore transient: +%.1f MiB (%.3fx file; peak rise minus the restored "
                 "pool's resident growth)\n",
                 restore_transient_mib, restore_transient_mib / file_mib);
@@ -530,6 +569,8 @@ int RunSnapshotBench(size_t n) {
                 kSaveRssCeilingFileMultiple, save_memory_ok ? "yes" : "NO (BUG)");
     std::printf("  acceptance: restore transient < %.1fx file size: %s\n",
                 kRestoreTransientCeilingFileMultiple, restore_memory_ok ? "yes" : "NO (BUG)");
+    std::printf("  acceptance: serve adds < %.1fx file size to peak rss: %s\n",
+                kServeRssCeilingFileMultiple, serve_memory_ok ? "yes" : "NO (BUG)");
   } else {
     std::printf("  peak rss: not measured (/proc/self/clear_refs unavailable)\n");
   }
@@ -540,8 +581,7 @@ int RunSnapshotBench(size_t n) {
                 fast_enough ? "yes" : "NO (BUG)");
   }
   return report.native_index_load && searches_match && fast_enough && save_memory_ok &&
-                 restore_memory_ok && restored.size() == pool.size() &&
-                 restored.used_bytes() == pool.used_bytes()
+                 restore_memory_ok && serve_memory_ok && restored_whole
              ? 0
              : 1;
 }

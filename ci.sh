@@ -10,8 +10,9 @@
 # scaling bars at 100k vectors (hnsw vs flat, batched traversal, graph-image
 # round trip), then
 # snapshot a real driver pool and verify the on-disk format with
-# tools/snapshot_dump, and save + restore a 30k-example pool under the
-# streamed save and restore memory gates. The observability acceptance additionally exit-enforces
+# tools/snapshot_dump, and save + restore a 30k-example pool and put more
+# examples into it under the save, restore and serve memory gates. The
+# observability acceptance additionally exit-enforces
 # the perf-trajectory gate: the run's BENCH json must stay inside the
 # committed baseline's tolerance bands (tools/bench_compare), and a doctored
 # -20% throughput copy must make the strict gate fail (red-path self-test).
@@ -233,12 +234,15 @@ timeout 300 "${BUILD_DIR}/bench_driver_throughput" \
   --requests=600 --sweep=off --stage0=on --snapshot="${SNAP}" > /dev/null
 timeout 60 "${BUILD_DIR}/snapshot_dump" "${SNAP}" | grep "^stage0:" > /dev/null
 
-echo "== snapshot save and restore memory gates (30k-example pool) =="
+echo "== snapshot save, restore and serve memory gates (30k-example pool) =="
 # Exit-enforces a native (no-rebuild) restore, that the streamed save adds
-# under half the file size to peak resident memory, and that the streamed
+# under half the file size to peak resident memory, that the streamed
 # restore's transient (peak rise minus the restored pool's own resident
-# growth) stays under 0.1x the file size (both measured through
-# /proc/self/clear_refs; skipped where that file is missing).
+# growth) stays under 0.1x the file size, and that putting 1,500 more
+# examples into the restored pool adds under 0.1x the file size to peak
+# resident memory (the arenas grow by blocks, never copying the restored
+# vectors; all three measured through /proc/self/clear_refs; skipped where
+# that file is missing).
 timeout 300 "${BUILD_DIR}/bench_driver_throughput" --snapshot-bench=30000
 
 echo "== ci.sh OK =="

@@ -68,7 +68,8 @@ HnswIndex::HnswIndex(HnswIndexConfig config)
     : config_(config),
       level_multiplier_(1.0 /
                         std::log(static_cast<double>(std::max<size_t>(2, config.max_neighbors)))),
-      rng_(config.seed) {}
+      rng_(config.seed),
+      arena_(config.dim) {}
 
 int HnswIndex::SampleLevel() {
   // Geometric-ish level distribution: floor(-ln(U) * mL), U in (0, 1].
@@ -109,6 +110,8 @@ std::vector<HnswIndex::ScoredSlot> HnswIndex::SearchLayer(const float* query, ui
   // so both run the comparisons std::priority_queue over the pairs would.
   std::vector<uint64_t>& candidates = link_candidates_;
   std::vector<uint64_t>& results = link_results_;
+  const VectorArena::View vecs = arena_.view();
+  const size_t dim = config_.dim;
   candidates.clear();
   results.clear();
   const uint64_t entry_key = BeamKey(SimQ(query, entry), entry);
@@ -132,12 +135,13 @@ std::vector<HnswIndex::ScoredSlot> HnswIndex::SearchLayer(const float* query, ui
         continue;
       }
       insert_epochs_[neighbor] = insert_epoch_;
-      PrefetchLine(VecOf(neighbor));
+      const float* vec = vecs.Vec(neighbor);
+      PrefetchLine(vec);
       link_pending_.push_back(neighbor);
-      link_vecs_.push_back(VecOf(neighbor));
+      link_vecs_.push_back(vec);
     }
     link_sims_.resize(link_vecs_.size());
-    simd::DotMany(query, link_vecs_.data(), link_vecs_.size(), config_.dim, link_sims_.data());
+    simd::DotMany(query, link_vecs_.data(), link_vecs_.size(), dim, link_sims_.data());
     for (size_t i = 0; i < link_pending_.size(); ++i) {
       const double neighbor_sim = link_sims_[i];
       if (results.size() < ef || neighbor_sim > BeamKeySim(results.front())) {
@@ -216,7 +220,7 @@ void HnswIndex::AppendLocked(uint64_t id, const std::vector<float>& vec) {
   node.level = SampleLevel();
   node.links.resize(static_cast<size_t>(node.level) + 1);
   nodes_.push_back(std::move(node));
-  arena_.insert(arena_.end(), vec.begin(), vec.end());
+  arena_.Append(vec.data());
   slot_of_[id] = slot;
   ++live_;
   insert_epochs_.push_back(0);
@@ -311,7 +315,7 @@ bool HnswIndex::RemoveLocked(uint64_t id) {
     // Nothing left to preserve: drop the whole graph instead of keeping a
     // structure made purely of tombstones.
     nodes_.clear();
-    arena_.clear();
+    arena_.Clear();
     insert_epochs_.clear();
     insert_epoch_ = 0;
     entry_ = 0;
@@ -357,7 +361,7 @@ void HnswIndex::CompactLocked() {
                            std::vector<float>(VecOf(slot), VecOf(slot) + config_.dim));
   }
   nodes_.clear();
-  arena_.clear();
+  arena_.Clear();
   slot_of_.clear();
   insert_epochs_.clear();
   insert_epoch_ = 0;
@@ -417,6 +421,10 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
   }
   const size_t ef_eff = std::max(ef, k);
   const auto query_of = [&](size_t qi) { return queries + qi * query_dim; };
+  // The block table and dim in locals: the visited-mask byte stores below
+  // may alias any object, so reads through the arena would reload them.
+  const VectorArena::View vecs = arena_.view();
+  const size_t dim = config_.dim;
   for (size_t base = 0; base < num_queries; base += kInterleave) {
     const size_t group = std::min(kInterleave, num_queries - base);
     // One span per interleave group; args sum the group's layer-0 visited and
@@ -453,7 +461,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
       beam.done = false;
       beam.cur = entry_;
       beam.layer = entry_level_;
-      beam.best = SimQ(query_of(base + g), entry_);
+      beam.best = simd::Dot(query_of(base + g), vecs.Vec(entry_), dim);
     }
     bool any_descending = entry_level_ >= 1;
     while (any_descending) {
@@ -465,7 +473,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
           continue;
         }
         for (uint32_t neighbor : nodes_[beam.cur].links[beam.layer]) {
-          PrefetchLine(VecOf(neighbor));
+          PrefetchLine(vecs.Vec(neighbor));
         }
       }
       any_descending = false;
@@ -478,7 +486,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
         const uint32_t scan_slot = beam.cur;
         bool improved = false;
         for (uint32_t neighbor : nodes_[scan_slot].links[beam.layer]) {
-          const double sim = SimQ(q, neighbor);
+          const double sim = simd::Dot(q, vecs.Vec(neighbor), dim);
           if (sim > beam.best) {
             beam.best = sim;
             beam.cur = neighbor;
@@ -519,7 +527,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
     // the following round's adjacency chase starts warm. Per query the
     // operation sequence is exactly the single-query beam's; prefetches
     // never change a result.
-    const size_t vec_bytes = config_.dim * sizeof(float);
+    const size_t vec_bytes = dim * sizeof(float);
     bool any_active = true;
     while (any_active) {
       any_active = false;
@@ -601,7 +609,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
             // would otherwise stream ~30 512-byte vectors per query through
             // the miss buffers at once; the scoring pass below streams each
             // query's remaining lines while the query before it scores.
-            PrefetchLine(VecOf(neighbor));
+            PrefetchLine(vecs.Vec(neighbor));
             s.GrowPush(beam.pending, neighbor);
           }
         }
@@ -616,7 +624,7 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
         SearchScratch::Beam& beam = s.beams[g];
         if (g + 1 < group) {
           for (uint32_t neighbor : s.beams[g + 1].pending) {
-            PrefetchSpan(VecOf(neighbor), vec_bytes);
+            PrefetchSpan(vecs.Vec(neighbor), vec_bytes);
           }
         }
         // The gather buffers hold the level-0 degree bound, or a loaded
@@ -627,10 +635,9 @@ void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size
           s.GrowResize(s.gather_sims, std::max(count, LayerCap(0)));
         }
         for (size_t p = 0; p < count; ++p) {
-          s.gather_vecs[p] = VecOf(beam.pending[p]);
+          s.gather_vecs[p] = vecs.Vec(beam.pending[p]);
         }
-        simd::DotMany(query_of(base + g), s.gather_vecs.data(), count, config_.dim,
-                      s.gather_sims.data());
+        simd::DotMany(query_of(base + g), s.gather_vecs.data(), count, dim, s.gather_sims.data());
         for (size_t p = 0; p < count; ++p) {
           const double neighbor_sim = s.gather_sims[p];
           if (beam.results.size() < ef_eff || neighbor_sim > BeamKeySim(beam.results.front())) {
@@ -718,7 +725,7 @@ int HnswIndex::max_level() const {
 
 size_t HnswIndex::arena_bytes() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return arena_.size() * sizeof(float);
+  return arena_.size() * config_.dim * sizeof(float);
 }
 
 void HnswIndex::SaveGraph(ByteWriter* out) const {
@@ -750,9 +757,12 @@ void HnswIndex::SaveGraph(ByteWriter* out) const {
     }
   }
   static_assert(sizeof(float) == 4, "IEEE-754 float expected");
-  // Arena as one raw little-endian float block (the dominant payload).
-  w.PutU64(arena_.size());
-  w.PutBytes(arena_.data(), arena_.size() * sizeof(float));
+  // Arena as one raw little-endian float run in slot order (the dominant
+  // payload), written block by block.
+  w.PutU64(arena_.size() * config_.dim);
+  for (size_t b = 0; b < arena_.num_blocks(); ++b) {
+    w.PutBytes(arena_.Block(b), arena_.BlockSlots(b) * config_.dim * sizeof(float));
+  }
 }
 
 size_t HnswIndex::GraphImageSize() const {
@@ -767,7 +777,7 @@ size_t HnswIndex::GraphImageSize() const {
       bytes += 4 + 4 * layer.size();
     }
   }
-  bytes += 8 + arena_.size() * sizeof(float);  // arena length, arena
+  bytes += 8 + arena_.size() * config_.dim * sizeof(float);  // arena length, arena
   return bytes;
 }
 
@@ -864,9 +874,15 @@ bool HnswIndex::LoadGraph(ByteReader* reader, uint64_t image_bytes) {
   if (r.remaining() - after != arena_len * sizeof(float)) {
     return false;
   }
-  std::vector<float> arena(static_cast<size_t>(arena_len));
-  if (!r.GetBytes(arena.data(), arena.size() * sizeof(float))) {
-    return false;
+  // Every count is checked against the image by now; each block's slice
+  // goes straight from the reader into the block.
+  VectorArena arena(config_.dim);
+  while (arena.size() < node_count) {
+    const size_t count =
+        std::min<size_t>(VectorArena::kBlockSlots, static_cast<size_t>(node_count) - arena.size());
+    if (!r.GetBytes(arena.AppendBlock(count), count * config_.dim * sizeof(float))) {
+      return false;
+    }
   }
   // Searches descend from the entry node's links at the entry level, so
   // those links must exist.

@@ -39,6 +39,7 @@
 
 #include "src/common/binio.h"
 #include "src/common/rng.h"
+#include "src/index/vector_arena.h"
 #include "src/index/vector_index.h"
 
 namespace iccache {
@@ -143,8 +144,8 @@ class HnswIndex : public VectorIndex {
   // and identical graphs after any sequence of future inserts. Loading is
   // O(bytes) (no re-insertion), which is what makes restoring a 100k-vector
   // pool cheap compared to an O(N * ef_construction) rebuild.
-  // The image streams through `out` (the arena block bypasses a streaming
-  // writer's buffer).
+  // The image streams through `out`, the arena one block at a time, as one
+  // float run in slot order.
   void SaveGraph(ByteWriter* out) const;
 
   // Exact byte length of SaveGraph's image, so a stream can length-prefix
@@ -169,8 +170,9 @@ class HnswIndex : public VectorIndex {
   // Diagnostics. size(), tombstones() and arena_bytes() count pending nodes.
   size_t tombstones() const;
   int max_level() const;
-  // Bytes of the float vector arena. Tombstoned slots included — they still
-  // occupy arena space until compaction. Feeds the bytes-per-vector CI gate.
+  // Bytes the stored vectors occupy: slots x dim x 4. Tombstoned slots
+  // included — they still occupy arena space until compaction.
+  // bench_retrieval_scaling prints and records it per vector.
   size_t arena_bytes() const;
 
   // Rebuilds the graph from the live nodes (pending ones included), dropping
@@ -201,10 +203,9 @@ class HnswIndex : public VectorIndex {
 
   int SampleLevel();
 
-  // Vectors live in one flat arena (slot-major): `dim` floats per slot. One
-  // indirection per distance evaluation and prefetchable by address
-  // arithmetic, which is what makes graph hops cheap at 100k+ vectors.
-  const float* VecOf(uint32_t slot) const { return arena_.data() + slot * config_.dim; }
+  // nodes_[s]'s vector is arena slot s. The hot loops read slots through a
+  // VectorArena::View held in a local instead.
+  const float* VecOf(uint32_t slot) const { return arena_.Vec(slot); }
 
   // query-vs-slot similarity. A node being linked is its own query, aliasing
   // its arena slot (linking never grows the arena).
@@ -259,7 +260,7 @@ class HnswIndex : public VectorIndex {
   Rng rng_;
 
   std::vector<Node> nodes_;
-  std::vector<float> arena_;  // nodes_[s]'s vector at [s*dim, (s+1)*dim)
+  VectorArena arena_;  // nodes_[s]'s vector in slot s
   std::unordered_map<uint64_t, uint32_t> slot_of_;  // live ids only
   uint32_t entry_ = 0;
   int entry_level_ = -1;  // -1 == empty graph (or nothing linked yet)

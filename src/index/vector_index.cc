@@ -10,13 +10,40 @@ namespace iccache {
 
 namespace {
 
-// Arena slots scored per block in the blocked multi-query scans: 256 slots at
-// dim=128 is 128 KB of float arena — sized so a block stays resident in L2
-// while every query of the batch streams through it.
-constexpr size_t kScanBlockSlots = 256;
-
 // KMeansIndex re-clusters once it has grown by this factor since the last build.
 constexpr double kRebuildGrowthFactor = 2.0;
+
+// The exact blocked multi-query scan behind FlatIndex and unclustered
+// KMeansIndex: each arena block (32 KiB at dim 128, so it stays resident in
+// L2) is scored against every query while it is hot. Per query the push
+// order is ascending slot order, so the heap state — equal-score tie-breaks
+// included — does not depend on the batch. ids[s] is slot s's id.
+void ScanArena(const VectorArena& arena, const std::vector<uint64_t>& ids, size_t dim,
+               const float* queries, size_t num_queries, size_t k, SearchScratch& s) {
+  if (s.heaps.size() < num_queries) {
+    ++s.grows;
+    s.heaps.resize(num_queries);
+  }
+  for (size_t q = 0; q < num_queries; ++q) {
+    s.heaps[q].clear();
+  }
+  for (size_t b = 0; b < arena.num_blocks(); ++b) {
+    const float* block = arena.Block(b);
+    const size_t slots = arena.BlockSlots(b);
+    const uint64_t* block_ids = ids.data() + b * VectorArena::kBlockSlots;
+    for (size_t q = 0; q < num_queries; ++q) {
+      const float* qv = queries + q * dim;
+      auto& heap = s.heaps[q];
+      for (size_t i = 0; i < slots; ++i) {
+        ScratchTopK::Push(heap, k, simd::Dot(qv, block + i * dim, dim), block_ids[i], s);
+      }
+    }
+  }
+  for (size_t q = 0; q < num_queries; ++q) {
+    ScratchTopK::DrainDescending(s.heaps[q], &s.results, s);
+    s.EndQuery(q);
+  }
+}
 
 }  // namespace
 
@@ -30,7 +57,7 @@ std::vector<SearchResult> VectorIndex::Search(const std::vector<float>& query, s
                                    scratch.ResultsOf(0) + scratch.ResultCountOf(0));
 }
 
-FlatIndex::FlatIndex(size_t dim) : dim_(dim) {}
+FlatIndex::FlatIndex(size_t dim) : dim_(dim), arena_(dim) {}
 
 Status FlatIndex::Add(uint64_t id, std::vector<float> vec) {
   if (vec.size() != dim_) {
@@ -38,12 +65,12 @@ Status FlatIndex::Add(uint64_t id, std::vector<float> vec) {
   }
   const auto it = slot_of_.find(id);
   if (it != slot_of_.end()) {
-    std::copy(vec.begin(), vec.end(), arena_.begin() + it->second * dim_);
+    arena_.Overwrite(it->second, vec.data());
     return Status::Ok();
   }
   slot_of_[id] = ids_.size();
   ids_.push_back(id);
-  arena_.insert(arena_.end(), vec.begin(), vec.end());
+  arena_.Append(vec.data());
   return Status::Ok();
 }
 
@@ -56,12 +83,10 @@ bool FlatIndex::Remove(uint64_t id) {
   const size_t last = ids_.size() - 1;
   if (slot != last) {
     ids_[slot] = ids_[last];
-    std::copy(arena_.begin() + last * dim_, arena_.begin() + (last + 1) * dim_,
-              arena_.begin() + slot * dim_);
     slot_of_[ids_[slot]] = slot;
   }
   ids_.pop_back();
-  arena_.resize(arena_.size() - dim_);
+  arena_.RemoveBySwap(slot);
   slot_of_.erase(it);
   return true;
 }
@@ -73,30 +98,7 @@ void FlatIndex::SearchBatch(const float* queries, size_t num_queries, size_t que
   if (num_queries == 0 || query_dim != dim_) {
     return;  // offsets are all zero: every query reports an empty result range
   }
-  if (s.heaps.size() < num_queries) {
-    ++s.grows;
-    s.heaps.resize(num_queries);
-  }
-  for (size_t q = 0; q < num_queries; ++q) {
-    s.heaps[q].clear();
-  }
-  // Blocked sweep: each arena block is scored against every query while it is
-  // hot. Per query the push order is still ascending slot order, so the heap
-  // state — equal-score tie-breaks included — does not depend on the batch.
-  for (size_t base = 0; base < ids_.size(); base += kScanBlockSlots) {
-    const size_t end = std::min(base + kScanBlockSlots, ids_.size());
-    for (size_t q = 0; q < num_queries; ++q) {
-      const float* qv = queries + q * dim_;
-      auto& heap = s.heaps[q];
-      for (size_t i = base; i < end; ++i) {
-        ScratchTopK::Push(heap, k, simd::Dot(qv, VecOf(i), dim_), ids_[i], s);
-      }
-    }
-  }
-  for (size_t q = 0; q < num_queries; ++q) {
-    ScratchTopK::DrainDescending(s.heaps[q], &s.results, s);
-    s.EndQuery(q);
-  }
+  ScanArena(arena_, ids_, dim_, queries, num_queries, k, s);
 }
 
 bool FlatIndex::GetVector(uint64_t id, std::vector<float>* out) const {
@@ -113,10 +115,11 @@ const float* FlatIndex::Find(uint64_t id) const {
   if (it == slot_of_.end()) {
     return nullptr;
   }
-  return VecOf(it->second);
+  return arena_.Vec(it->second);
 }
 
-KMeansIndex::KMeansIndex(KMeansIndexConfig config) : config_(config), rng_(config.seed) {}
+KMeansIndex::KMeansIndex(KMeansIndexConfig config)
+    : config_(config), rng_(config.seed), arena_(config.dim) {}
 
 Status KMeansIndex::Add(uint64_t id, std::vector<float> vec) {
   if (vec.size() != config_.dim) {
@@ -132,7 +135,7 @@ Status KMeansIndex::Add(uint64_t id, std::vector<float> vec) {
   }
   slot_of_[id] = ids_.size();
   ids_.push_back(id);
-  arena_.insert(arena_.end(), vec.begin(), vec.end());
+  arena_.Append(vec.data());
   MaybeRebuild();
   return Status::Ok();
 }
@@ -152,12 +155,10 @@ bool KMeansIndex::Remove(uint64_t id) {
   const size_t last = ids_.size() - 1;
   if (slot != last) {
     ids_[slot] = ids_[last];
-    std::copy(arena_.begin() + last * config_.dim, arena_.begin() + (last + 1) * config_.dim,
-              arena_.begin() + slot * config_.dim);
     slot_of_[ids_[slot]] = slot;
   }
   ids_.pop_back();
-  arena_.resize(arena_.size() - config_.dim);
+  arena_.RemoveBySwap(slot);
   slot_of_.erase(it);
   return true;
 }
@@ -167,7 +168,8 @@ bool KMeansIndex::GetVector(uint64_t id, std::vector<float>* out) const {
   if (it == slot_of_.end()) {
     return false;
   }
-  out->assign(VecOf(it->second), VecOf(it->second) + config_.dim);
+  const float* vec = arena_.Vec(it->second);
+  out->assign(vec, vec + config_.dim);
   return true;
 }
 
@@ -196,7 +198,8 @@ void KMeansIndex::Rebuild() {
   std::vector<std::vector<float>> points;
   points.reserve(ids_.size());
   for (size_t slot = 0; slot < ids_.size(); ++slot) {
-    points.emplace_back(VecOf(slot), VecOf(slot) + config_.dim);
+    const float* vec = arena_.Vec(slot);
+    points.emplace_back(vec, vec + config_.dim);
   }
   const size_t k = OptimalClusterCount(points.size());
   const KMeansResult clustering = KMeansCluster(points, k, rng_);
@@ -231,36 +234,15 @@ void KMeansIndex::SearchBatch(const float* queries, size_t num_queries, size_t q
   if (num_queries == 0 || query_dim != config_.dim) {
     return;  // offsets are all zero: every query reports an empty result range
   }
+  const size_t dim = config_.dim;
+  if (!clustered()) {
+    // Below the clustering threshold: FlatIndex's exact blocked scan.
+    ScanArena(arena_, ids_, dim, queries, num_queries, k, s);
+    return;
+  }
   if (s.heaps.empty()) {
     ++s.grows;
     s.heaps.resize(1);
-  }
-  const size_t dim = config_.dim;
-  if (!clustered()) {
-    // Blocked flat sweep below the clustering threshold (same discipline as
-    // FlatIndex): per query the push order stays ascending slot order.
-    if (s.heaps.size() < num_queries) {
-      ++s.grows;
-      s.heaps.resize(num_queries);
-    }
-    for (size_t q = 0; q < num_queries; ++q) {
-      s.heaps[q].clear();
-    }
-    for (size_t base = 0; base < ids_.size(); base += kScanBlockSlots) {
-      const size_t end = std::min(base + kScanBlockSlots, ids_.size());
-      for (size_t q = 0; q < num_queries; ++q) {
-        const float* qv = queries + q * dim;
-        auto& h = s.heaps[q];
-        for (size_t slot = base; slot < end; ++slot) {
-          ScratchTopK::Push(h, k, simd::Dot(qv, VecOf(slot), dim), ids_[slot], s);
-        }
-      }
-    }
-    for (size_t q = 0; q < num_queries; ++q) {
-      ScratchTopK::DrainDescending(s.heaps[q], &s.results, s);
-      s.EndQuery(q);
-    }
-    return;
   }
   auto& heap = s.heaps[0];
   for (size_t q = 0; q < num_queries; ++q) {
@@ -279,7 +261,7 @@ void KMeansIndex::SearchBatch(const float* queries, size_t num_queries, size_t q
       for (uint64_t id : cluster_members_[probe.id]) {
         const auto it = slot_of_.find(id);
         if (it != slot_of_.end()) {
-          ScratchTopK::Push(heap, k, simd::Dot(qv, VecOf(it->second), dim), id, s);
+          ScratchTopK::Push(heap, k, simd::Dot(qv, arena_.Vec(it->second), dim), id, s);
         }
       }
     }

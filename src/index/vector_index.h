@@ -19,6 +19,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/index/vector_arena.h"
 
 namespace iccache {
 
@@ -194,10 +195,9 @@ class VectorIndex {
   virtual size_t size() const = 0;
 };
 
-// Exact brute-force index. Vectors live in one contiguous slot-major arena
-// (`dim` floats per slot, swap-to-back removal), so the scan is a single
-// sequential sweep the shared SIMD dot kernel can stream through — the same
-// layout discipline as the HNSW arena.
+// Exact brute-force index. Vectors live in a VectorArena (dense slots,
+// swap-to-back removal), so the scan sweeps each block sequentially and the
+// shared SIMD dot kernel streams through it — the same arena as HNSW's.
 class FlatIndex : public VectorIndex {
  public:
   explicit FlatIndex(size_t dim);
@@ -211,8 +211,9 @@ class FlatIndex : public VectorIndex {
   bool GetVector(uint64_t id, std::vector<float>* out) const override;
   size_t size() const override { return slot_of_.size(); }
 
-  // Direct access for diagnostics: the contiguous dim()-length vector for id,
-  // nullptr when absent. Invalidated by the next Add/Remove.
+  // Direct access: the dim()-length vector for id, nullptr when absent. An
+  // Add never moves a stored vector (an overwrite of id rewrites it in
+  // place); the next Remove invalidates the pointer.
   const float* Find(uint64_t id) const;
 
   // Stored ids in arena slot order, the order Search scans (and breaks
@@ -223,13 +224,10 @@ class FlatIndex : public VectorIndex {
   size_t dim() const { return dim_; }
 
  private:
-  const float* VecOf(size_t slot) const { return arena_.data() + slot * dim_; }
-
   size_t dim_;
-  // Dense storage with swap-to-back removal; ids_[s]'s vector occupies
-  // arena_[s*dim, (s+1)*dim).
+  // Dense slots with swap-to-back removal: ids_[s]'s vector is arena slot s.
   std::vector<uint64_t> ids_;
-  std::vector<float> arena_;
+  VectorArena arena_;
   std::unordered_map<uint64_t, size_t> slot_of_;
 };
 
@@ -244,9 +242,8 @@ struct KMeansIndexConfig {
 };
 
 // Inverted-file index over K-Means clusters (K = sqrt(N) at build time).
-// Vector storage is the same contiguous slot-major arena as FlatIndex (the
-// old map-of-vectors layout defeated prefetching and SIMD loads); the
-// cluster structures only hold ids.
+// Vectors live in a VectorArena with swap-to-back removal, as in FlatIndex;
+// the cluster structures only hold ids.
 class KMeansIndex : public VectorIndex {
  public:
   explicit KMeansIndex(KMeansIndexConfig config = {});
@@ -267,15 +264,14 @@ class KMeansIndex : public VectorIndex {
   bool clustered() const { return !centroids_.empty(); }
 
  private:
-  const float* VecOf(size_t slot) const { return arena_.data() + slot * config_.dim; }
   void MaybeRebuild();
   size_t NearestCluster(const float* vec) const;
 
   KMeansIndexConfig config_;
   Rng rng_;
-  // Dense arena with swap-to-back removal (same discipline as FlatIndex).
+  // Dense slots with swap-to-back removal: ids_[s]'s vector is arena slot s.
   std::vector<uint64_t> ids_;
-  std::vector<float> arena_;
+  VectorArena arena_;
   std::unordered_map<uint64_t, size_t> slot_of_;
   std::unordered_map<uint64_t, size_t> cluster_of_;
   std::vector<std::vector<float>> centroids_;

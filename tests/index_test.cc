@@ -184,7 +184,7 @@ void ExpectTopKEqualsFullSort(const VectorIndex& index,
 }
 
 TEST(FlatScanOracleTest, FlatTopKEqualsFullSort) {
-  // 700 slots span three scan blocks; the removals swap tail slots into holes.
+  // 700 slots span eleven arena blocks; the removals swap tail slots into holes.
   const size_t dim = 32;
   FlatIndex index(dim);
   Rng rng(0xf1a7);
