@@ -66,16 +66,39 @@ TEST(VectorArenaTest, AppendsAcrossBlockBoundaries) {
   }
 }
 
+// Appends never move a stored vector, whether the arena was filled by
+// appends or, as a restore fills it, block by block and sized to what it
+// holds (the last block partly used).
 TEST(VectorArenaTest, AppendsNeverMoveAStoredVector) {
   const size_t dim = 128;
-  VectorArena arena(dim);
-  arena.Append(Tagged(0, dim).data());
-  const float* first = arena.Vec(0);
-  for (size_t i = 1; i <= 10000; ++i) {
-    arena.Append(Tagged(i, dim).data());
+  const size_t stored = 3 * kBlock + 38;
+  for (bool by_block : {false, true}) {
+    VectorArena arena(dim);
+    while (arena.size() < stored) {
+      if (!by_block) {
+        arena.Append(Tagged(arena.size(), dim).data());
+        continue;
+      }
+      const size_t first = arena.size();
+      const size_t count = std::min(kBlock, stored - first);
+      float* base = arena.AppendBlock(count);
+      for (size_t i = 0; i < count; ++i) {
+        std::memcpy(base + i * dim, Tagged(first + i, dim).data(), dim * sizeof(float));
+      }
+    }
+    std::vector<const float*> before;
+    for (size_t slot = 0; slot < stored; ++slot) {
+      before.push_back(arena.Vec(slot));
+    }
+    for (size_t i = stored; i < stored + 10000; ++i) {
+      arena.Append(Tagged(i, dim).data());
+    }
+    EXPECT_EQ(arena.Vec(stored), arena.Vec(stored - 1) + dim) << "fills the tail block first";
+    for (size_t slot = 0; slot < stored; ++slot) {
+      EXPECT_EQ(arena.Vec(slot), before[slot]) << "by_block=" << by_block << " slot=" << slot;
+      EXPECT_TRUE(Holds(arena, slot, slot, dim)) << "by_block=" << by_block << " slot=" << slot;
+    }
   }
-  EXPECT_EQ(arena.Vec(0), first);
-  EXPECT_TRUE(Holds(arena, 0, 0, dim));
 }
 
 TEST(VectorArenaTest, EveryVectorIsCacheLineAlignedAtDim128) {
