@@ -62,7 +62,10 @@
 //                         with the stage-0 tier on and enforces its gate:
 //                         hit rate above a floor, fewer generated tokens
 //                         than the stage0-off run, identical decisions at
-//                         1 vs 8 threads and 1 vs 4 commit lanes.
+//                         1 vs 8 threads and 1 vs 4 commit lanes, and a
+//                         count of hits that skipped retrieval that is
+//                         above 0, at most the hits, and the same in the
+//                         1-thread, 8-thread and 1-lane runs.
 //                         A third section enforces the observability gate:
 //                         decisions AND tail exemplars byte-identical with
 //                         tracing + the SLO watchdog on vs off at {1,8}
@@ -913,9 +916,11 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   // --- Stage-0 response tier gate: duplicate-heavy trace -------------------
   // Half the tail requests are verbatim repeats, so a working response cache
   // must (a) clear a hit-rate floor, (b) generate measurably fewer tokens
-  // than the stage0-off run, and (c) stay byte-identical across thread and
+  // than the stage0-off run, (c) stay byte-identical across thread and
   // lane counts — the hit decision runs in the commit lane against the
-  // window-frozen threshold, never in the parallel prepare phase.
+  // window-frozen threshold, never in the parallel prepare phase — and (d)
+  // skip retrieval for the hits prepare proves, as many at every thread
+  // and lane count.
   benchutil::PrintTitle("Acceptance: stage-0 response tier on a duplicate-heavy trace");
   const std::vector<Request> dup_trace = MakeDuplicateHeavy(requests, 0.5);
   DriverConfig s0 = MakeConfig(/*num_threads=*/8, RetrievalBackendKind::kHnsw,
@@ -945,11 +950,11 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   const double s0_serial_us = SerialUsPerRequest(s0_eight, dup_trace.size());
   std::printf("  duplicate-heavy trace: %zu requests (50%% of tail repeats earlier text)\n",
               dup_trace.size());
-  std::printf("  stage-0 hits: %zu (%.1f%% of trace, floor %.0f%%)  admitted=%zu "
-              "probes=%zu invalidated=%zu expired=%zu\n",
+  std::printf("  stage-0 hits: %zu (%.1f%% of trace, floor %.0f%%)  retrieval skipped=%zu  "
+              "admitted=%zu probes=%zu invalidated=%zu expired=%zu\n",
               s0_eight.stage0_hits, 100.0 * hit_rate, 100.0 * kHitRateFloor,
-              s0_eight.stage0_admitted, s0_eight.stage0_probes,
-              s0_eight.stage0_invalidations, s0_eight.stage0_expired);
+              s0_eight.stage0_retrieval_skips, s0_eight.stage0_admitted,
+              s0_eight.stage0_probes, s0_eight.stage0_invalidations, s0_eight.stage0_expired);
   std::printf("  generated tokens: %lld (stage0 on) vs %lld (off)  saved=%lld: %s\n",
               static_cast<long long>(s0_eight.generated_tokens),
               static_cast<long long>(off.generated_tokens),
@@ -958,11 +963,21 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   std::printf("  decisions identical (1t vs 8t, 4 lanes vs 1 lane): %s\n",
               s0_identical ? "yes" : "NO (BUG)");
   std::printf("  hit rate >= floor: %s\n", hit_rate >= kHitRateFloor ? "ok" : "FAIL");
+  // Hits proven in prepare skip retrieval; which ones is fixed by the
+  // decisions, so the count must match at every thread and lane count.
+  const size_t skips = s0_eight.stage0_retrieval_skips;
+  const bool skips_ok = skips > 0 && skips <= s0_eight.stage0_hits &&
+                        s0_single.stage0_retrieval_skips == skips &&
+                        s0_one_lane.stage0_retrieval_skips == skips;
+  std::printf("  retrieval skips (1t / 8t / 1 lane): %zu / %zu / %zu, > 0, <= %zu hits, "
+              "identical: %s\n",
+              s0_single.stage0_retrieval_skips, skips, s0_one_lane.stage0_retrieval_skips,
+              s0_eight.stage0_hits, skips_ok ? "ok" : "FAIL");
   std::printf("  serial request-path cost (stage0 on): %.1f us/request  "
               "(required <= %.0f): %s\n",
               s0_serial_us, kSerialUsCeiling, s0_serial_us <= kSerialUsCeiling ? "ok" : "FAIL");
   const bool stage0_ok = s0_identical && tokens_reduced && hit_rate >= kHitRateFloor &&
-                         s0_serial_us <= kSerialUsCeiling;
+                         skips_ok && s0_serial_us <= kSerialUsCeiling;
 
   // --- Observability gate: the flight recorder must be passive -------------
   // Tracing and the SLO watchdog may never change a decision: runs with both

@@ -162,9 +162,11 @@ echo "== sharded-commit-pipeline + stage-0 + observability acceptance =="
 # background maintenance planner. The second section replays a
 # duplicate-heavy trace with the stage-0 response tier on and exit-enforces
 # its gate: hit rate >= 25%, fewer generated tokens than the stage0-off run,
-# byte-identical decisions at 1 vs 8 threads and 1 vs 4 commit lanes, and
-# the serial cost under the same ceiling (its merge appends to the stage-0
-# cache's exact index, so no graph insert runs there). The third section
+# byte-identical decisions at 1 vs 8 threads and 1 vs 4 commit lanes, a
+# count of hits that skipped retrieval in prepare that is > 0, <= the hits
+# and the same in the 1-thread, 8-thread and 1-lane runs, and the serial
+# cost under the same ceiling (its merge appends to the stage-0 cache's
+# exact index, so no graph insert runs there). The third section
 # exit-enforces the
 # flight-recorder gate: decisions AND tail exemplars byte-identical with
 # tracing + armed watchdog on vs off at {1,8} threads x {1,4} lanes x

@@ -176,8 +176,10 @@ class Stage0ResponseCache {
   // Hit decision against the CURRENT threshold. In a concurrent driver the
   // threshold only moves at window boundaries (AdvanceWindow), so lanes
   // judge every request in a window against the same frozen value.
-  bool Confident(const Stage0Probe& probe) const {
-    return probe.fresh && probe.similarity >= hit_threshold();
+  bool Confident(const Stage0Probe& probe) const { return Clears(probe, hit_threshold()); }
+  // The hit rule at an explicit threshold: a fresh probe at or above it.
+  static bool Clears(const Stage0Probe& probe, double threshold) {
+    return probe.fresh && probe.similarity >= threshold;
   }
 
   // --- Stateful mutations (serial merge / synchronous callers only) --------
@@ -229,6 +231,12 @@ class Stage0ResponseCache {
   }
 
   double hit_threshold() const { return learner_.threshold(); }
+  // The highest hit threshold AdvanceWindow(pending) can leave: a probe that
+  // Clears it is Confident after that call, whatever the re-evaluation picks.
+  // The current threshold without `learn_threshold`.
+  double HighestHitThresholdAfter(size_t pending) const {
+    return config_.learn_threshold ? learner_.HighestThresholdAfter(pending) : hit_threshold();
+  }
   void set_hit_threshold(double threshold) { learner_.set_threshold(threshold); }
   // The hit-threshold learner, whose state snapshots persist.
   const ThresholdLearner& learner() const { return learner_; }

@@ -1,5 +1,6 @@
 #include "src/core/threshold_learner.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace iccache {
@@ -12,13 +13,25 @@ ThresholdLearner::ThresholdLearner(std::vector<double> grid, double initial_thre
   state_.grid_count.assign(grid_.size(), 0);
 }
 
-void ThresholdLearner::AdvanceWindow(size_t requests) {
-  if (requests == 0) {
-    return;
+bool ThresholdLearner::Reevaluates(size_t requests) const {
+  return requests != 0 && adapt_every_ != 0 &&
+         state_.requests_seen / adapt_every_ != (state_.requests_seen + requests) / adapt_every_;
+}
+
+double ThresholdLearner::HighestThresholdAfter(size_t pending) const {
+  double highest = state_.threshold;
+  if (Reevaluates(pending)) {
+    for (double cell : grid_) {
+      highest = std::max(highest, cell);
+    }
   }
-  const uint64_t before = state_.requests_seen;
+  return highest;
+}
+
+void ThresholdLearner::AdvanceWindow(size_t requests) {
+  const bool reevaluate = Reevaluates(requests);
   state_.requests_seen += requests;
-  if (adapt_every_ == 0 || before / adapt_every_ == state_.requests_seen / adapt_every_) {
+  if (!reevaluate) {
     return;
   }
   // Strictly greater: the first (lower) of equally good cells wins.

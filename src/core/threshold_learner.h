@@ -49,6 +49,14 @@ class ThresholdLearner {
   // outcome independent of how the window was split.
   void AdvanceWindow(size_t requests);
 
+  // The highest threshold the learner can hold after AdvanceWindow(pending):
+  // the current one when the pending count crosses no `adapt_every` multiple
+  // (or is 0, or `adapt_every` is 0), otherwise the larger of the current
+  // threshold and the grid maximum, since a re-evaluation either keeps the
+  // threshold or moves it to a grid cell. A similarity at or above it clears
+  // the threshold the next window is judged against.
+  double HighestThresholdAfter(size_t pending) const;
+
   const ThresholdLearnerState& state() const { return state_; }
   // False, leaving the learner untouched, when `state`'s grid size differs
   // from this learner's: a pool restored under a different grid keeps its
@@ -56,6 +64,9 @@ class ThresholdLearner {
   bool Restore(const ThresholdLearnerState& state);
 
  private:
+  // True when counting `requests` more crosses an `adapt_every` multiple.
+  bool Reevaluates(size_t requests) const;
+
   std::vector<double> grid_;
   size_t adapt_every_;
   ThresholdLearnerState state_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -173,7 +175,8 @@ struct PrepareScratch {
   std::vector<uint64_t> begin_ns;
   SearchScratch index_scratch;
   std::vector<std::optional<Stage0Probe>> probes;
-  std::vector<std::vector<SearchResult>> stage1;
+  std::vector<uint8_t> skipped;  // per request: a proven stage-0 hit
+  std::vector<std::vector<SearchResult>> stage1;  // one row per swept request
   // The memo caches THIS driver's embedder output; rebuilt if the thread
   // later serves a driver with a different embedder (tests construct many).
   std::unique_ptr<EmbedMemo> memo;
@@ -183,7 +186,7 @@ struct PrepareScratch {
 }  // namespace
 
 void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
-                                 Prepared* out) const {
+                                 double hit_floor, Prepared* out) const {
   static thread_local PrepareScratch s;
   const size_t dim = embedder_->dim();
   if (s.memo == nullptr || s.memo_owner != embedder_.get()) {
@@ -208,10 +211,13 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
   }
 
   // Batched stage-0 probe against the window-start response cache (pure
-  // read; the frozen-threshold hit decision happens in the lane). Stage-1
-  // retrieval still runs below even when a probe looks confident — a hit
-  // saves the generation, and skipping retrieval on a probe that the lane
-  // then rejects would leave the request without candidates.
+  // read). The lane makes the hit decision against the threshold frozen at
+  // its window start, which prepare cannot read yet; `hit_floor` is the
+  // highest value that threshold can take (the driver derives it from the
+  // learner's cadence), so a probe that clears the floor is a certain hit.
+  // Such a request needs no retrieval: a hit is served without candidates
+  // and admits nothing. Every other request is swept, since the lane may
+  // still judge it a miss and serve it from its candidates.
   if (config_.stage0.enabled) {
     s.arrivals.resize(count);
     for (size_t i = 0; i < count; ++i) {
@@ -221,15 +227,33 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
                        &s.probes);
   }
 
+  // Pack the swept requests' embeddings to the front of the arena, in chunk
+  // order (a proven hit needs its embedding no further): row j of the sweep
+  // below is the j-th swept request.
+  s.skipped.resize(count);
+  size_t swept = 0;
+  for (size_t i = 0; i < count; ++i) {
+    s.skipped[i] = config_.stage0.enabled && s.probes[i].has_value() &&
+                   Stage0ResponseCache::Clears(*s.probes[i], hit_floor);
+    if (s.skipped[i] != 0) {
+      continue;
+    }
+    if (swept != i) {
+      std::copy_n(s.embeddings.data() + i * dim, dim, s.embeddings.data() + swept * dim);
+    }
+    ++swept;
+  }
+
   // Batched stage-1 sweep: one multi-query pass over the sharded store takes
-  // each shard's lock once for the whole chunk. Each query's result list is
-  // exactly what its single-query FindSimilar would have returned, so the
-  // per-request selector tail below is byte-identical to the unbatched path.
-  // A bypassed selector (section 5) skips retrieval entirely.
-  if (!config_.selector_fault_bypass) {
+  // each shard's lock once for the whole chunk, and not at all when every
+  // request is a proven hit. Each query's result list is exactly what its
+  // single-query FindSimilar would have returned, so the per-request
+  // selector tail below is byte-identical to the unbatched path. A bypassed
+  // selector (section 5) skips retrieval entirely.
+  if (!config_.selector_fault_bypass && swept > 0) {
     TraceSpan batch_span(TraceCategory::kStage1Batch);
-    batch_span.SetArgs(count, config_.selector.stage1_candidates);
-    cache_.FindSimilarBatch(s.embeddings.data(), count, dim, config_.selector.stage1_candidates,
+    batch_span.SetArgs(swept, config_.selector.stage1_candidates);
+    cache_.FindSimilarBatch(s.embeddings.data(), swept, dim, config_.selector.stage1_candidates,
                             &s.index_scratch, &s.stage1);
   }
 
@@ -242,20 +266,26 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
   // request's stage-1 row, which the store, frozen until publish, still
   // describes; a bypassed selector has no row, so the check searches for
   // itself.
-  for (size_t i = 0; i < count; ++i) {
+  for (size_t i = 0, row = 0; i < count; ++i) {
     const Request& request = chunk_requests[i];
     Prepared& prepared = out[i];
     prepared = Prepared();
-    prepared.embedding.assign(s.embeddings.data() + i * dim,
-                              s.embeddings.data() + (i + 1) * dim);
     if (config_.stage0.enabled) {
       prepared.stage0 = s.probes[i];
     }
-    if (!config_.selector_fault_bypass) {
-      prepared.candidates = selector_.PrepareCandidatesFrom(request, small_, s.stage1[i]);
+    if (s.skipped[i] != 0) {
+      prepared.retrieval_skipped = true;
+    } else {
+      prepared.embedding.assign(s.embeddings.data() + row * dim,
+                                s.embeddings.data() + (row + 1) * dim);
+      const std::vector<SearchResult>* stage1 =
+          config_.selector_fault_bypass ? nullptr : &s.stage1[row];
+      if (stage1 != nullptr) {
+        prepared.candidates = selector_.PrepareCandidatesFrom(request, small_, *stage1);
+      }
+      prepared.lifecycle = manager_.PrepareAdmission(request, &prepared.embedding, stage1);
+      ++row;
     }
-    prepared.lifecycle = manager_.PrepareAdmission(
-        request, &prepared.embedding, config_.selector_fault_bypass ? nullptr : &s.stage1[i]);
     if (traced) {
       // Per-request prepare phase span, emitted manually so it brackets the
       // request's embed through its tail even though chunk phases interleave
@@ -287,6 +317,7 @@ void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
   if (config_.stage0.enabled && prep.stage0.has_value() && stage0_.Confident(*prep.stage0)) {
     const Stage0Entry& hit = prep.stage0->entry;
     slot.stage0_hit = true;
+    slot.retrieval_skipped = prep.retrieval_skipped;
     slot.stage0_id = hit.id;
     slot.stage0_similarity = prep.stage0->similarity;
 
@@ -313,6 +344,19 @@ void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
       slot.stage0_tokens_saved = fresh.output_tokens;
     }
     return;
+  }
+  if (prep.retrieval_skipped) {
+    // Prepare proved this request a hit against a floor no lower than the
+    // threshold just applied, and left it without candidates or an
+    // admission: the floor rule is broken, and serving on would silently
+    // change the request's decision.
+    std::fprintf(stderr,
+                 "ServingDriver: request %llu skipped retrieval as a proven stage-0 hit, "
+                 "but its lane judged a miss (similarity %.9g, threshold %.9g)\n",
+                 static_cast<unsigned long long>(request.id),
+                 prep.stage0.has_value() ? prep.stage0->similarity : 0.0,
+                 stage0_.hit_threshold());
+    std::abort();
   }
   if (config_.stage0.enabled && prep.stage0.has_value()) {
     // Miss: carry the probe's top-1 neighbour as the merge's dedupe hint so
@@ -400,6 +444,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   MetricCounter* m_stage0_invalidations = hub_.Counter("stage0_invalidations_total");
   MetricCounter* m_stage0_expired = hub_.Counter("stage0_expired_total");
   MetricCounter* m_stage0_admitted = hub_.Counter("stage0_admitted_total");
+  MetricCounter* m_stage0_skips = hub_.Counter("stage0_retrieval_skips_total");
   MetricCounter* m_stage0_tokens_saved = hub_.Counter("stage0_tokens_saved_total");
   MetricCounter* m_generated_tokens = hub_.Counter("generated_tokens_total");
   MetricCounter* m_admitted = hub_.Counter("examples_admitted_total");
@@ -520,16 +565,21 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   // Chunked prepare fan-out: one task per prepare_chunk-sized slice of the
   // window. Chunk boundaries depend only on (window, prepare_chunk), so the
   // batch-fill histogram — observed here on the driver thread — is identical
-  // at any thread/lane count.
+  // at any thread/lane count. `pending` is the request count the stage-0
+  // learner will be advanced by before these requests' lanes run (the
+  // window being committed now); the hit floor is the highest threshold the
+  // learner can then hold, read here before that window's merge begins.
   const size_t chunk = std::max<size_t>(1, config_.prepare_chunk);
-  const auto submit_prepare = [&](size_t begin, size_t count, std::vector<Prepared>* out,
-                                  WaitGroup* wg) {
+  const auto submit_prepare = [&](size_t begin, size_t count, size_t pending,
+                                  std::vector<Prepared>* out, WaitGroup* wg) {
+    const double hit_floor = stage0_.HighestHitThresholdAfter(pending);
     for (size_t chunk_begin = 0; chunk_begin < count; chunk_begin += chunk) {
       const size_t chunk_count = std::min(chunk, count - chunk_begin);
       h_batch_fill->Observe(static_cast<double>(chunk_count));
       wg->Add(1);
-      pool.Submit([this, &requests, out, wg, begin, chunk_begin, chunk_count] {
-        PrepareChunk(&requests[begin + chunk_begin], chunk_count, &(*out)[chunk_begin]);
+      pool.Submit([this, &requests, out, wg, begin, chunk_begin, chunk_count, hit_floor] {
+        PrepareChunk(&requests[begin + chunk_begin], chunk_count, hit_floor,
+                     &(*out)[chunk_begin]);
         wg->Done();
       });
     }
@@ -549,7 +599,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   if (!requests.empty()) {
     WaitGroup wg;
     const auto start = std::chrono::steady_clock::now();
-    submit_prepare(0, std::min(window, requests.size()), &prepared, &wg);
+    submit_prepare(0, std::min(window, requests.size()), /*pending=*/0, &prepared, &wg);
     wg.Wait();
     prepare_wall += Since(start);
   }
@@ -598,7 +648,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
       });
     }
     if (next_count > 0) {
-      submit_prepare(next_begin, next_count, &prepared_next, &prep_wg);
+      submit_prepare(next_begin, next_count, /*pending=*/count, &prepared_next, &prep_wg);
     }
     lanes_wg.Wait();
     prep_wg.Wait();
@@ -636,6 +686,10 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
         report.stage0_tokens_saved += c.stage0_tokens_saved;
         m_stage0_hits->Increment();
         m_stage0_tokens_saved->Add(static_cast<double>(c.stage0_tokens_saved));
+        if (c.retrieval_skipped) {
+          ++report.stage0_retrieval_skips;
+          m_stage0_skips->Increment();
+        }
         stage0_.RecordHit(c.stage0_id, request.arrival_time);
         if (c.stage0_probed) {
           ++report.stage0_probes;
@@ -730,7 +784,9 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
     }
     h_merge->Observe(Since(merge_start));
     // Batched threshold-adaptation cadence: the whole window served under
-    // the frozen threshold; count it and re-evaluate at the boundary.
+    // the frozen threshold; count it and re-evaluate at the boundary. This
+    // is the only point a Run moves the stage-0 hit threshold, which the
+    // next window's prepare, already joined, bounded by its hit floor.
     if (!config_.selector_fault_bypass) {
       selector_.AdvanceWindow(count);
     }

@@ -22,8 +22,10 @@
 //       `prepare_chunk`-sized batches: each chunk embeds into a reused
 //       per-thread arena (through a per-worker embedding memo) and drives
 //       stage-0 and stage-1 through the multi-query index path, taking each
-//       shard lock once per chunk. Window N+1's prepare overlaps window N's
-//       commit lanes.
+//       shard lock once per chunk. A request whose stage-0 probe is a proven
+//       hit (it clears the highest threshold its lane can judge it against)
+//       skips retrieval, scoring and admission prep. Window N+1's prepare
+//       overlaps window N's commit lanes.
 //   SHARDED COMMIT (parallel lanes + serial merge) — the per-request half of
 //       the old serial phase runs on `commit_lanes` actor-style lanes
 //       (requests partitioned by request-key shard, each lane internally
@@ -215,6 +217,11 @@ struct DriverReport {
   size_t stage0_invalidations = 0;  // entries removed by quality feedback
   size_t stage0_expired = 0;        // entries removed by TTL
   size_t stage0_admitted = 0;       // responses inserted (after dedupe/gate)
+  // Hits the prepare phase proved before the lane judged them, so their
+  // stage-1 sweep, stage-2 scoring and admission prep never ran. A subset
+  // of stage0_hits, fixed by the decisions: identical at any thread, lane
+  // or chunk count.
+  size_t stage0_retrieval_skips = 0;
   int64_t stage0_tokens_saved = 0;  // output tokens avoided by hits
   int64_t generated_tokens = 0;     // output tokens actually generated
 
@@ -357,6 +364,9 @@ class ServingDriver {
     // Stage-0 probe against the window-start cache. The threshold decision
     // is NOT applied here — the lane judges it against the frozen threshold.
     std::optional<Stage0Probe> stage0;
+    // The probe cleared the hit floor, so the lane must judge it a hit:
+    // prepare left `embedding`, `candidates` and `lifecycle` empty.
+    bool retrieval_skipped = false;
   };
 
   // Lane-stage output: everything the deterministic merge and the publish
@@ -376,6 +386,7 @@ class ServingDriver {
     // Stage-0 hit outcome: the request was served from the response cache —
     // no routing, no generation, no cluster submission, no admission.
     bool stage0_hit = false;
+    bool retrieval_skipped = false;  // the hit was proven in prepare
     // On a hit: the served entry. On a miss: the probe's top-1 neighbour,
     // reused by the merge as the admission dedupe hint (no serial search).
     uint64_t stage0_id = 0;
@@ -387,10 +398,13 @@ class ServingDriver {
 
   // Batched prepare for `count` consecutive requests (one pool task's chunk):
   // per-request memoized embeds into a reused arena, one batched stage-0
-  // probe, one batched stage-1 sweep, then the per-request tail
-  // (filter/snapshot/stage-2 scoring + admission prep). out[i] is exactly
+  // probe, one batched stage-1 sweep over the requests whose probe does not
+  // clear `hit_floor` (the others are proven hits and get no retrieval),
+  // then the per-request tail (filter/snapshot/stage-2 scoring + admission
+  // prep). For every request the lane serves as a miss, out[i] is exactly
   // what the historical per-request prepare produced for chunk_requests[i].
-  void PrepareChunk(const Request* chunk_requests, size_t count, Prepared* out) const;
+  void PrepareChunk(const Request* chunk_requests, size_t count, double hit_floor,
+                    Prepared* out) const;
 
   // Lane stage for one request: frozen selection, frozen-posterior routing,
   // generation, probe shadow generation. Pure given window-start state.

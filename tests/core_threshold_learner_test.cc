@@ -1,8 +1,9 @@
 // ThresholdLearner: the grid-threshold learner behind the selector's utility
 // threshold and stage-0's hit threshold. Cadence (one re-evaluation per
 // window that crosses an adapt_every multiple, none at adapt_every 0), the
-// best-mean rule (unsampled cells skipped, the lower cell on a tie), and
-// Restore's grid-size check.
+// ceiling HighestThresholdAfter reads ahead of a window, the best-mean rule
+// (unsampled cells skipped, the lower cell on a tie), and Restore's
+// grid-size check.
 #include "src/core/threshold_learner.h"
 
 #include <gtest/gtest.h>
@@ -54,10 +55,52 @@ TEST(ThresholdLearnerTest, AWindowCrossingACadenceMultipleReEvaluatesOnce) {
 TEST(ThresholdLearnerTest, ZeroCadenceNeverAdapts) {
   ThresholdLearner learner({0.2, 0.4}, 0.3, 0);
   Sample(&learner, 1, 5.0);
+  EXPECT_EQ(learner.HighestThresholdAfter(0), 0.3);
+  EXPECT_EQ(learner.HighestThresholdAfter(1), 0.3);
+  EXPECT_EQ(learner.HighestThresholdAfter(100000), 0.3);
   learner.AdvanceWindow(1);
   learner.AdvanceWindow(100000);
   EXPECT_EQ(learner.threshold(), 0.3);
   EXPECT_EQ(learner.state().requests_seen, 100001u);
+}
+
+// The ceiling a caller can compare against before a window's AdvanceWindow:
+// the current threshold unless the pending count crosses a cadence multiple,
+// then the larger of the current threshold and the grid maximum.
+TEST(ThresholdLearnerTest, HighestThresholdAfterFollowsTheCadence) {
+  ThresholdLearner learner({0.2, 0.4, 0.6}, 0.45, 10);
+  EXPECT_EQ(learner.HighestThresholdAfter(0), 0.45);
+  EXPECT_EQ(learner.HighestThresholdAfter(9), 0.45);   // 0 -> 9
+  EXPECT_EQ(learner.HighestThresholdAfter(10), 0.6);   // 0 -> 10
+  EXPECT_EQ(learner.HighestThresholdAfter(25), 0.6);   // 0 -> 25 crosses two
+  learner.AdvanceWindow(9);
+  EXPECT_EQ(learner.HighestThresholdAfter(0), 0.45);
+  EXPECT_EQ(learner.HighestThresholdAfter(1), 0.6);    // 9 -> 10
+  EXPECT_EQ(learner.state().requests_seen, 9u);        // asking counts nothing
+
+  // A current threshold above every cell is its own ceiling.
+  learner.set_threshold(0.9);
+  EXPECT_EQ(learner.HighestThresholdAfter(1), 0.9);
+  EXPECT_EQ(learner.HighestThresholdAfter(0), 0.9);
+}
+
+// Whatever the samples, the threshold AdvanceWindow(pending) leaves never
+// exceeds the ceiling read before it, and a re-evaluation that picks the top
+// cell reaches it.
+TEST(ThresholdLearnerTest, AdvanceWindowStaysAtOrBelowTheCeiling) {
+  ThresholdLearner learner({0.2, 0.4, 0.6}, 0.45, 8);
+  const size_t windows[] = {3, 5, 0, 7, 1, 8, 16, 2, 6};
+  for (size_t i = 0; i < sizeof(windows) / sizeof(windows[0]); ++i) {
+    Sample(&learner, i % 3, i % 2 == 0 ? 1.0 : -1.0);
+    const double ceiling = learner.HighestThresholdAfter(windows[i]);
+    learner.AdvanceWindow(windows[i]);
+    EXPECT_LE(learner.threshold(), ceiling) << "window " << i;
+  }
+  Sample(&learner, 2, 100.0);
+  const double ceiling = learner.HighestThresholdAfter(8);
+  learner.AdvanceWindow(8);
+  EXPECT_EQ(learner.threshold(), ceiling);
+  EXPECT_EQ(ceiling, 0.6);
 }
 
 TEST(ThresholdLearnerTest, CellsWithNoSamplesAreSkipped) {

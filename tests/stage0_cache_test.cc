@@ -6,13 +6,15 @@
 //    duplicate-accepting inserts, the -1.0 NearestSimilarity sentinel, and
 //    the redundant re-embedding on every probe;
 //  * driver determinism — stage-0 decisions are byte-identical at 1 vs 8
-//    threads and 1 vs 4 commit lanes on a duplicate-heavy trace;
+//    threads and 1 vs 4 commit lanes on a duplicate-heavy trace, and
+//    proven hits skip retrieval without moving a pinned decisions digest;
 //  * snapshot -> restore -> serve parity with the stage-0 section included.
 #include "src/core/stage0_cache.h"
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -143,6 +145,31 @@ TEST(Stage0CacheTest, ThresholdLearnsFromProbeFeedback) {
   }
   cache.AdvanceWindow(4);
   EXPECT_DOUBLE_EQ(cache.hit_threshold(), 0.85);
+}
+
+// The driver's hit floor: the learner's ceiling while learning, and the
+// current threshold, which nothing moves, when learning is off.
+TEST(Stage0CacheTest, HighestHitThresholdFollowsTheLearnerOnlyWhenLearning) {
+  Stage0Config config = FlatConfig();
+  config.threshold_grid = {0.85, 0.95};
+  config.adapt_every_n_requests = 4;
+  config.initial_hit_threshold = 0.90;
+  Stage0ResponseCache fixed(SharedEmbedder(), config);
+  config.learn_threshold = true;
+  Stage0ResponseCache learning(SharedEmbedder(), config);
+  for (size_t pending : {size_t{0}, size_t{3}, size_t{4}, size_t{100}}) {
+    EXPECT_EQ(fixed.HighestHitThresholdAfter(pending), 0.90) << pending;
+  }
+  EXPECT_EQ(learning.HighestHitThresholdAfter(0), 0.90);
+  EXPECT_EQ(learning.HighestHitThresholdAfter(3), 0.90);
+  EXPECT_EQ(learning.HighestHitThresholdAfter(4), 0.95);
+
+  Stage0Probe probe;
+  probe.similarity = 0.95;
+  EXPECT_TRUE(Stage0ResponseCache::Clears(probe, learning.HighestHitThresholdAfter(4)));
+  EXPECT_TRUE(learning.Confident(probe));
+  probe.fresh = false;
+  EXPECT_FALSE(Stage0ResponseCache::Clears(probe, 0.0));
 }
 
 TEST(Stage0CacheTest, AdaptiveStateRoundTrips) {
@@ -434,6 +461,73 @@ TEST(Stage0DriverTest, HitsEliminateGenerationCost) {
     }
   }
   EXPECT_EQ(stage0_rows, on.stage0_hits);
+}
+
+// FNV-1a over every decision's id, model, offload flag, example count and
+// latent-quality bits (the digest bench/perf prints per segment).
+uint64_t DecisionDigest(const DriverReport& report) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash = (hash ^ bytes[i]) * 0x100000001b3ull;
+    }
+  };
+  for (const DriverDecision& decision : report.decisions) {
+    const uint64_t examples = decision.num_examples;
+    const unsigned char offloaded = decision.offloaded ? 1 : 0;
+    uint64_t quality_bits = 0;
+    std::memcpy(&quality_bits, &decision.latent_quality, sizeof(quality_bits));
+    mix(&decision.request_id, sizeof(decision.request_id));
+    mix(decision.model_name.data(), decision.model_name.size() + 1);  // with the NUL
+    mix(&offloaded, 1);
+    mix(&examples, sizeof(examples));
+    mix(&quality_bits, sizeof(quality_bits));
+  }
+  return hash;
+}
+
+// Prepare proves a request a stage-0 hit when its probe clears the highest
+// threshold the request's lane can judge it against, and skips its
+// retrieval. A proven hit that the lane judged a miss aborts the run, and a
+// request served differently moves the decisions digest, pinned from the
+// driver before prepare skipped anything (one value at both kernel levels).
+// The trace crosses six threshold re-evaluations (every 64 requests, in
+// 32-request windows), so half the windows are prepared under the grid
+// maximum, and the threshold itself moves.
+TEST(Stage0DriverTest, ProvenHitsSkipRetrievalWithoutMovingADecision) {
+  constexpr uint64_t kPinnedDigest = 0x32043da359894784ull;
+  const std::vector<Request> requests = DuplicateHeavyWorkload();
+  ModelCatalog catalog;
+  DriverConfig config = Stage0DriverConfig();
+  ASSERT_GE(requests.size(), 2 * config.stage0.adapt_every_n_requests);
+
+  std::vector<size_t> skips;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (size_t chunk : {size_t{1}, size_t{16}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " chunk=" + std::to_string(chunk));
+      config.num_threads = threads;
+      config.prepare_chunk = chunk;
+      auto driver = MakeDriver(catalog, config);
+      const DriverReport report = driver->Run(requests);
+      EXPECT_EQ(DecisionDigest(report), kPinnedDigest)
+          << std::hex << "digest 0x" << DecisionDigest(report);
+      EXPECT_NE(driver->stage0().hit_threshold(), config.stage0.initial_hit_threshold);
+      EXPECT_GT(report.stage0_retrieval_skips, 0u);
+      EXPECT_LE(report.stage0_retrieval_skips, report.stage0_hits);
+      EXPECT_EQ(driver->metrics_hub().Value("stage0_retrieval_skips_total"),
+                static_cast<double>(report.stage0_retrieval_skips));
+      skips.push_back(report.stage0_retrieval_skips);
+    }
+  }
+  for (size_t i = 1; i < skips.size(); ++i) {
+    EXPECT_EQ(skips[i], skips[0]) << "variant " << i;
+  }
+
+  config.stage0.enabled = false;
+  const DriverReport off = MakeDriver(catalog, config)->Run(requests);
+  EXPECT_EQ(off.stage0_hits, 0u);
+  EXPECT_EQ(off.stage0_retrieval_skips, 0u);
 }
 
 // Snapshot -> restore -> serve parity: a driver restored mid-trace (stage-0
