@@ -149,17 +149,16 @@ else
 fi
 
 echo "== sharded-commit-pipeline + stage-0 + observability acceptance =="
-# Full lifecycle + background maintenance on hnsw at 1 vs 8 threads from the
-# same restored seed snapshot. Exit-enforces: a byte-identical seed snapshot
+# Full lifecycle + maintenance on hnsw at 1 vs 8 threads from the same
+# restored seed snapshot. Exit-enforces: a byte-identical seed snapshot
 # whether SaveSnapshot's parallel link pass runs on 1 or 8 threads,
 # identical decisions (including
 # across prepare_chunk {1,16,32}, with identical tail exemplars and
 # byte-identical pool contents), a serial request-path cost (driver-thread
 # time outside the pool and maintenance) under an absolute us/request
-# ceiling, the driver-thread maintenance cost (cut export plus the apply
-# step, whose per-shard eviction knapsacks run on the driver thread) under
-# its own us/request ceiling, and ZERO windows stalled waiting on the
-# background maintenance planner. The second section replays a
+# ceiling, and the driver-thread maintenance cost (cut export, planning and
+# the apply step with its per-shard eviction knapsacks, all on the driver
+# thread) under its own us/request ceiling. The second section replays a
 # duplicate-heavy trace with the stage-0 response tier on and exit-enforces
 # its gate: hit rate >= 25%, fewer generated tokens than the stage0-off run,
 # byte-identical decisions at 1 vs 8 threads and 1 vs 4 commit lanes, a

@@ -1,5 +1,6 @@
-// Fixed-size worker pool used by the benchmark harnesses to parallelize
-// independent experiment sweeps (e.g., one dataset per worker).
+// Fixed-size worker pool behind the serving driver: its prepare, commit-lane
+// and publish fan-outs, and the per-shard HNSW link pass
+// (ShardedExampleCache::Flush).
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
 

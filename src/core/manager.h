@@ -60,15 +60,15 @@ struct MaintenanceReport {
   size_t evicted = 0;     // examples removed by the capacity knapsack
 };
 
-// --- Epoch-based background maintenance (plan / apply split) ---------------
+// --- Epoch-based maintenance (plan / apply split) ---------------------------
 //
-// A concurrent driver never runs decay, eviction, or replay inline: at a
-// window boundary it exports an epoch-consistent MaintenanceCut, a background
-// thread PLANS the tick against that frozen view (pure, expensive — replay
-// regenerations and the eviction knapsack), and the resulting mutation batch
-// is APPLIED at a later, deterministic window boundary. Because the plan is
-// a pure function of (cut, spec, rng) and the apply point is fixed by the
-// window schedule, the whole scheme is invariant to thread and lane counts.
+// A concurrent driver never runs decay, eviction, or replay inside a window:
+// at a window boundary it exports an epoch-consistent MaintenanceCut, PLANS
+// the tick against that frozen view (pure — replay regenerations and the
+// eviction knapsack), and APPLIES the resulting mutation batch at a later,
+// deterministic window boundary. Because the plan is a pure function of
+// (cut, spec, rng) and the apply point is fixed by the window schedule, the
+// whole scheme is invariant to thread and lane counts.
 
 // What one tick should do, stamped with its epoch (the tick ordinal, which
 // also derives the tick's private sampling stream).
@@ -159,11 +159,11 @@ class ExampleManager {
   // Hourly decay + capacity enforcement; call with the current sim time.
   MaintenanceReport MaybeRunMaintenance(double now);
 
-  // --- Epoch-based maintenance (background scheduler) ----------------------
+  // --- Epoch-based maintenance (plan / apply split) ------------------------
 
   // PURE planning half: ranks and simulates the tick against the frozen cut.
   // Touches no mutable state (generation uses `rng`, the tick's private
-  // stream), so it is safe on a background thread while the store serves.
+  // stream), so the plan depends on nothing but its arguments.
   // Eviction is planned as ONE GLOBAL knapsack over the decayed cut; at pool
   // scale it is over SolveKnapsack's exact-work bound and so greedy. Replay
   // ranks by gain EMA, stops at the cost cutoff, and skips examples at their

@@ -100,7 +100,7 @@ class StoreSnapshotSink {
   virtual ByteWriter* IndexImage() = 0;
 };
 
-// Epoch-consistent view of the pool for background maintenance planning
+// Epoch-consistent view of the pool for maintenance planning
 // (ExampleStore::ExportMaintenanceCut): every lifecycle record plus the byte
 // accounting and the capacity/decay policy knobs the planner needs, all
 // describing one instant. Much cheaper than a snapshot cut — no
@@ -191,7 +191,7 @@ class ExampleStore {
   virtual void RecordOffload(uint64_t id, double gain) = 0;
 
   // Removes the example (and its index entry); false when absent. Used by
-  // maintenance batches that apply a background-planned eviction set.
+  // maintenance batches that apply a planned eviction set.
   virtual bool Remove(uint64_t id) = 0;
 
   // Hourly multiplicative utility decay over every example.
@@ -209,12 +209,12 @@ class ExampleStore {
 
   // --- Persistence surface (src/persist: snapshot/restore) -----------------
 
-  // One atomically consistent export of everything background maintenance
+  // One atomically consistent export of everything maintenance planning
   // needs: every example record, the byte accounting, and the capacity/decay
   // policy, all describing one instant (the sharded store holds every shard
-  // lock, shared, for the duration). The epoch scheduler plans decay,
-  // eviction, and replay against this view off the request path and applies
-  // the resulting mutation batch at a later window boundary.
+  // lock, shared, for the duration). The serving driver plans decay,
+  // eviction, and replay against this view between windows and applies the
+  // resulting mutation batch at a later window boundary.
   virtual MaintenanceCut ExportMaintenanceCut() const = 0;
 
   // Streams one atomically consistent cut of everything a snapshot needs

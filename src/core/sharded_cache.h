@@ -137,8 +137,8 @@ class ShardedExampleCache : public ExampleStore {
   // rebuild-from-embeddings).
   //
   // Holds ALL shard locks (shared, ascending) so the records and byte counts
-  // describe one instant — the epoch view background maintenance plans
-  // against. No embeddings or graph image: much cheaper than a snapshot cut.
+  // describe one instant — the epoch view maintenance plans against. No
+  // embeddings or graph image: much cheaper than a snapshot cut.
   MaintenanceCut ExportMaintenanceCut() const override;
   // Holds ALL shard locks (shared, ascending) while it streams, so the
   // records, index images, counters, and watermark bytes describe one
@@ -167,12 +167,12 @@ class ShardedExampleCache : public ExampleStore {
   // wraps the fan-out in set_defer_capacity(true/false) — the atomic byte
   // counter still tracks every insert — and is then responsible for
   // restoring the budget invariant itself at a deterministic point: the
-  // serving driver treats it as a SOFT watermark, requesting a maintenance
+  // serving driver treats it as a SOFT watermark, planning a maintenance
   // eviction tick when the counter is over the trigger and running one
   // synchronous EnforceCapacity() before Run returns. Applying that tick
   // ends in EnforceCapacity() on the driver thread, whose exact per-shard
-  // knapsacks perform most evictions (74% on churn256k; the background
-  // planner's global knapsack is greedy). The store does NOT self-enforce
+  // knapsacks perform most evictions (74% on churn256k; the planned global
+  // knapsack is greedy). The store does NOT self-enforce
   // after a deferred fan-out.
 
   // Which shard PutPrepared will place this request's admission in. Lanes

@@ -65,10 +65,9 @@ class GenerationSimulator {
                             double extra_capability = 0.0);
 
   // Same generation model driven by an EXTERNAL sampling stream, mutating
-  // nothing. Concurrent callers (the serving driver's commit lanes, the
-  // background maintenance planner) each bring a deterministically derived
-  // per-request/per-tick Rng, so results are independent of thread and lane
-  // scheduling.
+  // nothing. Callers (the serving driver's commit lanes, maintenance
+  // planning) each bring a deterministically derived per-request/per-tick
+  // Rng, so results are independent of thread and lane scheduling.
   GenerationResult Generate(const ModelProfile& model, const Request& request,
                             const std::vector<ExampleView>& examples, Rng& rng,
                             double extra_capability = 0.0) const;

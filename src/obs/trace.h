@@ -39,7 +39,7 @@ enum class TraceCategory : uint8_t {
   kLaneCommit,         // one request's decision inside a commit lane
   kMerge,              // deterministic arrival-order merge on driver thread
   kPublish,            // per-shard publish fan-out
-  kMaintenancePlan,    // maintenance planning (background or inline)
+  kMaintenancePlan,    // planning one maintenance tick on the driver thread
   kMaintenanceApply,   // applying a collected maintenance plan
   kCheckpointWrite,    // checkpointer snapshot write
   kServiceRequest,     // IcCacheService::ServeRequest end to end

@@ -19,7 +19,6 @@ constexpr size_t kClearWindows = 3;
 constexpr char kRequestsCounter[] = "requests_total";
 constexpr char kStage0HitsCounter[] = "stage0_hits_total";
 constexpr char kEvictionsCounter[] = "examples_evicted_total";
-constexpr char kStalledCounter[] = "maintenance_stalled_windows_total";
 
 double SampleValue(const MetricsWindowSample& sample, const char* name) {
   // values are name-sorted; binary search keeps OnWindow O(rules * log n).
@@ -52,8 +51,6 @@ const char* WatchdogRuleName(WatchdogRule rule) {
       return "queue_delay_growth";
     case WatchdogRule::kEvictionStorm:
       return "eviction_storm";
-    case WatchdogRule::kMaintenanceStall:
-      return "maintenance_stall";
     case WatchdogRule::kNumRules:
       break;
   }
@@ -66,8 +63,7 @@ SloWatchdog::SloWatchdog(WatchdogConfig config)
       queue_ema_(kEmaAlpha) {
   armed_ = config_.slo_e2e_p99_s > 0.0 || config_.stage0_drop_fraction > 0.0 ||
            config_.queue_growth_factor > 0.0 ||
-           config_.eviction_storm_threshold > 0.0 ||
-           config_.maintenance_stall_rule;
+           config_.eviction_storm_threshold > 0.0;
   config_.trigger_windows = std::max<size_t>(1, config_.trigger_windows);
 }
 
@@ -174,16 +170,6 @@ std::vector<WatchdogEvent> SloWatchdog::OnWindow(const MetricsWindowSample& samp
          config_.eviction_storm_threshold,
          Describe("%.0f evictions in one window (bound %.0f)", evictions_delta,
                   config_.eviction_storm_threshold),
-         sample.window, &fired);
-  }
-
-  if (config_.maintenance_stall_rule) {
-    const double stalled_delta =
-        SampleValue(sample, kStalledCounter) -
-        SampleValue(prev_, kStalledCounter);
-    Step(WatchdogRule::kMaintenanceStall, stalled_delta > 0.0, stalled_delta, 0.0,
-         Describe("maintenance stalled %.0f window(s) (bound %.0f)", stalled_delta,
-                  0.0),
          sample.window, &fired);
   }
 

@@ -1,7 +1,7 @@
 // Online SLO watchdog over the per-window MetricsHub snapshot series.
 // Evaluated once per driver window boundary against declarative rules: e2e
 // p99 over SLO, stage-0 hit-rate collapse vs a trailing EMA, queue-delay
-// growth, eviction storms, maintenance stalls.
+// growth, eviction storms.
 // Rules fire with hysteresis (consecutive breaches to trigger, consecutive
 // clean windows to re-arm) and emit structured WatchdogEvents the caller
 // records into the trace and the run report.
@@ -27,14 +27,13 @@ enum class WatchdogRule : uint8_t {
   kStage0HitRateDrop,   // window hit rate collapsed vs trailing EMA
   kQueueDelayGrowth,    // window mean queue delay grew vs trailing EMA
   kEvictionStorm,       // more evictions in one window than the bound
-  kMaintenanceStall,    // the maintenance pipeline stalled a window
   kNumRules,
 };
 
 const char* WatchdogRuleName(WatchdogRule rule);
 
-// Every rule defaults to disabled (threshold 0 / false), so a
-// default-constructed watchdog is a no-op until configured.
+// Every rule defaults to disabled (threshold 0), so a default-constructed
+// watchdog is a no-op until configured.
 struct WatchdogConfig {
   // Fire when the delta-window e2e p99 exceeds this bound (seconds).
   double slo_e2e_p99_s = 0.0;
@@ -47,8 +46,6 @@ struct WatchdogConfig {
   double queue_growth_factor = 0.0;
   // Fire when a single window evicts more than this many examples.
   double eviction_storm_threshold = 0.0;
-  // Fire whenever the maintenance stalled-window counter advances.
-  bool maintenance_stall_rule = false;
 
   // Hysteresis: breach this many consecutive windows to fire, then stay
   // latched until a run of consecutive clean windows (watchdog.cc).

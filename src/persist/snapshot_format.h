@@ -31,7 +31,7 @@ namespace iccache {
 inline constexpr uint64_t kSnapshotMagic = 0x3150414e53434349ull;
 
 // Bump when any section encoding changes incompatibly.
-// v2: kDriver section gained the maintenance scheduler's epoch counter.
+// v2: kDriver section gained the maintenance epoch counter.
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 // Section ids. A snapshot holds any subset; readers restore what they

@@ -24,10 +24,11 @@ namespace {
 
 // Each model pool runs this many replicas of the default ServerConfig.
 constexpr int kReplicasPerPool = 2;
-// Window boundaries a requested maintenance tick ages before its mutation
-// batch is applied: the background planner's deterministic compute budget.
-// Checkpoints and end-of-run flush pending ticks early (at equally
-// deterministic points).
+// Window boundaries a planned maintenance tick ages before its mutation
+// batch is applied. Part of the decision schedule: admissions from the
+// windows in between land before the batch, so applying a tick at another
+// boundary changes decisions. Checkpoints and end-of-run apply a planned
+// tick early (at equally deterministic points).
 constexpr size_t kMaintenancePublishLag = 2;
 
 RouterConfig SeededRouterConfig(RouterConfig config, uint64_t seed) {
@@ -58,7 +59,6 @@ ServingDriver::ServingDriver(DriverConfig config, const ModelCatalog* catalog)
       generator_(Mix64(config.seed ^ 0x6e4ull)),
       manager_(&cache_, &generator_, large_, config.manager),
       stage0_(embedder_, config.stage0),
-      maintenance_(&manager_, Mix64(config.seed ^ 0x3a171ull)),
       checkpointer_(CheckpointerConfig{config.snapshot_path, config.checkpoint_interval_s,
                                        config.replay_load_threshold}) {
   cluster_.AddPool(small_, kReplicasPerPool);
@@ -111,13 +111,13 @@ Status ServingDriver::SaveSnapshot(const std::string& path) {
   components.stage0 = config_.stage0.enabled ? &stage0_ : nullptr;
   EncodePoolSections(cache_, components, cluster_.now(), &writer);
 
-  // The maintenance scheduler is idle at every point a snapshot can be taken
-  // (checkpoints flush pending ticks first; Run drains before returning), so
-  // the epoch counter alone captures its state.
+  // No planned tick is held at any point a snapshot can be taken
+  // (checkpoints apply it first; Run applies it before returning), so the
+  // epoch counter alone captures the maintenance state.
   ByteWriter driver;
   driver.PutDouble(last_replay_time_);
   EncodeRngState(generator_.rng_state(), &driver);
-  driver.PutU64(maintenance_.next_epoch());
+  driver.PutU64(next_maintenance_epoch_);
   writer.AddSection(SnapshotSection::kDriver, driver.TakeBytes());
   return writer.WriteToFile(path);
 }
@@ -150,7 +150,7 @@ Status ServingDriver::RestoreSnapshot(const std::string& path) {
     }
     last_replay_time_ = last_replay_time;
     generator_.restore_rng_state(generator_rng);
-    maintenance_.set_next_epoch(maintenance_epoch);
+    next_maintenance_epoch_ = maintenance_epoch;
     return true;
   });
   if (!status.ok()) {
@@ -453,7 +453,6 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   MetricCounter* m_maintenance_ticks = hub_.Counter("maintenance_ticks_total");
   MetricCounter* m_replay_passes = hub_.Counter("replay_passes_total");
   MetricCounter* m_replayed = hub_.Counter("replayed_examples_total");
-  MetricCounter* m_stalled = hub_.Counter("maintenance_stalled_windows_total");
   MetricCounter* m_checkpoints = hub_.Counter("checkpoints_total");
   MetricGauge* g_pool_bytes = hub_.Gauge("pool_bytes");
   MetricGauge* g_pool_examples = hub_.Gauge("pool_examples");
@@ -496,7 +495,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   std::vector<CommitSlot> slots(window);
   RunningStat quality;
   double prepare_wall = 0.0;      // driver time blocked on pool task groups
-  double maintenance_wall = 0.0;  // cut exports + plan collection + batch apply
+  double maintenance_wall = 0.0;  // cut exports + planning + batch apply
 
   // Per-Run SLO watchdog over the per-window hub snapshots. Passive: it
   // reads metrics already maintained above, so arming it cannot perturb a
@@ -530,23 +529,21 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
     }
   };
 
-  // Publishes the pending maintenance tick's mutation batch. `forced` marks
-  // the deterministic early-flush points (checkpoint, end of run), where a
-  // blocking wait is expected and not a pipeline stall.
-  const auto publish_tick = [&](bool forced) {
+  // The maintenance tick planned at an earlier boundary and not yet applied
+  // (at most one), and the window boundaries it has aged since.
+  std::optional<MaintenancePlan> planned_tick;
+  size_t planned_tick_age = 0;
+
+  // Applies the planned tick's mutation batch.
+  const auto apply_tick = [&] {
     const auto start = std::chrono::steady_clock::now();
-    bool stalled = false;
-    const MaintenancePlan plan = maintenance_.Collect(&stalled);
-    if (!forced && stalled) {
-      ++report.maintenance_stalled_windows;
-      m_stalled->Increment();
-    }
     MaintenanceApplyOutcome outcome;
     {
       TraceSpan span(TraceCategory::kMaintenanceApply);
-      outcome = manager_.ApplyMaintenance(plan);
+      outcome = manager_.ApplyMaintenance(*planned_tick);
       span.SetArgs(outcome.evicted, outcome.replayed);
     }
+    planned_tick.reset();
     planned_evictions += outcome.evicted;
     if (outcome.decay_ran) {
       ++report.maintenance_runs;
@@ -846,34 +843,30 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
           m_admitted->Increment();
         }
       }
-      // No synchronous watermark knapsack here: capacity pressure requests
-      // an eviction tick below (soft watermark — see the end-of-run
-      // enforcement that restores the hard invariant). The background
-      // planner's global knapsack is greedy at pool scale; most evictions
-      // come from the exact per-shard re-enforcement that ApplyMaintenance
-      // runs on this thread when the tick publishes (74% on churn256k).
+      // No synchronous watermark knapsack here: capacity pressure plans an
+      // eviction tick below (soft watermark — see the end-of-run
+      // enforcement that restores the hard invariant). The planned global
+      // knapsack is greedy at pool scale; most evictions come from the exact
+      // per-shard re-enforcement that ApplyMaintenance runs when the tick is
+      // applied (74% on churn256k).
     }
 
-    // --- Window boundary: background maintenance + checkpoint ---
+    // --- Window boundary: maintenance + checkpoint ---
 
-    // 1. Publish a pending tick that reached its lag (or drain at the end of
-    //    the run) — BEFORE any checkpoint, so snapshots never race a tick.
-    if (!maintenance_.idle()) {
-      maintenance_.NoteBoundary();
-      if (maintenance_.boundaries_pending() >= kMaintenancePublishLag) {
-        publish_tick(/*forced=*/false);
-      } else if (final_window) {
-        publish_tick(/*forced=*/true);
-      }
+    // 1. Apply a planned tick that reached its lag (or any planned tick at
+    //    the end of the run) — BEFORE any checkpoint, so a snapshot never
+    //    holds half a tick.
+    if (planned_tick && (++planned_tick_age >= kMaintenancePublishLag || final_window)) {
+      apply_tick();
     }
 
     // 2. Periodic crash-recovery checkpoint: rides the off-peak gate, forced
-    //    once two intervals overdue. A still-pending tick is flushed first at
+    //    once two intervals overdue. A still-planned tick is applied first at
     //    this (deterministic) point so the snapshot captures a complete
     //    state. The write is atomic (temp + fsync + rename).
     if (checkpointer_.enabled() && checkpointer_.Due(cluster_.now(), current_load())) {
-      if (!maintenance_.idle()) {
-        publish_tick(/*forced=*/true);
+      if (planned_tick) {
+        apply_tick();
       }
       if (checkpointer_
               .Take(cluster_.now(), [this] { return SaveSnapshot(config_.snapshot_path); })
@@ -884,14 +877,12 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
       }
     }
 
-    // 3. Request the next tick when decay, watermark eviction, or off-peak
-    //    replay is due. The cut export runs here (cheap: records only, no
-    //    embeddings or graphs) and the expensive planning — including the
-    //    eviction knapsack, which used to run synchronously inside the
-    //    serial phase on every watermark crossing — lands on the background
-    //    thread. At the final boundary the tick is published immediately so
-    //    Run never returns with the scheduler busy (snapshot parity).
-    if (maintenance_.idle()) {
+    // 3. Plan the next tick when decay, watermark eviction, or off-peak
+    //    replay is due: export the cut (records only, no embeddings or
+    //    graphs), plan against it and drop it; only the plan waits for its
+    //    boundary. At the final boundary the tick is applied at once, so Run
+    //    never returns holding a plan (snapshot parity).
+    if (!planned_tick) {
       const double sim_now = cluster_.now();
       const bool decay_due =
           config_.lifecycle_maintenance &&
@@ -912,17 +903,26 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
         spec.evict = evict_due;
         spec.replay = replay_due;
         spec.now = sim_now;
-        spec.epoch = maintenance_.ConsumeEpoch();
+        spec.epoch = next_maintenance_epoch_++;
         if (decay_due) {
           manager_.set_last_decay_time(sim_now);
         }
         if (replay_due) {
           last_replay_time_ = sim_now;
         }
-        maintenance_.Request(cache_.ExportMaintenanceCut(), spec);
+        {
+          const MaintenanceCut cut = cache_.ExportMaintenanceCut();
+          TraceSpan span(TraceCategory::kMaintenancePlan);
+          span.SetArgs(spec.epoch);
+          // The tick's private stream, derived from (seed, epoch): the plan
+          // is a pure function of the cut, the spec and this stream.
+          Rng rng(Mix64(Mix64(config_.seed ^ 0x3a171ull) ^ Mix64(spec.epoch)));
+          planned_tick = manager_.PlanMaintenance(cut, spec, rng);
+        }
+        planned_tick_age = 0;
         maintenance_wall += Since(start);
         if (final_window) {
-          publish_tick(/*forced=*/true);
+          apply_tick();
         }
       }
     }

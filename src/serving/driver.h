@@ -39,11 +39,13 @@
 //       order on the driver thread. Admission inserts are then PUBLISHED by
 //       per-shard tasks (per-shard arrival order keeps id assignment exact)
 //       with watermark eviction deferred to one enforcement after the join.
-//   BACKGROUND MAINTENANCE (dedicated thread) — decay, knapsack eviction,
-//       and replay are planned by a MaintenanceScheduler against an
-//       epoch-consistent all-shard cut and applied as a mutation batch at a
-//       later window boundary, so a due tick no longer stalls the window
-//       that triggered it (src/serving/maintenance.h).
+//   MAINTENANCE (driver thread, between windows) — at the boundary where
+//       decay, knapsack eviction or replay falls due, the driver exports an
+//       epoch-consistent all-shard cut, plans the tick against it
+//       (ExampleManager::PlanMaintenance, on the tick's own RNG stream) and
+//       drops the cut; the plan is applied as a mutation batch
+//       kMaintenancePublishLag boundaries later, or at the next checkpoint
+//       or the end of the run, whichever comes first.
 //
 // Determinism contract: every lane-stage computation depends only on the
 // prepared slot, state frozen at the window start, and RNG streams derived
@@ -80,7 +82,6 @@
 #include "src/persist/checkpointer.h"
 #include "src/persist/pool_codec.h"
 #include "src/serving/cluster.h"
-#include "src/serving/maintenance.h"
 #include "src/workload/dataset.h"
 #include "src/workload/query_generator.h"
 #include "src/workload/trace.h"
@@ -142,8 +143,8 @@ struct DriverConfig {
   // (large-model responses always, offloaded small-model responses above the
   // manager's quality gate).
   ManagerConfig manager;
-  // Maintenance (decay + knapsack eviction) ticks off trace time, planned by
-  // the background scheduler and published at window boundaries.
+  // Maintenance (decay + knapsack eviction) ticks off trace time, planned and
+  // applied at window boundaries.
   bool lifecycle_maintenance = true;
   // Off-peak replay: when cluster utilization at a window boundary is below
   // `replay_load_threshold` and at least `replay_min_interval_s` of simulated
@@ -231,9 +232,8 @@ struct DriverReport {
   size_t replay_passes = 0;
   size_t replayed_examples = 0;
   size_t improved_examples = 0;
-  // Boundaries where the driver had to WAIT for the background planner (the
-  // tick reached its publish boundary unfinished). Zero on a healthy
-  // pipeline; the bench --acceptance mode exit-enforces it.
+  // Always 0: the driver plans every tick itself, so no window waits for a
+  // plan. Kept only because bench/perf still reads it.
   size_t maintenance_stalled_windows = 0;
 
   // Checkpoint activity during this run (snapshot writes between windows).
@@ -249,10 +249,10 @@ struct DriverReport {
   //                         parallel work: prepare, commit lanes, publish
   //                         fan-outs, the link pass over seeded shards at
   //                         the start); scales with num_threads.
-  //   maintenance_seconds — cut exports, plan collection (including stall
-  //                         waits), and mutation-batch application. Booked
-  //                         separately so maintenance cost can no longer
-  //                         masquerade as serial-phase time.
+  //   maintenance_seconds — cut exports, planning, and mutation-batch
+  //                         application. Booked separately so maintenance
+  //                         cost can no longer masquerade as serial-phase
+  //                         time.
   //   serial_seconds      — the ordered merge and remaining bookkeeping.
   double prepare_seconds = 0.0;
   double serial_seconds = 0.0;
@@ -308,9 +308,9 @@ class ServingDriver {
   // the cluster to completion. May be called repeatedly: each call reports
   // its own segment, and serving state (pool, selector, router, clocks)
   // carries across calls — Run(a) then Run(b) serves b exactly as a driver
-  // restored from a snapshot taken after Run(a) would. Run always drains the
-  // maintenance scheduler before returning (any pending tick publishes at
-  // the final boundary), so snapshots between runs capture a complete state.
+  // restored from a snapshot taken after Run(a) would. Run applies any
+  // planned maintenance tick at its final boundary, so snapshots between
+  // runs capture a complete state.
   DriverReport Run(const std::vector<Request>& requests);
 
   // --- Persistence ---------------------------------------------------------
@@ -426,7 +426,10 @@ class ServingDriver {
   ExampleManager manager_;
   Stage0ResponseCache stage0_;
   ClusterSim cluster_;
-  MaintenanceScheduler maintenance_;
+  // The next maintenance tick's ordinal, which derives its sampling stream;
+  // snapshots save it, so a restored driver plans the ticks the
+  // uninterrupted run would.
+  uint64_t next_maintenance_epoch_ = 0;
   double last_replay_time_ = 0.0;
 
   MetricsHub hub_;

@@ -43,10 +43,9 @@ DriverConfig ObsConfig(size_t num_threads, size_t commit_lanes) {
   config.cache.num_shards = 4;
   config.tail_slowest_per_window = 2;
   config.tail_sample_every = 37;
-  // Arm rules that stay silent on this small clean run; an armed watchdog
+  // Arm a rule that stays silent on this small clean run; an armed watchdog
   // must still be a pure observer.
   config.watchdog.stage0_drop_fraction = 0.5;
-  config.watchdog.maintenance_stall_rule = true;
   return config;
 }
 

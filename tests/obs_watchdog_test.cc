@@ -15,7 +15,7 @@ namespace iccache {
 namespace {
 
 MetricsWindowSample MakeSample(uint64_t window, double requests, double hits,
-                               double evicted = 0.0, double stalled = 0.0) {
+                               double evicted = 0.0) {
   MetricsWindowSample sample;
   sample.window = window;
   sample.sim_time_s = static_cast<double>(window);
@@ -23,7 +23,6 @@ MetricsWindowSample MakeSample(uint64_t window, double requests, double hits,
   // Cumulative counters, name-sorted like a real hub snapshot.
   sample.values = {
       {"examples_evicted_total", evicted},
-      {"maintenance_stalled_windows_total", stalled},
       {"requests_total", requests},
       {"stage0_hits_total", hits},
   };
@@ -191,20 +190,6 @@ TEST(SloWatchdogTest, EvictionStormFiresOnSingleWindowBurst) {
   EXPECT_EQ(fired[0].rule, WatchdogRule::kEvictionStorm);
   EXPECT_DOUBLE_EQ(fired[0].value, 50.0);  // the per-window delta, not the total
   EXPECT_DOUBLE_EQ(fired[0].threshold, 10.0);
-}
-
-TEST(SloWatchdogTest, MaintenanceStallFiresWheneverTheCounterAdvances) {
-  WatchdogConfig config;
-  config.maintenance_stall_rule = true;
-  config.trigger_windows = 1;
-  SloWatchdog watchdog(config);
-  LatencyHistogram e2e;
-  EXPECT_TRUE(watchdog.OnWindow(MakeSample(0, 100, 0, 0, /*stalled=*/0), e2e).empty());
-  EXPECT_TRUE(watchdog.OnWindow(MakeSample(1, 200, 0, 0, /*stalled=*/0), e2e).empty());
-  const std::vector<WatchdogEvent> fired =
-      watchdog.OnWindow(MakeSample(2, 300, 0, 0, /*stalled=*/1), e2e);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].rule, WatchdogRule::kMaintenanceStall);
 }
 
 TEST(SloWatchdogTest, EveryRuleHasAUniqueName) {

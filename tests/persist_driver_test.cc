@@ -11,7 +11,8 @@
 //  * the link step at restore: a native graph load leaves nothing to link,
 //    and a rebuilt pool answers the same whether RestoreSnapshot's parallel
 //    pass or the first search links it;
-//  * the exact bytes of two fixed states' snapshots, pinned;
+//  * the exact bytes of three fixed states' snapshots, pinned (the third
+//    pins the maintenance schedule);
 //  * writes that fail mid-section (RLIMIT_FSIZE): the previous snapshot
 //    survives, the store's locks are released, and a failed driver
 //    checkpoint changes no decision.
@@ -432,11 +433,11 @@ FileDigest DigestFile(const std::string& path) {
   return digest;
 }
 
-// Pinned whole-file digests of two fixed states, one per kernel level (the
-// AVX2 and scalar similarity kernels round differently, so the pools they
-// learn differ). The constants were measured with a writer that built the
-// whole image in memory before writing it, so a streaming writer that moves
-// any byte of format v2 fails here.
+// Pinned whole-file digests of fixed states, one per kernel level (the AVX2
+// and scalar similarity kernels round differently, so the pools they learn
+// differ). The driver and service constants were measured with a writer that
+// built the whole image in memory before writing it, so a streaming writer
+// that moves any byte of format v2 fails here.
 struct PinnedDigest {
   FileDigest avx2;
   FileDigest scalar;
@@ -489,6 +490,31 @@ TEST_F(PersistDriverTest, ServiceSnapshotBytesMatchPinnedDigest) {
   }
   ASSERT_TRUE(service.SaveSnapshot(path).ok());
   ExpectPinned(path, PinnedDigest{{148482, 0x9723030eu}, {148482, 0x08be33bdu}});
+}
+
+// The maintenance schedule: the full lifecycle (decay, eviction and replay
+// ticks) with periodic checkpoints, so a checkpoint applies a planned tick
+// before it writes. Each tick applies at a fixed boundary (its publish lag,
+// a checkpoint or the end of the run). The thread- and lane-invariance tests
+// cannot see a boundary that moves at every thread count at once; these
+// bytes can.
+TEST_F(PersistDriverTest, LifecycleSnapshotBytesMatchPinnedDigest) {
+  ModelCatalog catalog;
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DriverConfig config = LifecycleConfig(threads);
+    config.snapshot_path = TempPath("lifecycle_checkpoint_t" + std::to_string(threads));
+    config.checkpoint_interval_s = 15.0;  // trace seconds; trace spans ~120 s
+    auto driver = MakeDriver(catalog, config);
+    const DriverReport report = driver->Run(Workload(480));
+    ASSERT_GT(report.maintenance_runs, 0u);
+    ASSERT_GT(report.evicted_examples, 0u);
+    ASSERT_GT(report.replay_passes, 0u);
+    ASSERT_GT(report.checkpoints_taken, 1u);
+    const std::string path = TempPath("pinned_lifecycle_t" + std::to_string(threads));
+    ASSERT_TRUE(driver->SaveSnapshot(path).ok());
+    ExpectPinned(path, PinnedDigest{{260023, 0x604325b1u}, {260023, 0x75366427u}});
+  }
 }
 
 // Caps the size of every file this process writes (RLIMIT_FSIZE) with
