@@ -675,13 +675,14 @@ BenchRunRecord MakeBenchRecord(const std::string& bench, const DriverConfig& con
   record.AddConfig("simd_kernel", report.simd_kernel);
   record.AddMetric("requests_per_second", report.requests_per_second, 0.15, +1, true);
   record.AddMetric("wall_seconds", report.wall_seconds, 0.15, -1, true);
-  // Requests divided by the wall time the driver spent blocked on pool task
-  // groups (DriverReport::prepare_seconds): the next window's prepare
-  // overlapped with this window's commit lanes, plus the publish fan-outs.
-  // It is not prepare-only; the trace ledger splits the bucket by stage.
+  // Requests divided by the wall time the driver spent inside pool task
+  // groups, running tasks itself or waiting for them
+  // (DriverReport::pool_seconds): the next window's prepare overlapped with
+  // this window's commit lanes, plus the publish fan-outs. It is not
+  // prepare-only; the trace ledger splits the bucket by stage.
   record.AddMetric("pool_wait_requests_per_second",
-                   report.prepare_seconds > 0.0
-                       ? static_cast<double>(trace_size) / report.prepare_seconds
+                   report.pool_seconds > 0.0
+                       ? static_cast<double>(trace_size) / report.pool_seconds
                        : 0.0,
                    0.15, +1, true);
   record.AddMetric("serial_us_per_request", SerialUsPerRequest(report, trace_size), 0.15, -1,
@@ -878,8 +879,8 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
   std::printf("  requests=%zu  hnsw  lanes=%zu  maintenance ticks=%zu replay passes=%zu\n",
               requests.size(), config.commit_lanes, eight.maintenance_runs,
               eight.replay_passes);
-  std::printf("  wall split (8t): prepare %.3fs | serial %.3fs | maintenance %.3fs\n",
-              eight.prepare_seconds, eight.serial_seconds, eight.maintenance_seconds);
+  std::printf("  wall split (8t): pool %.3fs | serial %.3fs | maintenance %.3fs\n",
+              eight.pool_seconds, eight.serial_seconds, eight.maintenance_seconds);
   std::printf("  seed snapshot bytes identical at 1 vs 8 threads: %s\n",
               seed_bytes_identical ? "yes" : "NO (BUG)");
   std::printf("  1-thread vs 8-thread decisions identical: %s\n",
@@ -890,9 +891,14 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
               "(%zu examples, %zu bytes, 16 probes): %s\n",
               chunk1_driver->cache().size(), chunk1_driver->cache().used_bytes(),
               pools_identical ? "yes" : "NO (BUG)");
-  std::printf("  embed memo (8t): hits=%zu misses=%zu  (report-only: per-worker memos "
-              "make the split scheduling-dependent)\n",
-              eight.embed_memo_hits, eight.embed_memo_misses);
+  {
+    // Report-only: how long each batch's last task waited for a thread.
+    const LatencyHistogram delay =
+        eight_driver->metrics_hub().HistogramSnapshot("pool_task_start_delay_seconds");
+    std::printf("  pool task start delay (8t, last task of each batch): p50 %.3f ms, "
+                "p99 %.3f ms over %zu batches\n",
+                1e3 * delay.Percentile(50), 1e3 * delay.Percentile(99), delay.count());
+  }
   std::printf("  serial request-path cost: %.1f us/request  (required <= %.0f): %s\n",
               serial_us, kSerialUsCeiling, serial_us <= kSerialUsCeiling ? "ok" : "FAIL");
   std::printf("  driver-thread maintenance cost: %.1f us/request  (required <= %.0f): %s\n",
@@ -1247,7 +1253,7 @@ int main(int argc, char** argv) {
     // Amdahl check on the measured three-bucket split: the pool-parallel
     // work must dominate for the 8-thread speedup target to be reachable.
     const double parallel_fraction =
-        baseline.wall_seconds > 0.0 ? baseline.prepare_seconds / baseline.wall_seconds : 0.0;
+        baseline.wall_seconds > 0.0 ? baseline.pool_seconds / baseline.wall_seconds : 0.0;
     const double projected_8t = 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / 8.0);
     std::printf(
         "  [%s] parallel %.1f%% | serial %.1f%% | maintenance %.1f%%  "

@@ -1,6 +1,7 @@
 #include "src/core/sharded_cache.h"
 
 #include <algorithm>
+#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -238,8 +239,7 @@ void ShardedExampleCache::FlushShard(size_t shard) {
 }
 
 size_t ShardedExampleCache::Flush(ThreadPool* pool) {
-  WaitGroup wg;
-  size_t tasks = 0;
+  std::vector<std::function<void()>> tasks;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     {
       std::shared_lock<std::shared_mutex> lock(shards_[shard].mu);
@@ -247,15 +247,13 @@ size_t ShardedExampleCache::Flush(ThreadPool* pool) {
         continue;
       }
     }
-    ++tasks;
-    wg.Add(1);
-    pool->Submit([this, shard, &wg] {
-      FlushShard(shard);
-      wg.Done();
-    });
+    tasks.push_back([this, shard] { FlushShard(shard); });
   }
-  wg.Wait();
-  return tasks;
+  const size_t count = tasks.size();
+  WaitGroup group;
+  pool->Submit(std::move(tasks), &group);
+  pool->Wait(group);
+  return count;
 }
 
 size_t ShardedExampleCache::pending() const {

@@ -113,9 +113,10 @@ class ShardedExampleCache : public ExampleStore {
   // Links one shard's pending index nodes under its exclusive lock.
   void FlushShard(size_t shard);
   // Links every shard's pending nodes, one task on `pool` per shard that has
-  // any, and waits for them. Returns the number of tasks submitted: 0 when
-  // nothing is pending. Each shard links in its own append order, so the
-  // graphs do not depend on the pool's thread count.
+  // any, submitted as one batch and joined with ThreadPool::Wait (so the
+  // calling thread links shards too). Returns the number of tasks
+  // submitted: 0 when nothing is pending. Each shard links in its own
+  // append order, so the graphs do not depend on the pool's thread count.
   size_t Flush(ThreadPool* pool);
   // Pending index nodes over all shards.
   size_t pending() const;

@@ -151,38 +151,4 @@ void HashingEmbedder::EmbedInto(const std::string& text, float* out) const {
   }
 }
 
-EmbedMemo::EmbedMemo(size_t slots) {
-  if (slots == 0) {
-    return;
-  }
-  size_t rounded = 1;
-  while (rounded < slots) {
-    rounded <<= 1;
-  }
-  slots_.resize(rounded);
-  mask_ = rounded - 1;
-}
-
-bool EmbedMemo::EmbedInto(const Embedder& embedder, const std::string& text, float* out) {
-  if (slots_.empty()) {
-    embedder.EmbedInto(text, out);
-    return false;
-  }
-  const uint64_t hash = HashToken(text, 0x3e3d0u);
-  Slot& slot = slots_[hash & mask_];
-  if (slot.valid && slot.hash == hash && slot.text == text &&
-      slot.vec.size() == embedder.dim()) {
-    std::memcpy(out, slot.vec.data(), slot.vec.size() * sizeof(float));
-    ++hits_;
-    return true;
-  }
-  embedder.EmbedInto(text, out);
-  slot.valid = true;
-  slot.hash = hash;
-  slot.text = text;
-  slot.vec.assign(out, out + embedder.dim());
-  ++misses_;
-  return false;
-}
-
 }  // namespace iccache

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -177,10 +178,6 @@ struct PrepareScratch {
   std::vector<std::optional<Stage0Probe>> probes;
   std::vector<uint8_t> skipped;  // per request: a proven stage-0 hit
   std::vector<std::vector<SearchResult>> stage1;  // one row per swept request
-  // The memo caches THIS driver's embedder output; rebuilt if the thread
-  // later serves a driver with a different embedder (tests construct many).
-  std::unique_ptr<EmbedMemo> memo;
-  const Embedder* memo_owner = nullptr;
 };
 
 }  // namespace
@@ -189,25 +186,18 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
                                  double hit_floor, Prepared* out) const {
   static thread_local PrepareScratch s;
   const size_t dim = embedder_->dim();
-  if (s.memo == nullptr || s.memo_owner != embedder_.get()) {
-    s.memo = std::make_unique<EmbedMemo>(config_.embed_memo_slots);
-    s.memo_owner = embedder_.get();
-  }
-  const uint64_t memo_hits_before = s.memo->hits();
-  const uint64_t memo_misses_before = s.memo->misses();
   const bool traced = TraceRecorder::tracing_enabled();
   s.embeddings.resize(count * dim);
   s.begin_ns.resize(count);
 
   // One embed per request, shared by every stage below: stage-0 probe,
   // stage-1 retrieval, and the admission scrub all reuse the arena slot.
-  // Memo hits replay stored embedder output byte-for-byte.
   for (size_t i = 0; i < count; ++i) {
     if (traced) {
       s.begin_ns[i] = TraceRecorder::Global().NowNs();
     }
     TraceSpan embed_span(TraceCategory::kEmbed, chunk_requests[i].id);
-    s.memo->EmbedInto(*embedder_, chunk_requests[i].text, s.embeddings.data() + i * dim);
+    embedder_->EmbedInto(chunk_requests[i].text, s.embeddings.data() + i * dim);
   }
 
   // Batched stage-0 probe against the window-start response cache (pure
@@ -299,8 +289,6 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
       TraceRecorder::Global().Emit(prepare_event);
     }
   }
-  memo_hits_.fetch_add(s.memo->hits() - memo_hits_before, std::memory_order_relaxed);
-  memo_misses_.fetch_add(s.memo->misses() - memo_misses_before, std::memory_order_relaxed);
 }
 
 void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
@@ -426,8 +414,6 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   report.total_requests = requests.size();
   report.decisions.reserve(requests.size());
   const uint64_t evicted_before = cache_.evicted_total();
-  const uint64_t memo_hits_before = memo_hits_.load(std::memory_order_relaxed);
-  const uint64_t memo_misses_before = memo_misses_.load(std::memory_order_relaxed);
   size_t planned_evictions = 0;  // maintenance-batch removals (not in the store counter)
   const size_t checkpoints_before = checkpointer_.taken();
   LatencyHistogram run_checkpoint_ms(1e-3, 1.10, 256);  // this segment's writes only
@@ -469,6 +455,10 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   MetricHistogram* h_batch_fill = hub_.Histogram("prepare_batch_fill");
   MetricHistogram* h_merge = hub_.Histogram("window_merge_seconds");
   MetricHistogram* h_publish = hub_.Histogram("window_publish_seconds");
+  // Per batch the driver runs on the pool (prologue, window fan-out,
+  // publish): seconds from its submit to the start of its last task to leave
+  // the queue, i.e. how long the pool took to put the whole batch to work.
+  MetricHistogram* h_start_delay = hub_.Histogram("pool_task_start_delay_seconds");
   MetricHistogram* h_checkpoint = hub_.Histogram("checkpoint_write_ms", 1e-3, 1.10, 256);
   // Determinism guard: the distance-kernel dispatch level is resolved once at
   // process startup and never changes; publish it so any decision mismatch
@@ -494,7 +484,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   std::vector<Prepared> prepared_next(window);
   std::vector<CommitSlot> slots(window);
   RunningStat quality;
-  double prepare_wall = 0.0;      // driver time blocked on pool task groups
+  double pool_wall = 0.0;         // driver time inside pool task groups
   double maintenance_wall = 0.0;  // cut exports + planning + batch apply
 
   // Per-Run SLO watchdog over the per-window hub snapshots. Passive: it
@@ -559,25 +549,39 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
     maintenance_wall += Since(start);
   };
 
-  // Chunked prepare fan-out: one task per prepare_chunk-sized slice of the
-  // window. Chunk boundaries depend only on (window, prepare_chunk), so the
-  // batch-fill histogram — observed here on the driver thread — is identical
-  // at any thread/lane count. `pending` is the request count the stage-0
-  // learner will be advanced by before these requests' lanes run (the
-  // window being committed now); the hit floor is the highest threshold the
-  // learner can then hold, read here before that window's merge begins.
+  // Runs one non-empty fan-out on the pool: every task is queued at once,
+  // and the driver thread runs queued tasks beside the workers until the
+  // batch is done. Returns the seconds that took, which is pool time.
+  using Batch = std::vector<std::function<void()>>;
+  const auto run_batch = [&](Batch tasks) {
+    const auto start = std::chrono::steady_clock::now();
+    WaitGroup group;
+    pool.Submit(std::move(tasks), &group);
+    pool.Wait(group);
+    h_start_delay->Observe(group.last_start_delay_seconds());
+    const double seconds = Since(start);
+    pool_wall += seconds;
+    return seconds;
+  };
+
+  // Chunked prepare: one task per prepare_chunk-sized slice of the window,
+  // appended to `tasks`. Chunk boundaries depend only on (window,
+  // prepare_chunk), so the batch-fill histogram — observed here on the
+  // driver thread — is identical at any thread/lane count. `pending` is the
+  // request count the stage-0 learner will be advanced by before these
+  // requests' lanes run (the window being committed now); the hit floor is
+  // the highest threshold the learner can then hold, read here before that
+  // window's merge begins.
   const size_t chunk = std::max<size_t>(1, config_.prepare_chunk);
-  const auto submit_prepare = [&](size_t begin, size_t count, size_t pending,
-                                  std::vector<Prepared>* out, WaitGroup* wg) {
+  const auto add_prepare = [&](size_t begin, size_t count, size_t pending,
+                               std::vector<Prepared>* out, Batch* tasks) {
     const double hit_floor = stage0_.HighestHitThresholdAfter(pending);
     for (size_t chunk_begin = 0; chunk_begin < count; chunk_begin += chunk) {
       const size_t chunk_count = std::min(chunk, count - chunk_begin);
       h_batch_fill->Observe(static_cast<double>(chunk_count));
-      wg->Add(1);
-      pool.Submit([this, &requests, out, wg, begin, chunk_begin, chunk_count, hit_floor] {
+      tasks->push_back([this, &requests, out, begin, chunk_begin, chunk_count, hit_floor] {
         PrepareChunk(&requests[begin + chunk_begin], chunk_count, hit_floor,
                      &(*out)[chunk_begin]);
-        wg->Done();
       });
     }
   };
@@ -589,16 +593,14 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   {
     const auto start = std::chrono::steady_clock::now();
     cache_.Flush(&pool);
-    prepare_wall += Since(start);
+    pool_wall += Since(start);
   }
 
   // Prologue: prepare window 0 (there is nothing to overlap it with yet).
   if (!requests.empty()) {
-    WaitGroup wg;
-    const auto start = std::chrono::steady_clock::now();
-    submit_prepare(0, std::min(window, requests.size()), /*pending=*/0, &prepared, &wg);
-    wg.Wait();
-    prepare_wall += Since(start);
+    Batch tasks;
+    add_prepare(0, std::min(window, requests.size()), /*pending=*/0, &prepared, &tasks);
+    run_batch(std::move(tasks));
   }
 
   for (size_t begin = 0; begin < requests.size(); begin += window) {
@@ -618,22 +620,19 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
     router_.PrepareSampling();
 
     // Fan out the sharded commit lanes for THIS window alongside the pure
-    // preparation of the NEXT window (the pipeline overlap). Both task
-    // families only read state frozen at this boundary, so they can share
-    // the pool freely.
+    // preparation of the NEXT window (the pipeline overlap), as one batch.
+    // Both task families only read state frozen at this boundary, so they
+    // can share the pool freely.
     std::vector<std::vector<size_t>> lane_slots(lanes);
     for (size_t slot = 0; slot < count; ++slot) {
       lane_slots[cache_.shard_for_request(requests[begin + slot]) % lanes].push_back(slot);
     }
-    WaitGroup lanes_wg;
-    WaitGroup prep_wg;
-    const auto fan_start = std::chrono::steady_clock::now();
+    Batch tasks;
     for (size_t lane = 0; lane < lanes; ++lane) {
       if (lane_slots[lane].empty()) {
         continue;
       }
-      lanes_wg.Add(1);
-      pool.Submit([this, &requests, &prepared, &slots, &lane_slots, &lanes_wg, lane, begin] {
+      tasks.push_back([this, &requests, &prepared, &slots, &lane_slots, lane, begin] {
         TraceSpan lane_span(TraceCategory::kCommitLane, 0, static_cast<uint32_t>(lane));
         lane_span.SetArgs(lane_slots[lane].size());
         for (size_t slot : lane_slots[lane]) {
@@ -641,16 +640,12 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
                                 static_cast<uint32_t>(lane));
           CommitLaneRequest(requests[begin + slot], prepared[slot], slots[slot]);
         }
-        lanes_wg.Done();
       });
     }
     if (next_count > 0) {
-      submit_prepare(next_begin, next_count, /*pending=*/count, &prepared_next, &prep_wg);
+      add_prepare(next_begin, next_count, /*pending=*/count, &prepared_next, &tasks);
     }
-    lanes_wg.Wait();
-    prep_wg.Wait();
-    prepare_wall += Since(fan_start);
-    h_prepare->Observe(Since(fan_start));
+    h_prepare->Observe(run_batch(std::move(tasks)));
 
     // Deterministic cross-shard merge: every globally stateful step, applied
     // strictly in arrival order on the driver thread. The span is emitted
@@ -805,17 +800,14 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
       }
       std::vector<uint64_t> admitted(count, 0);
       cache_.set_defer_capacity(true);
-      WaitGroup publish_wg;
       TraceSpan publish_span(TraceCategory::kPublish);
       publish_span.SetArgs(window_index, count);
-      const auto publish_start = std::chrono::steady_clock::now();
+      Batch publish;
       for (size_t shard = 0; shard < shard_slots.size(); ++shard) {
         if (shard_slots[shard].empty()) {
           continue;
         }
-        publish_wg.Add(1);
-        pool.Submit([this, &requests, &slots, &shard_slots, &admitted, &publish_wg, shard,
-                     begin] {
+        publish.push_back([this, &requests, &slots, &shard_slots, &admitted, shard, begin] {
           for (size_t slot : shard_slots[shard]) {
             const Request& request = requests[begin + slot];
             CommitSlot& c = slots[slot];
@@ -830,12 +822,9 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
           // Link this shard's admissions here, so the next window's
           // readers find nothing pending.
           cache_.FlushShard(shard);
-          publish_wg.Done();
         });
       }
-      publish_wg.Wait();
-      prepare_wall += Since(publish_start);
-      h_publish->Observe(Since(publish_start));
+      h_publish->Observe(run_batch(std::move(publish)));
       cache_.set_defer_capacity(false);
       for (size_t slot = 0; slot < count; ++slot) {
         if (admitted[slot] != 0) {
@@ -987,9 +976,9 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   // simulated completion order one end-of-run take would have produced.
   drain_completions();
   report.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
-  report.prepare_seconds = prepare_wall;
+  report.pool_seconds = pool_wall;
   report.maintenance_seconds = maintenance_wall;
-  report.serial_seconds = report.wall_seconds - prepare_wall - maintenance_wall;
+  report.serial_seconds = report.wall_seconds - pool_wall - maintenance_wall;
   report.requests_per_second =
       report.wall_seconds > 0.0 ? static_cast<double>(report.total_requests) / report.wall_seconds
                                 : 0.0;
@@ -1006,10 +995,6 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   report.checkpoint_p50_ms = run_checkpoint_ms.Percentile(50);
   report.checkpoint_p99_ms = run_checkpoint_ms.Percentile(99);
   report.simd_kernel = simd::KernelLevelName(simd::ActiveKernelLevel());
-  report.embed_memo_hits = static_cast<size_t>(memo_hits_.load(std::memory_order_relaxed) -
-                                               memo_hits_before);
-  report.embed_memo_misses = static_cast<size_t>(memo_misses_.load(std::memory_order_relaxed) -
-                                                 memo_misses_before);
 
   // Deterministic tail-exemplar selection: slowest-K completions per batch
   // window (ties broken by request id) plus an optional fixed-rate sample.

@@ -3,7 +3,10 @@
 // Runs the IC-Cache pipeline — embed, stage-1 retrieval, stage-2 proxy
 // scoring, bandit routing, generation, ClusterSim submission, feedback and
 // admission — over a stream of arrival-stamped requests, using a ThreadPool
-// to exploit parallel hardware.
+// to exploit parallel hardware. The driver thread is one of the pool's
+// threads: it queues each fan-out as one batch and runs queued tasks itself
+// until the batch is done, so `num_threads` counts it and a 1-thread driver
+// starts no worker at all.
 //
 // Selection runs through the real ExampleSelector pipeline (dynamic threshold
 // adaptation, diversity guard, worst-to-best ordering) against the sharded
@@ -20,12 +23,12 @@
 //       stage-1 sharded retrieval, stage-2 proxy scoring, admission
 //       scrub/embed + dedupe probe. The window is fanned out in
 //       `prepare_chunk`-sized batches: each chunk embeds into a reused
-//       per-thread arena (through a per-worker embedding memo) and drives
-//       stage-0 and stage-1 through the multi-query index path, taking each
-//       shard lock once per chunk. A request whose stage-0 probe is a proven
-//       hit (it clears the highest threshold its lane can judge it against)
-//       skips retrieval, scoring and admission prep. Window N+1's prepare
-//       overlaps window N's commit lanes.
+//       per-thread arena and drives stage-0 and stage-1 through the
+//       multi-query index path, taking each shard lock once per chunk. A
+//       request whose stage-0 probe is a proven hit (it clears the highest
+//       threshold its lane can judge it against) skips retrieval, scoring
+//       and admission prep. Window N+1's prepare overlaps window N's commit
+//       lanes: both go to the pool as one batch.
 //   SHARDED COMMIT (parallel lanes + serial merge) — the per-request half of
 //       the old serial phase runs on `commit_lanes` actor-style lanes
 //       (requests partitioned by request-key shard, each lane internally
@@ -61,7 +64,6 @@
 #ifndef SRC_SERVING_DRIVER_H_
 #define SRC_SERVING_DRIVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -92,10 +94,12 @@ struct DriverConfig {
   std::string small_model = "gemma-2-2b";
   std::string large_model = "gemma-2-27b";
 
-  // Parallelism. `batch_window` is the lookahead batch fanned out per window;
-  // it is part of the pipeline semantics (all lookups in a window see the
-  // cache as of the window start), so results depend on it but NOT on
-  // `num_threads` or `commit_lanes`.
+  // Parallelism. `num_threads` counts the calling thread: Run starts
+  // num_threads - 1 pool workers and runs pool tasks on its own thread too.
+  // `batch_window` is the lookahead batch fanned out per window; it is part
+  // of the pipeline semantics (all lookups in a window see the cache as of
+  // the window start), so results depend on it but NOT on `num_threads` or
+  // `commit_lanes`.
   size_t num_threads = 1;
   size_t batch_window = 64;
   // Commit lanes: how many actor-style lanes the window's commit stage is
@@ -108,12 +112,8 @@ struct DriverConfig {
   // multi-query index path (one shard lock per chunk instead of one per
   // request). Purely a throughput knob: decisions are byte-identical at any
   // chunk size (each query's batched search result equals its single-query
-  // result, and the memo replays stored embedder output verbatim).
+  // result).
   size_t prepare_chunk = 16;
-  // Per-worker embedding memo capacity (rounded up to a power of two; 0
-  // disables memoization). Hits replay the stored embedder output
-  // byte-for-byte, so the memo can never change a decision.
-  size_t embed_memo_slots = 1024;
 
   // Stage-0 response tier: before stage-1 example retrieval, probe a bounded
   // semantic response cache; a confident hit (learned embedding-similarity
@@ -245,16 +245,17 @@ struct DriverReport {
   double wall_seconds = 0.0;
   double requests_per_second = 0.0;
   // Wall-clock split, three buckets summing to wall_seconds:
-  //   prepare_seconds     — driver time blocked on pool task groups (the
-  //                         parallel work: prepare, commit lanes, publish
-  //                         fan-outs, the link pass over seeded shards at
-  //                         the start); scales with num_threads.
+  //   pool_seconds        — driver time inside pool task groups, running
+  //                         tasks or waiting for them (the parallel work:
+  //                         prepare, commit lanes, publish fan-outs, the
+  //                         link pass over seeded shards at the start);
+  //                         scales with num_threads.
   //   maintenance_seconds — cut exports, planning, and mutation-batch
   //                         application. Booked separately so maintenance
   //                         cost can no longer masquerade as serial-phase
   //                         time.
   //   serial_seconds      — the ordered merge and remaining bookkeeping.
-  double prepare_seconds = 0.0;
+  double pool_seconds = 0.0;
   double serial_seconds = 0.0;
   double maintenance_seconds = 0.0;
 
@@ -274,10 +275,8 @@ struct DriverReport {
   // (byte-identical decisions at any thread/lane count) holds per process.
   std::string simd_kernel;
 
-  // Embedding memo-cache activity in the batched prepare path. Memos are
-  // per-worker (thread_local), so the split between hits and misses depends
-  // on pool scheduling — report it, never gate on it. Hits replay stored
-  // embedder output byte-for-byte, so the totals are diagnostics only.
+  // Always 0: prepare no longer memoizes embeddings. Kept only because
+  // bench/perf still reads them.
   size_t embed_memo_hits = 0;
   size_t embed_memo_misses = 0;
 
@@ -321,9 +320,9 @@ class ServingDriver {
   // snapshot. In-flight simulated requests are NOT captured: a snapshot
   // taken mid-trace restores the learned pool, not the cluster's queue.
   // First links every shard's pending HNSW nodes in parallel (num_threads
-  // pool threads, created only when something is pending), so a freshly
-  // seeded pool's graphs are built here; the bytes do not depend on the
-  // thread count.
+  // threads counting this one; workers start only when something is
+  // pending), so a freshly seeded pool's graphs are built here; the bytes do
+  // not depend on the thread count.
   Status SaveSnapshot(const std::string& path);
 
   // Restores a SaveSnapshot image into this (freshly constructed, unserved)
@@ -397,11 +396,10 @@ class ServingDriver {
   };
 
   // Batched prepare for `count` consecutive requests (one pool task's chunk):
-  // per-request memoized embeds into a reused arena, one batched stage-0
-  // probe, one batched stage-1 sweep over the requests whose probe does not
-  // clear `hit_floor` (the others are proven hits and get no retrieval),
-  // then the per-request tail (filter/snapshot/stage-2 scoring + admission
-  // prep). For every request the lane serves as a miss, out[i] is exactly
+  // per-request embeds into a reused arena, one batched stage-0 probe, one
+  // batched stage-1 sweep over the requests whose probe does not clear
+  // `hit_floor` (the others are proven hits and get no retrieval), then the
+  // per-request tail (filter/snapshot/stage-2 scoring + admission prep). For every request the lane serves as a miss, out[i] is exactly
   // what the historical per-request prepare produced for chunk_requests[i].
   void PrepareChunk(const Request* chunk_requests, size_t count, double hit_floor,
                     Prepared* out) const;
@@ -411,7 +409,7 @@ class ServingDriver {
   void CommitLaneRequest(const Request& request, Prepared& prep, CommitSlot& slot) const;
 
   // Links every shard's pending HNSW nodes on a num_threads pool, one task
-  // per shard; creates no thread when nothing is pending.
+  // per shard; creates no thread when nothing is pending (or at 1 thread).
   void LinkPendingShards();
 
   DriverConfig config_;
@@ -433,12 +431,6 @@ class ServingDriver {
   double last_replay_time_ = 0.0;
 
   MetricsHub hub_;
-
-  // Embedding-memo accounting, aggregated across the per-worker memos (the
-  // workers tick these after each chunk; the driver thread folds deltas into
-  // the report at run end).
-  mutable std::atomic<uint64_t> memo_hits_{0};
-  mutable std::atomic<uint64_t> memo_misses_{0};
 
   Checkpointer checkpointer_;
   Status restore_status_;

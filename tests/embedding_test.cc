@@ -188,42 +188,6 @@ TEST(HashingEmbedderTest, EmbedIntoMatchesEmbedExactly) {
   }
 }
 
-// A memo hit must replay the stored embedder output byte-for-byte, and the
-// hit/miss counters must follow exact-repeat structure. slots=0 disables
-// memoization entirely.
-TEST(EmbedMemoTest, HitsAreByteIdenticalAndBounded) {
-  HashingEmbedder embedder;
-  EmbedMemo memo(64);
-  std::vector<float> from_memo(embedder.dim());
-  std::vector<float> reference(embedder.dim());
-
-  const std::string text = "memoized query text";
-  embedder.EmbedInto(text, reference.data());
-  EXPECT_FALSE(memo.EmbedInto(embedder, text, from_memo.data()));  // cold: miss
-  EXPECT_TRUE(memo.EmbedInto(embedder, text, from_memo.data()));   // repeat: hit
-  EXPECT_EQ(memo.hits(), 1u);
-  EXPECT_EQ(memo.misses(), 1u);
-  for (size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(from_memo[i], reference[i]);
-  }
-
-  // Distinct texts keep their own slots (up to capacity) and never replay a
-  // wrong vector: every hit is re-checked against the reference embedding.
-  for (int q = 0; q < 200; ++q) {
-    const std::string unique = "unique query " + std::to_string(q);
-    memo.EmbedInto(embedder, unique, from_memo.data());
-    embedder.EmbedInto(unique, reference.data());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(from_memo[i], reference[i]) << "q=" << q;
-    }
-  }
-
-  EmbedMemo disabled(0);
-  EXPECT_FALSE(disabled.EmbedInto(embedder, text, from_memo.data()));
-  EXPECT_FALSE(disabled.EmbedInto(embedder, text, from_memo.data()));
-  EXPECT_EQ(disabled.hits(), 0u);
-}
-
 class EmbedderDimSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(EmbedderDimSweep, RespectsConfiguredDimension) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/trace.h"
 #include "src/workload/dataset.h"
 
 namespace iccache {
@@ -129,11 +130,53 @@ TEST(ServingDriverTest, HnswBackendIsThreadCountInvariant) {
   EXPECT_GT(single.offloaded_requests, 0u);
 }
 
+// The driver thread is one of num_threads, so a 1-thread driver starts no
+// worker: a traced Run emits every span, the pool's prepare chunks, commit
+// lanes and publish included, on the thread that called Run.
+TEST(ServingDriverTest, OneThreadRunEmitsEverySpanOnTheCaller) {
+  const std::vector<Request> requests = SmallWorkload(200);
+  ModelCatalog catalog;
+  DriverConfig config;
+  config.num_threads = 1;
+  config.batch_window = 32;
+  config.cache.num_shards = 4;
+  config.cache.cache.retrieval.kind = RetrievalBackendKind::kHnsw;
+  config.stage0.enabled = true;
+  const auto driver = MakeDriverWithConfig(catalog, config);
+
+  ScopedTracing tracing(true);
+  TraceRecorder::Global().Reset();
+  { TraceSpan marker(TraceCategory::kAnomaly); }  // tags the caller's ring
+  driver->Run(requests);
+  const TraceRecorder::Snapshot snapshot = TraceRecorder::Global().TakeSnapshot();
+
+  EXPECT_EQ(snapshot.dropped, 0u);
+  const TraceRecorder::ThreadEvents* caller = nullptr;
+  for (const TraceRecorder::ThreadEvents& thread : snapshot.threads) {
+    if (thread.emitted == 0) {
+      continue;
+    }
+    EXPECT_EQ(caller, nullptr) << "spans on a second thread, tid " << thread.tid;
+    caller = &thread;
+  }
+  ASSERT_NE(caller, nullptr);
+  ASSERT_FALSE(caller->events.empty());
+  EXPECT_EQ(caller->events.front().category, TraceCategory::kAnomaly);
+  std::vector<size_t> per_category(static_cast<size_t>(TraceCategory::kNumCategories), 0);
+  for (const TraceEvent& event : caller->events) {
+    ++per_category[static_cast<size_t>(event.category)];
+  }
+  EXPECT_EQ(per_category[static_cast<size_t>(TraceCategory::kPrepare)], requests.size());
+  EXPECT_GT(per_category[static_cast<size_t>(TraceCategory::kCommitLane)], 0u);
+  EXPECT_GT(per_category[static_cast<size_t>(TraceCategory::kHnswSearch)], 0u);
+  EXPECT_GT(per_category[static_cast<size_t>(TraceCategory::kPublish)], 0u);
+}
+
 // The batched prepare path re-blocks embed/stage-0/stage-1 work into
 // prepare_chunk-sized batches, but chunking is a locality optimisation only:
-// decisions, counters, and memo-independent state must be byte-identical at
-// chunk sizes 1 (degenerate per-request batches), the default, and a chunk
-// larger than the batch window — at 1 and 8 threads.
+// decisions and counters must be byte-identical at chunk sizes 1
+// (degenerate per-request batches), the default, and a chunk larger than
+// the batch window — at 1 and 8 threads.
 TEST(ServingDriverTest, PrepareChunkSizeIsDecisionInvariant) {
   const std::vector<Request> requests = SmallWorkload();
   ModelCatalog catalog;
@@ -162,35 +205,6 @@ TEST(ServingDriverTest, PrepareChunkSizeIsDecisionInvariant) {
   }
   ASSERT_NE(reference, nullptr);
   EXPECT_GT(reference->offloaded_requests, 0u);
-}
-
-// The embedding memo must be invisible in results: with zero slots (memo off)
-// and with generous slots, the decision stream is identical — a hit replays
-// the embedder's output byte-for-byte. Repeated texts in the duplicate-heavy
-// half of the workload give the memo real hits to replay.
-TEST(ServingDriverTest, EmbedMemoIsDecisionInvariant) {
-  std::vector<Request> requests = SmallWorkload();
-  // Make the tail half verbatim repeats of the head so exact-repeat hits
-  // actually occur on the single-threaded run.
-  for (size_t i = requests.size() / 2; i < requests.size(); ++i) {
-    requests[i].text = requests[i - requests.size() / 2].text;
-  }
-  ModelCatalog catalog;
-  DriverConfig config;
-  config.batch_window = 32;
-  config.cache.num_shards = 4;
-  config.num_threads = 1;
-
-  config.embed_memo_slots = 0;
-  const DriverReport memo_off = MakeDriverWithConfig(catalog, config)->Run(requests);
-  config.embed_memo_slots = 4096;
-  const DriverReport memo_on = MakeDriverWithConfig(catalog, config)->Run(requests);
-
-  ExpectSameDecisions(memo_off, memo_on);
-  EXPECT_EQ(memo_off.offloaded_requests, memo_on.offloaded_requests);
-  EXPECT_EQ(memo_off.admitted_examples, memo_on.admitted_examples);
-  EXPECT_EQ(memo_off.embed_memo_hits, 0u);
-  EXPECT_GT(memo_on.embed_memo_hits, 0u);
 }
 
 // Satellite: shard count and retrieval backend are plain DriverConfig knobs.
@@ -293,13 +307,13 @@ TEST(ServingDriverTest, ReportStatisticsAreConsistent) {
   const DriverReport report = MakeDriver(catalog, 2)->Run(requests);
   EXPECT_GT(report.wall_seconds, 0.0);
   EXPECT_GT(report.requests_per_second, 0.0);
-  EXPECT_GE(report.prepare_seconds, 0.0);
+  EXPECT_GE(report.pool_seconds, 0.0);
   EXPECT_GE(report.serial_seconds, 0.0);
   EXPECT_GE(report.maintenance_seconds, 0.0);
   // The wall clock splits into exactly three buckets: parallel (pool-blocked)
   // time, the serial merge, and maintenance — so a maintenance tick can no
   // longer be silently booked as serial time.
-  EXPECT_NEAR(report.prepare_seconds + report.serial_seconds + report.maintenance_seconds,
+  EXPECT_NEAR(report.pool_seconds + report.serial_seconds + report.maintenance_seconds,
               report.wall_seconds, 1e-9);
   EXPECT_GE(report.p99_latency_s, report.p50_latency_s);
   EXPECT_GE(report.p99_ttft_s, report.p50_ttft_s);
