@@ -1,13 +1,15 @@
 // Batched search (SearchBatch) acceptance: batch-size invariance across all
 // three backends x batch sizes {1, 7, 32}, zero steady-state
-// allocations (scratch-reuse counter), and the visited high-watermark
-// rebuild. Search is SearchBatch at batch size 1, so the *BatchMatchesSingle
+// allocations (scratch-reuse counter), the visited high-watermark rebuild
+// and the visited epoch's wrap-around reset. Search is SearchBatch at batch size 1, so the *BatchMatchesSingle
 // cases compare batch-of-n with batch-of-1 of the same kernel: they check
 // that batching changes nothing, not the scan itself, which
 // index_test's FlatScanOracleTest checks against a full sort. ci.sh
 // additionally reruns this suite under ICCACHE_FORCE_SCALAR=1 so the
 // invariance holds on both dispatch paths.
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -221,6 +223,38 @@ TEST(IndexBatchTest, VisitedScratchShrinksPastHighWatermark) {
     for (size_t r = 0; r < single.size(); ++r) {
       EXPECT_EQ(single[r].id, scratch.ResultsOf(i)[r].id);
       EXPECT_EQ(single[r].score, scratch.ResultsOf(i)[r].score);
+    }
+  }
+}
+
+// The visited set is an epoch per slot, so a search must reset the buffer
+// when its epoch wraps to 0, or every slot still marked 0 reads as visited.
+// A scratch that starts one epoch short of the wrap marks slots with
+// UINT32_MAX, then wraps, and must return what a fresh scratch returns.
+TEST(IndexBatchTest, HnswEpochWrapAroundMatchesFreshScratch) {
+  HnswIndexConfig config;
+  config.dim = kDim;
+  config.max_neighbors = 8;
+  config.ef_construction = 40;
+  config.ef_search = 32;
+  HnswIndex index(config);
+  FillIndex(&index, 600, kDim, 0x16);
+  std::vector<std::vector<float>> queries;
+  const std::vector<float> arena = MakeQueryArena(8, kDim, 0x17, &queries);
+  SearchScratch fresh;
+  index.SearchBatch(arena.data(), 8, kDim, 10, &fresh);
+  SearchScratch wrapped;
+  wrapped.epoch = std::numeric_limits<uint32_t>::max() - 1;
+  for (int pass = 0; pass < 2; ++pass) {
+    index.SearchBatch(arena.data(), 8, kDim, 10, &wrapped);
+    for (size_t i = 0; i < 8; ++i) {
+      ASSERT_EQ(wrapped.ResultCountOf(i), fresh.ResultCountOf(i)) << "pass=" << pass;
+      for (size_t r = 0; r < fresh.ResultCountOf(i); ++r) {
+        EXPECT_EQ(wrapped.ResultsOf(i)[r].id, fresh.ResultsOf(i)[r].id)
+            << "pass=" << pass << " query=" << i << " rank=" << r;
+        EXPECT_EQ(wrapped.ResultsOf(i)[r].score, fresh.ResultsOf(i)[r].score)
+            << "pass=" << pass << " query=" << i << " rank=" << r;
+      }
     }
   }
 }

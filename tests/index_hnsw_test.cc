@@ -13,6 +13,8 @@
 #include "src/common/mathutil.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
+#include "src/core/selector.h"
+#include "src/serving/driver.h"
 
 namespace iccache {
 namespace {
@@ -662,12 +664,14 @@ TEST(HnswBeamKeyTest, KeyOrderEqualsPairOrderAndDecodesExactly) {
 // --- A pinned pruned graph ------------------------------------------------
 
 // Size and CRC-32 of the pruned graph's SaveGraph image, and the CRC-32 of
-// its search results, at one kernel level (similarities differ in their last
-// bits between levels, and with them the links).
+// its search results at k=10 and at the selector's stage-1 k, at one kernel
+// level (similarities differ in their last bits between levels, and with them
+// the links).
 struct PinnedGraph {
   size_t image_size;
   uint32_t image_crc;
   uint32_t results_crc;
+  uint32_t stage1_crc;
 };
 
 // A default-config graph (M 32, ef_construction 200, ef_search 192) over
@@ -675,8 +679,11 @@ struct PinnedGraph {
 // back-links, so ShrinkLinks prunes, and 1,334 removes cross the compaction
 // threshold, so compaction relinks the survivors. The image pins every link
 // the link step's beam, the diversity heuristic and pruning chose; the
-// results pin the search beam over that graph. Pushing one hop's neighbors
-// in another order, or rounding one similarity differently, moves them.
+// results pin the search beam over that graph, once at k=10 in one batch and
+// once at serving's shape: k = stage1_candidates, searched one query at a
+// time and in prepare_chunk batches (both must hash to the same CRC).
+// Pushing one hop's neighbors in another order, or rounding one similarity
+// differently, moves them.
 // ci.sh reruns this suite with ICCACHE_FORCE_SCALAR=1 for the scalar pin.
 TEST(HnswPinnedGraphTest, PrunedGraphMatchesPinnedBytes) {
   const HnswIndexConfig config;
@@ -721,15 +728,32 @@ TEST(HnswPinnedGraphTest, PrunedGraphMatchesPinnedBytes) {
     results.PutU64(r.id);
     results.PutDouble(r.score);
   }
+  // Serving's shape: stage-1 k over single queries and prepare chunks.
+  constexpr size_t kStage1 = SelectorConfig::stage1_candidates;
+  std::vector<uint32_t> stage1_crcs;
+  for (const size_t batch : {size_t{1}, DriverConfig{}.prepare_chunk}) {
+    ByteWriter stage1;
+    for (size_t base = 0; base < 64; base += batch) {
+      index.SearchBatch(queries.data() + base * config.dim, batch, config.dim, kStage1, &scratch);
+      ASSERT_EQ(scratch.results.size(), batch * kStage1);
+      for (const SearchResult& r : scratch.results) {
+        stage1.PutU64(r.id);
+        stage1.PutDouble(r.score);
+      }
+    }
+    stage1_crcs.push_back(Crc32(stage1.bytes().data(), stage1.size()));
+  }
   const PinnedGraph got{image.size(), Crc32(image.bytes().data(), image.size()),
-                        Crc32(results.bytes().data(), results.size())};
+                        Crc32(results.bytes().data(), results.size()), stage1_crcs[0]};
 
   const PinnedGraph want = simd::ActiveKernelLevel() == simd::KernelLevel::kAvx2
-                               ? PinnedGraph{1940149, 0xc0da656bu, 0xc30af13au}
-                               : PinnedGraph{1940149, 0x43674a6eu, 0x1920337cu};
+                               ? PinnedGraph{1940149, 0xc0da656bu, 0xc30af13au, 0x922b9496u}
+                               : PinnedGraph{1940149, 0x43674a6eu, 0x1920337cu, 0xff5f50d8u};
   EXPECT_EQ(got.image_size, want.image_size);
   EXPECT_EQ(got.image_crc, want.image_crc) << std::hex << got.image_crc;
   EXPECT_EQ(got.results_crc, want.results_crc) << std::hex << got.results_crc;
+  EXPECT_EQ(got.stage1_crc, want.stage1_crc) << std::hex << got.stage1_crc;
+  EXPECT_EQ(stage1_crcs[1], stage1_crcs[0]) << "batch size moved a stage-1 result";
 }
 
 }  // namespace
