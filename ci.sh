@@ -7,8 +7,8 @@
 # (churn256k, 1 s) end to end, smoke one benchmark under a
 # 2-second cap, rerun the SIMD kernel, batched-index and HNSW suites
 # under the forced-scalar dispatch path, exit-enforce the stage-1 retrieval
-# scaling bars at 100k vectors (hnsw vs flat, batched traversal, graph-image
-# round trip), then
+# scaling bars at 100k vectors (hnsw vs flat, batched-search identity and
+# zero steady-state growth, graph-image round trip), then
 # snapshot a real driver pool and verify the on-disk format with
 # tools/snapshot_dump, and save + restore a 30k-example pool and put more
 # examples into it under the save, restore and serve memory gates. The
@@ -116,11 +116,9 @@ ICCACHE_FORCE_SCALAR=1 timeout 300 "${BUILD_DIR}/index_hnsw_test" > /dev/null
 echo "== retrieval scaling acceptance (100k hnsw) =="
 # Exit-enforces the stage-1 retrieval bars on a clustered 128-d corpus:
 # hnsw >= 5x flat at recall@10 >= 0.9, and the graph image round-trips
-# through save/restore. --batch adds the batched-traversal bars: SearchBatch
-# >= 1.2x single-query us/q on hnsw with bit-identical results and zero
-# steady-state scratch allocations. ~60 s: the 100k graph build dominates,
-# the 1000-query search windows keep the timing comparison out of the noise
-# floor.
+# through save/restore. --batch adds the batched-search bars: SearchBatch on
+# hnsw returns bit-identical results with zero steady-state scratch
+# allocations. ~20 s on a 4-vCPU VM: the 100k graph build dominates.
 RETRIEVAL_JSON="$(mktemp -u /tmp/iccache_ci_retrieval_XXXXXX.json)"
 timeout 900 "${BUILD_DIR}/bench_retrieval_scaling" \
   --sizes=100000 --dim=128 --queries=1000 --M=16 --efc=100 --efs=192 \

@@ -53,7 +53,7 @@ class ExampleCache : public ExampleStore {
                        double source_capability, int response_tokens, double now) override;
 
   // Stage-1 lookup: routes the whole batch through the index's batched kernel
-  // (one interleaved traversal over the caller's scratch).
+  // (one SearchBatch call over the caller's scratch).
   void FindSimilarBatch(const float* queries, size_t num_queries, size_t query_dim, size_t k,
                         SearchScratch* scratch,
                         std::vector<std::vector<SearchResult>>* out) const override;

@@ -36,32 +36,6 @@ inline void PrefetchLine(const void* p) {
 #endif
 }
 
-// Prefetches every cache line of [p, p + bytes): a 128-d float vector spans 8
-// lines and the hardware stride prefetcher only kicks in after the first
-// misses, so covering the whole span up front matters when the scoring pass
-// runs a beam-step (or seven other queries' beam-steps) later.
-inline void PrefetchSpan(const void* p, size_t bytes) {
-#if defined(__GNUC__) || defined(__clang__)
-  const char* c = static_cast<const char*>(p);
-  for (size_t off = 0; off < bytes; off += 64) {
-    __builtin_prefetch(c + off);
-  }
-#else
-  (void)p;
-  (void)bytes;
-#endif
-}
-
-// Write-intent prefetch for the visited bookkeeping (the line will be dirtied
-// by the epoch/mask store).
-inline void PrefetchWrite(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, 1);
-#else
-  (void)p;
-#endif
-}
-
 }  // namespace
 
 HnswIndex::HnswIndex(HnswIndexConfig config)
@@ -103,21 +77,47 @@ uint32_t HnswIndex::GreedyStep(const float* query, uint32_t slot, int layer) con
   return slot;
 }
 
-std::vector<HnswIndex::ScoredSlot> HnswIndex::SearchLayer(const float* query, uint32_t entry,
-                                                          int layer, size_t ef) {
+void HnswIndex::PrepareVisited(SearchScratch& s) const {
+  // Visited high-watermark: the epoch buffer tracks nodes_.size() and would
+  // otherwise only ever grow, pinning a peak-size buffer after the graph
+  // shrinks (eviction, compaction). Rebuild it once capacity is far above
+  // what the graph needs; never fires while the graph is at or near its
+  // peak, so steady state stays allocation-free.
+  if (s.epochs.capacity() > config_.visited_shrink_floor &&
+      s.epochs.capacity() / 4 > nodes_.size()) {
+    std::vector<uint32_t>().swap(s.epochs);
+    s.epoch = 0;
+  }
+  if (s.epochs.size() < nodes_.size()) {
+    s.GrowResize(s.epochs, nodes_.size());
+  }
+}
+
+void HnswIndex::BeamSearch(const float* query, uint32_t entry, int layer, size_t ef,
+                           SearchScratch& s, uint64_t* visited, uint64_t* hops) const {
+  // A fresh epoch empties the visited set in O(1). When it wraps to 0, every
+  // slot still marked 0 would read as visited, so clear the buffer once.
+  if (++s.epoch == 0) {
+    std::fill(s.epochs.begin(), s.epochs.end(), 0);
+    s.epoch = 1;
+  }
+  const uint32_t epoch = s.epoch;
   // candidates: max-heap of beam keys (frontier to expand); results: min-heap,
   // bounded to ef (current best set). Key order is (similarity, slot) order,
   // so both run the comparisons std::priority_queue over the pairs would.
-  std::vector<uint64_t>& candidates = link_candidates_;
-  std::vector<uint64_t>& results = link_results_;
+  std::vector<uint64_t>& candidates = s.beam.candidates;
+  std::vector<uint64_t>& results = s.beam.results;
+  std::vector<uint32_t>& pending = s.beam.pending;
   const VectorArena::View vecs = arena_.view();
   const size_t dim = config_.dim;
   candidates.clear();
   results.clear();
-  const uint64_t entry_key = BeamKey(SimQ(query, entry), entry);
-  candidates.push_back(entry_key);
-  results.push_back(entry_key);
-  insert_epochs_[entry] = insert_epoch_;
+  const uint64_t entry_key = BeamKey(simd::Dot(query, vecs.Vec(entry), dim), entry);
+  s.GrowPush(candidates, entry_key);
+  s.GrowPush(results, entry_key);
+  s.epochs[entry] = epoch;
+  uint64_t marked = 1;
+  uint64_t expanded = 0;
 
   while (!candidates.empty()) {
     std::pop_heap(candidates.begin(), candidates.end());
@@ -126,29 +126,37 @@ std::vector<HnswIndex::ScoredSlot> HnswIndex::SearchLayer(const float* query, ui
     if (results.size() >= ef && BeamKeySim(top) < BeamKeySim(results.front())) {
       break;  // frontier can no longer improve the result set
     }
+    ++expanded;
     // Mark the unvisited neighbors in link order, warming their arena lines
-    // (graph hops are random access), then score them with one call.
-    link_pending_.clear();
-    link_vecs_.clear();
-    for (uint32_t neighbor : nodes_[BeamKeySlot(top)].links[layer]) {
-      if (insert_epochs_[neighbor] == insert_epoch_) {
+    // (graph hops are random access), then score them with one call. The
+    // buffers hold the level-0 degree bound, or a loaded image's longer list.
+    const std::vector<uint32_t>& links = nodes_[BeamKeySlot(top)].links[layer];
+    if (pending.size() < links.size()) {
+      s.GrowResize(pending, std::max(links.size(), LayerCap(0)));
+      s.GrowResize(s.gather_vecs, pending.size());
+      s.GrowResize(s.gather_sims, pending.size());
+    }
+    size_t count = 0;
+    for (uint32_t neighbor : links) {
+      if (s.epochs[neighbor] == epoch) {
         continue;
       }
-      insert_epochs_[neighbor] = insert_epoch_;
+      s.epochs[neighbor] = epoch;
       const float* vec = vecs.Vec(neighbor);
       PrefetchLine(vec);
-      link_pending_.push_back(neighbor);
-      link_vecs_.push_back(vec);
+      pending[count] = neighbor;
+      s.gather_vecs[count] = vec;
+      ++count;
     }
-    link_sims_.resize(link_vecs_.size());
-    simd::DotMany(query, link_vecs_.data(), link_vecs_.size(), dim, link_sims_.data());
-    for (size_t i = 0; i < link_pending_.size(); ++i) {
-      const double neighbor_sim = link_sims_[i];
+    marked += count;
+    simd::DotMany(query, s.gather_vecs.data(), count, dim, s.gather_sims.data());
+    for (size_t i = 0; i < count; ++i) {
+      const double neighbor_sim = s.gather_sims[i];
       if (results.size() < ef || neighbor_sim > BeamKeySim(results.front())) {
-        const uint64_t key = BeamKey(neighbor_sim, link_pending_[i]);
-        candidates.push_back(key);
+        const uint64_t key = BeamKey(neighbor_sim, pending[i]);
+        s.GrowPush(candidates, key);
         std::push_heap(candidates.begin(), candidates.end());
-        results.push_back(key);
+        s.GrowPush(results, key);
         std::push_heap(results.begin(), results.end(), std::greater<uint64_t>{});
         if (results.size() > ef) {
           std::pop_heap(results.begin(), results.end(), std::greater<uint64_t>{});
@@ -157,21 +165,22 @@ std::vector<HnswIndex::ScoredSlot> HnswIndex::SearchLayer(const float* query, ui
       }
     }
   }
-
-  std::vector<ScoredSlot> out(results.size());
-  for (auto it = out.rbegin(); it != out.rend(); ++it) {  // best-first
-    *it = ScoredSlot{BeamKeySim(results.front()), BeamKeySlot(results.front())};
-    std::pop_heap(results.begin(), results.end(), std::greater<uint64_t>{});
-    results.pop_back();
+  // Sorting the min-heap by its own comparator leaves it best-first; keys are
+  // unique, so the order is the one popping it would give.
+  std::sort_heap(results.begin(), results.end(), std::greater<uint64_t>{});
+  if (visited != nullptr) {
+    *visited += marked;
   }
-  return out;
+  if (hops != nullptr) {
+    *hops += expanded;
+  }
 }
 
-std::vector<uint32_t> HnswIndex::SelectNeighbors(const std::vector<ScoredSlot>& candidates,
+std::vector<uint32_t> HnswIndex::SelectNeighbors(const std::vector<uint64_t>& candidates,
                                                  size_t max_count) const {
   std::vector<uint32_t> selected;
   selected.reserve(max_count);
-  for (const ScoredSlot& candidate : candidates) {
+  for (const uint64_t candidate : candidates) {
     if (selected.size() >= max_count) {
       break;
     }
@@ -179,15 +188,17 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(const std::vector<ScoredSlot>& 
     // this spreads links across directions instead of clustering them on the
     // nearest blob (no backfill of pruned candidates — redundant links waste
     // degree slots that long-range edges need).
+    const uint32_t slot = BeamKeySlot(candidate);
+    const double sim = BeamKeySim(candidate);
     bool diverse = true;
     for (uint32_t kept : selected) {
-      if (SimSlots(candidate.slot, kept) > candidate.sim) {
+      if (SimSlots(slot, kept) > sim) {
         diverse = false;
         break;
       }
     }
     if (diverse) {
-      selected.push_back(candidate.slot);
+      selected.push_back(slot);
     }
   }
   return selected;
@@ -199,16 +210,15 @@ void HnswIndex::ShrinkLinks(uint32_t slot, int layer) {
   if (links.size() <= cap) {
     return;
   }
-  std::vector<ScoredSlot> scored;
+  std::vector<uint64_t> scored;
   scored.reserve(links.size());
   for (uint32_t neighbor : links) {
-    scored.push_back(ScoredSlot{SimSlots(slot, neighbor), neighbor});
+    scored.push_back(BeamKey(SimSlots(slot, neighbor), neighbor));
   }
-  std::sort(scored.begin(), scored.end(), [](const ScoredSlot& a, const ScoredSlot& b) {
-    if (a.sim != b.sim) {
-      return a.sim > b.sim;
-    }
-    return a.slot < b.slot;
+  // Best-first by similarity (the key's high word), ties in ascending slot
+  // order.
+  std::sort(scored.begin(), scored.end(), [](uint64_t a, uint64_t b) {
+    return (a >> 32) != (b >> 32) ? a > b : a < b;
   });
   links = SelectNeighbors(scored, cap);
 }
@@ -223,10 +233,10 @@ void HnswIndex::AppendLocked(uint64_t id, const std::vector<float>& vec) {
   arena_.Append(vec.data());
   slot_of_[id] = slot;
   ++live_;
-  insert_epochs_.push_back(0);
 }
 
 void HnswIndex::LinkPendingLocked() {
+  PrepareVisited(link_scratch_);
   for (; linked_ < nodes_.size(); ++linked_) {
     const uint32_t slot = static_cast<uint32_t>(linked_);
     const int level = nodes_[slot].level;
@@ -241,10 +251,10 @@ void HnswIndex::LinkPendingLocked() {
       cur = GreedyStep(query, cur, layer);
     }
     for (int layer = std::min(level, entry_level_); layer >= 0; --layer) {
-      ++insert_epoch_;
-      const std::vector<ScoredSlot> found =
-          SearchLayer(query, cur, layer, std::max<size_t>(1, config_.ef_construction));
-      cur = found.empty() ? cur : found[0].slot;
+      BeamSearch(query, cur, layer, std::max<size_t>(1, config_.ef_construction), link_scratch_,
+                 nullptr, nullptr);
+      const std::vector<uint64_t>& found = link_scratch_.beam.results;
+      cur = found.empty() ? cur : BeamKeySlot(found[0]);
       const std::vector<uint32_t> neighbors = SelectNeighbors(found, config_.max_neighbors);
       for (uint32_t neighbor : neighbors) {
         nodes_[slot].links[layer].push_back(neighbor);
@@ -316,8 +326,6 @@ bool HnswIndex::RemoveLocked(uint64_t id) {
     // structure made purely of tombstones.
     nodes_.clear();
     arena_.Clear();
-    insert_epochs_.clear();
-    insert_epoch_ = 0;
     entry_ = 0;
     entry_level_ = -1;
     linked_ = 0;
@@ -363,8 +371,6 @@ void HnswIndex::CompactLocked() {
   nodes_.clear();
   arena_.Clear();
   slot_of_.clear();
-  insert_epochs_.clear();
-  insert_epoch_ = 0;
   entry_ = 0;
   entry_level_ = -1;
   live_ = 0;
@@ -380,322 +386,44 @@ void HnswIndex::Compact() {
   CompactLocked();
 }
 
-void HnswIndex::SearchBatchLocked(const float* queries, size_t num_queries, size_t query_dim,
-                                  size_t k, size_t ef, SearchScratch& s) const {
+void HnswIndex::SearchBatch(const float* queries, size_t num_queries, size_t query_dim,
+                            size_t k, SearchScratch* scratch) const {
+  const auto lock = LinkedReadLock();
+  SearchScratch& s = *scratch;
   s.BeginOutput(num_queries);
-  if (num_queries == 0) {
-    return;
-  }
-  if (k == 0 || entry_level_ < 0 || query_dim != config_.dim) {
+  if (num_queries == 0 || k == 0 || entry_level_ < 0 || query_dim != config_.dim) {
     return;  // offsets are all zero: every query reports an empty result range
   }
-  // Visited high-watermark: the epoch buffer tracks nodes_.size() and would
-  // otherwise only ever grow, pinning a peak-size buffer on long-lived
-  // serving threads after the graph shrinks (eviction, compaction). Rebuild
-  // it once capacity is far above what the graph needs; never fires while the
-  // graph is at or near its peak, so steady state stays allocation-free.
-  if (s.epochs.capacity() > config_.visited_shrink_floor &&
-      s.epochs.capacity() / 4 > nodes_.size()) {
-    std::vector<uint32_t>().swap(s.epochs);
-    std::vector<uint8_t>().swap(s.visited_mask);
-    s.epoch = 0;
-  }
-  if (s.epochs.size() < nodes_.size()) {
-    s.GrowResize(s.epochs, nodes_.size());
-    s.GrowResize(s.visited_mask, nodes_.size());
-  }
-  // Interleave width: enough in-flight queries to cover an arena-line miss
-  // with the other queries' scoring work, few enough that the in-flight
-  // working set (beam states + prefetched vectors) stays cache-resident.
-  // Each group member owns one bit of the visited mask.
-  constexpr size_t kInterleave = 8;
-  static_assert(kInterleave <= 8 * sizeof(decltype(SearchScratch::visited_mask)::value_type),
-                "one visited-mask bit per interleaved query");
-  if (s.beams.size() < std::min(num_queries, kInterleave)) {
-    ++s.grows;
-    s.beams.resize(std::min(num_queries, kInterleave));
-  }
+  PrepareVisited(s);
   if (s.heaps.empty()) {
     ++s.grows;
     s.heaps.resize(1);
   }
-  const size_t ef_eff = std::max(ef, k);
-  const auto query_of = [&](size_t qi) { return queries + qi * query_dim; };
-  // The block table and dim in locals: the visited-mask byte stores below
-  // may alias any object, so reads through the arena would reload them.
-  const VectorArena::View vecs = arena_.view();
-  const size_t dim = config_.dim;
-  for (size_t base = 0; base < num_queries; base += kInterleave) {
-    const size_t group = std::min(kInterleave, num_queries - base);
-    // One span per interleave group; args sum the group's layer-0 visited and
-    // frontier-expansion counts (for a batch of one, that one search's).
-    // Counters only tick while tracing is enabled so the beam loop stays
-    // counter-free otherwise.
-    TraceSpan span(TraceCategory::kHnswSearch);
-    uint64_t visited = 0;
-    uint64_t hops = 0;
-    uint64_t* vis = span.active() ? &visited : nullptr;
-    uint64_t* hop = span.active() ? &hops : nullptr;
-    // One epoch per interleave group; which of the group's queries visited a
-    // slot lives in the per-slot bitmask (bit g). A single epoch-per-slot
-    // word cannot serve interleaved queries — query B's mark would overwrite
-    // query A's and A would rescan the slot — while a stale group epoch
-    // implicitly zeroes the mask, keeping the O(1)-reset property.
-    if (++s.epoch == 0) {  // wrap-around: stale marks would alias, clear once
-      std::fill(s.epochs.begin(), s.epochs.end(), 0);
-      s.epoch = 1;
+  std::vector<std::pair<double, uint64_t>>& heap = s.heaps[0];
+  // One span per call; its args sum the queries' layer-0 visited and
+  // frontier-expansion counts.
+  TraceSpan span(TraceCategory::kHnswSearch);
+  uint64_t visited = 0;
+  uint64_t hops = 0;
+  for (size_t qi = 0; qi < num_queries; ++qi) {
+    const float* query = queries + qi * query_dim;
+    uint32_t cur = entry_;
+    for (int layer = entry_level_; layer >= 1; --layer) {
+      cur = GreedyStep(query, cur, layer);
     }
-    const uint32_t group_epoch = s.epoch;
-    // Phase 1: lockstep greedy upper-layer descent. One round scans one
-    // node's layer links per live query — the same neighbor-evaluation order
-    // as the sequential GreedyStep (the scan list is fixed at round start
-    // even when the position advances mid-scan), so every query lands on the
-    // bit-identical layer-0 entry — while the other queries' scans overlap
-    // each vector load the round's pre-pass prefetched.
-    for (size_t g = 0; g < group; ++g) {
-      SearchScratch::Beam& beam = s.beams[g];
-      beam.candidates.clear();
-      beam.results.clear();
-      beam.found.clear();
-      beam.pending.clear();
-      beam.done = false;
-      beam.cur = entry_;
-      beam.layer = entry_level_;
-      beam.best = simd::Dot(query_of(base + g), vecs.Vec(entry_), dim);
-    }
-    bool any_descending = entry_level_ >= 1;
-    while (any_descending) {
-      // Pre-pass: stream the head line of every neighbor vector each live
-      // query is about to score this round.
-      for (size_t g = 0; g < group; ++g) {
-        const SearchScratch::Beam& beam = s.beams[g];
-        if (beam.layer < 1) {
-          continue;
-        }
-        for (uint32_t neighbor : nodes_[beam.cur].links[beam.layer]) {
-          PrefetchLine(vecs.Vec(neighbor));
-        }
-      }
-      any_descending = false;
-      for (size_t g = 0; g < group; ++g) {
-        SearchScratch::Beam& beam = s.beams[g];
-        if (beam.layer < 1) {
-          continue;
-        }
-        const float* q = query_of(base + g);
-        const uint32_t scan_slot = beam.cur;
-        bool improved = false;
-        for (uint32_t neighbor : nodes_[scan_slot].links[beam.layer]) {
-          const double sim = simd::Dot(q, vecs.Vec(neighbor), dim);
-          if (sim > beam.best) {
-            beam.best = sim;
-            beam.cur = neighbor;
-            improved = true;
-          }
-        }
-        if (improved) {
-          PrefetchLine(&nodes_[beam.cur]);  // next round rescans from here
-        } else {
-          --beam.layer;  // converged at this layer; next round scans one lower
-        }
-        any_descending = any_descending || beam.layer >= 1;
+    BeamSearch(query, cur, 0, std::max(config_.ef_search, k), s, &visited, &hops);
+    // The beam keeps tombstones as waypoints; drop them from the results.
+    heap.clear();
+    for (const uint64_t key : s.beam.results) {
+      const Node& node = nodes_[BeamKeySlot(key)];
+      if (!node.deleted) {
+        ScratchTopK::Push(heap, k, BeamKeySim(key), node.id, s);
       }
     }
-    // Phase 1b (per query): seed the beam at the layer-0 entry under the
-    // query's visited bit. beam.best IS the sequential path's entry
-    // similarity — the same deterministic arithmetic over the same inputs.
-    for (size_t g = 0; g < group; ++g) {
-      SearchScratch::Beam& beam = s.beams[g];
-      const uint32_t cur = beam.cur;
-      const double entry_sim = beam.best;
-      s.GrowPush(beam.candidates, BeamKey(entry_sim, cur));  // one element: already a heap
-      s.GrowPush(beam.results, BeamKey(entry_sim, cur));
-      if (s.epochs[cur] != group_epoch) {
-        s.epochs[cur] = group_epoch;
-        s.visited_mask[cur] = 0;
-      }
-      s.visited_mask[cur] |= static_cast<uint8_t>(1u << g);
-      if (vis != nullptr) {
-        ++*vis;
-      }
-    }
-    // Phase 2: interleaved beam expansion. 2a pops each live query's best
-    // frontier node, marks its unvisited neighbors and prefetches their
-    // vectors; 2b scores each query's marked neighbors in one DotMany call —
-    // by then the other queries' 2a passes have hidden the arena-line
-    // latency — and tops off by prefetching the NEXT pop's graph node, so
-    // the following round's adjacency chase starts warm. Per query the
-    // operation sequence is exactly the single-query beam's; prefetches
-    // never change a result.
-    const size_t vec_bytes = dim * sizeof(float);
-    bool any_active = true;
-    while (any_active) {
-      any_active = false;
-      // 2a-pre: the next pop per live query is the frontier top; its Node
-      // struct was prefetched at the end of the previous 2b, so reading the
-      // adjacency pointer here is cheap — stream the links array in now,
-      // while the other queries' marking passes below overlap the fill.
-      for (size_t g = 0; g < group; ++g) {
-        const SearchScratch::Beam& beam = s.beams[g];
-        if (!beam.done && !beam.candidates.empty()) {
-          const std::vector<uint32_t>& links =
-              nodes_[BeamKeySlot(beam.candidates.front())].links[0];
-          if (!links.empty()) {
-            PrefetchSpan(links.data(), links.size() * sizeof(uint32_t));
-          }
-        }
-      }
-      // 2a-pop: per live query, pop the frontier top, decide beam
-      // termination, stash the adjacency list, and issue write-intent
-      // prefetches for its neighbors' visited words (random 4B/2B accesses
-      // over up to 2M slots — the batch path's dominant misses). The marking
-      // pass below consumes them only after every OTHER query's pop has run
-      // in between, so the whole group's visited-word misses overlap instead
-      // of each query stalling on its own.
-      for (size_t g = 0; g < group; ++g) {
-        SearchScratch::Beam& beam = s.beams[g];
-        beam.pending.clear();
-        beam.scan_links = nullptr;
-        if (beam.done) {
-          continue;
-        }
-        if (beam.candidates.empty()) {
-          beam.done = true;
-          continue;
-        }
-        const uint64_t top = beam.candidates.front();
-        std::pop_heap(beam.candidates.begin(), beam.candidates.end());
-        beam.candidates.pop_back();
-        if (beam.results.size() >= ef_eff &&
-            BeamKeySim(top) < BeamKeySim(beam.results.front())) {
-          beam.done = true;  // frontier can no longer improve the result set
-          continue;
-        }
-        if (hop != nullptr) {
-          ++*hop;
-        }
-        beam.scan_links = &nodes_[BeamKeySlot(top)].links[0];
-        for (uint32_t neighbor : *beam.scan_links) {
-          PrefetchWrite(&s.epochs[neighbor]);
-          PrefetchWrite(&s.visited_mask[neighbor]);
-        }
-        any_active = true;
-      }
-      if (!any_active) {
-        break;
-      }
-      // 2a-mark: claim each popped node's unvisited neighbors. Queries mark
-      // in the same per-query order as the sequential beam, and the visited
-      // state is per-query (bit g) — the shared epoch word converges to the
-      // same value whichever group member touches a slot first — so the
-      // pending lists are bit-identical to the unsplit pass.
-      for (size_t g = 0; g < group; ++g) {
-        SearchScratch::Beam& beam = s.beams[g];
-        if (beam.scan_links == nullptr) {
-          continue;
-        }
-        const uint8_t bit = static_cast<uint8_t>(1u << g);
-        for (uint32_t neighbor : *beam.scan_links) {
-          if (s.epochs[neighbor] != group_epoch) {
-            s.epochs[neighbor] = group_epoch;
-            s.visited_mask[neighbor] = 0;
-          }
-          if ((s.visited_mask[neighbor] & bit) == 0) {
-            s.visited_mask[neighbor] = static_cast<uint8_t>(s.visited_mask[neighbor] | bit);
-            if (vis != nullptr) {
-              ++*vis;
-            }
-            // Head of the vector only: the marking passes of a whole group
-            // would otherwise stream ~30 512-byte vectors per query through
-            // the miss buffers at once; the scoring pass below streams each
-            // query's remaining lines while the query before it scores.
-            PrefetchLine(vecs.Vec(neighbor));
-            s.GrowPush(beam.pending, neighbor);
-          }
-        }
-      }
-      // 2b: per live query, score the marked neighbors with one DotMany
-      // call and push them in marking order, against the query's own heaps,
-      // so the schedule is bit-identical to the sequential single-query
-      // beam. Each query's vectors are streamed in whole while the query
-      // before it scores, and each query ends by warming its next pop's
-      // graph node so 2a-pre's adjacency read is cheap.
-      for (size_t g = 0; g < group; ++g) {
-        SearchScratch::Beam& beam = s.beams[g];
-        if (g + 1 < group) {
-          for (uint32_t neighbor : s.beams[g + 1].pending) {
-            PrefetchSpan(vecs.Vec(neighbor), vec_bytes);
-          }
-        }
-        // The gather buffers hold the level-0 degree bound, or a loaded
-        // image's longer list.
-        const size_t count = beam.pending.size();
-        if (s.gather_vecs.size() < count) {
-          s.GrowResize(s.gather_vecs, std::max(count, LayerCap(0)));
-          s.GrowResize(s.gather_sims, std::max(count, LayerCap(0)));
-        }
-        for (size_t p = 0; p < count; ++p) {
-          s.gather_vecs[p] = vecs.Vec(beam.pending[p]);
-        }
-        simd::DotMany(query_of(base + g), s.gather_vecs.data(), count, dim, s.gather_sims.data());
-        for (size_t p = 0; p < count; ++p) {
-          const double neighbor_sim = s.gather_sims[p];
-          if (beam.results.size() < ef_eff || neighbor_sim > BeamKeySim(beam.results.front())) {
-            const uint64_t key = BeamKey(neighbor_sim, beam.pending[p]);
-            s.GrowPush(beam.candidates, key);
-            std::push_heap(beam.candidates.begin(), beam.candidates.end());
-            s.GrowPush(beam.results, key);
-            std::push_heap(beam.results.begin(), beam.results.end(), std::greater<uint64_t>{});
-            if (beam.results.size() > ef_eff) {
-              std::pop_heap(beam.results.begin(), beam.results.end(), std::greater<uint64_t>{});
-              beam.results.pop_back();
-            }
-          }
-        }
-        if (!beam.done && !beam.candidates.empty()) {
-          PrefetchLine(&nodes_[BeamKeySlot(beam.candidates.front())]);
-        }
-      }
-    }
-    span.SetArgs(visited, hops);
-    // Phase 3 (per query): drain the beam best-first, filter tombstones
-    // through the bounded scratch heap, append to the flat result arena.
-    for (size_t g = 0; g < group; ++g) {
-      const size_t qi = base + g;
-      SearchScratch::Beam& beam = s.beams[g];
-      while (!beam.results.empty()) {
-        s.GrowPush(beam.found, beam.results.front());
-        std::pop_heap(beam.results.begin(), beam.results.end(), std::greater<uint64_t>{});
-        beam.results.pop_back();
-      }
-      std::reverse(beam.found.begin(), beam.found.end());  // best-first
-      auto& heap = s.heaps[0];
-      heap.clear();
-      // The id/deleted reads below are random Node loads the beam last
-      // touched many pops ago; an 8-ahead pipeline keeps them in flight.
-      const size_t nf = beam.found.size();
-      for (size_t j = 0; j < nf && j < 8; ++j) {
-        PrefetchLine(&nodes_[BeamKeySlot(beam.found[j])]);
-      }
-      for (size_t j = 0; j < nf; ++j) {
-        if (j + 8 < nf) {
-          PrefetchLine(&nodes_[BeamKeySlot(beam.found[j + 8])]);
-        }
-        const Node& node = nodes_[BeamKeySlot(beam.found[j])];
-        if (!node.deleted) {
-          ScratchTopK::Push(heap, k, BeamKeySim(beam.found[j]), node.id, s);
-        }
-      }
-      ScratchTopK::DrainDescending(heap, &s.results, s);
-      s.EndQuery(qi);
-    }
+    ScratchTopK::DrainDescending(heap, &s.results, s);
+    s.EndQuery(qi);
   }
-}
-
-void HnswIndex::SearchBatch(const float* queries, size_t num_queries, size_t query_dim,
-                            size_t k, SearchScratch* scratch) const {
-  const auto lock = LinkedReadLock();
-  SearchBatchLocked(queries, num_queries, query_dim, k, config_.ef_search, *scratch);
+  span.SetArgs(visited, hops);
 }
 
 bool HnswIndex::GetVector(uint64_t id, std::vector<float>* out) const {
@@ -901,8 +629,6 @@ bool HnswIndex::LoadGraph(ByteReader* reader, uint64_t image_bytes) {
   entry_level_ = entry_level;
   live_ = static_cast<size_t>(live);
   rng_.RestoreState(rng);
-  insert_epochs_.assign(nodes_.size(), 0);
-  insert_epoch_ = 0;
   linked_ = nodes_.size();
   return true;
 }

@@ -19,12 +19,18 @@
 //    filters tombstones from results; when tombstones exceed
 //    `max_tombstone_fraction` of all slots the graph is compacted by
 //    re-inserting the live nodes.
+//  * One beam search: the link step and every query run the same BeamSearch
+//    (one simd::DotMany call per hop), the link step per layer at width
+//    ef_construction, a query at layer 0 at width max(ef_search, k) after a
+//    greedy descent through the upper layers. Queries in a batch run one
+//    after another, so a query's result does not depend on its batch.
 //  * Concurrent readers: SearchBatch takes a shared lock and keeps all query
 //    state in the caller's scratch (Search's is thread-local), so any number
 //    of threads may search while at most one mutates
 //    (Add/Remove/Compact/Flush take the exclusive lock; a reader that finds
-//    pending nodes takes it once to link them). This matches the sharded
-//    cache's locking discipline but also makes the index safe standalone.
+//    pending nodes takes it once to link them, in the index's own link
+//    scratch). This matches the sharded cache's locking discipline but also
+//    makes the index safe standalone.
 //
 // Vectors are expected L2-normalized (HashingEmbedder output); similarity is
 // the inner product == cosine, higher is better, consistent with FlatIndex.
@@ -59,25 +65,26 @@ struct HnswIndexConfig {
   // total slots and there are at least `min_tombstones_to_compact` of them.
   static constexpr double max_tombstone_fraction = 0.25;
   size_t min_tombstones_to_compact = 64;
-  // Reader visited-scratch high-watermark: a search scratch's epoch buffer is
-  // rebuilt when its capacity exceeds BOTH this floor and 4x the current node
-  // count, so long-lived serving threads stop pinning peak-size buffers after
-  // the graph shrinks (eviction, compaction). Never fires near the peak, so
-  // steady-state search stays allocation-free.
+  // Visited-scratch high-watermark: a search scratch's (or the link step's)
+  // epoch buffer is rebuilt when its capacity exceeds BOTH this floor and 4x
+  // the current node count, so long-lived serving threads stop pinning
+  // peak-size buffers after the graph shrinks (eviction, compaction). Never
+  // fires near the peak, so steady-state search stays allocation-free.
   size_t visited_shrink_floor = size_t{1} << 16;
   uint64_t seed = 0x9f5eed;
 };
 
 // --- Beam keys ---------------------------------------------------------------
 //
-// Both HNSW beams (the link step's and the search's) hold each entry as one
-// 8-byte key: the similarity's float bits in unsigned order in the high word,
-// the slot in the low word. Similarities are float-accumulated (simd::Dot
-// widens a float), so the float is exact, and for every finite similarity key
-// order equals std::pair<double, uint32_t> order: non-negatives get the sign
-// bit set, negatives are inverted, and -0 folds onto +0, which the pair
-// comparison already treats as equal. So a heap of keys runs the comparisons
-// a heap of pairs would, at half the bytes.
+// The HNSW beam (BeamSearch, run by the link step and by every query) holds
+// each entry as one 8-byte key: the similarity's float bits in unsigned
+// order in the high word, the slot in the low word. Similarities are
+// float-accumulated (simd::Dot widens a float), so the float is exact, and
+// for every finite similarity key order equals std::pair<double, uint32_t>
+// order: non-negatives get the sign bit set, negatives are inverted, and -0
+// folds onto +0, which the pair comparison already treats as equal. So a
+// heap of keys runs the comparisons a heap of pairs would, at half the
+// bytes.
 inline uint64_t BeamKey(double sim, uint32_t slot) {
   const float f = static_cast<float>(sim);
   uint32_t bits;
@@ -117,16 +124,13 @@ class HnswIndex : public VectorIndex {
   void Flush() override;
   size_t pending() const override;
 
-  // Batched top-k by cosine similarity with beam width ef_search: ONE shared
-  // lock for the whole batch (safe from many threads concurrently with one
-  // writer), queries traversed in interleaved groups so one query's compute
-  // hides another's arena-line misses (each 2a pass marks the next hop's
-  // neighbors and prefetches their vectors; the matching 2b pass scores each
-  // query's marked neighbors with one simd::DotMany call, after the other
-  // queries' passes have covered the latency, and pushes them in marking
-  // order). Per query the traversal runs over per-query beam state, so
-  // results do not depend on the batch size — and every buffer lives in the
-  // caller's SearchScratch, so steady-state batches allocate nothing.
+  // Batched top-k by cosine similarity with beam width max(ef_search, k):
+  // ONE shared lock for the whole batch (safe from many threads concurrently
+  // with one writer), then each query in turn descends greedily to layer 0,
+  // runs BeamSearch there and drops tombstones from its beam. A query runs
+  // the same operations at every batch size, so results do not depend on
+  // the batch — and every buffer lives in the caller's SearchScratch, so
+  // steady-state batches allocate nothing.
   void SearchBatch(const float* queries, size_t num_queries, size_t query_dim, size_t k,
                    SearchScratch* scratch) const override;
 
@@ -191,12 +195,6 @@ class HnswIndex : public VectorIndex {
     std::vector<std::vector<uint32_t>> links;
   };
 
-  // (similarity, slot) scored candidate; ordered best-first where sorted.
-  struct ScoredSlot {
-    double sim = 0.0;
-    uint32_t slot = 0;
-  };
-
   size_t LayerCap(int layer) const {
     return layer == 0 ? 2 * config_.max_neighbors : config_.max_neighbors;
   }
@@ -217,19 +215,27 @@ class HnswIndex : public VectorIndex {
   // optimum slot for `query`.
   uint32_t GreedyStep(const float* query, uint32_t slot, int layer) const;
 
-  // The link step's beam search at one layer, best-first. The visited set
-  // is insert_epochs_ under the current insert_epoch_ (slot visited iff the
-  // two are equal); each hop marks the popped node's unvisited neighbors in
-  // link order, scores them with one simd::DotMany call and pushes them in
-  // that order. Traverses through tombstones (they remain waypoints); the
-  // caller filters them.
-  std::vector<ScoredSlot> SearchLayer(const float* query, uint32_t entry, int layer, size_t ef);
+  // Sizes s's visited epochs to the graph, first dropping a buffer far above
+  // it (config_.visited_shrink_floor).
+  void PrepareVisited(SearchScratch& s) const;
+
+  // The one beam search, at one layer from `entry`, keeping the ef best.
+  // The visited set is s.epochs under a fresh s.epoch (slot visited iff the
+  // two are equal; the buffer is zeroed when the epoch wraps); each hop marks
+  // the popped node's unvisited neighbors in link order, scores them with
+  // one simd::DotMany call and pushes them in that order. Traverses through
+  // tombstones (they remain waypoints); the caller filters them. Leaves the
+  // result keys best-first in s.beam.results. Adds the slots it marked (the
+  // entry included) to *visited and the nodes it expanded to *hops, where
+  // non-null. Needs PrepareVisited(s) since the graph last grew.
+  void BeamSearch(const float* query, uint32_t entry, int layer, size_t ef, SearchScratch& s,
+                  uint64_t* visited, uint64_t* hops) const;
 
   // The HNSW diversity heuristic (Malkov & Yashunin, Alg. 4): scanning
-  // best-first, keep a candidate only if it is closer to the query than to
-  // every already-kept neighbor (no backfill — redundant links waste degree
-  // slots that long-range edges need).
-  std::vector<uint32_t> SelectNeighbors(const std::vector<ScoredSlot>& candidates,
+  // `candidates` (beam keys, best-first), keep a candidate only if it is
+  // closer to the query than to every already-kept neighbor (no backfill —
+  // redundant links waste degree slots that long-range edges need).
+  std::vector<uint32_t> SelectNeighbors(const std::vector<uint64_t>& candidates,
                                         size_t max_count) const;
 
   // Re-prunes `slot`'s layer-`layer` neighbor list down to LayerCap.
@@ -248,11 +254,6 @@ class HnswIndex : public VectorIndex {
   bool RemoveLocked(uint64_t id);
   void CompactLocked();
   void MaybeCompactLocked();
-  // The one traversal core behind SearchBatch (Search runs it at batch size
-  // 1), so batch-vs-single identity is structural rather than re-proved per
-  // change.
-  void SearchBatchLocked(const float* queries, size_t num_queries, size_t query_dim, size_t k,
-                         size_t ef, SearchScratch& scratch) const;
 
   mutable std::shared_mutex mu_;
   HnswIndexConfig config_;
@@ -269,17 +270,10 @@ class HnswIndex : public VectorIndex {
   // live nodes are ever pending: Remove and an overwriting Add link first.
   size_t linked_ = 0;
 
-  // Writer-side beam scratch (linking holds the exclusive lock, so shared
-  // buffers are safe there; readers keep theirs in a SearchScratch, so
-  // concurrent readers never share state): the visited epochs, the beam's
-  // key heaps, and one hop's gathered neighbors with their similarities.
-  std::vector<uint32_t> insert_epochs_;
-  uint32_t insert_epoch_ = 0;
-  std::vector<uint64_t> link_candidates_;  // max-heap frontier
-  std::vector<uint64_t> link_results_;     // min-heap, bounded ef
-  std::vector<uint32_t> link_pending_;
-  std::vector<const float*> link_vecs_;
-  std::vector<double> link_sims_;
+  // The link step's beam scratch. Linking holds the exclusive lock, so one
+  // scratch serves every link; readers keep theirs in a SearchScratch of
+  // their own, so a reader never shares beam state with the writer.
+  SearchScratch link_scratch_;
 };
 
 }  // namespace iccache

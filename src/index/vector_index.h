@@ -50,36 +50,22 @@ struct SearchScratch {
   std::vector<SearchResult> cluster_order;
 
   // --- HNSW beam state -----------------------------------------------------
-  // Epoch-reset visited set shared by the batch's interleaved queries: slot n
-  // was visited by interleave-group member g iff epochs[n] holds the group's
-  // epoch AND bit g of visited_mask[n] is set. The mask is what lets up to
-  // eight in-flight queries share one buffer without clobbering each other's
-  // marks; a stale epoch implicitly clears the mask, so nothing is ever
-  // rescanned between groups.
+  // Epoch-reset visited set for one beam search at a time: slot n is visited
+  // iff epochs[n] == epoch. Each search takes a fresh epoch, so nothing is
+  // cleared between searches; the buffer is zeroed only when the epoch wraps.
   std::vector<uint32_t> epochs;
-  std::vector<uint8_t> visited_mask;
   uint32_t epoch = 0;
   // Beam entries are 8-byte (similarity, slot) keys ordered like the pair
   // (hnsw.h BeamKey).
   struct Beam {
     std::vector<uint64_t> candidates;  // max-heap frontier
-    std::vector<uint64_t> results;     // min-heap, bounded ef
-    std::vector<uint64_t> found;       // drained best-first
-    std::vector<uint32_t> pending;     // neighbors marked this round, to score
-    // Adjacency list popped this round (hnsw): set by the pop pass, consumed
-    // by the marking pass after every other query's pop has run in between —
-    // the gap is what gives the pop pass's visited-word prefetches time to
-    // land. Null when this query popped nothing this round.
-    const std::vector<uint32_t>* scan_links = nullptr;
-    bool done = false;
-    // Lockstep greedy-descent position (upper layers, before the beam runs).
-    uint32_t cur = 0;
-    int layer = 0;
-    double best = 0.0;
+    std::vector<uint64_t> results;     // min-heap bounded to ef; best-first when done
+    std::vector<uint32_t> pending;     // one hop's newly marked neighbors, to score
   };
-  std::vector<Beam> beams;
-  // One query's marked neighbors, gathered for one simd::DotMany call, and
-  // their similarities (hnsw sizes both to its level-0 degree bound).
+  Beam beam;
+  // One hop's marked neighbors' vectors, gathered for one simd::DotMany call,
+  // and their similarities (hnsw sizes both, and beam.pending, to its
+  // level-0 degree bound).
   std::vector<const float*> gather_vecs;
   std::vector<double> gather_sims;
 

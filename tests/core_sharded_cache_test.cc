@@ -159,10 +159,10 @@ TEST(ShardedExampleCacheTest, CapacityIsEnforcedGlobally) {
 }
 
 // FindSimilarBatch must return byte-for-byte what per-query FindSimilar
-// returns — same ids, same scores, same order — at batch sizes that are
-// smaller than, equal to, and larger than the traversal's interleave width,
-// and on both the flat and hnsw shard backends. Batching is a locking and
-// cache-locality optimisation only.
+// returns — same ids, same scores, same order — at batch sizes of one, of
+// a few queries, and of more queries than the shards hold, and on both the
+// flat and hnsw shard backends. Batching is a locking and cache-locality
+// optimisation only.
 TEST(ShardedExampleCacheTest, FindSimilarBatchMatchesPerQuerySearch) {
   for (const RetrievalBackendKind kind :
        {RetrievalBackendKind::kFlat, RetrievalBackendKind::kHnsw}) {

@@ -1,12 +1,12 @@
 // Batched search (SearchBatch) acceptance: batch-size invariance across all
 // three backends x batch sizes {1, 7, 32}, zero steady-state
 // allocations (scratch-reuse counter), the visited high-watermark rebuild
-// and the visited epoch's wrap-around reset. Search is SearchBatch at batch size 1, so the *BatchMatchesSingle
-// cases compare batch-of-n with batch-of-1 of the same kernel: they check
-// that batching changes nothing, not the scan itself, which
-// index_test's FlatScanOracleTest checks against a full sort. ci.sh
-// additionally reruns this suite under ICCACHE_FORCE_SCALAR=1 so the
-// invariance holds on both dispatch paths.
+// and the visited epoch's wrap-around reset. Search is SearchBatch at batch
+// size 1, so the *BatchMatchesSingle cases compare batch-of-n with
+// batch-of-1 of the same kernel: they check that batching changes nothing,
+// not the scan itself, which index_test's FlatScanOracleTest checks against
+// a full sort. ci.sh additionally reruns this suite under
+// ICCACHE_FORCE_SCALAR=1 so the invariance holds on both dispatch paths.
 #include <cmath>
 #include <cstdint>
 #include <limits>
