@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/common/simd.h"
 #include "src/core/selector.h"
+#include "src/obs/trace.h"
 #include "src/serving/driver.h"
 
 namespace iccache {
@@ -663,15 +664,18 @@ TEST(HnswBeamKeyTest, KeyOrderEqualsPairOrderAndDecodesExactly) {
 
 // --- A pinned pruned graph ------------------------------------------------
 
-// Size and CRC-32 of the pruned graph's SaveGraph image, and the CRC-32 of
-// its search results at k=10 and at the selector's stage-1 k, at one kernel
-// level (similarities differ in their last bits between levels, and with them
-// the links).
+// Size and CRC-32 of the pruned graph's SaveGraph image, the CRC-32 of its
+// search results at k=10 and at the selector's stage-1 k, and the stage-1
+// searches' summed hnsw_search span args (slots marked visited, nodes
+// expanded), at one kernel level (similarities differ in their last bits
+// between levels, and with them the links).
 struct PinnedGraph {
   size_t image_size;
   uint32_t image_crc;
   uint32_t results_crc;
   uint32_t stage1_crc;
+  uint64_t stage1_visited;
+  uint64_t stage1_hops;
 };
 
 // A default-config graph (M 32, ef_construction 200, ef_search 192) over
@@ -681,7 +685,10 @@ struct PinnedGraph {
 // the link step's beam, the diversity heuristic and pruning chose; the
 // results pin the search beam over that graph, once at k=10 in one batch and
 // once at serving's shape: k = stage1_candidates, searched one query at a
-// time and in prepare_chunk batches (both must hash to the same CRC).
+// time and in prepare_chunk batches (both must hash to the same CRC). The
+// traversal is pinned too: both shapes' hnsw_search spans, read through the
+// TraceRecorder, must sum to the pinned visited and hop counts (bench/perf's
+// index.visited_per_req and index.hops_per_req are these sums).
 // Pushing one hop's neighbors in another order, or rounding one similarity
 // differently, moves them.
 // ci.sh reruns this suite with ICCACHE_FORCE_SCALAR=1 for the scalar pin.
@@ -731,29 +738,58 @@ TEST(HnswPinnedGraphTest, PrunedGraphMatchesPinnedBytes) {
   // Serving's shape: stage-1 k over single queries and prepare chunks.
   constexpr size_t kStage1 = SelectorConfig::stage1_candidates;
   std::vector<uint32_t> stage1_crcs;
+  std::vector<std::pair<uint64_t, uint64_t>> stage1_work;  // (visited, hops) sums
   for (const size_t batch : {size_t{1}, DriverConfig{}.prepare_chunk}) {
     ByteWriter stage1;
-    for (size_t base = 0; base < 64; base += batch) {
-      index.SearchBatch(queries.data() + base * config.dim, batch, config.dim, kStage1, &scratch);
-      ASSERT_EQ(scratch.results.size(), batch * kStage1);
-      for (const SearchResult& r : scratch.results) {
-        stage1.PutU64(r.id);
-        stage1.PutDouble(r.score);
+    TraceRecorder::Global().Reset();
+    {
+      ScopedTracing tracing(true);
+      for (size_t base = 0; base < 64; base += batch) {
+        index.SearchBatch(queries.data() + base * config.dim, batch, config.dim, kStage1,
+                          &scratch);
+        ASSERT_EQ(scratch.results.size(), batch * kStage1);
+        for (const SearchResult& r : scratch.results) {
+          stage1.PutU64(r.id);
+          stage1.PutDouble(r.score);
+        }
       }
     }
     stage1_crcs.push_back(Crc32(stage1.bytes().data(), stage1.size()));
+    uint64_t visited = 0;
+    uint64_t hops = 0;
+    size_t spans = 0;
+    for (const auto& thread : TraceRecorder::Global().TakeSnapshot().threads) {
+      for (const TraceEvent& event : thread.events) {
+        if (event.category == TraceCategory::kHnswSearch) {
+          visited += event.arg0;
+          hops += event.arg1;
+          ++spans;
+        }
+      }
+    }
+    EXPECT_EQ(spans, 64 / batch) << "one hnsw_search span per SearchBatch call";
+    stage1_work.emplace_back(visited, hops);
   }
-  const PinnedGraph got{image.size(), Crc32(image.bytes().data(), image.size()),
-                        Crc32(results.bytes().data(), results.size()), stage1_crcs[0]};
+  TraceRecorder::Global().Reset();
+  const PinnedGraph got{image.size(),
+                        Crc32(image.bytes().data(), image.size()),
+                        Crc32(results.bytes().data(), results.size()),
+                        stage1_crcs[0],
+                        stage1_work[0].first,
+                        stage1_work[0].second};
 
-  const PinnedGraph want = simd::ActiveKernelLevel() == simd::KernelLevel::kAvx2
-                               ? PinnedGraph{1940149, 0xc0da656bu, 0xc30af13au, 0x922b9496u}
-                               : PinnedGraph{1940149, 0x43674a6eu, 0x1920337cu, 0xff5f50d8u};
+  const PinnedGraph want =
+      simd::ActiveKernelLevel() == simd::KernelLevel::kAvx2
+          ? PinnedGraph{1940149, 0xc0da656bu, 0xc30af13au, 0x922b9496u, 108787, 12304}
+          : PinnedGraph{1940149, 0x43674a6eu, 0x1920337cu, 0xff5f50d8u, 108787, 12304};
   EXPECT_EQ(got.image_size, want.image_size);
   EXPECT_EQ(got.image_crc, want.image_crc) << std::hex << got.image_crc;
   EXPECT_EQ(got.results_crc, want.results_crc) << std::hex << got.results_crc;
   EXPECT_EQ(got.stage1_crc, want.stage1_crc) << std::hex << got.stage1_crc;
+  EXPECT_EQ(got.stage1_visited, want.stage1_visited);
+  EXPECT_EQ(got.stage1_hops, want.stage1_hops);
   EXPECT_EQ(stage1_crcs[1], stage1_crcs[0]) << "batch size moved a stage-1 result";
+  EXPECT_EQ(stage1_work[1], stage1_work[0]) << "batch size moved the stage-1 traversal";
 }
 
 }  // namespace
