@@ -27,13 +27,18 @@ constexpr int kMaxLevel = 24;
 //       still accepted.
 constexpr uint32_t kGraphFormatVersion = 2;
 
-inline void PrefetchLine(const void* p) {
+inline void Prefetch(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p);
-  __builtin_prefetch(static_cast<const char*>(p) + 64);
 #else
   (void)p;
 #endif
+}
+
+// A vector's first two cache lines.
+inline void PrefetchLine(const void* p) {
+  Prefetch(p);
+  Prefetch(static_cast<const char*>(p) + 64);
 }
 
 }  // namespace
@@ -102,9 +107,10 @@ void HnswIndex::BeamSearch(const float* query, uint32_t entry, int layer, size_t
     s.epoch = 1;
   }
   const uint32_t epoch = s.epoch;
-  // candidates: max-heap of beam keys (frontier to expand); results: min-heap,
-  // bounded to ef (current best set). Key order is (similarity, slot) order,
-  // so both run the comparisons std::priority_queue over the pairs would.
+  // candidates: 4-ary max-heap of beam keys (frontier to expand); results:
+  // 4-ary min-heap, bounded to ef (current best set). Keys are unique and
+  // key order is (similarity, slot) order, so both pop what std::priority_queue
+  // over the pairs would.
   std::vector<uint64_t>& candidates = s.beam.candidates;
   std::vector<uint64_t>& results = s.beam.results;
   std::vector<uint32_t>& pending = s.beam.pending;
@@ -120,54 +126,65 @@ void HnswIndex::BeamSearch(const float* query, uint32_t entry, int layer, size_t
   uint64_t expanded = 0;
 
   while (!candidates.empty()) {
-    std::pop_heap(candidates.begin(), candidates.end());
-    const uint64_t top = candidates.back();
-    candidates.pop_back();
+    const uint64_t top = MaxBeamHeap::Pop(candidates);
     if (results.size() >= ef && BeamKeySim(top) < BeamKeySim(results.front())) {
       break;  // frontier can no longer improve the result set
     }
+    // The next frontier key is likely the next node expanded: start fetching
+    // its links while this hop runs (a new, better neighbor wastes only the
+    // prefetch).
+    if (!candidates.empty()) {
+      Prefetch(nodes_[BeamKeySlot(candidates.front())].links[layer].data());
+    }
     ++expanded;
-    // Mark the unvisited neighbors in link order, warming their arena lines
-    // (graph hops are random access), then score them with one call. The
-    // buffers hold the level-0 degree bound, or a loaded image's longer list.
+    // Mark the popped node's links: every link gets the epoch, and only an
+    // unvisited one advances the count, so the kept slots land in link order
+    // with no data-dependent branch (a repeated link counts once). Then warm
+    // the kept slots' arena lines (graph hops are random access) and score
+    // them with one call. The buffers hold the level-0 degree bound, or a
+    // loaded image's longer list.
     const std::vector<uint32_t>& links = nodes_[BeamKeySlot(top)].links[layer];
     if (pending.size() < links.size()) {
       s.GrowResize(pending, std::max(links.size(), LayerCap(0)));
       s.GrowResize(s.gather_vecs, pending.size());
       s.GrowResize(s.gather_sims, pending.size());
     }
+    uint32_t* epochs = s.epochs.data();
     size_t count = 0;
-    for (uint32_t neighbor : links) {
-      if (s.epochs[neighbor] == epoch) {
-        continue;
-      }
-      s.epochs[neighbor] = epoch;
-      const float* vec = vecs.Vec(neighbor);
-      PrefetchLine(vec);
+    for (const uint32_t neighbor : links) {
       pending[count] = neighbor;
-      s.gather_vecs[count] = vec;
-      ++count;
+      count += epochs[neighbor] != epoch ? 1 : 0;
+      epochs[neighbor] = epoch;
+    }
+    for (size_t i = 0; i < count; ++i) {
+      const float* vec = vecs.Vec(pending[i]);
+      PrefetchLine(vec);
+      s.gather_vecs[i] = vec;
     }
     marked += count;
     simd::DotMany(query, s.gather_vecs.data(), count, dim, s.gather_sims.data());
     for (size_t i = 0; i < count; ++i) {
       const double neighbor_sim = s.gather_sims[i];
-      if (results.size() < ef || neighbor_sim > BeamKeySim(results.front())) {
-        const uint64_t key = BeamKey(neighbor_sim, pending[i]);
-        s.GrowPush(candidates, key);
-        std::push_heap(candidates.begin(), candidates.end());
+      const bool full = results.size() >= ef;
+      if (full && !(neighbor_sim > BeamKeySim(results.front()))) {
+        continue;
+      }
+      const uint64_t key = BeamKey(neighbor_sim, pending[i]);
+      s.GrowPush(candidates, key);
+      MaxBeamHeap::SiftUpBack(candidates);
+      if (full) {
+        // The key beats the worst result, so it takes the worst one's place:
+        // the set a push and then a pop of the worst would leave.
+        MinBeamHeap::ReplaceFront(results, key);
+      } else {
         s.GrowPush(results, key);
-        std::push_heap(results.begin(), results.end(), std::greater<uint64_t>{});
-        if (results.size() > ef) {
-          std::pop_heap(results.begin(), results.end(), std::greater<uint64_t>{});
-          results.pop_back();
-        }
+        MinBeamHeap::SiftUpBack(results);
       }
     }
   }
-  // Sorting the min-heap by its own comparator leaves it best-first; keys are
-  // unique, so the order is the one popping it would give.
-  std::sort_heap(results.begin(), results.end(), std::greater<uint64_t>{});
+  // Best-first; keys are unique, so this is the order popping the heap
+  // would give.
+  std::sort(results.begin(), results.end(), std::greater<uint64_t>{});
   if (visited != nullptr) {
     *visited += marked;
   }

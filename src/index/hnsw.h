@@ -20,7 +20,8 @@
 //    `max_tombstone_fraction` of all slots the graph is compacted by
 //    re-inserting the live nodes.
 //  * One beam search: the link step and every query run the same BeamSearch
-//    (one simd::DotMany call per hop), the link step per layer at width
+//    (4-ary heaps of 8-byte keys, a branch-free marking pass and one
+//    simd::DotMany call per hop), the link step per layer at width
 //    ef_construction, a query at layer 0 at width max(ef_search, k) after a
 //    greedy descent through the upper layers. Queries in a batch run one
 //    after another, so a query's result does not depend on its batch.
@@ -39,6 +40,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -106,6 +108,79 @@ inline float BeamKeySim(uint64_t key) {
 }
 
 inline uint32_t BeamKeySlot(uint64_t key) { return static_cast<uint32_t>(key); }
+
+// --- Beam heaps --------------------------------------------------------------
+//
+// BeamSearch keeps its frontier and its result set as 4-ary heaps of beam
+// keys: half a binary heap's depth, and a node's four children share one
+// 32-byte run. `Before` orders keys as std::push_heap's comparator does:
+// std::less<uint64_t> makes a max-heap, std::greater<uint64_t> a min-heap.
+// The keys in one heap must be unique. Then every valid heap over the same
+// keys pops them in the same order, so the heap's shape never reaches a
+// result.
+template <typename Before>
+struct BeamHeap {
+  // Restores the heap after heap.push_back(key).
+  static void SiftUpBack(std::vector<uint64_t>& heap) {
+    uint64_t* h = heap.data();
+    size_t i = heap.size() - 1;
+    const uint64_t key = h[i];
+    while (i > 0) {
+      const size_t parent = (i - 1) / 4;
+      if (!Before{}(h[parent], key)) {
+        break;
+      }
+      h[i] = h[parent];
+      i = parent;
+    }
+    h[i] = key;
+  }
+
+  // Removes and returns the front key. The heap must not be empty.
+  static uint64_t Pop(std::vector<uint64_t>& heap) {
+    const uint64_t front = heap.front();
+    const uint64_t last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) {
+      SiftDown(heap.data(), heap.size(), last);
+    }
+    return front;
+  }
+
+  // Overwrites the front key with `key` and restores the heap in one sift:
+  // the set a push of `key` followed by a pop would leave, whenever `key`
+  // does not itself belong at the front. The heap must not be empty.
+  static void ReplaceFront(std::vector<uint64_t>& heap, uint64_t key) {
+    SiftDown(heap.data(), heap.size(), key);
+  }
+
+ private:
+  // Moves the hole at the root down to where `key` belongs among h[0, n).
+  static void SiftDown(uint64_t* h, size_t n, uint64_t key) {
+    size_t i = 0;
+    for (;;) {
+      const size_t first = 4 * i + 1;
+      if (first >= n) {
+        break;
+      }
+      const size_t end = first + 4 < n ? first + 4 : n;
+      size_t best = first;
+      for (size_t c = first + 1; c < end; ++c) {
+        if (Before{}(h[best], h[c])) {
+          best = c;
+        }
+      }
+      if (!Before{}(key, h[best])) {
+        break;
+      }
+      h[i] = h[best];
+      i = best;
+    }
+    h[i] = key;
+  }
+};
+using MaxBeamHeap = BeamHeap<std::less<uint64_t>>;     // front: the best key
+using MinBeamHeap = BeamHeap<std::greater<uint64_t>>;  // front: the worst key
 
 class HnswIndex : public VectorIndex {
  public:
@@ -220,10 +295,14 @@ class HnswIndex : public VectorIndex {
   void PrepareVisited(SearchScratch& s) const;
 
   // The one beam search, at one layer from `entry`, keeping the ef best.
-  // The visited set is s.epochs under a fresh s.epoch (slot visited iff the
-  // two are equal; the buffer is zeroed when the epoch wraps); each hop marks
-  // the popped node's unvisited neighbors in link order, scores them with
-  // one simd::DotMany call and pushes them in that order. Traverses through
+  // The frontier and the result set are 4-ary BeamHeaps of unique keys; a
+  // neighbor that beats a full result set replaces its worst key in one
+  // sift. The visited set is s.epochs under a fresh s.epoch (slot visited
+  // iff the two are equal; the buffer is zeroed when the epoch wraps). Each
+  // hop's marking pass stamps every link of the popped node with the epoch
+  // and keeps, without a data-dependent branch, the ones it had not seen, in
+  // link order; it prefetches and gathers only those, scores them with one
+  // simd::DotMany call and pushes them in that order. Traverses through
   // tombstones (they remain waypoints); the caller filters them. Leaves the
   // result keys best-first in s.beam.results. Adds the slots it marked (the
   // entry included) to *visited and the nodes it expanded to *hops, where

@@ -55,12 +55,14 @@ struct SearchScratch {
   // cleared between searches; the buffer is zeroed only when the epoch wraps.
   std::vector<uint32_t> epochs;
   uint32_t epoch = 0;
-  // Beam entries are 8-byte (similarity, slot) keys ordered like the pair
-  // (hnsw.h BeamKey).
+  // Beam entries are unique 8-byte (similarity, slot) keys ordered like the
+  // pair (hnsw.h BeamKey); both heaps are 4-ary (hnsw.h BeamHeap).
   struct Beam {
     std::vector<uint64_t> candidates;  // max-heap frontier
     std::vector<uint64_t> results;     // min-heap bounded to ef; best-first when done
-    std::vector<uint32_t> pending;     // one hop's newly marked neighbors, to score
+    // One hop's links as the marking pass writes them; its first `count`
+    // entries are the newly marked neighbors, in link order, to score.
+    std::vector<uint32_t> pending;
   };
   Beam beam;
   // One hop's marked neighbors' vectors, gathered for one simd::DotMany call,

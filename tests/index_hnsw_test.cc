@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <set>
 #include <string>
 #include <vector>
@@ -660,6 +662,99 @@ TEST(HnswBeamKeyTest, KeyOrderEqualsPairOrderAndDecodesExactly) {
     }
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+// --- Beam heaps --------------------------------------------------------------
+
+// `n` unique beam keys in seeded order: similarities drawn from 16 values, so
+// many keys tie on similarity and the slot decides.
+std::vector<uint64_t> UniqueBeamKeys(Rng& rng, size_t n) {
+  std::vector<uint64_t> keys;
+  for (uint32_t slot = 0; slot < n; ++slot) {
+    const double sim = static_cast<double>(rng.UniformInt(16)) / 8.0 - 1.0;
+    keys.push_back(BeamKey(sim, slot * 7919u % 100003u));
+  }
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.UniformInt(i)]);
+  }
+  return keys;
+}
+
+// Pushes every key, popping once after each third push, then drains: the
+// 4-ary heap must pop what std::priority_queue with the same comparator pops.
+template <typename Before>
+void ExpectPopsMatchPriorityQueue(const std::vector<uint64_t>& keys) {
+  std::vector<uint64_t> heap;
+  std::priority_queue<uint64_t, std::vector<uint64_t>, Before> reference;
+  std::vector<uint64_t> got;
+  std::vector<uint64_t> want;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    heap.push_back(keys[i]);
+    BeamHeap<Before>::SiftUpBack(heap);
+    reference.push(keys[i]);
+    if (i % 3 == 2) {
+      got.push_back(BeamHeap<Before>::Pop(heap));
+      want.push_back(reference.top());
+      reference.pop();
+    }
+  }
+  while (!heap.empty()) {
+    got.push_back(BeamHeap<Before>::Pop(heap));
+  }
+  while (!reference.empty()) {
+    want.push_back(reference.top());
+    reference.pop();
+  }
+  EXPECT_EQ(got, want) << keys.size() << " keys";
+}
+
+constexpr size_t kHeapEf = HnswIndexConfig{}.ef_search;
+
+TEST(HnswBeamHeapTest, PopsMatchPriorityQueue) {
+  Rng rng(0x4ea9);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{4}, size_t{5}, kHeapEf + 1, size_t{1000}}) {
+    const std::vector<uint64_t> keys = UniqueBeamKeys(rng, n);
+    ExpectPopsMatchPriorityQueue<std::less<uint64_t>>(keys);
+    ExpectPopsMatchPriorityQueue<std::greater<uint64_t>>(keys);
+  }
+}
+
+// BeamSearch's bounded result set: below ef a key is pushed; at ef a key that
+// beats the worst replaces it in one sift. The reference pushes, then pops
+// the worst once past ef. Both must hold the same worst key after every key
+// and drain to the same set.
+TEST(HnswBeamHeapTest, ReplaceFrontKeepsTheBoundedSet) {
+  Rng rng(0x5e7b);
+  for (const size_t ef : {size_t{1}, size_t{4}, size_t{5}, kHeapEf}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{4}, size_t{5}, ef + 1, size_t{1000}}) {
+      std::vector<uint64_t> heap;
+      std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<uint64_t>> reference;
+      for (const uint64_t key : UniqueBeamKeys(rng, n)) {
+        if (heap.size() < ef) {
+          heap.push_back(key);
+          MinBeamHeap::SiftUpBack(heap);
+        } else if (key > heap.front()) {
+          MinBeamHeap::ReplaceFront(heap, key);
+        }
+        reference.push(key);
+        if (reference.size() > ef) {
+          reference.pop();
+        }
+        ASSERT_EQ(heap.size(), reference.size());
+        ASSERT_EQ(heap.front(), reference.top()) << "ef " << ef << ", " << n << " keys";
+      }
+      std::vector<uint64_t> got;
+      std::vector<uint64_t> want;
+      while (!heap.empty()) {
+        got.push_back(MinBeamHeap::Pop(heap));
+      }
+      while (!reference.empty()) {
+        want.push_back(reference.top());
+        reference.pop();
+      }
+      EXPECT_EQ(got, want) << "ef " << ef << ", " << n << " keys";
+    }
+  }
 }
 
 // --- A pinned pruned graph ------------------------------------------------
