@@ -975,6 +975,9 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   // drains already moved earlier completions into the report, in the same
   // simulated completion order one end-of-run take would have produced.
   drain_completions();
+  // The drains grew the rows by push_back; a caller that keeps the report
+  // should not keep up to twice its rows.
+  report.completions.shrink_to_fit();
   report.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
   report.pool_seconds = pool_wall;
   report.maintenance_seconds = maintenance_wall;
