@@ -109,12 +109,14 @@ echo "== simd kernel + index suites: forced-scalar dispatch =="
 # fallback so both dispatch paths stay green everywhere, including the
 # scalar constants of index_hnsw_test's pinned pruned graph and traversal and
 # of persist_driver_test's pinned snapshot digests (they hash graph images
-# the link step built). The override is read once at first kernel use, so
-# each rerun needs a fresh process.
+# the link step built), and stage0_cache_test's decisions digest, documented
+# as one value at both kernel levels. The override is read once at first
+# kernel use, so each rerun needs a fresh process.
 ICCACHE_FORCE_SCALAR=1 timeout 120 "${BUILD_DIR}/common_simd_test" > /dev/null
 ICCACHE_FORCE_SCALAR=1 timeout 300 "${BUILD_DIR}/index_batch_test" > /dev/null
 ICCACHE_FORCE_SCALAR=1 timeout 300 "${BUILD_DIR}/index_hnsw_test" > /dev/null
 ICCACHE_FORCE_SCALAR=1 timeout 300 "${BUILD_DIR}/persist_driver_test" > /dev/null
+ICCACHE_FORCE_SCALAR=1 timeout 300 "${BUILD_DIR}/stage0_cache_test" > /dev/null
 
 echo "== retrieval scaling acceptance (100k hnsw) =="
 # Exit-enforces the stage-1 retrieval bars on a clustered 128-d corpus:

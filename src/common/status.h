@@ -15,7 +15,6 @@ enum class StatusCode {
   kInvalidArgument,
   kNotFound,
   kFailedPrecondition,
-  kResourceExhausted,
   kUnavailable,
   kInternal,
 };
@@ -32,9 +31,6 @@ class Status {
   static Status NotFound(std::string msg) { return Status(StatusCode::kNotFound, std::move(msg)); }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
@@ -63,8 +59,6 @@ class Status {
         return "NOT_FOUND";
       case StatusCode::kFailedPrecondition:
         return "FAILED_PRECONDITION";
-      case StatusCode::kResourceExhausted:
-        return "RESOURCE_EXHAUSTED";
       case StatusCode::kUnavailable:
         return "UNAVAILABLE";
       case StatusCode::kInternal:

@@ -95,44 +95,44 @@ std::vector<SelectorCandidate> ExampleSelector::PrepareCandidatesFrom(
   return candidates;
 }
 
-std::vector<SelectorCandidate> ExampleSelector::CombineCore(
-    const std::vector<SelectorCandidate>& candidates, const ModelProfile& target_model,
-    bool apply_threshold, std::vector<uint64_t>* accessed) const {
-  std::vector<const SelectorCandidate*> order;
-  order.reserve(candidates.size());
-  for (const SelectorCandidate& candidate : candidates) {
-    order.push_back(&candidate);
+std::vector<size_t> ExampleSelector::CombineCore(const std::vector<SelectorCandidate>& candidates,
+                                                 const ModelProfile& target_model,
+                                                 bool apply_threshold) const {
+  std::vector<size_t> order(candidates.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
   }
-  std::sort(order.begin(), order.end(), [](const SelectorCandidate* a,
-                                           const SelectorCandidate* b) {
-    if (a->utility != b->utility) {
-      return a->utility > b->utility;
+  std::sort(order.begin(), order.end(), [&candidates](size_t a, size_t b) {
+    if (candidates[a].utility != candidates[b].utility) {
+      return candidates[a].utility > candidates[b].utility;
     }
-    return a->id < b->id;  // deterministic tie-break
+    return candidates[a].id < candidates[b].id;  // deterministic tie-break
   });
 
   const int token_budget = static_cast<int>(config_.context_budget_fraction *
                                             static_cast<double>(target_model.context_window));
   int tokens_used = 0;
 
-  std::vector<SelectorCandidate> selected;
-  for (const SelectorCandidate* candidate : order) {
-    if (selected.size() >= config_.max_examples) {
+  std::vector<size_t> picked;
+  for (size_t position : order) {
+    if (picked.size() >= config_.max_examples) {
       break;
     }
-    if (apply_threshold && candidate->utility < utility_threshold()) {
+    const SelectorCandidate& candidate = candidates[position];
+    if (apply_threshold && candidate.utility < utility_threshold()) {
       continue;
     }
-    const int tokens = candidate->example.PromptTokens();
+    const int tokens = candidate.example.PromptTokens();
     if (tokens_used + tokens > token_budget) {
       continue;
     }
     // Diversity: reject near-duplicates of already selected examples.
-    const std::vector<float>& embedding = candidate->embedding;
+    const std::vector<float>& embedding = candidate.embedding;
     bool duplicate = false;
-    for (const SelectorCandidate& prior : selected) {
-      if (simd::Cosine(embedding.data(), prior.embedding.data(),
-                       std::min(embedding.size(), prior.embedding.size())) >
+    for (size_t prior : picked) {
+      const std::vector<float>& prior_embedding = candidates[prior].embedding;
+      if (simd::Cosine(embedding.data(), prior_embedding.data(),
+                       std::min(embedding.size(), prior_embedding.size())) >
           kDiversityMaxSimilarity) {
         duplicate = true;
         break;
@@ -142,49 +142,38 @@ std::vector<SelectorCandidate> ExampleSelector::CombineCore(
       continue;
     }
 
-    selected.push_back(*candidate);
+    picked.push_back(position);
     tokens_used += tokens;
-    if (accessed != nullptr) {
-      accessed->push_back(candidate->id);
-    }
   }
 
   // Present worst-to-best: the strongest example ends up adjacent to the
   // question, where in-context attention is strongest.
-  std::reverse(selected.begin(), selected.end());
-  return selected;
+  std::reverse(picked.begin(), picked.end());
+  return picked;
 }
 
-std::vector<SelectorCandidate> ExampleSelector::Combine(
-    const std::vector<SelectorCandidate>& candidates, const ModelProfile& target_model,
-    bool apply_threshold, double now) {
-  std::vector<uint64_t> accessed;
-  std::vector<SelectorCandidate> selected =
-      CombineCore(candidates, target_model, apply_threshold, &accessed);
-  for (uint64_t id : accessed) {
-    store_->RecordAccess(id, now);
-  }
-  return selected;
-}
-
-std::vector<SelectorCandidate> ExampleSelector::CommitSelection(
+std::vector<size_t> ExampleSelector::CommitSelection(
     const std::vector<SelectorCandidate>& candidates, const ModelProfile& target_model,
     double now) {
   AdvanceWindow(1);
-  return Combine(candidates, target_model, /*apply_threshold=*/true, now);
+  std::vector<size_t> picked = CombineCore(candidates, target_model, /*apply_threshold=*/true);
+  for (size_t position : picked) {
+    store_->RecordAccess(candidates[position].id, now);
+  }
+  return picked;
 }
 
-std::vector<SelectorCandidate> ExampleSelector::CommitSelectionFrozen(
-    const std::vector<SelectorCandidate>& candidates, const ModelProfile& target_model,
-    std::vector<uint64_t>* accessed) const {
-  return CombineCore(candidates, target_model, /*apply_threshold=*/true, accessed);
+std::vector<size_t> ExampleSelector::CommitSelectionFrozen(
+    const std::vector<SelectorCandidate>& candidates, const ModelProfile& target_model) const {
+  return CombineCore(candidates, target_model, /*apply_threshold=*/true);
 }
 
 std::vector<SelectedExample> ExampleSelector::ToSelected(
-    const std::vector<SelectorCandidate>& picked) {
+    const std::vector<SelectorCandidate>& candidates, const std::vector<size_t>& picked) {
   std::vector<SelectedExample> selected;
   selected.reserve(picked.size());
-  for (const SelectorCandidate& candidate : picked) {
+  for (size_t position : picked) {
+    const SelectorCandidate& candidate = candidates[position];
     SelectedExample chosen;
     chosen.example_id = candidate.id;
     chosen.similarity = candidate.similarity;
@@ -198,7 +187,7 @@ std::vector<SelectedExample> ExampleSelector::Select(const Request& request,
                                                      const ModelProfile& target_model,
                                                      double now) {
   const std::vector<SelectorCandidate> candidates = PrepareCandidates(request, target_model);
-  return ToSelected(CommitSelection(candidates, target_model, now));
+  return ToSelected(candidates, CommitSelection(candidates, target_model, now));
 }
 
 std::vector<SelectedExample> ExampleSelector::SelectStage1Only(const Request& request,
@@ -209,7 +198,12 @@ std::vector<SelectedExample> ExampleSelector::SelectStage1Only(const Request& re
   for (SelectorCandidate& candidate : candidates) {
     candidate.utility = candidate.similarity;
   }
-  return ToSelected(Combine(candidates, target_model, /*apply_threshold=*/false, now));
+  const std::vector<size_t> picked =
+      CombineCore(candidates, target_model, /*apply_threshold=*/false);
+  for (size_t position : picked) {
+    store_->RecordAccess(candidates[position].id, now);
+  }
+  return ToSelected(candidates, picked);
 }
 
 void ExampleSelector::OnFeedback(const Request& request, const std::vector<SelectedExample>& used,

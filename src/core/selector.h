@@ -24,7 +24,14 @@
 //   CommitSelection    — the stateful combination step (threshold adaptation
 //                        cadence, dynamic-threshold filter, diversity, token
 //                        budget, worst-to-best ordering, access accounting);
-//                        must run serially in arrival order.
+//                        must run serially in arrival order. It returns the
+//                        picks as positions in the caller's candidates, so
+//                        no pick is copied; ToSelected turns them into
+//                        selection records.
+//   CommitSelectionFrozen — the same picks with nothing mutated, for the
+//                        driver's commit lanes; the driver's serial merge
+//                        records the accesses and the window boundary
+//                        advances the cadence.
 //
 // Select() composes the two for synchronous callers.
 #ifndef SRC_CORE_SELECTOR_H_
@@ -116,23 +123,21 @@ class ExampleSelector {
 
   // Stateful combination half: advances the adaptation cadence, applies the
   // current dynamic threshold, diversity guard, token budget, worst-to-best
-  // ordering, and records accesses. Returns the picked candidates in
-  // presentation (worst-to-best) order. Serial callers only.
-  std::vector<SelectorCandidate> CommitSelection(const std::vector<SelectorCandidate>& candidates,
-                                                 const ModelProfile& target_model, double now);
+  // ordering, and records one access per pick. Returns the picks' positions
+  // in `candidates`, in presentation (worst-to-best) order. Serial callers
+  // only.
+  std::vector<size_t> CommitSelection(const std::vector<SelectorCandidate>& candidates,
+                                      const ModelProfile& target_model, double now);
 
-  // Frozen combination half for sharded commit lanes: applies the CURRENT
-  // dynamic threshold, diversity guard, token budget, and worst-to-best
-  // ordering exactly like CommitSelection, but mutates nothing — neither the
-  // adaptation cadence (see AdvanceWindow) nor store access accounting. The
-  // ids the stateful path would have passed to RecordAccess are appended to
-  // `accessed` in recording order so a deterministic merge step can replay
-  // them. Safe to call concurrently from many lanes: every request in a
+  // Frozen combination half for sharded commit lanes: returns the positions
+  // CommitSelection would return under the CURRENT dynamic threshold, but
+  // mutates nothing — neither the adaptation cadence (see AdvanceWindow) nor
+  // store access accounting, which the caller's serial merge records for the
+  // picks. Safe to call concurrently from many lanes: every request in a
   // batch window sees the same threshold (the window-start value), which is
   // what makes the lane partition invisible in the decisions.
-  std::vector<SelectorCandidate> CommitSelectionFrozen(
-      const std::vector<SelectorCandidate>& candidates, const ModelProfile& target_model,
-      std::vector<uint64_t>* accessed) const;
+  std::vector<size_t> CommitSelectionFrozen(const std::vector<SelectorCandidate>& candidates,
+                                            const ModelProfile& target_model) const;
 
   // Batched cadence advance for drivers that commit whole windows through
   // CommitSelectionFrozen: counts `requests` toward the adaptation cadence
@@ -153,8 +158,10 @@ class ExampleSelector {
   const ThresholdLearner& learner() const { return learner_; }
   ThresholdLearner* mutable_learner() { return &learner_; }
 
-  // Converts committed candidates into the wire-level selection records.
-  static std::vector<SelectedExample> ToSelected(const std::vector<SelectorCandidate>& picked);
+  // The wire-level selection records of the picks at `picked` (positions in
+  // `candidates`), in the order given.
+  static std::vector<SelectedExample> ToSelected(const std::vector<SelectorCandidate>& candidates,
+                                                 const std::vector<size_t>& picked);
 
  private:
   std::vector<SelectorCandidate> Stage1(const Request& request,
@@ -167,15 +174,10 @@ class ExampleSelector {
   // Stage-2 proxy scoring applied in place (the PrepareCandidates tail).
   void ScoreStage2(const Request& request, const ModelProfile& target_model,
                    std::vector<SelectorCandidate>* candidates) const;
-  // Pure combination core shared by the serial and frozen paths: collects the
-  // ids RecordAccess would receive instead of recording them.
-  std::vector<SelectorCandidate> CombineCore(const std::vector<SelectorCandidate>& candidates,
-                                             const ModelProfile& target_model,
-                                             bool apply_threshold,
-                                             std::vector<uint64_t>* accessed) const;
-  std::vector<SelectorCandidate> Combine(const std::vector<SelectorCandidate>& candidates,
-                                         const ModelProfile& target_model, bool apply_threshold,
-                                         double now);
+  // Pure combination core shared by every path: the picks' positions in
+  // presentation order. Records nothing.
+  std::vector<size_t> CombineCore(const std::vector<SelectorCandidate>& candidates,
+                                  const ModelProfile& target_model, bool apply_threshold) const;
 
   ExampleStore* store_;
   ProxyUtilityModel* proxy_;

@@ -235,8 +235,10 @@ ServeOutcome IcCacheService::ServeRequest(const Request& request, double now) {
   std::vector<SelectedExample> selected;
   if (!selector_failed_) {
     if (config_.stage0.enabled) {
-      selected = ExampleSelector::ToSelected(selector_.CommitSelection(
-          selector_.PrepareCandidates(request, small_model_, &embedding), small_model_, now));
+      const std::vector<SelectorCandidate> candidates =
+          selector_.PrepareCandidates(request, small_model_, &embedding);
+      selected = ExampleSelector::ToSelected(
+          candidates, selector_.CommitSelection(candidates, small_model_, now));
     } else {
       selected = selector_.Select(request, small_model_, now);
     }

@@ -66,15 +66,6 @@ LatencyHistogram MetricsHub::HistogramSnapshot(const std::string& name) const {
   return it->second->snapshot();
 }
 
-std::map<int, uint64_t> MetricsHub::HistogramExemplars(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    return {};
-  }
-  return it->second->exemplars();
-}
-
 std::vector<std::pair<std::string, double>> MetricsHub::CountersAndGauges() const {
   std::lock_guard<std::mutex> lock(mu_);
   return CountersAndGaugesLocked();

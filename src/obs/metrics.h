@@ -79,32 +79,18 @@ class MetricHistogram {
  public:
   explicit MetricHistogram(LatencyHistogram shape) : histogram_(std::move(shape)) {}
 
-  void Observe(double value) { Observe(value, 0); }
-  // With a nonzero id, additionally records `exemplar_id` as the most recent
-  // exemplar landing in the value's bucket (-1 = underflow, num_buckets() =
-  // overflow) — the request id a tail investigation should pull from the
-  // trace for that latency range.
-  void Observe(double value, uint64_t exemplar_id) {
+  void Observe(double value) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (exemplar_id != 0) {
-      exemplars_[histogram_.BucketIndex(value)] = exemplar_id;
-    }
     histogram_.Add(value);
   }
   LatencyHistogram snapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
     return histogram_;
   }
-  // Bucket index -> last exemplar id observed into that bucket.
-  std::map<int, uint64_t> exemplars() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return exemplars_;
-  }
 
  private:
   mutable std::mutex mu_;
   LatencyHistogram histogram_;
-  std::map<int, uint64_t> exemplars_;
 };
 
 // One row of the per-window time series: every counter and gauge value at a
@@ -136,8 +122,6 @@ class MetricsHub {
   double Value(const std::string& name) const;
   // Copy of a histogram's state; empty default-shaped histogram when absent.
   LatencyHistogram HistogramSnapshot(const std::string& name) const;
-  // Bucket -> exemplar id map of a histogram; empty when absent.
-  std::map<int, uint64_t> HistogramExemplars(const std::string& name) const;
 
   // Every counter and gauge value right now, name-sorted (the same rows a
   // window snapshot records).

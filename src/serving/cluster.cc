@@ -15,10 +15,6 @@ void ClusterSim::AddPool(const ModelProfile& model, int num_replicas, ServerConf
   pools_[model.name] = std::move(pool);
 }
 
-bool ClusterSim::HasPool(const std::string& model_name) const {
-  return pools_.count(model_name) > 0;
-}
-
 Status ClusterSim::Submit(const std::string& model_name, const ServingRequest& request) {
   const auto it = pools_.find(model_name);
   if (it == pools_.end()) {

@@ -29,8 +29,6 @@ class ClusterSim {
   // footprint is num_replicas * model.gpus_required.
   void AddPool(const ModelProfile& model, int num_replicas, ServerConfig config = {});
 
-  bool HasPool(const std::string& model_name) const;
-
   // Submits a request to the named pool at time max(now, request.arrival_time).
   Status Submit(const std::string& model_name, const ServingRequest& request);
 

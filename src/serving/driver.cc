@@ -183,7 +183,7 @@ struct PrepareScratch {
 }  // namespace
 
 void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
-                                 double hit_floor, Prepared* out) const {
+                                 double hit_floor, Slot* out) const {
   static thread_local PrepareScratch s;
   const size_t dim = embedder_->dim();
   const bool traced = TraceRecorder::tracing_enabled();
@@ -258,22 +258,22 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
   // itself.
   for (size_t i = 0, row = 0; i < count; ++i) {
     const Request& request = chunk_requests[i];
-    Prepared& prepared = out[i];
-    prepared = Prepared();
+    Slot& slot = out[i];
+    slot = Slot();
     if (config_.stage0.enabled) {
-      prepared.stage0 = s.probes[i];
+      slot.stage0 = s.probes[i];
     }
     if (s.skipped[i] != 0) {
-      prepared.retrieval_skipped = true;
+      slot.retrieval_skipped = true;
     } else {
-      prepared.embedding.assign(s.embeddings.data() + row * dim,
-                                s.embeddings.data() + (row + 1) * dim);
+      slot.embedding.assign(s.embeddings.data() + row * dim,
+                            s.embeddings.data() + (row + 1) * dim);
       const std::vector<SearchResult>* stage1 =
           config_.selector_fault_bypass ? nullptr : &s.stage1[row];
       if (stage1 != nullptr) {
-        prepared.candidates = selector_.PrepareCandidatesFrom(request, small_, *stage1);
+        slot.candidates = selector_.PrepareCandidatesFrom(request, small_, *stage1);
       }
-      prepared.lifecycle = manager_.PrepareAdmission(request, &prepared.embedding, stage1);
+      slot.lifecycle = manager_.PrepareAdmission(request, &slot.embedding, stage1);
       ++row;
     }
     if (traced) {
@@ -291,23 +291,16 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
   }
 }
 
-void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
-                                      CommitSlot& slot) const {
-  slot = CommitSlot();
-  slot.embedding = std::move(prep.embedding);
-
+void ServingDriver::CommitLaneRequest(const Request& request, Slot& slot) const {
   // Stage-0 hit path: the probe's similarity clears the threshold FROZEN at
   // the window start (every lane judges against the same value), so the
   // cached response is served verbatim — no routing, no generation, no
   // cluster submission. The reuse quality is drawn from a dedicated
   // per-request stream, so the outcome stays a pure function of
   // (seed, request id, window-start state).
-  if (config_.stage0.enabled && prep.stage0.has_value() && stage0_.Confident(*prep.stage0)) {
-    const Stage0Entry& hit = prep.stage0->entry;
+  if (config_.stage0.enabled && slot.stage0.has_value() && stage0_.Confident(*slot.stage0)) {
+    const Stage0Entry& hit = slot.stage0->entry;
     slot.stage0_hit = true;
-    slot.retrieval_skipped = prep.retrieval_skipped;
-    slot.stage0_id = hit.id;
-    slot.stage0_similarity = prep.stage0->similarity;
 
     Rng reuse_rng(Mix64(request.id ^ config_.seed ^ 0x57a9e17ull));
     const double relevance = StructuralRelevance(request, hit.request, reuse_rng);
@@ -333,7 +326,7 @@ void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
     }
     return;
   }
-  if (prep.retrieval_skipped) {
+  if (slot.retrieval_skipped) {
     // Prepare proved this request a hit against a floor no lower than the
     // threshold just applied, and left it without candidates or an
     // admission: the floor rule is broken, and serving on would silently
@@ -342,26 +335,19 @@ void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
                  "ServingDriver: request %llu skipped retrieval as a proven stage-0 hit, "
                  "but its lane judged a miss (similarity %.9g, threshold %.9g)\n",
                  static_cast<unsigned long long>(request.id),
-                 prep.stage0.has_value() ? prep.stage0->similarity : 0.0,
+                 slot.stage0.has_value() ? slot.stage0->similarity : 0.0,
                  stage0_.hit_threshold());
     std::abort();
   }
-  if (config_.stage0.enabled && prep.stage0.has_value()) {
-    // Miss: carry the probe's top-1 neighbour as the merge's dedupe hint so
-    // the serial admission path never searches the index itself.
-    slot.stage0_id = prep.stage0->entry.id;
-    slot.stage0_similarity = prep.stage0->similarity;
-  }
 
   // Frozen-threshold combination: diversity, token budget, worst-to-best
-  // ordering against the window-start adaptation state. Access accounting is
-  // collected for the merge step instead of applied here.
-  std::vector<SelectorCandidate> picked;
+  // ordering against the window-start adaptation state. The picks are
+  // positions in the slot's candidates; the merge records their accesses.
+  std::vector<size_t> picked;
   if (!config_.selector_fault_bypass) {
-    picked = selector_.CommitSelectionFrozen(prep.candidates, small_, &slot.accessed);
+    picked = selector_.CommitSelectionFrozen(slot.candidates, small_);
   }
-  slot.selected = ExampleSelector::ToSelected(picked);
-  slot.num_examples = picked.size();
+  slot.selected = ExampleSelector::ToSelected(slot.candidates, picked);
 
   // One per-request stream drives every stochastic step of this request —
   // Thompson sampling, generation, probe shadow generation — so the outcome
@@ -374,17 +360,17 @@ void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
                         ? BypassRoute(router_, request, slot.selected, large_)
                         : router_.RouteWithRng(request, slot.selected, commit_rng);
   }
-  slot.offloaded = slot.decision.uses_examples;
-  const ModelProfile& model = slot.offloaded ? small_ : large_;
+  const bool offloaded = slot.decision.uses_examples;
+  const ModelProfile& model = offloaded ? small_ : large_;
 
   {
     TraceSpan generate_span(TraceCategory::kGenerate, request.id);
     std::vector<ExampleView> views;
-    if (slot.offloaded) {
+    if (offloaded) {
       views.reserve(picked.size());
       Rng view_rng(Mix64(request.id ^ config_.seed ^ 0x71e35ull));
-      for (const SelectorCandidate& candidate : picked) {
-        views.push_back(MakeExampleView(request, candidate.example, view_rng));
+      for (size_t position : picked) {
+        views.push_back(MakeExampleView(request, slot.candidates[position].example, view_rng));
       }
     }
     slot.generation = generator_.Generate(model, request, views, commit_rng);
@@ -394,7 +380,7 @@ void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
   // traffic, shadow-generate the plain small-model response so the
   // selector's feedback (applied in the merge) uses a genuine counterfactual
   // quality gain, as in IcCacheService.
-  if (slot.offloaded && !slot.selected.empty()) {
+  if (offloaded && !slot.selected.empty()) {
     Rng probe_rng(Mix64(request.id ^ config_.seed ^ 0x9a0beull));
     if (probe_rng.Uniform() < kSelectorProbeRate) {
       TraceSpan generate_span(TraceCategory::kGenerate, request.id);
@@ -403,10 +389,6 @@ void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
       slot.probe_gain = slot.generation.latent_quality - plain.latent_quality;
     }
   }
-
-  // Stage the admission for the per-shard publish step (quality gate and
-  // insert both run there, in per-shard arrival order).
-  slot.lifecycle = std::move(prep.lifecycle);
 }
 
 DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
@@ -480,9 +462,10 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   ThreadPool pool(config_.num_threads);
   const size_t window = std::max<size_t>(1, config_.batch_window);
   const size_t lanes = std::max<size_t>(1, config_.commit_lanes);
-  std::vector<Prepared> prepared(window);
-  std::vector<Prepared> prepared_next(window);
-  std::vector<CommitSlot> slots(window);
+  // The window being committed and the next one, which prepare fills while
+  // this window's lanes run; swapped at every boundary.
+  std::vector<Slot> slots(window);
+  std::vector<Slot> slots_next(window);
   RunningStat quality;
   double pool_wall = 0.0;         // driver time inside pool task groups
   double maintenance_wall = 0.0;  // cut exports + planning + batch apply
@@ -512,7 +495,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
       latency.Add(e2e);
       ttft.Add(record.Ttft());
       queue_delay.Add(record.QueueDelay());
-      h_e2e->Observe(e2e, record.id);  // request id = the bucket's exemplar
+      h_e2e->Observe(e2e);
       h_ttft->Observe(record.Ttft());
       h_queue->Observe(record.QueueDelay());
       report.completions.push_back(std::move(record));
@@ -574,7 +557,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   // window's merge begins.
   const size_t chunk = std::max<size_t>(1, config_.prepare_chunk);
   const auto add_prepare = [&](size_t begin, size_t count, size_t pending,
-                               std::vector<Prepared>* out, Batch* tasks) {
+                               std::vector<Slot>* out, Batch* tasks) {
     const double hit_floor = stage0_.HighestHitThresholdAfter(pending);
     for (size_t chunk_begin = 0; chunk_begin < count; chunk_begin += chunk) {
       const size_t chunk_count = std::min(chunk, count - chunk_begin);
@@ -599,7 +582,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   // Prologue: prepare window 0 (there is nothing to overlap it with yet).
   if (!requests.empty()) {
     Batch tasks;
-    add_prepare(0, std::min(window, requests.size()), /*pending=*/0, &prepared, &tasks);
+    add_prepare(0, std::min(window, requests.size()), /*pending=*/0, &slots, &tasks);
     run_batch(std::move(tasks));
   }
 
@@ -632,18 +615,18 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
       if (lane_slots[lane].empty()) {
         continue;
       }
-      tasks.push_back([this, &requests, &prepared, &slots, &lane_slots, lane, begin] {
+      tasks.push_back([this, &requests, &slots, &lane_slots, lane, begin] {
         TraceSpan lane_span(TraceCategory::kCommitLane, 0, static_cast<uint32_t>(lane));
         lane_span.SetArgs(lane_slots[lane].size());
         for (size_t slot : lane_slots[lane]) {
           TraceSpan commit_span(TraceCategory::kLaneCommit, requests[begin + slot].id,
                                 static_cast<uint32_t>(lane));
-          CommitLaneRequest(requests[begin + slot], prepared[slot], slots[slot]);
+          CommitLaneRequest(requests[begin + slot], slots[slot]);
         }
       });
     }
     if (next_count > 0) {
-      add_prepare(next_begin, next_count, /*pending=*/count, &prepared_next, &tasks);
+      add_prepare(next_begin, next_count, /*pending=*/count, &slots_next, &tasks);
     }
     h_prepare->Observe(run_batch(std::move(tasks)));
 
@@ -664,16 +647,18 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
       // Per-request slice of the serial merge, nested under the manual merge
       // span — lets the timeline assembler charge merge time to a request.
       TraceSpan step_span(TraceCategory::kMergeStep, request.id);
-      CommitSlot& c = slots[slot];
-      const ModelProfile& model = c.offloaded ? small_ : large_;
+      Slot& c = slots[slot];
+      const bool offloaded = c.decision.uses_examples;
+      cluster_.AdvanceTo(request.arrival_time);
 
-      // Stage-0 hit: the response came from the cache, so nothing downstream
-      // of stage-0 (router, cluster queues, selector accounting, lifecycle)
-      // sees this request. Only the cache's own state advances: hit
-      // recency/count, probe-fed threshold learning, and quality-feedback
-      // invalidation — all on the serial path, ordered against every probe.
       if (c.stage0_hit) {
-        cluster_.AdvanceTo(request.arrival_time);
+        // Stage-0 hit: the response came from the cache, so nothing
+        // downstream of stage-0 (router, cluster queues, selector accounting,
+        // lifecycle) sees this request. Only the cache's own state advances:
+        // hit recency/count, probe-fed threshold learning, and
+        // quality-feedback invalidation — all on the serial path, ordered
+        // against every probe.
+        const Stage0Probe& hit = *c.stage0;
         ++report.stage0_hits;
         report.stage0_tokens_saved += c.stage0_tokens_saved;
         m_stage0_hits->Increment();
@@ -682,91 +667,89 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
           ++report.stage0_retrieval_skips;
           m_stage0_skips->Increment();
         }
-        stage0_.RecordHit(c.stage0_id, request.arrival_time);
+        stage0_.RecordHit(hit.entry.id, request.arrival_time);
         if (c.stage0_probed) {
           ++report.stage0_probes;
           m_stage0_probes->Increment();
-          stage0_.OnHitFeedback(c.stage0_similarity, c.generation.latent_quality,
+          stage0_.OnHitFeedback(hit.similarity, c.generation.latent_quality,
                                 c.stage0_fresh_quality, c.stage0_tokens_saved);
         }
-        if (stage0_.OnQualityFeedback(c.stage0_id, c.generation.latent_quality)) {
+        if (stage0_.OnQualityFeedback(hit.entry.id, c.generation.latent_quality)) {
           ++report.stage0_invalidations;
           m_stage0_invalidations->Increment();
         }
-        quality.Add(c.generation.latent_quality);
-        DriverDecision row;
-        row.request_id = request.id;
-        row.model_name = c.generation.model_name;
-        row.offloaded = false;
-        row.num_examples = 0;
-        row.latent_quality = c.generation.latent_quality;
-        report.decisions.push_back(std::move(row));
-        continue;
-      }
+      } else {
+        const ModelProfile& model = offloaded ? small_ : large_;
+        router_.ObserveLoad(current_load());
+        // Each pick is a distinct example, and an access only counts and
+        // stamps it, so the order of these calls reaches no state.
+        for (const SelectedExample& pick : c.selected) {
+          cache_.RecordAccess(pick.example_id, request.arrival_time);
+        }
 
-      cluster_.AdvanceTo(request.arrival_time);
-      router_.ObserveLoad(current_load());
-      for (uint64_t id : c.accessed) {
-        cache_.RecordAccess(id, request.arrival_time);
-      }
+        ServingRequest serving;
+        serving.id = request.id;
+        serving.arrival_time = request.arrival_time;
+        serving.prompt_tokens = c.generation.prompt_tokens;
+        serving.output_tokens = c.generation.output_tokens;
+        cluster_.Submit(model.name, serving);
 
-      ServingRequest serving;
-      serving.id = request.id;
-      serving.arrival_time = request.arrival_time;
-      serving.prompt_tokens = c.generation.prompt_tokens;
-      serving.output_tokens = c.generation.output_tokens;
-      cluster_.Submit(model.name, serving);
-
-      if (!config_.router_fault_bypass) {
-        router_.UpdateReward(c.decision, c.generation.latent_quality);
-      }
-      if (c.offloaded) {
-        ++report.offloaded_requests;
-        m_offloaded->Increment();
-        std::vector<uint64_t> used_ids;
-        used_ids.reserve(c.selected.size());
-        for (const SelectedExample& used : c.selected) {
-          used_ids.push_back(used.example_id);
-          if (c.generation.latent_quality > 0.5) {
-            cache_.RecordOffload(used.example_id, c.generation.latent_quality);
+        if (!config_.router_fault_bypass) {
+          router_.UpdateReward(c.decision, c.generation.latent_quality);
+        }
+        if (offloaded) {
+          ++report.offloaded_requests;
+          m_offloaded->Increment();
+          std::vector<uint64_t> used_ids;
+          used_ids.reserve(c.selected.size());
+          for (const SelectedExample& used : c.selected) {
+            used_ids.push_back(used.example_id);
+            if (c.generation.latent_quality > 0.5) {
+              cache_.RecordOffload(used.example_id, c.generation.latent_quality);
+            }
+          }
+          // Per-use gain accounting: G(e) = (1 - quality) * model_cost folded
+          // into each used example's EMA — the replay ranking signal.
+          if (!used_ids.empty()) {
+            manager_.RecordUsage(used_ids, c.generation.latent_quality,
+                                 large_.cost_per_1k_tokens > 0.0
+                                     ? small_.cost_per_1k_tokens / large_.cost_per_1k_tokens
+                                     : 0.1);
+          }
+          if (c.probed) {
+            selector_.OnFeedback(request, c.selected, small_, c.probe_gain);
           }
         }
-        // Per-use gain accounting: G(e) = (1 - quality) * model_cost folded
-        // into each used example's EMA — the replay ranking signal.
-        if (!used_ids.empty()) {
-          manager_.RecordUsage(used_ids, c.generation.latent_quality,
-                               large_.cost_per_1k_tokens > 0.0
-                                   ? small_.cost_per_1k_tokens / large_.cost_per_1k_tokens
-                                   : 0.1);
+
+        // Stage-0 insert (serial, arrival order): every freshly generated
+        // response is a candidate cached answer for future duplicates. The
+        // cache dedupes near-exact repeats and enforces its bounds inside
+        // Put, reusing the probe's top-1 neighbour as its dedupe hint (no
+        // serial search); admissions become probe-visible in window N+2
+        // (same schedule as the example pool).
+        if (config_.stage0.enabled) {
+          const Stage0DedupeHint hint = c.stage0.has_value()
+                                            ? Stage0DedupeHint{c.stage0->entry.id,
+                                                               c.stage0->similarity}
+                                            : Stage0DedupeHint{};
+          if (stage0_.Put(request, std::move(c.embedding), "[cached-response]",
+                          c.generation.latent_quality, c.generation.output_tokens,
+                          request.arrival_time, &hint) != 0) {
+            ++report.stage0_admitted;
+            m_stage0_admitted->Increment();
+          }
         }
-        if (c.probed) {
-          selector_.OnFeedback(request, c.selected, small_, c.probe_gain);
-        }
+        report.generated_tokens += c.generation.output_tokens;
+        m_generated_tokens->Add(static_cast<double>(c.generation.output_tokens));
       }
 
-      // Stage-0 insert (serial, arrival order): every freshly generated
-      // response is a candidate cached answer for future duplicates. The
-      // cache dedupes near-exact repeats and enforces its bounds inside Put;
-      // admissions become probe-visible in window N+2 (same schedule as the
-      // example pool).
-      if (config_.stage0.enabled) {
-        const Stage0DedupeHint hint{c.stage0_id, c.stage0_similarity};
-        if (stage0_.Put(request, std::move(c.embedding), "[cached-response]",
-                        c.generation.latent_quality, c.generation.output_tokens,
-                        request.arrival_time, &hint) != 0) {
-          ++report.stage0_admitted;
-          m_stage0_admitted->Increment();
-        }
-      }
-      report.generated_tokens += c.generation.output_tokens;
-      m_generated_tokens->Add(static_cast<double>(c.generation.output_tokens));
-
+      // A hit's model name is "stage0-cache"; a miss's is the served model's.
       quality.Add(c.generation.latent_quality);
       DriverDecision row;
       row.request_id = request.id;
-      row.model_name = model.name;
-      row.offloaded = c.offloaded;
-      row.num_examples = c.offloaded ? c.num_examples : 0;
+      row.model_name = c.generation.model_name;
+      row.offloaded = offloaded;
+      row.num_examples = offloaded ? c.selected.size() : 0;
       row.latent_quality = c.generation.latent_quality;
       report.decisions.push_back(std::move(row));
     }
@@ -810,14 +793,15 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
         publish.push_back([this, &requests, &slots, &shard_slots, &admitted, shard, begin] {
           for (size_t slot : shard_slots[shard]) {
             const Request& request = requests[begin + slot];
-            CommitSlot& c = slots[slot];
+            Slot& c = slots[slot];
             if (c.stage0_hit) {
               continue;  // nothing was generated — nothing to admit
             }
+            const bool offloaded = c.decision.uses_examples;
             admitted[slot] = manager_.CommitAdmission(
                 request, std::move(c.lifecycle), c.generation,
-                (c.offloaded ? small_ : large_).capability,
-                /*from_large_model=*/!c.offloaded, request.arrival_time);
+                (offloaded ? small_ : large_).capability,
+                /*from_large_model=*/!offloaded, request.arrival_time);
           }
           // Link this shard's admissions here, so the next window's
           // readers find nothing pending.
@@ -957,7 +941,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
       }
     }
 
-    std::swap(prepared, prepared_next);
+    std::swap(slots, slots_next);
   }
   // Watermark eviction is planned with a publish lag (soft watermark during
   // the run), so the last windows' admissions may leave the pool above the

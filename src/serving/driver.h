@@ -35,11 +35,11 @@
 //       arrival-ordered): frozen-threshold selector combination, bandit
 //       routing against window-start posteriors, generation, and probe
 //       shadow generation, each driven by a per-request RNG stream. Lanes
-//       mutate NOTHING; every globally stateful step — cluster clock +
-//       submit, load observation, bandit reward updates, selector access
-//       accounting + feedback, gain EMAs — is applied afterwards by a
-//       deterministic cross-shard MERGE that walks the window in arrival
-//       order on the driver thread. Admission inserts are then PUBLISHED by
+//       mutate NOTHING but their requests' slots; every globally stateful
+//       step — cluster clock + submit, load observation, bandit reward
+//       updates, selector access accounting + feedback, gain EMAs — is
+//       applied afterwards by a deterministic cross-shard MERGE that walks
+//       the window's slots in arrival order on the driver thread. Admission inserts are then PUBLISHED by
 //       per-shard tasks (per-shard arrival order keeps id assignment exact)
 //       with watermark eviction deferred to one enforcement after the join.
 //   MAINTENANCE (driver thread, between windows) — at the boundary where
@@ -51,9 +51,9 @@
 //       or the end of the run, whichever comes first.
 //
 // Determinism contract: every lane-stage computation depends only on the
-// prepared slot, state frozen at the window start, and RNG streams derived
-// from (seed, request id); every mutation is applied at a schedule fixed by
-// the window structure. A fixed seed therefore produces identical routing
+// prepare half of its request's slot, state frozen at the window start, and
+// RNG streams derived from (seed, request id); every mutation is applied at
+// a schedule fixed by the window structure. A fixed seed therefore produces identical routing
 // decisions and completions at ANY thread count AND any lane count —
 // `num_threads` and `commit_lanes` only change wall-clock time. Within a
 // window all requests see the cache/bandit/threshold as of the window start;
@@ -355,41 +355,38 @@ class ServingDriver {
   const DriverConfig& config() const { return config_; }
 
  private:
-  // Phase-1 output: everything the commit stage needs, computed purely.
-  struct Prepared {
-    std::vector<float> embedding;  // shared by stage-0, selection, admission
+  // One request's state through its window, each fact held once. Prepare
+  // fills the first half purely; the request's commit lane fills the second
+  // half, reading the first in place; the merge and the publish step read
+  // both. The driver keeps two windows of slots: the window being committed
+  // and the next one, whose prepare overlaps its lanes.
+  struct Slot {
+    // --- Prepare ---
+    // Shared by stage-0, selection, admission and the merge's stage-0 insert.
+    std::vector<float> embedding;
     std::vector<SelectorCandidate> candidates;
-    PreparedLifecycleAdmission lifecycle;
+    PreparedLifecycleAdmission lifecycle;  // staged admission (publish step)
     // Stage-0 probe against the window-start cache. The threshold decision
     // is NOT applied here — the lane judges it against the frozen threshold.
+    // On a miss, the probe's top-1 neighbour is the merge's dedupe hint (no
+    // serial search).
     std::optional<Stage0Probe> stage0;
     // The probe cleared the hit floor, so the lane must judge it a hit:
     // prepare left `embedding`, `candidates` and `lifecycle` empty.
     bool retrieval_skipped = false;
-  };
 
-  // Lane-stage output: everything the deterministic merge and the publish
-  // step apply, computed without touching shared mutable state.
-  struct CommitSlot {
-    std::vector<SelectedExample> selected;  // presentation order
-    std::vector<uint64_t> accessed;         // selector access accounting
+    // --- Commit lane ---
+    // Stage-0 hit: the request was served from the response cache (the
+    // probe's entry) — no routing, no generation, no cluster submission, no
+    // admission, no selection.
+    bool stage0_hit = false;
+    // The picks in presentation order; the merge records one access for
+    // each. Offloaded iff `decision.uses_examples`.
+    std::vector<SelectedExample> selected;
     RouteDecision decision;
-    bool offloaded = false;
-    size_t num_examples = 0;
     GenerationResult generation;
     bool probed = false;
     double probe_gain = 0.0;
-    PreparedLifecycleAdmission lifecycle;  // staged admission (publish step)
-    std::vector<float> embedding;          // for the merge-time stage-0 insert
-
-    // Stage-0 hit outcome: the request was served from the response cache —
-    // no routing, no generation, no cluster submission, no admission.
-    bool stage0_hit = false;
-    bool retrieval_skipped = false;  // the hit was proven in prepare
-    // On a hit: the served entry. On a miss: the probe's top-1 neighbour,
-    // reused by the merge as the admission dedupe hint (no serial search).
-    uint64_t stage0_id = 0;
-    double stage0_similarity = 0.0;
     bool stage0_probed = false;          // shadow-generated the fresh response
     double stage0_fresh_quality = 0.0;   // counterfactual (probed hits only)
     int stage0_tokens_saved = 0;
@@ -399,14 +396,17 @@ class ServingDriver {
   // per-request embeds into a reused arena, one batched stage-0 probe, one
   // batched stage-1 sweep over the requests whose probe does not clear
   // `hit_floor` (the others are proven hits and get no retrieval), then the
-  // per-request tail (filter/snapshot/stage-2 scoring + admission prep). For every request the lane serves as a miss, out[i] is exactly
-  // what the historical per-request prepare produced for chunk_requests[i].
+  // per-request tail (filter/snapshot/stage-2 scoring + admission prep).
+  // Resets each of out[0, count) and fills its prepare half: for every
+  // request the lane serves as a miss, exactly what the per-request prepare
+  // would produce for chunk_requests[i].
   void PrepareChunk(const Request* chunk_requests, size_t count, double hit_floor,
-                    Prepared* out) const;
+                    Slot* out) const;
 
   // Lane stage for one request: frozen selection, frozen-posterior routing,
-  // generation, probe shadow generation. Pure given window-start state.
-  void CommitLaneRequest(const Request& request, Prepared& prep, CommitSlot& slot) const;
+  // generation, probe shadow generation. Pure given window-start state;
+  // writes only the slot's commit-lane half.
+  void CommitLaneRequest(const Request& request, Slot& slot) const;
 
   // Links every shard's pending HNSW nodes on a num_threads pool, one task
   // per shard; creates no thread when nothing is pending (or at 1 thread).

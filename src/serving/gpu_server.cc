@@ -47,7 +47,6 @@ double GpuServer::StartIteration(double now) {
 
   iteration_in_progress_ = true;
   iteration_end_ = now + duration;
-  busy_time_ += duration;
   return iteration_end_;
 }
 

@@ -69,9 +69,7 @@ class GpuServer {
   void FinishIteration(double now, std::vector<CompletionRecord>* completions);
 
   size_t QueueLength() const { return waiting_.size(); }
-  size_t ActiveCount() const { return active_.size(); }
   size_t InFlight() const { return waiting_.size() + active_.size(); }
-  double BusyTime() const { return busy_time_; }
   const ModelProfile& model() const { return model_; }
 
  private:
@@ -89,7 +87,6 @@ class GpuServer {
   std::vector<InFlightRequest> active_;
   bool iteration_in_progress_ = false;
   double iteration_end_ = 0.0;
-  double busy_time_ = 0.0;
 };
 
 }  // namespace iccache

@@ -2,22 +2,6 @@
 
 namespace iccache {
 
-const char* TaskTypeName(TaskType task) {
-  switch (task) {
-    case TaskType::kConversation:
-      return "conversation";
-    case TaskType::kQuestionAnswering:
-      return "question_answering";
-    case TaskType::kTranslation:
-      return "translation";
-    case TaskType::kCodeGeneration:
-      return "code_generation";
-    case TaskType::kMathReasoning:
-      return "math_reasoning";
-  }
-  return "unknown";
-}
-
 const char* DatasetName(DatasetId dataset) {
   switch (dataset) {
     case DatasetId::kAlpaca:
@@ -164,11 +148,6 @@ std::vector<DatasetProfile> AllDatasetProfiles() {
       GetDatasetProfile(DatasetId::kNaturalQuestions), GetDatasetProfile(DatasetId::kWmt16),
       GetDatasetProfile(DatasetId::kNl2Bash),       GetDatasetProfile(DatasetId::kMath500),
   };
-}
-
-std::vector<DatasetId> EndToEndDatasets() {
-  return {DatasetId::kMsMarco, DatasetId::kNaturalQuestions, DatasetId::kLmsysChat,
-          DatasetId::kOpenOrca};
 }
 
 }  // namespace iccache

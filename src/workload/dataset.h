@@ -48,9 +48,6 @@ DatasetProfile GetDatasetProfile(DatasetId id);
 // All profiles in Table 1 order.
 std::vector<DatasetProfile> AllDatasetProfiles();
 
-// The four datasets used in the end-to-end online experiments (Figure 12).
-std::vector<DatasetId> EndToEndDatasets();
-
 }  // namespace iccache
 
 #endif  // SRC_WORKLOAD_DATASET_H_

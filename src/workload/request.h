@@ -19,8 +19,6 @@ enum class TaskType {
   kMathReasoning,
 };
 
-const char* TaskTypeName(TaskType task);
-
 enum class DatasetId {
   kAlpaca,
   kLmsysChat,

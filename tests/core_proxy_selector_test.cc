@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -161,6 +162,49 @@ TEST_F(SelectorFixture, SelectionRecordsAccesses) {
     EXPECT_GE(example->access_count, 1u);
     EXPECT_EQ(example->last_access_time, 3.0);
   }
+}
+
+TEST_F(SelectorFixture, CommitRecordsExactlyOneAccessPerPick) {
+  SeedCache(300);
+  const ModelProfile& model = catalog_->Get("gemma-2-2b");
+  const double threshold = selector_.utility_threshold();
+  size_t picks = 0;
+  size_t others = 0;
+  for (int i = 0; i < 20; ++i) {
+    const std::vector<SelectorCandidate> candidates =
+        selector_.PrepareCandidates(gen_.Next(), model);
+    std::vector<uint64_t> counts;
+    std::vector<double> stamps;
+    for (const SelectorCandidate& candidate : candidates) {
+      counts.push_back(cache_.Get(candidate.id)->access_count);
+      stamps.push_back(cache_.Get(candidate.id)->last_access_time);
+    }
+
+    const std::vector<size_t> frozen = selector_.CommitSelectionFrozen(candidates, model);
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      EXPECT_EQ(cache_.Get(candidates[c].id)->access_count, counts[c]);
+    }
+
+    const double now = 10.0 + i;
+    const std::vector<size_t> picked = selector_.CommitSelection(candidates, model, now);
+    EXPECT_EQ(picked, frozen);
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const Example* example = cache_.Get(candidates[c].id);
+      if (std::find(picked.begin(), picked.end(), c) != picked.end()) {
+        EXPECT_EQ(example->access_count, counts[c] + 1);
+        EXPECT_EQ(example->last_access_time, now);
+        ++picks;
+      } else {
+        EXPECT_EQ(example->access_count, counts[c]);
+        EXPECT_EQ(example->last_access_time, stamps[c]);
+        ++others;
+      }
+    }
+  }
+  // Twenty requests stay inside one adaptation period: one threshold.
+  EXPECT_EQ(selector_.utility_threshold(), threshold);
+  EXPECT_GT(picks, 0u);
+  EXPECT_GT(others, 0u);
 }
 
 TEST_F(SelectorFixture, OrderingPutsBestLast) {

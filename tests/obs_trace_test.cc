@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -179,23 +178,6 @@ TEST(MetricsHubTest, PrometheusTextExposesAllFamilies) {
   EXPECT_NE(text.find("iccache_latency_seconds_bucket{le=\"+Inf\"} 2"), std::string::npos);
   EXPECT_NE(text.find("iccache_latency_seconds_count 2"), std::string::npos);
   EXPECT_NE(text.find("iccache_latency_seconds_sum"), std::string::npos);
-}
-
-TEST(MetricsHubTest, HistogramExemplarsTrackLastRequestPerBucket) {
-  MetricsHub hub;
-  MetricHistogram* histogram = hub.Histogram("e2e_seconds");
-  histogram->Observe(0.010, /*exemplar_id=*/41);
-  histogram->Observe(0.010, /*exemplar_id=*/42);  // same bucket: last id wins
-  histogram->Observe(5.000, /*exemplar_id=*/77);
-  histogram->Observe(0.500);  // no id: bucket counted but no exemplar recorded
-
-  const std::map<int, uint64_t> exemplars = hub.HistogramExemplars("e2e_seconds");
-  ASSERT_EQ(exemplars.size(), 2u);
-  const LatencyHistogram shape = histogram->snapshot();
-  EXPECT_EQ(shape.count(), 4u);
-  EXPECT_EQ(exemplars.at(shape.BucketIndex(0.010)), 42u);
-  EXPECT_EQ(exemplars.at(shape.BucketIndex(5.000)), 77u);
-  EXPECT_TRUE(hub.HistogramExemplars("never_registered").empty());
 }
 
 TEST(PrometheusRoundTripTest, ExpositionParsesAndValidates) {
